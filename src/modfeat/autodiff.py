@@ -3,7 +3,9 @@
 Values are 2-D float64 numpy arrays (row-major). Graphs are built
 define-by-run: every op returns a fresh ``Node`` holding the result value
 and a vector-Jacobian closure. Leaf nodes (parameters, constants) persist
-across steps; interior nodes are rebuilt each step.
+across steps; interior nodes are rebuilt each step. ``backward`` writes
+``.grad`` only on leaves: an interior node's adjoint lives in a per-call
+map only until it has been passed to the node's parents.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class Node:
     """One vertex of the computation graph.
 
     ``grad`` is allocated lazily so no-gradient evaluation passes pay
-    nothing for it. ``_vjp(g)`` returns one adjoint array per parent.
+    nothing for it. ``backward`` accumulates into it on leaves (nodes
+    without parents) only; an interior node's ``grad`` stays unset.
+    ``_vjp(g)`` returns one adjoint array per parent.
     """
 
     __slots__ = ("value", "parents", "_vjp", "_grad")
@@ -131,6 +135,25 @@ def matmul(a: Node, b: Node) -> Node:
         return g @ bv.T, av.T @ g
 
     return Node(av @ bv, (a, b), vjp)
+
+
+def add_row(a: Node, b: Node) -> Node:
+    """Add the (1 x m) row ``b`` to every row of the (n x m) node ``a``.
+
+    The adjoint of ``b`` is the column sum of ``g``, taken as the matmul
+    ``ones((n, 1)).T @ g`` so it rounds like the ones-column product
+    ``ones((n, 1)) @ b`` this op replaces.
+    """
+    n, m = a.value.shape
+    if b.value.shape != (1, m):
+        raise DimensionError(
+            f"add_row: cannot add {b.value.shape} to rows of {a.value.shape}"
+        )
+
+    def vjp(g):
+        return g, np.ones((n, 1)).T @ g
+
+    return Node(a.value + b.value, (a, b), vjp)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -260,11 +283,13 @@ def _topo_order(root: Node) -> list:
 
 
 def backward(loss: Node) -> None:
-    """Reverse sweep from a 1x1 loss node, accumulating into ``.grad``.
+    """Reverse sweep from a 1x1 loss node, accumulating into leaf ``.grad``.
 
-    Adjoints are collected in a per-call map and added to each node's
-    grad at the end, so repeated calls accumulate (callers reset grads
-    between optimizer steps).
+    Adjoints are collected in a per-call map; an interior node's entry
+    is dropped once it has been passed to its parents. At the end each
+    reached leaf's adjoint is added to its grad, so repeated calls
+    accumulate (callers reset grads between optimizer steps); interior
+    nodes get no grad.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(
@@ -273,8 +298,10 @@ def backward(loss: Node) -> None:
     order = _topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
-        g = adjoint.get(id(node))
-        if g is None or node._vjp is None:
+        if not node.parents:
+            continue
+        g = adjoint.pop(id(node), None)
+        if g is None:
             continue
         for parent, contrib in zip(node.parents, node._vjp(g)):
             key = id(parent)

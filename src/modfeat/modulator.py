@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,13 +89,6 @@ class ModulationMatrix:
         return self.param.value.shape
 
 
-@lru_cache(maxsize=16)
-def _replication_matrices(n: int, num_classes: int):
-    rep = np.kron(np.eye(n), np.ones((num_classes, 1)))
-    tile = np.tile(np.eye(num_classes), (n, 1))
-    return rep, tile
-
-
 def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
     """Blend each instance feature row toward every class anchor.
 
@@ -104,6 +96,11 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
     per sample: row i*C + c modulates sample i toward class c. With a
     single input row this is exactly the per-sample contract. Anchors
     are a per-step constant; gradients flow to features and weights.
+
+    The blend is one broadcast graph node over an (n, C, F) view, so
+    time and memory are O(n*C*F); its vjp sums the output adjoint over
+    the class axis for ``features`` and over the sample axis for
+    ``weights``.
     """
     n, feat = features.shape
     num_classes, feat_w = weights.shape
@@ -112,12 +109,16 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
             f"modulate: features {features.shape}, weights {weights.shape}, "
             f"anchors {anchors.shape} are inconsistent"
         )
-    rep, tile = _replication_matrices(n, num_classes)
-    replicated = ad.matmul(ad.constant(rep), features)
-    tiled_weights = ad.matmul(ad.constant(tile), weights)
-    tiled_anchors = ad.constant(np.tile(anchors, (n, 1)))
-    ones = ad.constant(np.ones((n * num_classes, feat)))
-    return ad.add(
-        ad.mul(tiled_weights, replicated),
-        ad.mul(ad.sub(ones, tiled_weights), tiled_anchors),
-    )
+    a = ad.as_matrix(anchors)[None]
+    z, w = features.value[:, None, :], weights.value
+    out = w[None] * z + (1.0 - w)[None] * a
+
+    def vjp(g):
+        g3 = g.reshape(n, num_classes, feat)
+        gz = g3 * w[None]
+        # BLAS sums a one-row product in its own order; keep that order so
+        # single-row batches round as the dense (n*C x n) formulation did.
+        gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
+        return gz, (g3 * z - g3 * a).sum(axis=0)
+
+    return Node(out.reshape(n * num_classes, feat), (features, weights), vjp)

@@ -91,8 +91,7 @@ class Extractor:
             return ad.dropout(h, self.config.dropout_p, rng, enabled)
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            rows = ad.constant(np.ones((h.shape[0], 1)))
-            h = ad.add(ad.matmul(h, w.node), ad.matmul(rows, b.node))
+            h = ad.add_row(ad.matmul(h, w.node), b.node)
             if i < n_layers - 1:
                 h = ad.relu(h)
                 if i == n_layers - 2:
@@ -127,8 +126,7 @@ class Classifier:
         return [self.weight, self.bias]
 
     def forward(self, z: Node) -> Node:
-        rows = ad.constant(np.ones((z.shape[0], 1)))
-        return ad.add(ad.matmul(z, self.weight.node), ad.matmul(rows, self.bias.node))
+        return ad.add_row(ad.matmul(z, self.weight.node), self.bias.node)
 
 
 @dataclass

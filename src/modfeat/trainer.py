@@ -67,6 +67,12 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
+        if self.mc_samples < 2:
+            raise ValueError(f"mc_samples must be >= 2, got {self.mc_samples}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -78,6 +78,47 @@ class TestElementwise:
         assert report.passed, report
 
 
+class TestAddRow:
+    def _run(self, build, a, b, g):
+        for p in (a, b):
+            p.node.zero_grad()
+        out = build(a.node, b.node)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        return out.value, a.grad.copy(), b.grad.copy()
+
+    @pytest.mark.parametrize("n", [1, 48])
+    def test_matches_ones_column_matmul_bitwise(self, rng, n):
+        a = ad.DualParam.create("a", rng.normal(size=(n, 7)))
+        b = ad.DualParam.create("b", rng.normal(size=(1, 7)))
+        g = rng.normal(size=(n, 7))
+
+        def ones_column(an, bn):
+            return ad.add(an, ad.matmul(ad.constant(np.ones((an.shape[0], 1))), bn))
+
+        new = self._run(ad.add_row, a, b, g)
+        old = self._run(ones_column, a, b, g)
+        for got, want in zip(new, old):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradients(self, rng):
+        a = ad.DualParam.create("a", rng.normal(size=(4, 3)))
+        b = ad.DualParam.create("b", rng.normal(size=(1, 3)))
+        g = ad.constant(rng.normal(size=(4, 3)))
+
+        def loss():
+            out = ad.add_row(a.node, b.node)
+            return ad.sum_all(ad.mul(ad.mul(out, out), g))
+
+        report = ad.grad_check(loss, [a, b], step=1e-6, tolerance=1e-7)
+        assert report.passed, report
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.DimensionError):
+            ad.add_row(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        with pytest.raises(ad.DimensionError):
+            ad.add_row(ad.constant(np.ones((2, 3))), ad.constant(np.ones((1, 2))))
+
+
 class TestRowSoftmax:
     def test_symmetric_rows(self):
         out = ad.row_log_softmax(ad.constant([[0.0, 0.0]]))
@@ -197,6 +238,18 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self, rng):
         with pytest.raises(ad.ContractError):
             ad.backward(ad.constant(np.ones((2, 2))))
+
+    def test_only_leaves_keep_grad(self, rng):
+        p = ad.DualParam.create("p", rng.normal(size=(2, 2)))
+        c = ad.constant(rng.normal(size=(2, 2)))
+        row = ad.constant(rng.normal(size=(1, 2)))
+        hidden = ad.mul(ad.add_row(ad.matmul(p.node, c), row), p.node)
+        loss = ad.sum_all(ad.relu(hidden))
+        ad.backward(loss)
+        interior = [n for n in ad._topo_order(loss) if n.parents]
+        assert len(interior) == 5
+        assert all(n._grad is None for n in interior)
+        assert all(n._grad is not None for n in (p.node, c, row))
 
     def test_diamond_graph(self, rng):
         # p feeds two paths that rejoin; adjoints must add once per path.

@@ -139,6 +139,21 @@ class TestCli:
     def test_bad_override_exits_2(self, mini_config):
         assert cli.main(["train", str(mini_config), "--nonsense=1"]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        ["--mc_samples=1", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
+         "--momentum=1"],
+    )
+    def test_out_of_range_training_value_exits_2(
+        self, mini_config, tmp_path, capsys, override
+    ):
+        assert cli.main(["train", str(mini_config), "--seeds", "0", override]) == 2
+        err = capsys.readouterr().err
+        key = override[2:].split("=")[0]
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_mode_override_runs_baseline(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert (

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,22 @@ class TestVarianceInit:
         out = fm.variance_init(feats, classes, 2)
         # var class0 = [1, 0], class1 = [4, 0]; global min 0, max 4
         np.testing.assert_allclose(out, [[0.75, 1.0], [0.0, 1.0]])
+
+
+def _dense_modulate(features, anchors, weights):
+    """Reference formulation: multiply by 0/1 replication matrices."""
+    n, feat = features.shape
+    num_classes = weights.shape[0]
+    rep = np.kron(np.eye(n), np.ones((num_classes, 1)))
+    tile = np.tile(np.eye(num_classes), (n, 1))
+    replicated = ad.matmul(ad.constant(rep), features)
+    tiled_weights = ad.matmul(ad.constant(tile), weights)
+    tiled_anchors = ad.constant(np.tile(anchors, (n, 1)))
+    ones = ad.constant(np.ones((n * num_classes, feat)))
+    return ad.add(
+        ad.mul(tiled_weights, replicated),
+        ad.mul(ad.sub(ones, tiled_weights), tiled_anchors),
+    )
 
 
 class TestModulate:
@@ -158,3 +176,58 @@ class TestModulate:
     def test_shape_mismatch(self):
         with pytest.raises(ad.DimensionError):
             fm.modulate(ad.constant(self.z), self.anchors[:, :2], ad.constant(np.ones((3, 4))))
+
+
+class TestBroadcastModulate:
+    @pytest.mark.parametrize("n", [1, 48])
+    def test_matches_dense_oracle_bitwise(self, rng, n):
+        z = ad.DualParam.create("z", rng.normal(size=(n, 32)))
+        w = ad.DualParam.create("w", rng.uniform(size=(7, 32)))
+        anchors = rng.normal(size=(7, 32))
+        g = ad.constant(rng.normal(size=(n * 7, 32)))
+        results = []
+        for build in (fm.modulate, _dense_modulate):
+            z.node.zero_grad()
+            w.node.zero_grad()
+            out = build(z.node, anchors, w.node)
+            ad.backward(ad.sum_all(ad.mul(out, g)))
+            results.append((out.value, z.grad.copy(), w.grad.copy()))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradients_of_both_inputs(self, rng):
+        z = ad.DualParam.create("z", rng.normal(size=(3, 4)))
+        w = ad.DualParam.create("w", rng.uniform(size=(2, 4)))
+        anchors = rng.normal(size=(2, 4))
+        g = ad.constant(rng.normal(size=(6, 4)))
+
+        def loss():
+            out = fm.modulate(z.node, anchors, w.node)
+            return ad.sum_all(ad.mul(ad.mul(out, out), g))
+
+        report = ad.grad_check(loss, [z, w], step=1e-6, tolerance=1e-7)
+        assert report.passed, report
+
+    def test_non_finite_anchors_rejected(self):
+        anchors = np.zeros((2, 3))
+        anchors[1, 2] = np.nan
+        with pytest.raises(ad.ParameterError):
+            fm.modulate(
+                ad.constant(np.ones((1, 3))), anchors, ad.constant(np.ones((2, 3)))
+            )
+
+    def test_forward_memory_is_linear_in_rows(self, rng):
+        n, num_classes, feat = 4096, 7, 32
+        features = ad.constant(rng.normal(size=(n, feat)))
+        weights = ad.constant(rng.uniform(size=(num_classes, feat)))
+        anchors = rng.normal(size=(num_classes, feat))
+        out_bytes = n * num_classes * feat * 8
+        tracemalloc.start()
+        try:
+            out = fm.modulate(features, anchors, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n * num_classes, feat)
+        # The dense formulation's (n*C x n) matrix alone is n/F = 128x this.
+        assert peak < 3 * out_bytes
