@@ -3,9 +3,16 @@
 Values are 2-D float64 numpy arrays (row-major). Graphs are built
 define-by-run: every op returns a fresh ``Node`` holding the result value
 and a vector-Jacobian closure. Leaf nodes (parameters, constants) persist
-across steps; interior nodes are rebuilt each step. ``backward`` writes
-``.grad`` only on leaves: an interior node's adjoint lives in a per-call
-map only until it has been passed to the node's parents.
+across steps; interior nodes are rebuilt each step.
+
+Only nodes that lead back to a gradient-requiring leaf (``leaf``, which
+parameters use) record a graph: an op on no-grad operands alone (built
+from ``constant`` or a plain ``Node``) keeps no parents and no vjp, so
+no-gradient passes build no graph. Vjps skip the adjoints of no-grad
+operands where that saves work, and ``backward`` stores adjoints only
+for nodes that require a gradient. It writes ``.grad`` only on leaves:
+an interior node's adjoint lives in a per-call map only until it has
+been passed to the node's parents.
 """
 
 from __future__ import annotations
@@ -45,24 +52,40 @@ def as_matrix(values) -> np.ndarray:
 class Node:
     """One vertex of the computation graph.
 
+    ``requires_grad`` is set on gradient-requiring leaves and, for an op
+    node, whenever any parent has it. A node without it is a value only:
+    it keeps no parents and no vjp, whatever it was built from, so the
+    graph behind it is not kept and ``backward`` never reaches it.
+
     ``grad`` is allocated lazily so no-gradient evaluation passes pay
-    nothing for it. ``backward`` accumulates into it on leaves (nodes
-    without parents) only; an interior node's ``grad`` stays unset.
-    ``_vjp(g)`` returns one adjoint array per parent.
+    nothing for it. ``backward`` accumulates into it on gradient-requiring
+    leaves only; interior and no-grad nodes keep ``grad`` unset.
+    ``_vjp(g)`` returns one entry per parent: an adjoint array, or None
+    for a parent that does not require a gradient.
     """
 
-    __slots__ = ("value", "parents", "_vjp", "_grad")
+    __slots__ = ("value", "parents", "_vjp", "_grad", "requires_grad")
 
     def __init__(
         self,
         value: np.ndarray,
         parents: Sequence["Node"] = (),
         vjp: Optional[Callable[[np.ndarray], tuple]] = None,
+        requires_grad: bool = False,
     ):
         self.value = value
-        self.parents = tuple(parents)
-        self._vjp = vjp
         self._grad: Optional[np.ndarray] = None
+        for parent in parents:
+            if parent.requires_grad:
+                requires_grad = True
+                break
+        self.requires_grad = requires_grad
+        if requires_grad:
+            self.parents = tuple(parents)
+            self._vjp = vjp
+        else:
+            self.parents = ()
+            self._vjp = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -88,12 +111,13 @@ class Node:
 
 
 def constant(values) -> Node:
-    """Leaf node that never receives gradient updates from the optimizer."""
+    """Validated no-grad leaf: ops on it record no graph and it gets no grad."""
     return Node(as_matrix(values))
 
 
 def leaf(values) -> Node:
-    return Node(as_matrix(values))
+    """Validated gradient-requiring leaf; ``backward`` accumulates its grad."""
+    return Node(as_matrix(values), requires_grad=True)
 
 
 @dataclass
@@ -102,11 +126,10 @@ class DualParam:
 
     name: str
     node: Node
-    learnable: bool = True
 
     @classmethod
-    def create(cls, name: str, values, learnable: bool = True) -> "DualParam":
-        return cls(name=name, node=leaf(values), learnable=learnable)
+    def create(cls, name: str, values) -> "DualParam":
+        return cls(name=name, node=leaf(values))
 
     @property
     def value(self) -> np.ndarray:
@@ -132,7 +155,10 @@ def matmul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return (
+            g @ bv.T if a.requires_grad else None,
+            av.T @ g if b.requires_grad else None,
+        )
 
     return Node(av @ bv, (a, b), vjp)
 
@@ -169,7 +195,7 @@ def sub(a: Node, b: Node) -> Node:
     _binary_shapes(a, b, "sub")
 
     def vjp(g):
-        return g, -g
+        return g, -g if b.requires_grad else None
 
     return Node(a.value - b.value, (a, b), vjp)
 
@@ -179,7 +205,10 @@ def mul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return g * bv, g * av
+        return (
+            g * bv if a.requires_grad else None,
+            g * av if b.requires_grad else None,
+        )
 
     return Node(av * bv, (a, b), vjp)
 
@@ -223,9 +252,24 @@ def sum_all(a: Node) -> Node:
     return Node(np.array([[a.value.sum()]]), (a,), vjp)
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """(n x 1) row maxima of an (n x m) array.
+
+    Reduces a transposed copy along its outer axis: for narrow rows this
+    is several times faster than ``a.max(axis=1)``, which pays a per-row
+    overhead. Max involves no rounding, so every value is the same as
+    ``a.max(axis=1, keepdims=True)`` (nan included); the one exception is
+    a row whose maximum is a tie between +0.0 and -0.0, where the sign
+    of the zero returned depends on the order of comparison. The
+    softmaxes below give the same bits either way: exp(+0) == exp(-0),
+    and a tie means two entries of exp 1, so log_z is never 0.
+    """
+    return np.ascontiguousarray(a.T).max(axis=0)[:, None]
+
+
 def row_log_softmax(a: Node) -> Node:
     """Per-row log-softmax, stabilized by subtracting the row max."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    shifted = a.value - row_max(a.value)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = shifted - log_z
     probs = np.exp(out)
@@ -237,9 +281,8 @@ def row_log_softmax(a: Node) -> Node:
 
 
 def row_softmax(a: np.ndarray) -> np.ndarray:
-    """No-gradient per-row softmax on a plain array, stabilized."""
-    a = as_matrix(a)
-    shifted = a - a.max(axis=1, keepdims=True)
+    """No-gradient per-row softmax on a 2-D float array, stabilized."""
+    shifted = a - row_max(a)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -289,12 +332,15 @@ def backward(loss: Node) -> None:
     is dropped once it has been passed to its parents. At the end each
     reached leaf's adjoint is added to its grad, so repeated calls
     accumulate (callers reset grads between optimizer steps); interior
-    nodes get no grad.
+    nodes get no grad. Adjoints of no-grad parents are skipped, so
+    constants get no grad either, and a no-grad loss is a no-op.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(
             f"backward requires a 1x1 loss node, got shape {loss.value.shape}"
         )
+    if not loss.requires_grad:
+        return
     order = _topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
@@ -304,6 +350,8 @@ def backward(loss: Node) -> None:
         if g is None:
             continue
         for parent, contrib in zip(node.parents, node._vjp(g)):
+            if not parent.requires_grad:
+                continue
             key = id(parent)
             if key in adjoint:
                 adjoint[key] = adjoint[key] + contrib
@@ -340,7 +388,6 @@ def grad_check(
     reseeding inside the builder). Relative error per entry is
     |analytic - numeric| / max(|analytic|, |numeric|, rel_floor).
     """
-    params = [p for p in params if p.learnable]
     base = build_fn().value[0, 0]
     recheck = build_fn().value[0, 0]
     if base != recheck:

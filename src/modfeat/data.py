@@ -13,6 +13,7 @@ outputs: training consumes the unlabeled pool without domain identity.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -215,45 +216,70 @@ def save_csv(dataset: DomainDataset, path) -> None:
 
 
 def load_csv(path) -> DomainDataset:
-    """Parse the CSV schema; class/domain counts are inferred from the ids."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if len(header) < 3 or tuple(header[:2]) != CSV_HEADER_PREFIX:
-            raise SchemaError(
-                f"{path}: header must start with 'domain_id,class_id,f0,...'"
-            )
-        width = len(header)
-        rows, classes, domains = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                domains.append(int(row[0]))
-                classes.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
-    if not rows:
+    """Parse the CSV schema; class/domain counts are inferred from the ids.
+
+    Blank lines are skipped. The data lines are parsed in one
+    ``np.loadtxt`` call (ids as integers, features as float64); only when
+    that fails are they parsed again one at a time, to name the line at
+    fault. Every feature must be finite.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if not text:
+        raise SchemaError(f"{path}: empty file")
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if len(header) < 3 or tuple(header[:2]) != CSV_HEADER_PREFIX:
+        raise SchemaError(
+            f"{path}: header must start with 'domain_id,class_id,f0,...'"
+        )
+    width = len(header)
+    numbered = [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
+    if not numbered:
         raise SchemaError(f"{path}: no data rows")
-    class_ids = np.asarray(classes, dtype=np.int64)
-    domain_ids = np.asarray(domains, dtype=np.int64)
+    row_type = np.dtype(
+        [("domain", np.int64), ("class", np.int64), ("features", np.float64, (width - 2,))]
+    )
+    try:
+        rows = _parse_rows([line for _, line in numbered], row_type)
+    except ValueError as err:
+        _raise_at_bad_line(path, numbered, width, row_type)
+        raise ParseError(f"{path}: {err}") from None
+    features = np.ascontiguousarray(rows["features"])
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        lineno = numbered[int(np.argmin(finite))][0]
+        raise ParseError(f"{path}:{lineno}: features must be finite")
+    class_ids, domain_ids = rows["class"].copy(), rows["domain"].copy()
     if class_ids.min() < 0 or domain_ids.min() < 0:
         raise SchemaError(f"{path}: ids must be non-negative")
     return DomainDataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         class_ids=class_ids,
         domain_ids=domain_ids,
         num_classes=int(class_ids.max()) + 1,
         num_domains=int(domain_ids.max()) + 1,
     )
+
+
+def _parse_rows(lines: list, row_type: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, dtype=row_type, delimiter=",", comments=None, ndmin=1)
+
+
+def _raise_at_bad_line(path, numbered: list, width: int, row_type: np.dtype) -> None:
+    """Raise the error of the first data line that does not parse alone."""
+    for lineno, line in numbered:
+        fields = line.count(",") + 1
+        if fields != width:
+            raise SchemaError(
+                f"{path}:{lineno}: expected {width} fields, got {fields}"
+            )
+        try:
+            _parse_rows([line], row_type)
+        except ValueError as err:
+            # The parser locates the fault within the one-line input.
+            reason = re.sub(r" at row 0, column (\d+)\.?$", r" (field \1)", str(err))
+            raise ParseError(f"{path}:{lineno}: {reason}") from None
 
 
 def split(dataset: DomainDataset, plan: SplitPlan) -> Split:

@@ -95,7 +95,8 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
     ``features`` is (n x F); the result is (n*C x F) with rows grouped
     per sample: row i*C + c modulates sample i toward class c. With a
     single input row this is exactly the per-sample contract. Anchors
-    are a per-step constant; gradients flow to features and weights.
+    are a per-step constant; gradients flow to whichever of features and
+    weights requires one (the vjp skips the other's adjoint).
 
     The blend is one broadcast graph node over an (n, C, F) view, so
     time and memory are O(n*C*F); its vjp sums the output adjoint over
@@ -115,10 +116,14 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
 
     def vjp(g):
         g3 = g.reshape(n, num_classes, feat)
-        gz = g3 * w[None]
-        # BLAS sums a one-row product in its own order; keep that order so
-        # single-row batches round as the dense (n*C x n) formulation did.
-        gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
-        return gz, (g3 * z - g3 * a).sum(axis=0)
+        gz = gw = None
+        if features.requires_grad:
+            gz = g3 * w[None]
+            # BLAS sums a one-row product in its own order; keep that order so
+            # single-row batches round as the dense (n*C x n) formulation did.
+            gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
+        if weights.requires_grad:
+            gw = (g3 * z - g3 * a).sum(axis=0)
+        return gz, gw
 
     return Node(out.reshape(n * num_classes, feat), (features, weights), vjp)

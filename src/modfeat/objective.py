@@ -64,7 +64,7 @@ class LossBreakdown:
 
 
 def _zero() -> Node:
-    return ad.constant([[0.0]])
+    return Node(np.zeros((1, 1)))
 
 
 def _block_diag_mask(n: int, num_classes: int) -> np.ndarray:
@@ -89,9 +89,12 @@ def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarra
     """Per-sample column maxima placed at the diagonal positions.
 
     Evaluated from the current values and embedded as a constant, so no
-    gradient flows through the target side of the gap.
+    gradient flows through the target side of the gap. The maxima come
+    from a (C, n, C) copy reduced along its outer axis, like
+    ``autodiff.row_max``.
     """
-    colmax = slog_value.reshape(n, num_classes, num_classes).max(axis=1)
+    cube = slog_value.reshape(n, num_classes, num_classes).transpose(1, 0, 2)
+    colmax = np.ascontiguousarray(cube).max(axis=0)
     target = np.zeros((n * num_classes, num_classes))
     rows = np.arange(n * num_classes)
     cols = np.tile(np.arange(num_classes), n)
@@ -106,13 +109,13 @@ def _diag_gap_node(
     if target is None:
         target = _diag_targets(slog.value, n, num_classes)
     gap = ad.mul(
-        ad.sub(slog, ad.constant(target)),
-        ad.constant(_block_diag_mask(n, num_classes)),
+        ad.sub(slog, Node(target)),
+        Node(_block_diag_mask(n, num_classes)),
     )
     sq = ad.mul(gap, gap)
     if weights is not None:
         w = np.repeat(np.asarray(weights, dtype=np.float64), num_classes)
-        sq = ad.mul(sq, ad.constant(_block_diag_mask(n, num_classes) * w[:, None]))
+        sq = ad.mul(sq, Node(_block_diag_mask(n, num_classes) * w[:, None]))
     return ad.scale(ad.sum_all(sq), 1.0 / num_classes)
 
 
@@ -146,7 +149,7 @@ def supervised_loss(
     """
     slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(x), mode, rng)
     c = model.num_classes
-    picked = ad.mul(slog, ad.constant(_label_mask(1, c, [int(y)])))
+    picked = ad.mul(slog, Node(_label_mask(1, c, [int(y)])))
     return ad.scale(ad.sum_all(picked), -1.0), slog
 
 
@@ -175,7 +178,7 @@ def unsupervised_loss(
         return _zero(), _zero()
     slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(u), mode, rng)
     c = model.num_classes
-    picked = ad.mul(slog, ad.constant(_label_mask(1, c, [record.label])))
+    picked = ad.mul(slog, Node(_label_mask(1, c, [record.label])))
     l_u = ad.scale(ad.sum_all(picked), -record.l_scale)
     l_ud = ad.scale(diag_max_loss(slog), record.l_scale)
     return l_u, l_ud
@@ -208,7 +211,7 @@ def total_loss(
 
     if mode == "fm":
         slog = modulated_log_scores(model, modulation, bank, labeled_weak, "train", rng)
-        picked = ad.mul(slog, ad.constant(_label_mask(n_l, c, labeled_y)))
+        picked = ad.mul(slog, Node(_label_mask(n_l, c, labeled_y)))
         l_s = ad.scale(ad.sum_all(picked), -1.0 / n_l)
         used_targets["labeled"] = (
             frozen.get("labeled")
@@ -223,7 +226,7 @@ def total_loss(
         slog_plain = ad.row_log_softmax(logits)
         mask = np.zeros((n_l, c))
         mask[np.arange(n_l), labeled_y] = 1.0
-        l_s = ad.scale(ad.sum_all(ad.mul(slog_plain, ad.constant(mask))), -1.0 / n_l)
+        l_s = ad.scale(ad.sum_all(ad.mul(slog_plain, Node(mask))), -1.0 / n_l)
         l_d = _zero()
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -239,7 +242,7 @@ def total_loss(
         if mode == "fm":
             slog_u = modulated_log_scores(model, modulation, bank, strong, "train", rng)
             picked = ad.mul(
-                slog_u, ad.constant(_label_mask(m, c, labels, weights=weights))
+                slog_u, Node(_label_mask(m, c, labels, weights=weights))
             )
             l_u = ad.scale(ad.sum_all(picked), -1.0 / n_u)
             used_targets["unlabeled"] = (
@@ -258,7 +261,7 @@ def total_loss(
             slog_b = ad.row_log_softmax(logits)
             mask = np.zeros((m, c))
             mask[np.arange(m), labels] = weights
-            l_u = ad.scale(ad.sum_all(ad.mul(slog_b, ad.constant(mask))), -1.0 / n_u)
+            l_u = ad.scale(ad.sum_all(ad.mul(slog_b, Node(mask))), -1.0 / n_u)
             l_ud = _zero()
 
     total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))

@@ -1,13 +1,17 @@
 """Uncertainty-gated pseudo-labeling over modulated class scores.
 
 For each unlabeled sample the class-probability matrix is evaluated K
-times with dropout enabled (Monte Carlo sampling). The per-run diagonal
-holds the confidence for each candidate class when features are
-modulated toward that class. The label is the argmax of the K-run mean
-diagonal; sigma is the K-run population standard deviation of the
-predicted class's diagonal probability. A label is kept when
-mean_confidence - sigma clears the threshold, and kept labels get a
-confidence-dependent loss weight exp(p^3 - 1).
+times with dropout enabled (Monte Carlo sampling). The K passes over a
+batch run as one stacked forward of K copies of the batch; dropout draws
+its masks from the generator's stream in order, so pass k sees the
+masks the k-th of K separate calls would have drawn (a one-sample batch
+runs its K passes one at a time: see ``pseudo_label_batch``). The
+per-run diagonal holds the confidence for each candidate class when
+features are modulated toward that class. The label is the argmax of
+the K-run mean diagonal; sigma is the K-run population standard
+deviation of the predicted class's diagonal probability. A label is
+kept when mean_confidence - sigma clears the threshold, and kept labels
+get a confidence-dependent loss weight exp(p^3 - 1).
 
 The fixed-threshold baseline path uses a single deterministic pass of
 the unmodulated classifier and an all-or-nothing weight.
@@ -16,8 +20,7 @@ the unmodulated classifier and an all-or-nothing weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +33,7 @@ from .prototypes import PrototypeBank
 BASELINE_THRESHOLD = 0.95
 
 
-@dataclass(frozen=True)
-class PseudoLabelRecord:
+class PseudoLabelRecord(NamedTuple):
     label: int
     p_max: float
     sigma: float
@@ -121,16 +123,32 @@ def pseudo_label_batch(
     u = np.atleast_2d(u)
     n = u.shape[0]
     c = model.num_classes
-    diags = np.empty((mc_samples, n, c))
-    for k in range(mc_samples):
-        s = predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
-        diags[k] = np.diagonal(s, axis1=1, axis2=2)
+    if n == 1:
+        # BLAS multiplies a one-row batch with its vector routine, which
+        # rounds differently from the matrix routine a K-row stack takes;
+        # one pass at a time keeps a single sample's scores bit-identical.
+        s = np.concatenate(
+            [
+                predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+                for _ in range(mc_samples)
+            ]
+        )
+    else:
+        s = predict_matrices(
+            np.tile(u, (mc_samples, 1)), model, modulation, bank, dropout=True, rng=rng
+        )
+    diags = np.ascontiguousarray(np.diagonal(s, axis1=1, axis2=2)).reshape(
+        mc_samples, n, c
+    )
     mean_diag = diags.mean(axis=0)
     labels = mean_diag.argmax(axis=1)
     rows = np.arange(n)
     p_max = mean_diag[rows, labels]
     sigma = diags[:, rows, labels].std(axis=0)  # population std, divisor K
-    return [gate_record(labels[i], p_max[i], sigma[i], tau) for i in range(n)]
+    return [
+        gate_record(label, p, sd, tau)
+        for label, p, sd in zip(labels.tolist(), p_max.tolist(), sigma.tolist())
+    ]
 
 
 def pseudo_label(
@@ -156,7 +174,8 @@ def baseline_pseudo_label_batch(
     labels = probs.argmax(axis=1)
     p_max = probs[np.arange(u.shape[0]), labels]
     return [
-        baseline_gate_record(labels[i], p_max[i], tau_fixed) for i in range(u.shape[0])
+        baseline_gate_record(label, p, tau_fixed)
+        for label, p in zip(labels.tolist(), p_max.tolist())
     ]
 
 

@@ -131,7 +131,7 @@ class SGD:
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {sorted(names)}")
-        self.params = [p for p in params if p.learnable]
+        self.params = list(params)
         self.momentum = momentum
         self._velocity = {p.name: np.zeros_like(p.value) for p in self.params}
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -169,6 +169,61 @@ class TestRowSoftmax:
         assert report.passed, report
 
 
+def _signed_zero_tie(row) -> bool:
+    """Row whose maximum is zero, reached by both +0.0 and -0.0."""
+    zeros = row[row == 0.0]
+    return (
+        not np.isnan(row).any()
+        and row.max() == 0.0
+        and np.signbit(zeros).any()
+        and not np.signbit(zeros).all()
+    )
+
+
+class TestRowMax:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+        )
+    )
+    def test_matches_axis_max_bitwise(self, a):
+        got = ad.row_max(a)
+        want = a.max(axis=1, keepdims=True)
+        assert got.shape == want.shape
+        for i, row in enumerate(a):
+            if _signed_zero_tie(row):
+                assert got[i, 0] == 0.0
+            else:
+                assert got[i].tobytes() == want[i].tobytes(), row
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 8)),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0, allow_nan=False)
+            ),
+        )
+    )
+    @example(np.array([[0.0, 0.0, -40.0, -1.0, -0.0, -1.0]]))
+    def test_softmaxes_match_axis_max_formulation_bitwise(self, a):
+        # A signed-zero tie needs two zero entries, so log_z >= log 2 and
+        # the sign of the subtracted zero cannot reach either output.
+        shifted = a - a.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        log_z = np.log(e.sum(axis=1, keepdims=True))
+        assert ad.row_softmax(a).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        got = ad.row_log_softmax(ad.constant(a)).value
+        assert got.tobytes() == (shifted - log_z).tobytes()
+
+
 class TestDropout:
     def test_disabled_is_exact_identity(self, rng):
         x = ad.constant(rng.normal(size=(3, 3)))
@@ -249,7 +304,35 @@ class TestBackward:
         interior = [n for n in ad._topo_order(loss) if n.parents]
         assert len(interior) == 5
         assert all(n._grad is None for n in interior)
-        assert all(n._grad is not None for n in (p.node, c, row))
+        assert p.node._grad is not None
+        assert c._grad is None and row._grad is None
+
+    def test_ops_on_constants_record_no_graph(self, rng):
+        c = ad.constant(rng.normal(size=(2, 2)))
+        out = ad.sum_all(ad.relu(ad.matmul(ad.mul(c, c), c)))
+        assert not out.requires_grad
+        assert out.parents == () and out._vjp is None
+        ad.backward(out)
+        assert c._grad is None and out._grad is None
+
+    def test_constants_get_no_grad_and_params_match_gradcheck(self, rng):
+        p = ad.DualParam.create("p", rng.normal(size=(3, 2)))
+        q = ad.DualParam.create("q", rng.normal(size=(1, 2)))
+        x = ad.constant(rng.normal(size=(4, 3)))
+        mask = ad.constant(rng.random((4, 2)))
+        target = ad.constant(rng.normal(size=(4, 2)))
+
+        def loss():
+            h = ad.sub(ad.add_row(ad.matmul(x, p.node), q.node), target)
+            return ad.sum_all(ad.mul(ad.mul(h, h), mask))
+
+        ad.backward(loss())
+        assert all(n._grad is None for n in (x, mask, target))
+        grads = [p.grad.copy(), q.grad.copy()]
+        report = ad.grad_check(loss, [p, q], step=1e-6, tolerance=1e-7)
+        assert report.passed, report
+        for param, g in zip((p, q), grads):
+            np.testing.assert_array_equal(param.grad, g)
 
     def test_diamond_graph(self, rng):
         # p feeds two paths that rejoin; adjoints must add once per path.

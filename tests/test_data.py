@@ -74,7 +74,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "ds.csv"
         dat.save_csv(small_dataset, path)
         loaded = dat.load_csv(path)
-        np.testing.assert_array_equal(loaded.features, small_dataset.features)
+        assert loaded.features.tobytes() == small_dataset.features.tobytes()
         np.testing.assert_array_equal(loaded.class_ids, small_dataset.class_ids)
         np.testing.assert_array_equal(loaded.domain_ids, small_dataset.domain_ids)
         assert loaded.num_classes == small_dataset.num_classes
@@ -93,10 +93,31 @@ class TestCsvRoundTrip:
         with pytest.raises(dat.ParseError, match=":3"):
             dat.load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"domain_id,class_id,f0,f1\n0,0,1.0,2.0\n\n0,1,{value},1.0\n")
+        with pytest.raises(dat.ParseError, match=":4:"):
+            dat.load_csv(path)
+
+    def test_fractional_id_names_line(self, tmp_path):
+        path = tmp_path / "frac.csv"
+        path.write_text("domain_id,class_id,f0\n0,0,1.0\n0,1.5,1.0\n")
+        with pytest.raises(dat.ParseError, match=":3:"):
+            dat.load_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("domain_id,class_id,f0,f1\n\n0,0,1.5,2.0\n\n\n1,2,0.5,-1.0\n\n")
+        ds = dat.load_csv(path)
+        np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [0.5, -1.0]])
+        np.testing.assert_array_equal(ds.class_ids, [0, 2])
+        np.testing.assert_array_equal(ds.domain_ids, [0, 1])
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("domain_id,class_id,f0,f1\n0,0,1.0,2.0\n0,1,1.0\n")
-        with pytest.raises(dat.SchemaError):
+        with pytest.raises(dat.SchemaError, match=":3:"):
             dat.load_csv(path)
 
     def test_empty_file(self, tmp_path):

@@ -208,6 +208,17 @@ class TestBroadcastModulate:
         report = ad.grad_check(loss, [z, w], step=1e-6, tolerance=1e-7)
         assert report.passed, report
 
+    def test_no_grad_features_get_no_adjoint(self, rng):
+        z = ad.constant(rng.normal(size=(3, 4)))
+        w = ad.DualParam.create("w", rng.uniform(size=(2, 4)))
+        anchors = rng.normal(size=(2, 4))
+        out = fm.modulate(z, anchors, w.node)
+        gz, gw = out._vjp(rng.normal(size=(6, 4)))
+        assert gz is None
+        assert gw.shape == (2, 4)
+        ad.backward(ad.sum_all(out))
+        assert z._grad is None and w.node._grad is not None
+
     def test_non_finite_anchors_rejected(self):
         anchors = np.zeros((2, 3))
         anchors[1, 2] = np.nan

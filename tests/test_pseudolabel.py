@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from modfeat import pseudolabel as pl
 from modfeat.autodiff import ParameterError
-from modfeat.modulator import ModulationMatrix
-from tests.conftest import make_tiny_setup
+from modfeat.modulator import ModulationMatrix, variance_init
+from modfeat.prototypes import build_bank
+from tests.conftest import make_tiny_model, make_tiny_setup
 
 
 class TestConfidenceScale:
@@ -162,6 +163,45 @@ class TestPseudoLabel:
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
             pl.pseudo_label(x[0], model, modulation, bank, tau=1.5)
+
+
+def _loop_oracle(u, model, modulation, bank, k, rng):
+    """The K-call MC loop the stacked forward replaces."""
+    n, c = len(u), model.num_classes
+    diags = np.empty((k, n, c))
+    for i in range(k):
+        s = pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+        diags[i] = np.diagonal(s, axis1=1, axis2=2)
+    mean_diag = diags.mean(axis=0)
+    labels = mean_diag.argmax(axis=1)
+    rows = np.arange(n)
+    return labels, mean_diag[rows, labels], diags[:, rows, labels].std(axis=0)
+
+
+class TestStackedMonteCarlo:
+    @pytest.mark.parametrize("hidden", [(), (64,)])
+    @pytest.mark.parametrize("n", [1, 48])
+    def test_matches_k_call_loop_bitwise(self, hidden, n):
+        num_classes, dim, k = 7, 32, 5
+        model = make_tiny_model(
+            num_classes=num_classes, input_dim=dim, hidden=hidden, feature_dim=dim
+        )
+        g = np.random.default_rng(3)
+        y = np.repeat(np.arange(num_classes), 4)
+        feats = model.extractor.forward(g.normal(size=(len(y), dim)), "eval").value
+        modulation = ModulationMatrix.from_values(variance_init(feats, y, num_classes))
+        bank = build_bank(feats, y, num_classes)
+        u = g.normal(size=(n, dim))
+
+        rng = np.random.default_rng(21)
+        recs = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, rng)
+        oracle_rng = np.random.default_rng(21)
+        labels, p_max, sigma = _loop_oracle(u, model, modulation, bank, k, oracle_rng)
+
+        assert [r.label for r in recs] == labels.tolist()
+        assert np.array([r.p_max for r in recs]).tobytes() == p_max.tobytes()
+        assert np.array([r.sigma for r in recs]).tobytes() == sigma.tobytes()
+        assert rng.random() == oracle_rng.random()
 
 
 class TestBaselinePseudoLabel:
