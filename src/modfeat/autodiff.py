@@ -7,16 +7,23 @@ across steps; interior nodes are rebuilt each step.
 
 Only nodes that lead back to a gradient-requiring leaf (``leaf``, which
 parameters use) record a graph: an op on no-grad operands alone (built
-from ``constant`` or a plain ``Node``) keeps no parents and no vjp, so
-no-gradient passes build no graph. Vjps skip the adjoints of no-grad
-operands where that saves work, and ``backward`` stores adjoints only
-for nodes that require a gradient. It writes ``.grad`` only on leaves:
-an interior node's adjoint lives in a per-call map only until it has
-been passed to the node's parents.
+from ``constant`` or a plain ``Node``) keeps no parents and no vjp.
+Inside a ``no_grad()`` block no op records a graph at all, even on
+parameters, so passes that only read values (scoring, evaluation) keep
+neither parents nor vjp closures alive. Vjps skip the adjoints of
+no-grad operands where that saves work, and ``backward`` stores adjoints
+only for nodes that require a gradient. It writes ``.grad`` only on
+leaves: an interior node's adjoint lives in a per-call map only until it
+has been passed to the node's parents.
+
+``masked_sum`` fuses the masked reduction c * sum(a * mask) that the
+losses use into one node, with the same arithmetic as the
+``scale(sum_all(mul(a, Node(mask))), c)`` chain.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -49,13 +56,34 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
+# False inside ``no_grad()``. Process-wide, like the rest of the engine:
+# graphs are built by one thread at a time.
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op nodes keep no parents or vjp.
+
+    ``leaf`` still makes gradient-requiring leaves. The previous state
+    comes back on exit, also after an exception, so blocks nest.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Node:
     """One vertex of the computation graph.
 
     ``requires_grad`` is set on gradient-requiring leaves and, for an op
-    node, whenever any parent has it. A node without it is a value only:
-    it keeps no parents and no vjp, whatever it was built from, so the
-    graph behind it is not kept and ``backward`` never reaches it.
+    node, whenever any parent has it, except inside ``no_grad()``, where
+    an op node never has it. A node without it is a value only: it keeps
+    no parents and no vjp, whatever it was built from, so the graph
+    behind it is not kept and ``backward`` never reaches it.
 
     ``grad`` is allocated lazily so no-gradient evaluation passes pay
     nothing for it. ``backward`` accumulates into it on gradient-requiring
@@ -75,10 +103,11 @@ class Node:
     ):
         self.value = value
         self._grad: Optional[np.ndarray] = None
-        for parent in parents:
-            if parent.requires_grad:
-                requires_grad = True
-                break
+        if _recording and not requires_grad:
+            for parent in parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
         self.requires_grad = requires_grad
         if requires_grad:
             self.parents = tuple(parents)
@@ -250,6 +279,25 @@ def sum_all(a: Node) -> Node:
         return (np.full((rows, cols), g[0, 0]),)
 
     return Node(np.array([[a.value.sum()]]), (a,), vjp)
+
+
+def masked_sum(a: Node, mask: np.ndarray, c: float) -> Node:
+    """c * sum(a * mask) as one 1x1 node; ``mask`` is a constant array.
+
+    Forward and vjp do the multiplications, sum and scale of the
+    ``scale(sum_all(mul(a, Node(mask))), c)`` chain in the same order,
+    so values and adjoints are bit for bit those of the chain.
+    """
+    if mask.shape != a.value.shape:
+        raise DimensionError(
+            f"masked_sum: mask {mask.shape} does not match {a.value.shape}"
+        )
+    c = float(c)
+
+    def vjp(g):
+        return (np.full(mask.shape, (g * c)[0, 0]) * mask,)
+
+    return Node(np.array([[(a.value * mask).sum()]]) * c, (a,), vjp)
 
 
 def row_max(a: np.ndarray) -> np.ndarray:

@@ -55,48 +55,58 @@ def save_checkpoint(
     np.savez(path, **arrays)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file lacks a required key or has an unsupported version."""
+
+
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path) as data:
-        version = int(data["meta.version"][0])
+    with np.load(path) as archive:
+
+        def data(key: str) -> np.ndarray:
+            if key not in archive:
+                raise CheckpointError(f"{path}: missing key {key!r}")
+            return archive[key]
+
+        version = int(data("meta.version")[0])
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         cfg = ExtractorConfig(
-            input_dim=int(data["meta.input_dim"][0]),
-            hidden_dims=tuple(int(h) for h in data["meta.hidden_dims"]),
-            feature_dim=int(data["meta.feature_dim"][0]),
-            dropout_p=float(data["meta.dropout_p"][0]),
+            input_dim=int(data("meta.input_dim")[0]),
+            hidden_dims=tuple(int(h) for h in data("meta.hidden_dims")),
+            feature_dim=int(data("meta.feature_dim")[0]),
+            dropout_p=float(data("meta.dropout_p")[0]),
         )
         n_layers = len(cfg.hidden_dims) + 1 if cfg.hidden_dims else 0
         weights, biases = [], []
         for i in range(n_layers):
             weights.append(
                 DualParam.create(
-                    f"extractor.{i}.weight", data[f"param.extractor.{i}.weight"]
+                    f"extractor.{i}.weight", data(f"param.extractor.{i}.weight")
                 )
             )
             biases.append(
                 DualParam.create(
-                    f"extractor.{i}.bias", data[f"param.extractor.{i}.bias"]
+                    f"extractor.{i}.bias", data(f"param.extractor.{i}.bias")
                 )
             )
         model = Model(
             extractor=Extractor(config=cfg, weights=weights, biases=biases),
             classifier=Classifier(
                 weight=DualParam.create(
-                    "classifier.weight", data["param.classifier.weight"]
+                    "classifier.weight", data("param.classifier.weight")
                 ),
-                bias=DualParam.create("classifier.bias", data["param.classifier.bias"]),
+                bias=DualParam.create("classifier.bias", data("param.classifier.bias")),
             ),
         )
         modulation = None
-        if "param.modulator.weights" in data:
-            modulation = ModulationMatrix.from_values(data["param.modulator.weights"])
+        if "param.modulator.weights" in archive:
+            modulation = ModulationMatrix.from_values(data("param.modulator.weights"))
         bank = None
-        if "bank.prototypes" in data:
+        if "bank.prototypes" in archive:
             bank = PrototypeBank(
-                prototypes=data["bank.prototypes"].copy(),
-                similarity=data["bank.similarity"].copy(),
-                blended=data["bank.blended"].copy(),
-                epoch=int(data["bank.epoch"][0]),
+                prototypes=data("bank.prototypes").copy(),
+                similarity=data("bank.similarity").copy(),
+                blended=data("bank.blended").copy(),
+                epoch=int(data("bank.epoch")[0]),
             )
     return Checkpoint(model=model, modulation=modulation, bank=bank)

@@ -19,7 +19,13 @@ from . import data as dat
 from . import metrics as met
 from . import trainer as trn
 from .checkpoint import load_checkpoint
-from .config import ConfigError, RunConfig, load_config, write_resolved
+from .config import (
+    ConfigError,
+    RunConfig,
+    check_data_fit,
+    load_config,
+    write_resolved,
+)
 from .gradcheck import full_loss_grad_check
 
 
@@ -69,7 +75,13 @@ def cmd_train(args, extras) -> int:
         if args.dump_pseudo_labels:
             overrides["output.dump_pseudo_labels"] = "true"
         config = load_config(args.config, overrides)
-    except ConfigError as err:
+        # CSV data is the same for every seed: load and check it before
+        # anything is written.
+        csv_data = None
+        if config.data.kind == "csv":
+            csv_data = dat.load_csv(config.data.path)
+            check_data_fit(config, csv_data.input_dim, csv_data.num_domains)
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -80,7 +92,7 @@ def cmd_train(args, extras) -> int:
     rows, series, gaps = [], [], []
     identity_extractor = not config.model.hidden_dims
     for seed in config.seeds:
-        dataset = _build_dataset(config, seed)
+        dataset = csv_data if csv_data is not None else _build_dataset(config, seed)
         plan = dat.SplitPlan(
             target_domain=config.data.target_domain,
             labels_per_class=config.data.labels_per_class,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from typing import Optional
 
+from .network import ExtractorConfig
 from .trainer import TrainConfig
 
 ENV_SEED = "MODFEAT_SEED"
@@ -171,7 +172,33 @@ def _build(values: dict) -> RunConfig:
         raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {data.kind!r}")
     if data.kind == "csv" and not data.path:
         raise ConfigError("data.kind = csv requires data.path")
-    return RunConfig(data=data, model=model, train=train, output=output, seeds=seeds)
+    config = RunConfig(data=data, model=model, train=train, output=output, seeds=seeds)
+    if data.kind == "synthetic":
+        check_data_fit(config, data.signal_dim + data.noise_dim, data.num_domains)
+    return config
+
+
+def check_data_fit(config: RunConfig, input_dim: int, num_domains: int) -> None:
+    """Cross-field checks against the data's width and domain count.
+
+    The held-out domain must exist, and the model must fit the input
+    (an identity extractor needs feature_dim == input width). Synthetic
+    data is checked when the config is built; CSV data once it is loaded.
+    """
+    if not 0 <= config.data.target_domain < num_domains:
+        raise ConfigError(
+            f"[data] target_domain must be in [0, {num_domains}), "
+            f"got {config.data.target_domain}"
+        )
+    try:
+        ExtractorConfig(
+            input_dim=input_dim,
+            hidden_dims=config.model.hidden_dims,
+            feature_dim=config.model.feature_dim,
+            dropout_p=config.train.dropout_p,
+        )
+    except ValueError as err:
+        raise ConfigError(f"[model] {err}") from None
 
 
 def _parse_value(section: str, key: str, raw: str):

@@ -101,7 +101,11 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
     The blend is one broadcast graph node over an (n, C, F) view, so
     time and memory are O(n*C*F); its vjp sums the output adjoint over
     the class axis for ``features`` and over the sample axis for
-    ``weights``.
+    ``weights``. The forward writes the anchor term into the product
+    ``w * z`` in place, and the weights adjoint subtracts ``g * a`` from
+    ``g * z`` in place: every element gets the same two products and one
+    sum or difference as the plain expressions, with one (n, C, F)
+    temporary fewer.
     """
     n, feat = features.shape
     num_classes, feat_w = weights.shape
@@ -112,7 +116,8 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
         )
     a = ad.as_matrix(anchors)[None]
     z, w = features.value[:, None, :], weights.value
-    out = w[None] * z + (1.0 - w)[None] * a
+    out = w[None] * z
+    out += (1.0 - w)[None] * a
 
     def vjp(g):
         g3 = g.reshape(n, num_classes, feat)
@@ -123,7 +128,9 @@ def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
             # single-row batches round as the dense (n*C x n) formulation did.
             gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
         if weights.requires_grad:
-            gw = (g3 * z - g3 * a).sum(axis=0)
+            t = g3 * z
+            t -= g3 * a
+            gw = t.sum(axis=0)
         return gz, gw
 
     return Node(out.reshape(n * num_classes, feat), (features, weights), vjp)

@@ -36,7 +36,8 @@ class ExtractorConfig:
         if not self.hidden_dims and self.feature_dim != self.input_dim:
             raise ValueError(
                 "identity extractor (no hidden layers) requires "
-                "feature_dim == input_dim"
+                f"feature_dim == input_dim, got feature_dim={self.feature_dim} "
+                f"and input_dim={self.input_dim}"
             )
 
 

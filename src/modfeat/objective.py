@@ -24,6 +24,7 @@ terms are identically zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,8 +68,12 @@ def _zero() -> Node:
     return Node(np.zeros((1, 1)))
 
 
+@functools.lru_cache(maxsize=32)
 def _block_diag_mask(n: int, num_classes: int) -> np.ndarray:
-    return np.tile(np.eye(num_classes), (n, 1))
+    """(n*C x C) stack of C x C identities; cached, so read-only."""
+    mask = np.tile(np.eye(num_classes), (n, 1))
+    mask.setflags(write=False)
+    return mask
 
 
 def _label_mask(n: int, num_classes: int, picks, weights=None) -> np.ndarray:
@@ -91,14 +96,13 @@ def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarra
     Evaluated from the current values and embedded as a constant, so no
     gradient flows through the target side of the gap. The maxima come
     from a (C, n, C) copy reduced along its outer axis, like
-    ``autodiff.row_max``.
+    ``autodiff.row_max``; entry (i*C + c, c) is every (C+1)-th entry of
+    sample i's C*C block, so they are written through a strided view.
     """
     cube = slog_value.reshape(n, num_classes, num_classes).transpose(1, 0, 2)
     colmax = np.ascontiguousarray(cube).max(axis=0)
     target = np.zeros((n * num_classes, num_classes))
-    rows = np.arange(n * num_classes)
-    cols = np.tile(np.arange(num_classes), n)
-    target[rows, cols] = colmax.reshape(-1)
+    target.reshape(n, num_classes * num_classes)[:, :: num_classes + 1] = colmax
     return target
 
 
@@ -113,10 +117,12 @@ def _diag_gap_node(
         Node(_block_diag_mask(n, num_classes)),
     )
     sq = ad.mul(gap, gap)
-    if weights is not None:
-        w = np.repeat(np.asarray(weights, dtype=np.float64), num_classes)
-        sq = ad.mul(sq, Node(_block_diag_mask(n, num_classes) * w[:, None]))
-    return ad.scale(ad.sum_all(sq), 1.0 / num_classes)
+    if weights is None:
+        return ad.scale(ad.sum_all(sq), 1.0 / num_classes)
+    w = np.repeat(np.asarray(weights, dtype=np.float64), num_classes)
+    return ad.masked_sum(
+        sq, _block_diag_mask(n, num_classes) * w[:, None], 1.0 / num_classes
+    )
 
 
 def modulated_log_scores(
@@ -149,8 +155,7 @@ def supervised_loss(
     """
     slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(x), mode, rng)
     c = model.num_classes
-    picked = ad.mul(slog, Node(_label_mask(1, c, [int(y)])))
-    return ad.scale(ad.sum_all(picked), -1.0), slog
+    return ad.masked_sum(slog, _label_mask(1, c, [int(y)]), -1.0), slog
 
 
 def diag_max_loss(slog: Node) -> Node:
@@ -178,8 +183,7 @@ def unsupervised_loss(
         return _zero(), _zero()
     slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(u), mode, rng)
     c = model.num_classes
-    picked = ad.mul(slog, Node(_label_mask(1, c, [record.label])))
-    l_u = ad.scale(ad.sum_all(picked), -record.l_scale)
+    l_u = ad.masked_sum(slog, _label_mask(1, c, [record.label]), -record.l_scale)
     l_ud = ad.scale(diag_max_loss(slog), record.l_scale)
     return l_u, l_ud
 
@@ -211,8 +215,7 @@ def total_loss(
 
     if mode == "fm":
         slog = modulated_log_scores(model, modulation, bank, labeled_weak, "train", rng)
-        picked = ad.mul(slog, Node(_label_mask(n_l, c, labeled_y)))
-        l_s = ad.scale(ad.sum_all(picked), -1.0 / n_l)
+        l_s = ad.masked_sum(slog, _label_mask(n_l, c, labeled_y), -1.0 / n_l)
         used_targets["labeled"] = (
             frozen.get("labeled")
             if frozen.get("labeled") is not None
@@ -226,7 +229,7 @@ def total_loss(
         slog_plain = ad.row_log_softmax(logits)
         mask = np.zeros((n_l, c))
         mask[np.arange(n_l), labeled_y] = 1.0
-        l_s = ad.scale(ad.sum_all(ad.mul(slog_plain, Node(mask))), -1.0 / n_l)
+        l_s = ad.masked_sum(slog_plain, mask, -1.0 / n_l)
         l_d = _zero()
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -241,10 +244,9 @@ def total_loss(
         m = len(kept)
         if mode == "fm":
             slog_u = modulated_log_scores(model, modulation, bank, strong, "train", rng)
-            picked = ad.mul(
-                slog_u, Node(_label_mask(m, c, labels, weights=weights))
+            l_u = ad.masked_sum(
+                slog_u, _label_mask(m, c, labels, weights=weights), -1.0 / n_u
             )
-            l_u = ad.scale(ad.sum_all(picked), -1.0 / n_u)
             used_targets["unlabeled"] = (
                 frozen.get("unlabeled")
                 if frozen.get("unlabeled") is not None
@@ -261,7 +263,7 @@ def total_loss(
             slog_b = ad.row_log_softmax(logits)
             mask = np.zeros((m, c))
             mask[np.arange(m), labels] = weights
-            l_u = ad.scale(ad.sum_all(ad.mul(slog_b, Node(mask))), -1.0 / n_u)
+            l_u = ad.masked_sum(slog_b, mask, -1.0 / n_u)
             l_ud = _zero()
 
     total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))

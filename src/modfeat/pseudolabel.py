@@ -15,6 +15,12 @@ get a confidence-dependent loss weight exp(p^3 - 1).
 
 The fixed-threshold baseline path uses a single deterministic pass of
 the unmodulated classifier and an all-or-nothing weight.
+
+Scoring passes run under ``autodiff.no_grad()``: they only read values,
+so they record no graph. Each gate rule is defined once, on arrays, and
+applied to a whole batch (``gate_batch``, ``baseline_gate_batch``); the
+one-row ``gate_record`` and ``baseline_gate_record`` call the same
+helpers.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, row_softmax
+from .autodiff import ParameterError, no_grad, row_softmax
 from .modulator import ModulationMatrix
 from .network import Model
 from .prototypes import PrototypeBank
@@ -48,29 +54,51 @@ def confidence_scale(p: float) -> float:
     return math.exp(p**3 - 1.0)
 
 
-def gate_record(label: int, p_max: float, sigma: float, tau: float) -> PseudoLabelRecord:
-    """Apply the uncertainty gate: keep iff p_max - sigma strictly clears
-    tau; kept labels get the confidence-scaled weight, discarded get 0."""
-    keep = bool(p_max - sigma > tau)
-    return PseudoLabelRecord(
-        label=int(label),
-        p_max=float(p_max),
-        sigma=float(sigma),
-        keep=keep,
-        l_scale=confidence_scale(float(p_max)) if keep else 0.0,
+def gate_batch(labels, p_max, sigma, tau: float) -> list:
+    """Apply the uncertainty gate to arrays of per-sample values: keep iff
+    p_max - sigma strictly clears tau; kept labels get the
+    confidence-scaled weight, discarded get 0."""
+    p_max = np.asarray(p_max, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    keep = (p_max - sigma > tau).tolist()
+    p_list = p_max.tolist()
+    return list(
+        map(
+            PseudoLabelRecord,
+            np.asarray(labels, dtype=np.int64).tolist(),
+            p_list,
+            sigma.tolist(),
+            keep,
+            [confidence_scale(p) if k else 0.0 for p, k in zip(p_list, keep)],
+        )
     )
+
+
+def baseline_gate_batch(labels, p_max, tau_fixed: float) -> list:
+    """Fixed-threshold gate over arrays: strict inequality, sigma 0 and an
+    all-or-nothing weight."""
+    p_max = np.asarray(p_max, dtype=np.float64)
+    keep = (p_max > tau_fixed).tolist()
+    return list(
+        map(
+            PseudoLabelRecord,
+            np.asarray(labels, dtype=np.int64).tolist(),
+            p_max.tolist(),
+            [0.0] * len(keep),
+            keep,
+            [1.0 if k else 0.0 for k in keep],
+        )
+    )
+
+
+def gate_record(label: int, p_max: float, sigma: float, tau: float) -> PseudoLabelRecord:
+    """One-sample ``gate_batch``."""
+    return gate_batch([label], [p_max], [sigma], tau)[0]
 
 
 def baseline_gate_record(label: int, p_max: float, tau_fixed: float) -> PseudoLabelRecord:
-    """Fixed-threshold gate: strict inequality, all-or-nothing weight."""
-    keep = bool(p_max > tau_fixed)
-    return PseudoLabelRecord(
-        label=int(label),
-        p_max=float(p_max),
-        sigma=0.0,
-        keep=keep,
-        l_scale=1.0 if keep else 0.0,
-    )
+    """One-sample ``baseline_gate_batch``."""
+    return baseline_gate_batch([label], [p_max], tau_fixed)[0]
 
 
 def predict_matrices(
@@ -90,7 +118,10 @@ def predict_matrices(
     n = u.shape[0]
     c = model.num_classes
     mode = "mc" if dropout else "eval"
-    logits = net.class_score_graph(model, modulation.node, bank.blended, u, mode, rng)
+    with no_grad():
+        logits = net.class_score_graph(
+            model, modulation.node, bank.blended, u, mode, rng
+        )
     return row_softmax(logits.value).reshape(n, c, c)
 
 
@@ -145,10 +176,7 @@ def pseudo_label_batch(
     rows = np.arange(n)
     p_max = mean_diag[rows, labels]
     sigma = diags[:, rows, labels].std(axis=0)  # population std, divisor K
-    return [
-        gate_record(label, p, sd, tau)
-        for label, p, sd in zip(labels.tolist(), p_max.tolist(), sigma.tolist())
-    ]
+    return gate_batch(labels, p_max, sigma, tau)
 
 
 def pseudo_label(
@@ -170,13 +198,12 @@ def baseline_pseudo_label_batch(
 ) -> list:
     """Fixed-threshold labels from one deterministic unmodulated pass."""
     u = np.atleast_2d(u)
-    probs = row_softmax(net.plain_score_graph(model, u, "eval").value)
+    with no_grad():
+        logits = net.plain_score_graph(model, u, "eval")
+    probs = row_softmax(logits.value)
     labels = probs.argmax(axis=1)
     p_max = probs[np.arange(u.shape[0]), labels]
-    return [
-        baseline_gate_record(label, p, tau_fixed)
-        for label, p in zip(labels.tolist(), p_max.tolist())
-    ]
+    return baseline_gate_batch(labels, p_max, tau_fixed)
 
 
 def baseline_pseudo_label(

@@ -73,6 +73,9 @@ class TrainConfig:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        for name in ("per_domain_labeled", "per_domain_unlabeled"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -148,7 +151,8 @@ class SGD:
 
 
 def _eval_features(model: Model, x: np.ndarray) -> np.ndarray:
-    return model.extractor.forward(x, "eval").value
+    with ad.no_grad():
+        return model.extractor.forward(x, "eval").value
 
 
 def predict(
@@ -158,16 +162,22 @@ def predict(
     x: np.ndarray,
     mode: str = "fm",
 ) -> np.ndarray:
-    """Predicted class per row; ties break toward the smaller class id."""
+    """Predicted class per row; ties break toward the smaller class id.
+
+    Records no graph (``autodiff.no_grad``).
+    """
     x = np.atleast_2d(x)
-    if mode == "fm":
-        probs = row_softmax(
-            net.class_score_graph(model, modulation.node, bank.blended, x, "eval").value
-        )
-        c = model.num_classes
-        diag = np.diagonal(probs.reshape(x.shape[0], c, c), axis1=1, axis2=2)
-        return diag.argmax(axis=1)
-    return row_softmax(net.plain_score_graph(model, x, "eval").value).argmax(axis=1)
+    with ad.no_grad():
+        if mode == "fm":
+            probs = row_softmax(
+                net.class_score_graph(
+                    model, modulation.node, bank.blended, x, "eval"
+                ).value
+            )
+            c = model.num_classes
+            diag = np.diagonal(probs.reshape(x.shape[0], c, c), axis1=1, axis2=2)
+            return diag.argmax(axis=1)
+        return row_softmax(net.plain_score_graph(model, x, "eval").value).argmax(axis=1)
 
 
 def infer(
@@ -318,7 +328,7 @@ def train(
             for key in sums:
                 sums[key] += values[key]
             epoch_records.extend(records)
-            epoch_truths.extend(int(t) for t in batch.unlabeled_truth)
+            epoch_truths.extend(batch.unlabeled_truth.tolist())
             if dump_pseudo_labels:
                 for idx, rec, truth in zip(
                     batch.unlabeled_idx, records, batch.unlabeled_truth

@@ -387,3 +387,123 @@ class TestInvariants:
     def test_grad_shape_matches_value(self, rng):
         node = ad.constant(rng.normal(size=(3, 5)))
         assert node.grad.shape == node.value.shape
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda p, q: ad.mul(p, q),
+            lambda p, q: ad.matmul(p, q),
+            lambda p, q: ad.add_row(p, ad.constant(np.ones((1, 3)))),
+            lambda p, q: ad.sum_all(ad.sub(p, q)),
+            lambda p, q: ad.masked_sum(p, np.ones((3, 3)), -0.5),
+            lambda p, q: ad.row_log_softmax(ad.relu(p)),
+        ],
+    )
+    def test_ops_on_leaves_record_no_graph(self, rng, op):
+        p = ad.DualParam.create("p", rng.normal(size=(3, 3)))
+        q = ad.DualParam.create("q", rng.normal(size=(3, 3)))
+        recorded = op(p.node, q.node)
+        with ad.no_grad():
+            out = op(p.node, q.node)
+        assert out.parents == () and out._vjp is None
+        assert not out.requires_grad
+        assert recorded.parents and recorded.requires_grad
+        np.testing.assert_array_equal(out.value, recorded.value)
+
+    def test_leaf_inside_still_requires_grad(self, rng):
+        with ad.no_grad():
+            p = ad.leaf(rng.normal(size=(2, 2)))
+        assert p.requires_grad
+        ad.backward(ad.sum_all(p))
+        np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
+
+    def test_flag_restored_after_exception(self, rng):
+        p = ad.leaf(rng.normal(size=(2, 2)))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        assert ad.mul(p, p).parents
+
+    def test_nested_blocks(self, rng):
+        p = ad.leaf(rng.normal(size=(2, 2)))
+        with ad.no_grad():
+            with ad.no_grad():
+                assert ad.mul(p, p).parents == ()
+            assert ad.mul(p, p).parents == ()
+        assert ad.mul(p, p).parents
+
+    def test_eval_logits_keep_no_graph(self):
+        from modfeat import network as net
+        from tests.conftest import make_tiny_setup
+
+        model, modulation, bank, x, _ = make_tiny_setup()
+        with ad.no_grad():
+            logits = net.class_score_graph(
+                model, modulation.node, bank.blended, x, "eval"
+            )
+        assert logits.parents == () and not logits.requires_grad
+
+    def test_scoring_passes_record_no_graph(self, monkeypatch):
+        from modfeat import network as net
+        from modfeat import pseudolabel, trainer
+        from tests.conftest import make_tiny_setup
+
+        model, modulation, bank, x, _ = make_tiny_setup()
+        built = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                built.append(out)
+                return out
+
+            return wrapper
+
+        for name in ("class_score_graph", "plain_score_graph"):
+            monkeypatch.setattr(net, name, recording(getattr(net, name)))
+        monkeypatch.setattr(
+            net.Extractor, "forward", recording(net.Extractor.forward)
+        )
+        rng = np.random.default_rng(0)
+        pseudolabel.pseudo_label_batch(x, model, modulation, bank, 3, 0.5, rng)
+        pseudolabel.baseline_pseudo_label_batch(x, model)
+        trainer.predict(model, modulation, bank, x, "fm")
+        trainer.predict(model, None, None, x, "baseline")
+        trainer._eval_features(model, x)
+        assert len(built) == 9
+        assert all(node.parents == () for node in built)
+
+
+def _masked_sum_chain(a, mask, c):
+    return ad.scale(ad.sum_all(ad.mul(a, ad.Node(mask))), c)
+
+
+class TestMaskedSum:
+    @pytest.mark.parametrize("c", [-1.0 / 48, -0.37, 0.5, 1.0 / 7])
+    def test_matches_chain_bitwise(self, rng, c):
+        p = ad.DualParam.create("p", rng.normal(size=(48 * 7, 7)))
+        mask = rng.uniform(size=(48 * 7, 7)) * (rng.random((48 * 7, 7)) < 0.3)
+        results = []
+        for build in (ad.masked_sum, _masked_sum_chain):
+            p.node.zero_grad()
+            out = build(ad.row_log_softmax(p.node), mask, c)
+            ad.backward(ad.scale(out, 0.3))
+            results.append((out.value, p.grad.copy()))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradients(self, rng):
+        p = ad.DualParam.create("p", rng.normal(size=(4, 3)))
+        mask = rng.uniform(size=(4, 3))
+
+        def loss():
+            return ad.masked_sum(ad.mul(p.node, p.node), mask, -0.7)
+
+        report = ad.grad_check(loss, [p], step=1e-6, tolerance=1e-7)
+        assert report.passed, report
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.DimensionError):
+            ad.masked_sum(ad.constant(np.ones((2, 3))), np.ones((3, 2)), 1.0)

@@ -212,3 +212,77 @@ class TestCli:
         assert (out / "seed_0" / "modulator_epoch2.csv").is_file()
         assert (out / "seed_0" / "similarity_epoch1.csv").is_file()
         assert (out / "seed_0" / "pseudo_labels.csv").is_file()
+
+
+class TestCrossFieldValidation:
+    @pytest.mark.parametrize(
+        "override",
+        ["--feature_dim=10", "--target_domain=3", "--target_domain=-1",
+         "--per_domain_labeled=0", "--per_domain_unlabeled=0"],
+    )
+    def test_synthetic_mismatch_exits_2(self, mini_config, tmp_path, capsys, override):
+        assert cli.main(["train", str(mini_config), "--seeds", "0", override]) == 2
+        err = capsys.readouterr().err
+        key = override[2:].split("=")[0]
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_hidden_layers_free_feature_dim(self, mini_config):
+        config = load_config(mini_config, {"feature_dim": "5", "hidden_dims": "6"})
+        assert config.model.feature_dim == 5
+
+    @pytest.fixture
+    def csv_config(self, tmp_path):
+        dataset = dat.generate_synthetic(
+            num_classes=3, num_domains=3, signal_dim=4, noise_dim=4,
+            samples_per_class_per_domain=24, class_sep=3.0, domain_shift=4.0, seed=0,
+        )
+        dat.save_csv(dataset, tmp_path / "ds.csv")
+        text = MINI_CONFIG.format(out=tmp_path / "out").replace(
+            "kind = synthetic", f"kind = csv\npath = {tmp_path / 'ds.csv'}"
+        )
+        path = tmp_path / "csv.ini"
+        path.write_text(text)
+        return path
+
+    def test_csv_data_trains(self, csv_config, tmp_path):
+        assert cli.main(["train", str(csv_config), "--epochs=1"]) == 0
+        assert (tmp_path / "out" / "seed_1" / "metrics.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [("--feature_dim=9", "feature_dim"), ("--target_domain=3", "target_domain"),
+         ("--data.path=missing.csv", "missing.csv")],
+    )
+    def test_csv_mismatch_exits_2(self, csv_config, tmp_path, capsys, override, key):
+        # The config's own [data] sizes do not describe a CSV; its width and
+        # domain count are checked once it is loaded.
+        assert cli.main(["train", str(csv_config), "--num_domains=9", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("key", ["meta.version", "param.classifier.weight"])
+    def test_missing_key(self, mini_config, tmp_path, capsys, key):
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        path = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        arrays = dict(np.load(path))
+        del arrays[key]
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
+            load_checkpoint(broken)
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(broken), str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err

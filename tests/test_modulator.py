@@ -242,3 +242,38 @@ class TestBroadcastModulate:
         assert out.shape == (n * num_classes, feat)
         # The dense formulation's (n*C x n) matrix alone is n/F = 128x this.
         assert peak < 3 * out_bytes
+
+
+def _broadcast_modulate(features, anchors, weights):
+    """The out-of-place broadcast blend, kept as the oracle for ``modulate``."""
+    n, feat = features.shape
+    num_classes = weights.shape[0]
+    a = np.asarray(anchors, dtype=np.float64)[None]
+    z, w = features.value[:, None, :], weights.value
+    out = w[None] * z + (1.0 - w)[None] * a
+
+    def vjp(g):
+        g3 = g.reshape(n, num_classes, feat)
+        gz = g3 * w[None]
+        gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
+        return gz, (g3 * z - g3 * a).sum(axis=0)
+
+    return ad.Node(out.reshape(n * num_classes, feat), (features, weights), vjp)
+
+
+class TestInPlaceModulate:
+    @pytest.mark.parametrize("n", [1, 48, 240])
+    def test_matches_out_of_place_bitwise(self, rng, n):
+        z = ad.DualParam.create("z", rng.normal(size=(n, 32)))
+        w = ad.DualParam.create("w", rng.uniform(-0.5, 1.5, size=(7, 32)))
+        anchors = rng.normal(size=(7, 32))
+        g = ad.constant(rng.normal(size=(n * 7, 32)))
+        results = []
+        for build in (fm.modulate, _broadcast_modulate):
+            z.node.zero_grad()
+            w.node.zero_grad()
+            out = build(z.node, anchors, w.node)
+            ad.backward(ad.sum_all(ad.mul(out, g)))
+            results.append((out.value, z.grad.copy(), w.grad.copy()))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)

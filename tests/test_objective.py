@@ -268,3 +268,20 @@ class TestTotalLoss:
         assert breakdown.values()["l_d"] == pytest.approx(
             obj.diag_max_loss(slog).value[0, 0], abs=1e-14
         )
+
+
+class TestDiagTargets:
+    @pytest.mark.parametrize("n,c", [(1, 2), (5, 3), (48, 7)])
+    def test_strided_write_matches_index_arrays(self, rng, n, c):
+        slog = rng.normal(size=(n * c, c))
+        colmax = slog.reshape(n, c, c).max(axis=1)
+        want = np.zeros((n * c, c))
+        want[np.arange(n * c), np.tile(np.arange(c), n)] = colmax.reshape(-1)
+        got = obj._diag_targets(slog, n, c)
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_diag_mask_is_cached_read_only(self):
+        mask = obj._block_diag_mask(4, 3)
+        np.testing.assert_array_equal(mask, np.tile(np.eye(3), (4, 1)))
+        assert obj._block_diag_mask(4, 3) is mask
+        assert not mask.flags.writeable

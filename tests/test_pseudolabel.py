@@ -225,3 +225,82 @@ class TestBaselinePseudoLabel:
         recs = pl.baseline_pseudo_label_batch(x, model)
         assert {r.l_scale for r in recs} <= {0.0, 1.0}
         assert any(r.keep for r in recs)
+
+
+def _old_gate_record(label, p_max, sigma, tau):
+    """The per-record uncertainty gate, kept as the oracle for ``gate_batch``."""
+    keep = bool(p_max - sigma > tau)
+    return pl.PseudoLabelRecord(
+        label=int(label),
+        p_max=float(p_max),
+        sigma=float(sigma),
+        keep=keep,
+        l_scale=pl.confidence_scale(float(p_max)) if keep else 0.0,
+    )
+
+
+def _old_baseline_gate_record(label, p_max, tau_fixed):
+    keep = bool(p_max > tau_fixed)
+    return pl.PseudoLabelRecord(
+        label=int(label),
+        p_max=float(p_max),
+        sigma=0.0,
+        keep=keep,
+        l_scale=1.0 if keep else 0.0,
+    )
+
+
+def _same_records(got, want):
+    """Field by field, including types and float bits (repr round-trips)."""
+    assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+    assert repr(got) == repr(want)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+class TestBatchGate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), _unit, st.floats(0.0, 0.5)), max_size=48),
+        st.floats(0.01, 0.99),
+    )
+    @example([(3, 0.875, 0.125)], 0.75)  # p_max - sigma == tau exactly: dropped
+    @example([(1, 0.9, 0.0), (2, 0.2, 0.1)], 0.5)
+    def test_matches_per_record_gate(self, rows, tau):
+        labels = np.array([r[0] for r in rows], dtype=np.int64)
+        p_max = np.array([r[1] for r in rows], dtype=np.float64)
+        sigma = np.array([r[2] for r in rows], dtype=np.float64)
+        want = [
+            _old_gate_record(label, p, s, tau)
+            for label, p, s in zip(labels.tolist(), p_max.tolist(), sigma.tolist())
+        ]
+        _same_records(pl.gate_batch(labels, p_max, sigma, tau), want)
+        for row, record in zip(rows, want):
+            _same_records([pl.gate_record(*row, tau)], [record])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), _unit), max_size=48),
+        st.floats(0.01, 0.99),
+    )
+    @example([(0, 0.95), (1, 0.9500000000000001)], 0.95)  # tie is dropped
+    def test_baseline_matches_per_record_gate(self, rows, tau_fixed):
+        labels = np.array([r[0] for r in rows], dtype=np.int64)
+        p_max = np.array([r[1] for r in rows], dtype=np.float64)
+        want = [
+            _old_baseline_gate_record(label, p, tau_fixed)
+            for label, p in zip(labels.tolist(), p_max.tolist())
+        ]
+        _same_records(pl.baseline_gate_batch(labels, p_max, tau_fixed), want)
+        for row, record in zip(rows, want):
+            _same_records([pl.baseline_gate_record(*row, tau_fixed)], [record])
+
+    def test_kept_confidence_above_one_rejected(self):
+        with pytest.raises(ParameterError):
+            pl.gate_batch(np.array([0, 1]), np.array([0.9, 1.5]), np.zeros(2), 0.75)
+        with pytest.raises(ParameterError):
+            pl.gate_record(0, 1.5, 0.0, 0.75)
+        # Dropped rows get no weight, so their confidence is not checked.
+        (record,) = pl.gate_batch(np.array([0]), np.array([1.5]), np.array([1.0]), 0.75)
+        assert not record.keep and record.l_scale == 0.0
