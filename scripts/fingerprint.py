@@ -4,9 +4,10 @@
 Each line holds the mode, the seed, the final target accuracy and a
 SHA-256 over what the run produced: every epoch's metrics row
 (``EpochReport.csv_row()``), the modulation weights, and each
-parameter's name and bytes. Data, split and training settings come from
-the config file, as ``modfeat train`` builds them. Two source trees that
-print the same lines train bit for bit alike.
+parameter's name and bytes. The runs go through ``cli.run_seeds``, the
+seed loop ``modfeat train`` uses, so data, split and training settings
+come from the config file as they do there. Two source trees that print
+the same lines train bit for bit alike.
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 0,1,2,3,4
     PYTHONPATH=src python scripts/fingerprint.py --modes fm --seeds 0,1 \\
@@ -19,7 +20,7 @@ import argparse
 import hashlib
 import sys
 
-from modfeat import cli, config, data, trainer
+from modfeat import cli, config, network, trainer
 
 
 def fingerprint(result: trainer.TrainResult) -> str:
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default="configs/synthetic.ini")
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
-    parser.add_argument("--modes", default=",".join(trainer.MODES))
+    parser.add_argument("--modes", default=",".join(network.MODES))
     parser.add_argument("--epochs", type=int, help="override train.epochs")
     parser.add_argument(
         "--hidden-dims", help="override model.hidden_dims, e.g. 64 or 64,64"
@@ -58,18 +59,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     for cfg in configs:
-        for seed in cfg.seeds:
-            result = trainer.train(
-                cli._build_dataset(cfg, seed),
-                data.SplitPlan(
-                    target_domain=cfg.data.target_domain,
-                    labels_per_class=cfg.data.labels_per_class,
-                    seed=seed,
-                ),
-                cfg.train_config_for_seed(seed),
-                hidden_dims=cfg.model.hidden_dims,
-                feature_dim=cfg.model.feature_dim,
-            )
+        for seed, result, _ in cli.run_seeds(cfg):
             final = result.reports[-1].target_accuracy
             print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}", flush=True)
     return 0

@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-
+from typing import NamedTuple, Optional
 
 from . import data as dat
 from . import metrics as met
@@ -21,12 +21,15 @@ from . import trainer as trn
 from .checkpoint import load_checkpoint
 from .config import (
     ConfigError,
+    DataSpec,
     RunConfig,
     check_data_fit,
     load_config,
     write_resolved,
 )
 from .gradcheck import full_loss_grad_check
+from .network import MODES
+from .prototypes import DegeneratePrototypeError
 
 
 def _split_overrides(extras) -> dict:
@@ -59,6 +62,64 @@ def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
     )
 
 
+class SeedRun(NamedTuple):
+    seed: int
+    result: trn.TrainResult
+    modulator_gap: Optional[float]  # None where the gap is not defined
+
+
+def run_seeds(
+    config: RunConfig, dataset: Optional[dat.DomainDataset] = None, out_dir=None
+) -> list:
+    """Train ``config`` once per seed in ``config.seeds``; one SeedRun each.
+
+    Each seed builds its data (or reuses ``dataset``, a loaded CSV) and
+    its split, trains into ``out_dir/seed_<seed>`` when ``out_dir`` is
+    given, and measures the modulator gap where it is defined: an
+    identity extractor on data whose signal and noise dimensions are
+    known. If a seed's training aborts, its diagnostics are written to
+    its run directory and ``TrainingAborted`` is raised again, naming
+    the seed.
+    """
+    runs = []
+    for seed in config.seeds:
+        data = dataset if dataset is not None else _build_dataset(config, seed)
+        plan = dat.SplitPlan(
+            target_domain=config.data.target_domain,
+            labels_per_class=config.data.labels_per_class,
+            seed=seed,
+        )
+        run_dir = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
+        try:
+            result = trn.train(
+                data,
+                plan,
+                config.train_config_for_seed(seed),
+                hidden_dims=config.model.hidden_dims,
+                feature_dim=config.model.feature_dim,
+                run_dir=run_dir,
+                dump_sar=config.output.dump_sar,
+                dump_modulator=config.output.dump_modulator,
+                dump_pseudo_labels=config.output.dump_pseudo_labels,
+            )
+        except trn.TrainingAborted as err:
+            where = ""
+            if run_dir is not None:
+                dump_path = run_dir / "abort_diagnostics.json"
+                dump_path.write_text(json.dumps(err.diagnostics, indent=2))
+                where = f" (diagnostics in {dump_path})"
+            raise trn.TrainingAborted(
+                f"seed {seed}: {err}{where}", err.diagnostics
+            ) from None
+        gap = None
+        if not config.model.hidden_dims and data.signal_dims is not None:
+            gap = met.modulator_gap(
+                result.modulation.values, data.signal_dims, data.noise_dims
+            )
+        runs.append(SeedRun(seed, result, gap))
+    return runs
+
+
 def cmd_train(args, extras) -> int:
     try:
         overrides = _split_overrides(extras)
@@ -80,7 +141,7 @@ def cmd_train(args, extras) -> int:
         csv_data = None
         if config.data.kind == "csv":
             csv_data = dat.load_csv(config.data.path)
-            check_data_fit(config, csv_data.input_dim, csv_data.num_domains)
+            check_data_fit(config, csv_data.input_dim, csv_data.cell_counts())
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -88,48 +149,18 @@ def cmd_train(args, extras) -> int:
     out_dir = Path(config.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(config, out_dir / "config.resolved.ini")
-
-    rows, series, gaps = [], [], []
-    identity_extractor = not config.model.hidden_dims
-    for seed in config.seeds:
-        dataset = csv_data if csv_data is not None else _build_dataset(config, seed)
-        plan = dat.SplitPlan(
-            target_domain=config.data.target_domain,
-            labels_per_class=config.data.labels_per_class,
-            seed=seed,
-        )
-        try:
-            result = trn.train(
-                dataset,
-                plan,
-                config.train_config_for_seed(seed),
-                hidden_dims=config.model.hidden_dims,
-                feature_dim=config.model.feature_dim,
-                run_dir=out_dir / f"seed_{seed}",
-                dump_sar=config.output.dump_sar,
-                dump_modulator=config.output.dump_modulator,
-                dump_pseudo_labels=config.output.dump_pseudo_labels,
-            )
-        except trn.TrainingAborted as err:
-            dump_path = out_dir / f"seed_{seed}" / "abort_diagnostics.json"
-            dump_path.parent.mkdir(parents=True, exist_ok=True)
-            dump_path.write_text(json.dumps(err.diagnostics, indent=2))
-            print(f"error: seed {seed}: {err} (diagnostics in {dump_path})", file=sys.stderr)
-            return 1
-        final = result.reports[-1]
-        gap = None
-        if identity_extractor and dataset.signal_dims is not None:
-            gap = met.modulator_gap(
-                result.modulation.values, dataset.signal_dims, dataset.noise_dims
-            )
-            gaps.append(gap)
-        rows.append((seed, final, gap))
-        series.append(result.reports)
+    try:
+        runs = run_seeds(config, csv_data, out_dir)
+    except (trn.TrainingAborted, dat.GenerationError, DegeneratePrototypeError) as err:
+        # Runs that fail part way: data generation or the prototypes give out.
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seed", "target_acc", "keep_rate", "pl_acc", "modulator_gap"])
-        for seed, final, gap in rows:
+        for seed, result, gap in runs:
+            final = result.reports[-1]
             writer.writerow(
                 [
                     seed,
@@ -140,7 +171,10 @@ def cmd_train(args, extras) -> int:
                 ]
             )
 
-    summary = met.aggregate(config.seeds, series, gaps if gaps else None)
+    gaps = [run.modulator_gap for run in runs if run.modulator_gap is not None]
+    summary = met.aggregate(
+        config.seeds, [run.result.reports for run in runs], gaps if gaps else None
+    )
     with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "mean", "std", "n_seeds"])
@@ -155,9 +189,6 @@ def cmd_train(args, extras) -> int:
 
 
 def cmd_eval(args, extras) -> int:
-    if extras:
-        print(f"error: unexpected arguments {extras}", file=sys.stderr)
-        return 2
     try:
         ckpt = load_checkpoint(args.checkpoint)
         dataset = dat.load_csv(args.data)
@@ -168,16 +199,14 @@ def cmd_eval(args, extras) -> int:
     if args.target_domain is not None:
         mask = dataset.domain_ids == args.target_domain
         x, y = x[mask], y[mask]
-    mode = "fm" if ckpt.bank is not None else "baseline"
+    # Checkpoints do not record their mode; only an fm run saves a bank.
+    mode = "fm" if ckpt.bank is not None else "fixmatch-baseline"
     acc = trn.evaluate(ckpt.model, ckpt.modulation, ckpt.bank, x, y, mode=mode)
     print(f"accuracy {acc:.6f} on {len(x)} samples ({mode} inference)")
     return 0
 
 
 def cmd_gradcheck(args, extras) -> int:
-    if extras:
-        print(f"error: unexpected arguments {extras}", file=sys.stderr)
-        return 2
     report = full_loss_grad_check(seed=args.seed, tolerance=args.tolerance)
     for name, err in sorted(report.per_param.items()):
         print(f"{name:<24} max rel error {err:.3e}")
@@ -190,9 +219,6 @@ def cmd_gradcheck(args, extras) -> int:
 
 
 def cmd_gen_data(args, extras) -> int:
-    if extras:
-        print(f"error: unexpected arguments {extras}", file=sys.stderr)
-        return 2
     dataset = dat.generate_synthetic(
         args.num_classes,
         args.num_domains,
@@ -219,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train across seeds from a config file")
     p_train.add_argument("config", help="INI config with [data] [model] [train] [output]")
-    p_train.add_argument("--mode", choices=trn.MODES, help="override train.mode")
+    p_train.add_argument("--mode", choices=MODES, help="override train.mode")
     p_train.add_argument("--seeds", help="override train.seeds, e.g. 0,1,2")
     p_train.add_argument("--out", help="override output.dir")
     p_train.add_argument("--dump-sar", action="store_true")
@@ -242,14 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
     p_gen.add_argument("out")
-    p_gen.add_argument("--num-classes", type=int, default=7)
-    p_gen.add_argument("--num-domains", type=int, default=4)
-    p_gen.add_argument("--signal-dim", type=int, default=16)
-    p_gen.add_argument("--noise-dim", type=int, default=16)
-    p_gen.add_argument("--samples-per-class", type=int, default=150)
-    p_gen.add_argument("--class-sep", type=float, default=2.0)
-    p_gen.add_argument("--domain-shift", type=float, default=6.0)
-    p_gen.add_argument("--bias-jitter", type=float, default=1.0)
+    spec = DataSpec()
+    p_gen.add_argument("--num-classes", type=int, default=spec.num_classes)
+    p_gen.add_argument("--num-domains", type=int, default=spec.num_domains)
+    p_gen.add_argument("--signal-dim", type=int, default=spec.signal_dim)
+    p_gen.add_argument("--noise-dim", type=int, default=spec.noise_dim)
+    p_gen.add_argument(
+        "--samples-per-class", type=int, default=spec.samples_per_class_per_domain
+    )
+    p_gen.add_argument("--class-sep", type=float, default=spec.class_sep)
+    p_gen.add_argument("--domain-shift", type=float, default=spec.domain_shift)
+    p_gen.add_argument("--bias-jitter", type=float, default=spec.bias_jitter)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
@@ -258,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
+    # Only train takes --key=value overrides.
+    if extras and args.func is not cmd_train:
+        print(f"error: unexpected arguments {extras}", file=sys.stderr)
+        return 2
     try:
         return args.func(args, extras)
     except ConfigError as err:

@@ -11,6 +11,9 @@ from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+from .data import check_synthetic
 from .network import ExtractorConfig
 from .trainer import TrainConfig
 
@@ -97,48 +100,28 @@ def _parse_optional_int(text: str):
     return None if not text else int(text)
 
 
-# section -> key -> (parser, target attribute path)
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple": _parse_hidden_dims,
+    "Optional[int]": _parse_optional_int,
+}
+
+
+def _keys(spec, skip=()) -> dict:
+    """key -> value parser for each field of a spec dataclass, in order."""
+    return {f.name: _PARSERS[f.type] for f in dc_fields(spec) if f.name not in skip}
+
+
+# section -> key -> value parser; the specs' fields are the keys (each
+# trial's train.seed comes from train.seeds).
 _SCHEMA = {
-    "data": {
-        "kind": str,
-        "path": str,
-        "num_classes": int,
-        "num_domains": int,
-        "signal_dim": int,
-        "noise_dim": int,
-        "samples_per_class_per_domain": int,
-        "class_sep": float,
-        "domain_shift": float,
-        "bias_jitter": float,
-        "data_seed": _parse_optional_int,
-        "target_domain": int,
-        "labels_per_class": int,
-    },
-    "model": {
-        "hidden_dims": _parse_hidden_dims,
-        "feature_dim": int,
-    },
-    "train": {
-        "epochs": int,
-        "lr_main": float,
-        "lr_modulator": float,
-        "momentum": float,
-        "tau": float,
-        "mc_samples": int,
-        "beta": float,
-        "gamma": float,
-        "per_domain_labeled": int,
-        "per_domain_unlabeled": int,
-        "dropout_p": float,
-        "mode": str,
-        "seeds": _parse_seeds,
-    },
-    "output": {
-        "dir": str,
-        "dump_sar": _parse_bool,
-        "dump_modulator": _parse_bool,
-        "dump_pseudo_labels": _parse_bool,
-    },
+    "data": _keys(DataSpec),
+    "model": _keys(ModelSpec),
+    "train": {**_keys(TrainConfig, skip=("seed",)), "seeds": _parse_seeds},
+    "output": _keys(OutputSpec),
 }
 
 
@@ -147,20 +130,16 @@ def _build(values: dict) -> RunConfig:
     data = DataSpec()
     model = ModelSpec()
     output = OutputSpec()
+    specs = {"data": data, "model": model, "output": output}
     train_kwargs = {}
     seeds = None
     for (section, key), value in values.items():
-        if section == "data":
-            setattr(data, key, value)
-        elif section == "model":
-            setattr(model, key, value)
-        elif section == "output":
-            setattr(output, key, value)
-        elif section == "train":
-            if key == "seeds":
-                seeds = value
-            else:
-                train_kwargs[key] = value
+        if section in specs:
+            setattr(specs[section], key, value)
+        elif key == "seeds":
+            seeds = value
+        else:
+            train_kwargs[key] = value
     if seeds is None:
         env = os.environ.get(ENV_SEED)
         seeds = (int(env),) if env else (0,)
@@ -168,27 +147,65 @@ def _build(values: dict) -> RunConfig:
         train = TrainConfig(**train_kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if data.labels_per_class < 1:
+        raise ConfigError(
+            f"[data] labels_per_class must be >= 1, got {data.labels_per_class}"
+        )
+    if min(seeds) < 0 or (data.data_seed or 0) < 0:
+        raise ConfigError("[train] seeds and [data] data_seed must be >= 0")
     if data.kind not in ("synthetic", "csv"):
         raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {data.kind!r}")
     if data.kind == "csv" and not data.path:
         raise ConfigError("data.kind = csv requires data.path")
     config = RunConfig(data=data, model=model, train=train, output=output, seeds=seeds)
     if data.kind == "synthetic":
-        check_data_fit(config, data.signal_dim + data.noise_dim, data.num_domains)
+        try:
+            check_synthetic(
+                data.num_classes, data.num_domains, data.signal_dim, data.noise_dim,
+                data.samples_per_class_per_domain, data.class_sep,
+                data.domain_shift, data.bias_jitter,
+            )
+        except ValueError as err:
+            raise ConfigError(f"[data] {err}") from None
+        check_data_fit(
+            config,
+            data.signal_dim + data.noise_dim,
+            np.full((data.num_domains, data.num_classes), data.samples_per_class_per_domain),
+        )
     return config
 
 
-def check_data_fit(config: RunConfig, input_dim: int, num_domains: int) -> None:
-    """Cross-field checks against the data's width and domain count.
+def check_data_fit(config: RunConfig, input_dim: int, cell_counts) -> None:
+    """Cross-field checks against the data's width and cell sizes.
 
-    The held-out domain must exist, and the model must fit the input
-    (an identity extractor needs feature_dim == input width). Synthetic
-    data is checked when the config is built; CSV data once it is loaded.
+    ``cell_counts`` is the (num_domains x num_classes) sample count of
+    each cell. The held-out domain must exist and leave a source domain,
+    every source cell must hold ``labels_per_class`` samples (and fm's
+    variance initialization two labels per class), and the model must
+    fit the input (an identity extractor needs feature_dim == input
+    width). Synthetic data is checked when the config is built; CSV data
+    once it is loaded.
     """
+    cell_counts = np.asarray(cell_counts)
+    num_domains = cell_counts.shape[0]
     if not 0 <= config.data.target_domain < num_domains:
         raise ConfigError(
             f"[data] target_domain must be in [0, {num_domains}), "
             f"got {config.data.target_domain}"
+        )
+    source = np.delete(cell_counts, config.data.target_domain, axis=0)
+    if source.size == 0:
+        raise ConfigError("[data] needs a source domain besides target_domain")
+    labels = config.data.labels_per_class
+    if labels > source.min():
+        raise ConfigError(
+            f"[data] labels_per_class = {labels} exceeds the smallest "
+            f"(domain, class) cell, {source.min()} samples"
+        )
+    if config.train.mode == "fm" and labels * len(source) < 2:
+        raise ConfigError(
+            "[data] fm mode needs at least 2 labels per class across the "
+            f"source domains, got {labels * len(source)}"
         )
     try:
         ExtractorConfig(
@@ -251,22 +268,22 @@ def _resolve_key(dotted: str) -> tuple:
     return owners[0], dotted
 
 
+def _format(value) -> str:
+    """A value as the INI text that parses back to it."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def write_resolved(config: RunConfig, path) -> None:
     """Write the fully resolved configuration (provenance for the run)."""
     parser = configparser.ConfigParser()
-    parser["data"] = {
-        k: ("" if getattr(config.data, k) is None else str(getattr(config.data, k)))
-        for k in _SCHEMA["data"]
-    }
-    parser["model"] = {
-        "hidden_dims": ",".join(str(h) for h in config.model.hidden_dims),
-        "feature_dim": str(config.model.feature_dim),
-    }
-    train_items = {
-        k: str(getattr(config.train, k)) for k in _SCHEMA["train"] if k != "seeds"
-    }
-    train_items["seeds"] = ",".join(str(s) for s in config.seeds)
-    parser["train"] = train_items
-    parser["output"] = {k: str(getattr(config.output, k)) for k in _SCHEMA["output"]}
+    for section, keys in _SCHEMA.items():
+        spec = getattr(config, section)
+        parser[section] = {
+            k: _format(config.seeds if k == "seeds" else getattr(spec, k)) for k in keys
+        }
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -36,17 +36,6 @@ class SplitError(ValueError):
     """The requested split cannot be satisfied by the dataset."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation; ids are always carried, but training code must
-    only read the class id when ``truth_visible`` is true."""
-
-    features: np.ndarray
-    class_id: int
-    domain_id: int
-    truth_visible: bool = True
-
-
 @dataclass
 class DomainDataset:
     features: np.ndarray  # (n, input_dim) float64
@@ -69,11 +58,12 @@ class DomainDataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield Sample(
-                self.features[i], int(self.class_ids[i]), int(self.domain_ids[i])
-            )
+    def cell_counts(self) -> np.ndarray:
+        """(num_domains x num_classes) sample count of each cell."""
+        cells = self.domain_ids * self.num_classes + self.class_ids
+        return np.bincount(
+            cells, minlength=self.num_domains * self.num_classes
+        ).reshape(self.num_domains, self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -106,6 +96,28 @@ class Split:
         return len(self.source_domains)
 
 
+def check_synthetic(
+    num_classes: int,
+    num_domains: int,
+    signal_dim: int,
+    noise_dim: int,
+    samples_per_class_per_domain: int,
+    class_sep: float,
+    domain_shift: float,
+    bias_jitter: float,
+) -> None:
+    """Raise ValueError unless ``generate_synthetic`` can use these settings."""
+    if min(num_classes, num_domains, signal_dim, samples_per_class_per_domain) < 1:
+        raise ValueError(
+            "num_classes, num_domains, signal_dim and "
+            "samples_per_class_per_domain must be >= 1"
+        )
+    if noise_dim < 0:
+        raise ValueError("noise_dim must be >= 0")
+    if class_sep <= 0 or domain_shift < 0 or bias_jitter < 0:
+        raise ValueError("class_sep must be > 0, domain_shift and bias_jitter >= 0")
+
+
 def generate_synthetic(
     num_classes: int,
     num_domains: int,
@@ -130,12 +142,10 @@ def generate_synthetic(
     high-variance channel. Unit Gaussian noise is added on all
     coordinates. Class frequencies are identical in every domain.
     """
-    if min(num_classes, num_domains, signal_dim, samples_per_class_per_domain) < 1:
-        raise ValueError("all counts must be >= 1")
-    if noise_dim < 0:
-        raise ValueError("noise_dim must be >= 0")
-    if class_sep <= 0 or domain_shift < 0:
-        raise ValueError("class_sep must be > 0 and domain_shift >= 0")
+    check_synthetic(
+        num_classes, num_domains, signal_dim, noise_dim,
+        samples_per_class_per_domain, class_sep, domain_shift, bias_jitter,
+    )
     rng = np.random.default_rng(seed)
 
     # Mean scale keeps typical pairwise distances near 1.5 * class_sep so

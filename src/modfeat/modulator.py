@@ -63,12 +63,6 @@ class ModulationMatrix:
     param: DualParam
 
     @classmethod
-    def from_variance(
-        cls, features: np.ndarray, class_ids: np.ndarray, num_classes: int
-    ) -> "ModulationMatrix":
-        return cls(DualParam.create("modulator.weights", variance_init(features, class_ids, num_classes)))
-
-    @classmethod
     def from_values(cls, values: np.ndarray) -> "ModulationMatrix":
         return cls(DualParam.create("modulator.weights", values))
 

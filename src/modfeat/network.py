@@ -5,6 +5,13 @@ last hidden activation; the same dropout stage drives Monte Carlo
 uncertainty sampling. An empty hidden stack means the extractor is the
 identity (features are the raw inputs, dropout still applies), which
 keeps input coordinates interpretable in diagnostics.
+
+Both training modes score through one pipeline, ``score_graph``, which
+yields R rows of class logits per sample. In ``"fm"`` mode features are
+modulated toward each class's blended anchor, so R = C; the
+fixed-threshold baseline (FixMatch, Sohn et al. 2020) is the same
+pipeline without modulation, R = 1. ``class_confidence`` reads the
+per-class confidence from either view.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ from . import autodiff as ad
 from . import modulator as fm
 from .autodiff import DualParam, Node
 
-MODES = ("train", "eval", "mc")
+# Training modes: the modulated pipeline and the fixed-threshold baseline.
+MODES = ("fm", "fixmatch-baseline")
+# Forward passes: dropout is active in "train" and "mc", off in "eval".
+PASS_MODES = ("train", "eval", "mc")
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,8 @@ class ExtractorConfig:
     def __post_init__(self):
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims entries must be >= 1, got {self.hidden_dims}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if not self.hidden_dims and self.feature_dim != self.input_dim:
@@ -42,8 +54,8 @@ class ExtractorConfig:
 
 
 def _dropout_enabled(mode: str) -> bool:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in PASS_MODES:
+        raise ValueError(f"mode must be one of {PASS_MODES}, got {mode!r}")
     return mode != "eval"
 
 
@@ -156,26 +168,54 @@ class Model:
         return self.extractor.params() + self.classifier.params()
 
 
-def class_score_graph(
+def view_bank(mode: str, bank):
+    """The prototype bank the pipeline modulates toward in ``mode``.
+
+    ``"fm"`` needs a bank and scores R = C rows per sample; the baseline
+    scores the unmodulated R = 1 view, so it gets none.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "fm" and bank is None:
+        raise ValueError("mode 'fm' needs a prototype bank")
+    return bank if mode == "fm" else None
+
+
+def score_graph(
     model: Model,
-    weights_node: Node,
-    anchors: np.ndarray,
+    modulation,
+    bank,
     x,
     mode: str,
     rng: Optional[np.random.Generator] = None,
 ) -> Node:
-    """Logits of the modulated pipeline for a batch.
+    """Class logits for a batch, R rows per sample.
 
-    Returns an (n*C x C) node with rows grouped per sample; row i*C + c
-    holds class logits after modulating sample i toward class c.
+    With a bank (a ``PrototypeBank``) the result is (n*C x C): row
+    i*C + c holds the logits after modulating sample i toward class c's
+    blended anchor by ``modulation`` (a ``ModulationMatrix``). Without
+    one it is the unmodulated (n x C) and ``modulation`` is not read.
+    ``mode`` is the forward pass ("train", "eval" or "mc").
     """
     feats = model.extractor.forward(x, mode, rng)
-    modulated = fm.modulate(feats, anchors, weights_node)
-    return model.classifier.forward(modulated)
+    if bank is not None:
+        feats = fm.modulate(feats, bank.blended, modulation.node)
+    return model.classifier.forward(feats)
 
 
-def plain_score_graph(
-    model: Model, x, mode: str, rng: Optional[np.random.Generator] = None
-) -> Node:
-    """Logits without modulation (baseline path): (n x C)."""
-    return model.classifier.forward(model.extractor.forward(x, mode, rng))
+def class_confidence(probs: np.ndarray, n: int, num_classes: int) -> np.ndarray:
+    """(n x C) confidence of each sample in each class.
+
+    ``probs`` holds R rows of class probabilities per sample (R = C or
+    R = 1); entry (i, c) is taken from row i*R + (c mod R): the diagonal
+    of each sample's C x C block when modulated, the row itself when not.
+    """
+    r = probs.shape[0] // n
+    if r * n != probs.shape[0] or r not in (1, num_classes):
+        raise ad.DimensionError(
+            f"expected {n} or {n * num_classes} rows of probabilities, "
+            f"got {probs.shape[0]}"
+        )
+    if r == 1:
+        return probs
+    return np.diagonal(probs.reshape(n, r, num_classes), axis1=1, axis2=2)

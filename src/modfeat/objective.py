@@ -1,8 +1,8 @@
 """The four-term training loss.
 
 Per sample, the modulated pipeline yields a square log-score matrix: one
-log-softmax row per candidate class the features were modulated toward.
-Four terms are built from it:
+log-softmax row per candidate class the features were modulated toward
+(R = C rows; see ``network.score_graph``). Four terms are built from it:
 
   l_s   negative log-score of the true class, averaged over all C
         modulation rows of the weak labeled view: blending features
@@ -18,8 +18,9 @@ Four terms are built from it:
 total = l_s + l_u + beta * l_d + gamma * l_ud. Labeled terms average
 over labeled slots; unlabeled terms average over all unlabeled slots,
 kept or not, so discarded samples dilute the unsupervised terms toward
-zero. In baseline mode the pipeline is unmodulated and the diagonal
-terms are identically zero.
+zero. The fixed-threshold baseline is the same loss on the unmodulated
+R = 1 view: one log-score row per sample, so l_s and l_u are plain
+negative log-likelihoods and the diagonal terms do not exist (zero).
 """
 
 from __future__ import annotations
@@ -76,18 +77,19 @@ def _block_diag_mask(n: int, num_classes: int) -> np.ndarray:
     return mask
 
 
-def _label_mask(n: int, num_classes: int, picks, weights=None) -> np.ndarray:
-    """Mask selecting column picks[i] in all C rows of sample i.
+def _label_mask(
+    n: int, rows_per_sample: int, num_classes: int, picks, weights=None
+) -> np.ndarray:
+    """Mask selecting column picks[i] in all R rows of sample i.
 
-    Each row gets weight w_i / C, so masked-sum equals the per-sample
-    mean over modulation rows of the picked class's log-score, weighted.
+    Each row gets weight w_i / R, so masked-sum equals the per-sample
+    mean over score rows of the picked class's log-score, weighted.
     """
-    mask = np.zeros((n * num_classes, num_classes))
-    rows = np.arange(n * num_classes)
-    cols = np.repeat(np.asarray(picks, dtype=np.int64), num_classes)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    mask[rows, cols] = np.repeat(w / num_classes, num_classes)
-    return mask
+    r = rows_per_sample
+    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)[:, None]
+    mask = np.zeros((n, r, num_classes))
+    mask[np.arange(n), :, np.asarray(picks, dtype=np.int64)] = w / r
+    return mask.reshape(n * r, num_classes)
 
 
 def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -125,67 +127,35 @@ def _diag_gap_node(
     )
 
 
-def modulated_log_scores(
+def _view_terms(
     model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
-    x,
-    mode: str = "train",
-    rng: Optional[np.random.Generator] = None,
-) -> Node:
-    """(n*C x C) log-softmax scores of the modulated pipeline."""
-    return ad.row_log_softmax(
-        net.class_score_graph(model, modulation.node, bank.blended, x, mode, rng)
-    )
-
-
-def supervised_loss(
-    x,
-    y: int,
-    model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
-    rng: Optional[np.random.Generator] = None,
-    mode: str = "train",
+    modulation: Optional[ModulationMatrix],
+    bank: Optional[PrototypeBank],
+    x: np.ndarray,
+    picks,
+    weights,
+    denom: int,
+    rng: Optional[np.random.Generator],
+    target: Optional[np.ndarray],
 ):
-    """Single-sample supervised term; returns (loss node, log-score node).
+    """Label and diagonal-gap terms of one view, each divided by denom.
 
-    The loss is the negative log-score of the true class averaged over
-    all C modulation rows (modulation never changes the label).
+    Returns (label term, gap term, gap target). The label term is the
+    weighted mean over each sample's R score rows of the picked class's
+    negative log-score; the gap term and its target exist only when the
+    view is modulated (R = C), and ``target`` re-feeds a frozen one.
     """
-    slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(x), mode, rng)
-    c = model.num_classes
-    return ad.masked_sum(slog, _label_mask(1, c, [int(y)]), -1.0), slog
-
-
-def diag_max_loss(slog: Node) -> Node:
-    """MSE between the diagonal and the (constant) per-column maximum."""
-    rows, c = slog.shape
-    if rows != c:
-        raise ad.DimensionError(f"expected a square log-score matrix, got {slog.shape}")
-    return _diag_gap_node(slog, 1, c)
-
-
-def unsupervised_loss(
-    u,
-    record: PseudoLabelRecord,
-    model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
-    rng: Optional[np.random.Generator] = None,
-    mode: str = "train",
-):
-    """Single-sample unsupervised terms on the strong view.
-
-    Discarded records contribute exact zeros and build no graph.
-    """
-    if not record.keep:
-        return _zero(), _zero()
-    slog = modulated_log_scores(model, modulation, bank, np.atleast_2d(u), mode, rng)
-    c = model.num_classes
-    l_u = ad.masked_sum(slog, _label_mask(1, c, [record.label]), -record.l_scale)
-    l_ud = ad.scale(diag_max_loss(slog), record.l_scale)
-    return l_u, l_ud
+    n = x.shape[0]
+    slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x, "train", rng))
+    rows, c = slog.value.shape
+    r = rows // n
+    label = ad.masked_sum(slog, _label_mask(n, r, c, picks, weights), -1.0 / denom)
+    if bank is None:
+        return label, _zero(), None
+    if target is None:
+        target = _diag_targets(slog.value, n, c)
+    gap = _diag_gap_node(slog, n, c, weights=weights, target=target)
+    return label, ad.scale(gap, 1.0 / denom), target
 
 
 def total_loss(
@@ -202,69 +172,34 @@ def total_loss(
     mode: str = "fm",
     frozen_targets: Optional[dict] = None,
 ) -> LossBreakdown:
-    """Batch loss; one graph for the labeled view, one for kept strong views."""
+    """Batch loss; one graph for the labeled view, one for kept strong views.
+
+    ``mode`` is one of ``network.MODES``: ``"fm"`` scores the modulated
+    view through ``bank``, ``"fixmatch-baseline"`` the unmodulated one.
+    """
+    bank = net.view_bank(mode, bank)
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
     if n_l == 0:
         raise ValueError("empty batch")
     n_u = len(records)
-    c = model.num_classes
-    labeled_y = np.asarray(labeled_y, dtype=np.int64)
     frozen = frozen_targets or {}
-    used_targets = {"labeled": None, "unlabeled": None}
+    used_targets = {}
 
-    if mode == "fm":
-        slog = modulated_log_scores(model, modulation, bank, labeled_weak, "train", rng)
-        l_s = ad.masked_sum(slog, _label_mask(n_l, c, labeled_y), -1.0 / n_l)
-        used_targets["labeled"] = (
-            frozen.get("labeled")
-            if frozen.get("labeled") is not None
-            else _diag_targets(slog.value, n_l, c)
-        )
-        l_d = ad.scale(
-            _diag_gap_node(slog, n_l, c, target=used_targets["labeled"]), 1.0 / n_l
-        )
-    elif mode == "baseline":
-        logits = net.plain_score_graph(model, labeled_weak, "train", rng)
-        slog_plain = ad.row_log_softmax(logits)
-        mask = np.zeros((n_l, c))
-        mask[np.arange(n_l), labeled_y] = 1.0
-        l_s = ad.masked_sum(slog_plain, mask, -1.0 / n_l)
-        l_d = _zero()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    l_s, l_d, used_targets["labeled"] = _view_terms(
+        model, modulation, bank, labeled_weak, np.asarray(labeled_y, dtype=np.int64),
+        None, n_l, rng, frozen.get("labeled"),
+    )
     kept = [i for i, r in enumerate(records) if r.keep]
     if n_u == 0 or not kept:
-        l_u, l_ud = _zero(), _zero()
+        l_u, l_ud, used_targets["unlabeled"] = _zero(), _zero(), None
     else:
-        strong = np.atleast_2d(unlabeled_strong)[kept]
-        labels = [records[i].label for i in kept]
-        weights = np.array([records[i].l_scale for i in kept])
-        m = len(kept)
-        if mode == "fm":
-            slog_u = modulated_log_scores(model, modulation, bank, strong, "train", rng)
-            l_u = ad.masked_sum(
-                slog_u, _label_mask(m, c, labels, weights=weights), -1.0 / n_u
-            )
-            used_targets["unlabeled"] = (
-                frozen.get("unlabeled")
-                if frozen.get("unlabeled") is not None
-                else _diag_targets(slog_u.value, m, c)
-            )
-            l_ud = ad.scale(
-                _diag_gap_node(
-                    slog_u, m, c, weights=weights, target=used_targets["unlabeled"]
-                ),
-                1.0 / n_u,
-            )
-        else:
-            logits = net.plain_score_graph(model, strong, "train", rng)
-            slog_b = ad.row_log_softmax(logits)
-            mask = np.zeros((m, c))
-            mask[np.arange(m), labels] = weights
-            l_u = ad.masked_sum(slog_b, mask, -1.0 / n_u)
-            l_ud = _zero()
+        l_u, l_ud, used_targets["unlabeled"] = _view_terms(
+            model, modulation, bank, np.atleast_2d(unlabeled_strong)[kept],
+            [records[i].label for i in kept],
+            np.array([records[i].l_scale for i in kept]),
+            n_u, rng, frozen.get("unlabeled"),
+        )
 
     total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))
     return LossBreakdown(l_s, l_u, l_d, l_ud, total, beta, gamma, used_targets)

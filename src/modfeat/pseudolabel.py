@@ -1,26 +1,27 @@
 """Uncertainty-gated pseudo-labeling over modulated class scores.
 
-For each unlabeled sample the class-probability matrix is evaluated K
-times with dropout enabled (Monte Carlo sampling). The K passes over a
-batch run as one stacked forward of K copies of the batch; dropout draws
-its masks from the generator's stream in order, so pass k sees the
-masks the k-th of K separate calls would have drawn (a one-sample batch
-runs its K passes one at a time: see ``pseudo_label_batch``). The
-per-run diagonal holds the confidence for each candidate class when
-features are modulated toward that class. The label is the argmax of
-the K-run mean diagonal; sigma is the K-run population standard
-deviation of the predicted class's diagonal probability. A label is
-kept when mean_confidence - sigma clears the threshold, and kept labels
-get a confidence-dependent loss weight exp(p^3 - 1).
+For each unlabeled sample the class-probability matrix (R = C rows, one
+per class the features are modulated toward; see
+``network.score_graph``) is evaluated K times with dropout enabled
+(Monte Carlo sampling). The K passes over a batch run as one stacked
+forward of K copies of the batch; dropout draws its masks from the
+generator's stream in order, so pass k sees the masks the k-th of K
+separate calls would have drawn (a one-sample batch runs its K passes
+one at a time: see ``pseudo_label_batch``). The per-run diagonal holds the
+confidence for each candidate class when features are modulated toward
+that class. The label is the argmax of the K-run mean diagonal; sigma
+is the K-run population standard deviation of the predicted class's
+diagonal probability. A label is kept when mean_confidence - sigma
+clears the threshold, and kept labels get a confidence-dependent loss
+weight exp(p^3 - 1).
 
-The fixed-threshold baseline path uses a single deterministic pass of
-the unmodulated classifier and an all-or-nothing weight.
+The fixed-threshold baseline scores the same pipeline's unmodulated
+R = 1 view in a single deterministic pass (K = 1, sigma 0) and gives
+an all-or-nothing weight.
 
 Scoring passes run under ``autodiff.no_grad()``: they only read values,
 so they record no graph. Each gate rule is defined once, on arrays, and
-applied to a whole batch (``gate_batch``, ``baseline_gate_batch``); the
-one-row ``gate_record`` and ``baseline_gate_record`` call the same
-helpers.
+applied to a whole batch (``gate_batch``, ``baseline_gate_batch``).
 """
 
 from __future__ import annotations
@@ -91,50 +92,27 @@ def baseline_gate_batch(labels, p_max, tau_fixed: float) -> list:
     )
 
 
-def gate_record(label: int, p_max: float, sigma: float, tau: float) -> PseudoLabelRecord:
-    """One-sample ``gate_batch``."""
-    return gate_batch([label], [p_max], [sigma], tau)[0]
-
-
-def baseline_gate_record(label: int, p_max: float, tau_fixed: float) -> PseudoLabelRecord:
-    """One-sample ``baseline_gate_batch``."""
-    return baseline_gate_batch([label], [p_max], tau_fixed)[0]
-
-
 def predict_matrices(
     u: np.ndarray,
     model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
+    modulation: Optional[ModulationMatrix],
+    bank: Optional[PrototypeBank],
     dropout: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """(n, C, C) class-probability matrices for a batch of weak views.
+    """(n, R, C) class-probability matrices for a batch of weak views.
 
-    Entry [i, j, :] holds the class probabilities for sample i after
-    modulating its features toward class j. No gradients are recorded.
+    With a bank, entry [i, j, :] holds the class probabilities for
+    sample i after modulating its features toward class j (R = C);
+    without one, [i, 0, :] holds the unmodulated ones (R = 1). No
+    gradients are recorded.
     """
     u = np.atleast_2d(u)
-    n = u.shape[0]
-    c = model.num_classes
     mode = "mc" if dropout else "eval"
     with no_grad():
-        logits = net.class_score_graph(
-            model, modulation.node, bank.blended, u, mode, rng
-        )
-    return row_softmax(logits.value).reshape(n, c, c)
-
-
-def predict_matrix(
-    u: np.ndarray,
-    model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
-    dropout: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Single-sample (C x C) probability matrix."""
-    return predict_matrices(u, model, modulation, bank, dropout, rng)[0]
+        logits = net.score_graph(model, modulation, bank, u, mode, rng)
+    probs = row_softmax(logits.value)
+    return probs.reshape(u.shape[0], -1, probs.shape[1])
 
 
 def pseudo_label_batch(
@@ -153,7 +131,6 @@ def pseudo_label_batch(
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
     u = np.atleast_2d(u)
     n = u.shape[0]
-    c = model.num_classes
     if n == 1:
         # BLAS multiplies a one-row batch with its vector routine, which
         # rounds differently from the matrix routine a K-row stack takes;
@@ -168,27 +145,14 @@ def pseudo_label_batch(
         s = predict_matrices(
             np.tile(u, (mc_samples, 1)), model, modulation, bank, dropout=True, rng=rng
         )
-    diags = np.ascontiguousarray(np.diagonal(s, axis1=1, axis2=2)).reshape(
-        mc_samples, n, c
-    )
-    mean_diag = diags.mean(axis=0)
-    labels = mean_diag.argmax(axis=1)
+    c = s.shape[-1]
+    conf = net.class_confidence(s.reshape(-1, c), mc_samples * n, c)
+    conf = conf.reshape(mc_samples, n, c)
+    mean_conf = conf.mean(axis=0)
+    labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)
-    p_max = mean_diag[rows, labels]
-    sigma = diags[:, rows, labels].std(axis=0)  # population std, divisor K
-    return gate_batch(labels, p_max, sigma, tau)
-
-
-def pseudo_label(
-    u: np.ndarray,
-    model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
-    mc_samples: int = 5,
-    tau: float = 0.75,
-    rng: Optional[np.random.Generator] = None,
-) -> PseudoLabelRecord:
-    return pseudo_label_batch(u, model, modulation, bank, mc_samples, tau, rng)[0]
+    sigma = conf[:, rows, labels].std(axis=0)  # population std, divisor K
+    return gate_batch(labels, mean_conf[rows, labels], sigma, tau)
 
 
 def baseline_pseudo_label_batch(
@@ -197,16 +161,8 @@ def baseline_pseudo_label_batch(
     tau_fixed: float = BASELINE_THRESHOLD,
 ) -> list:
     """Fixed-threshold labels from one deterministic unmodulated pass."""
-    u = np.atleast_2d(u)
-    with no_grad():
-        logits = net.plain_score_graph(model, u, "eval")
-    probs = row_softmax(logits.value)
+    s = predict_matrices(u, model, None, None)
+    n, _, c = s.shape
+    probs = net.class_confidence(s.reshape(n, c), n, c)
     labels = probs.argmax(axis=1)
-    p_max = probs[np.arange(u.shape[0]), labels]
-    return baseline_gate_batch(labels, p_max, tau_fixed)
-
-
-def baseline_pseudo_label(
-    u: np.ndarray, model: Model, tau_fixed: float = BASELINE_THRESHOLD
-) -> PseudoLabelRecord:
-    return baseline_pseudo_label_batch(u, model, tau_fixed)[0]
+    return baseline_gate_batch(labels, probs[np.arange(len(labels)), labels], tau_fixed)

@@ -1,8 +1,9 @@
 """Training orchestration: per-epoch prototype refresh, batch loop with
 pseudo-labeling, SGD with cosine-annealed learning rates, evaluation and
-checkpointing. Also runs the fixed-threshold baseline mode, in which the
-modulator and the diagonal losses are disabled and pseudo-labels come
-from a single deterministic pass at threshold 0.95.
+checkpointing. Also runs the fixed-threshold baseline mode: the same
+pipeline's unmodulated R = 1 view (``network.score_graph``), so the
+modulator and the diagonal losses drop out, and pseudo-labels come from
+a single deterministic pass at threshold 0.95.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
@@ -23,21 +24,20 @@ from . import autodiff as ad
 from . import metrics as met
 from . import network as net
 from . import objective, pseudolabel
-from .autodiff import row_softmax
 from .checkpoint import save_checkpoint
 from .data import Augmenter, BatchIterator, DomainDataset, SplitPlan, split
 from .modulator import ModulationMatrix, variance_init
-from .network import ExtractorConfig, Model
+from .network import MODES, ExtractorConfig, Model
 from .prototypes import PrototypeBank, build_bank
 
-MODES = ("fm", "fixmatch-baseline")
 METRICS_HEADER = (
     "epoch,l_s,l_u,l_d,l_ud,total,keep_rate,pl_acc,target_acc,lr"
 )
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a step produces a non-finite loss."""
+    """Raised when a step produces a non-finite loss, or an epoch ends with
+    non-finite parameters or prototypes."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -71,6 +71,10 @@ class TrainConfig:
             raise ValueError(f"mc_samples must be >= 2, got {self.mc_samples}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if min(self.beta, self.gamma) < 0:
+            raise ValueError(
+                f"beta and gamma must be >= 0, got {self.beta} and {self.gamma}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         for name in ("per_domain_labeled", "per_domain_unlabeled"):
@@ -164,30 +168,15 @@ def predict(
 ) -> np.ndarray:
     """Predicted class per row; ties break toward the smaller class id.
 
-    Records no graph (``autodiff.no_grad``).
+    ``mode`` is one of ``MODES``; the baseline ignores ``modulation``
+    and ``bank``. Records no graph (``autodiff.no_grad``).
     """
     x = np.atleast_2d(x)
-    with ad.no_grad():
-        if mode == "fm":
-            probs = row_softmax(
-                net.class_score_graph(
-                    model, modulation.node, bank.blended, x, "eval"
-                ).value
-            )
-            c = model.num_classes
-            diag = np.diagonal(probs.reshape(x.shape[0], c, c), axis1=1, axis2=2)
-            return diag.argmax(axis=1)
-        return row_softmax(net.plain_score_graph(model, x, "eval").value).argmax(axis=1)
-
-
-def infer(
-    model: Model,
-    modulation: Optional[ModulationMatrix],
-    bank: Optional[PrototypeBank],
-    x: np.ndarray,
-    mode: str = "fm",
-) -> int:
-    return int(predict(model, modulation, bank, x, mode)[0])
+    probs = pseudolabel.predict_matrices(
+        x, model, modulation, net.view_bank(mode, bank)
+    )
+    c = model.num_classes
+    return net.class_confidence(probs.reshape(-1, c), x.shape[0], c).argmax(axis=1)
 
 
 def evaluate(
@@ -308,7 +297,7 @@ def train(
                 beta=config.beta,
                 gamma=config.gamma,
                 rng=drop_rng,
-                mode="baseline" if baseline else "fm",
+                mode=config.mode,
             )
             values = breakdown.values()
             if not all(math.isfinite(v) for v in values.values()):
@@ -345,13 +334,23 @@ def train(
                 dataset.num_classes,
                 epoch=epoch,
             )
+        # A last step can leave weights, or prototypes, that are not finite
+        # and that no loss has seen yet.
+        arrays = [p.value for p in model.params()] + [modulation.values]
+        if bank is not None:
+            arrays.append(bank.blended)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise TrainingAborted(
+                f"non-finite parameters or prototypes after epoch {epoch}",
+                {"epoch": epoch, "step": step},
+            )
         target_acc = evaluate(
             model,
             modulation,
             bank,
             split_data.test_x,
             split_data.test_y,
-            mode="baseline" if baseline else "fm",
+            mode=config.mode,
         )
         n_batches = iterator.batches_per_epoch
         reports.append(

@@ -8,20 +8,23 @@ criteria that need full training runs.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from modfeat import autodiff as ad
+from modfeat import cli
 from modfeat import data as dat
 from modfeat import metrics as met
 from modfeat import modulator as fm
 from modfeat import objective, trainer
-from modfeat.benchmark import run_comparison
+from modfeat.config import load_config
 from modfeat.gradcheck import full_loss_grad_check
 from modfeat.prototypes import build_bank
-from modfeat.pseudolabel import confidence_scale, gate_record, pseudo_label_batch
+from modfeat.network import MODES
+from modfeat.pseudolabel import confidence_scale, gate_batch, pseudo_label_batch
 from tests.conftest import make_tiny_setup
 from tests.test_objective import no_dropout_setup, oracle_total
 
@@ -31,12 +34,45 @@ def check(criterion, passed, detail):
     assert passed, f"criterion {criterion}: {detail}"
 
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.ini"
+
+
+class Comparison:
+    """Both modes trained on the benchmark config, seed for seed."""
+
+    def __init__(self):
+        start = time.time()
+        self.runs = {
+            mode: cli.run_seeds(load_config(CONFIG, {"train.mode": mode}))
+            for mode in MODES
+        }
+        self.elapsed = time.time() - start
+
+    def final(self, mode, metric):
+        return np.array([getattr(run.result.reports[-1], metric) for run in self.runs[mode]])
+
+    @property
+    def mean_improvement(self):
+        return float(
+            np.mean(
+                self.final("fm", "target_accuracy")
+                - self.final("fixmatch-baseline", "target_accuracy")
+            )
+        )
+
+    @property
+    def gaps(self):
+        return np.array([run.modulator_gap for run in self.runs["fm"]])
+
+    def keep_curves(self, mode):
+        return np.array(
+            [[rep.keep_rate for rep in run.result.reports] for run in self.runs[mode]]
+        )
+
+
 @pytest.fixture(scope="module")
 def comparison():
-    start = time.time()
-    result = run_comparison(seeds=range(5), epochs=20)
-    result.elapsed = time.time() - start
-    return result
+    return Comparison()
 
 
 def test_criterion_1_gradient_correctness():
@@ -123,8 +159,9 @@ def test_criterion_5_loss_scaling():
     pairs = [(r.p_max, r.sigma) for r in records] + [
         (p, s) for p in np.linspace(0.05, 0.99, 21) for s in (0.0, 0.05, 0.2)
     ]
-    kept_075 = sum(gate_record(0, p, s, 0.75).keep for p, s in pairs)
-    kept_095 = sum(gate_record(0, p, s, 0.95).keep for p, s in pairs)
+    labels, p_max, sigma = [0] * len(pairs), *zip(*pairs)
+    kept_075 = sum(r.keep for r in gate_batch(labels, p_max, sigma, 0.75))
+    kept_095 = sum(r.keep for r in gate_batch(labels, p_max, sigma, 0.95))
     monotone_ok = kept_075 >= kept_095
     check(
         5,
@@ -146,7 +183,7 @@ def test_criterion_6_oracle_equivalence():
         [[0.7, -0.3], [-0.2, 0.5], [0.1, 0.1], [0.4, -0.6]]
     )
     model.classifier.bias.node.value[:] = np.array([[0.05, -0.05]])
-    records = [gate_record(1, 0.94, 0.01, 0.75), gate_record(0, 0.88, 0.02, 0.75)]
+    records = gate_batch([1, 0], [0.94, 0.88], [0.01, 0.02], 0.75)
     lx, ly, ux = x[:2], y[:2], x[2:4]
     breakdown = objective.total_loss(
         lx, ly, ux, records, model, modulation, bank, beta=1.0, gamma=0.5

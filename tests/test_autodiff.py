@@ -440,9 +440,7 @@ class TestNoGrad:
 
         model, modulation, bank, x, _ = make_tiny_setup()
         with ad.no_grad():
-            logits = net.class_score_graph(
-                model, modulation.node, bank.blended, x, "eval"
-            )
+            logits = net.score_graph(model, modulation, bank, x, "eval")
         assert logits.parents == () and not logits.requires_grad
 
     def test_scoring_passes_record_no_graph(self, monkeypatch):
@@ -461,8 +459,7 @@ class TestNoGrad:
 
             return wrapper
 
-        for name in ("class_score_graph", "plain_score_graph"):
-            monkeypatch.setattr(net, name, recording(getattr(net, name)))
+        monkeypatch.setattr(net, "score_graph", recording(net.score_graph))
         monkeypatch.setattr(
             net.Extractor, "forward", recording(net.Extractor.forward)
         )
@@ -470,7 +467,7 @@ class TestNoGrad:
         pseudolabel.pseudo_label_batch(x, model, modulation, bank, 3, 0.5, rng)
         pseudolabel.baseline_pseudo_label_batch(x, model)
         trainer.predict(model, modulation, bank, x, "fm")
-        trainer.predict(model, None, None, x, "baseline")
+        trainer.predict(model, None, None, x, "fixmatch-baseline")
         trainer._eval_features(model, x)
         assert len(built) == 9
         assert all(node.parents == () for node in built)

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfeat import cli
 from modfeat import data as dat
-from modfeat.config import ConfigError, load_config
+from modfeat.config import _SCHEMA, ConfigError, DataSpec, load_config
 
 MINI_CONFIG = """
 [data]
@@ -32,6 +39,31 @@ seeds = 0,1
 
 [output]
 dir = {out}
+"""
+
+
+# One epoch of a few dozen samples: runs in tens of milliseconds.
+TINY_CONFIG = """
+[data]
+num_classes = 3
+num_domains = 3
+signal_dim = 2
+noise_dim = 2
+samples_per_class_per_domain = 8
+class_sep = 2.0
+domain_shift = 4.0
+target_domain = 0
+labels_per_class = 2
+
+[model]
+feature_dim = 4
+
+[train]
+epochs = 1
+per_domain_labeled = 2
+per_domain_unlabeled = 4
+mc_samples = 2
+seeds = 0
 """
 
 
@@ -115,6 +147,14 @@ class TestCli:
         rows = (out / "summary.csv").read_text().splitlines()
         assert len(rows) == 3  # header + seeds 0,1
 
+    def test_run_seeds_measures_the_gap_where_defined(self, mini_config, tmp_path):
+        runs = cli.run_seeds(load_config(mini_config, {"epochs": "1"}))
+        assert [run.seed for run in runs] == [0, 1]
+        assert all(isinstance(run.modulator_gap, float) for run in runs)
+        assert not (tmp_path / "out").exists()  # no out_dir, no files
+        hidden = {"epochs": "1", "seeds": "0", "hidden_dims": "6"}
+        assert cli.run_seeds(load_config(mini_config, hidden))[0].modulator_gap is None
+
     def test_resolved_config_reproduces_run(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
@@ -142,7 +182,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "override",
         ["--mc_samples=1", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
-         "--momentum=1"],
+         "--momentum=1", "--labels_per_class=0", "--hidden_dims=0", "--hidden_dims=6,-1",
+         "--beta=-1", "--gamma=-1", "--bias_jitter=-0.5", "--data_seed=-1",
+         "--seeds=-1"],
     )
     def test_out_of_range_training_value_exits_2(
         self, mini_config, tmp_path, capsys, override
@@ -167,6 +209,45 @@ class TestCli:
         # baseline checkpoints carry no prototype bank
         data = np.load(out / "seed_0" / "checkpoint.npz")
         assert "bank.prototypes" not in data
+
+    def test_eval_names_the_baseline_mode(self, mini_config, tmp_path, capsys):
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        for mode in ("fm", "fixmatch-baseline"):
+            args = ["train", str(mini_config), "--seeds", "0", "--epochs=1", "--mode", mode]
+            assert cli.main(args) == 0
+            capsys.readouterr()
+            checkpoint = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+            assert cli.main(["eval", str(checkpoint), str(csv_path)]) == 0
+            assert f"({mode} inference)" in capsys.readouterr().out
+
+    def test_gen_data_defaults_are_the_data_spec(self, tmp_path):
+        assert cli.main(["gen-data", str(tmp_path / "cli.csv")]) == 0
+        spec = DataSpec()
+        dat.save_csv(
+            dat.generate_synthetic(
+                spec.num_classes, spec.num_domains, spec.signal_dim, spec.noise_dim,
+                spec.samples_per_class_per_domain, spec.class_sep, spec.domain_shift,
+                0, bias_jitter=spec.bias_jitter,
+            ),
+            tmp_path / "spec.csv",
+        )
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_prototypes_abort_with_exit_1(self, mini_config, tmp_path, capsys):
+        # This learning rate blows the hidden features up within one epoch:
+        # the weights stay finite, the refreshed prototypes do not.
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        args = ["train", str(config), "--hidden_dims=4,5", "--lr_main=1.0",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 0: non-finite") and "Traceback" not in err
+        assert (tmp_path / "out" / "seed_0" / "abort_diagnostics.json").is_file()
 
     def test_gen_data_then_eval(self, mini_config, tmp_path):
         csv_path = tmp_path / "ds.csv"
@@ -228,6 +309,26 @@ class TestCrossFieldValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [["--labels_per_class=25"], ["--samples_per_class_per_domain=1"],
+         ["--num_domains=1"], ["--num_domains=2", "--labels_per_class=1"]],
+    )
+    def test_labels_must_fit_the_source_cells(
+        self, mini_config, tmp_path, capsys, overrides
+    ):
+        assert cli.main(["train", str(mini_config), "--seeds", "0", *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [data] ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_label_per_class_is_enough_for_the_baseline(self, mini_config):
+        overrides = {"num_domains": "2", "labels_per_class": "1"}
+        with pytest.raises(ConfigError, match="fm mode"):
+            load_config(mini_config, overrides)
+        config = load_config(mini_config, {**overrides, "mode": "fixmatch-baseline"})
+        assert config.data.labels_per_class == 1
+
     def test_hidden_layers_free_feature_dim(self, mini_config):
         config = load_config(mini_config, {"feature_dim": "5", "hidden_dims": "6"})
         assert config.model.feature_dim == 5
@@ -253,7 +354,8 @@ class TestCrossFieldValidation:
     @pytest.mark.parametrize(
         "override,key",
         [("--feature_dim=9", "feature_dim"), ("--target_domain=3", "target_domain"),
-         ("--data.path=missing.csv", "missing.csv")],
+         ("--data.path=missing.csv", "missing.csv"),
+         ("--labels_per_class=25", "labels_per_class")],
     )
     def test_csv_mismatch_exits_2(self, csv_config, tmp_path, capsys, override, key):
         # The config's own [data] sizes do not describe a CSV; its width and
@@ -286,3 +388,62 @@ class TestCheckpointErrors:
         assert cli.main(["eval", str(broken), str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+# Per-key values for the override fuzz: small ranges that cross each
+# bound, capped so that no draw asks for a large allocation or a long run.
+_INT_RANGES = {
+    "num_classes": (-1, 8), "num_domains": (-1, 5), "signal_dim": (-1, 8),
+    "noise_dim": (-2, 8), "samples_per_class_per_domain": (-1, 12),
+    "target_domain": (-1, 4), "labels_per_class": (-1, 12), "data_seed": (-1, 5),
+    "feature_dim": (-1, 8), "epochs": (-1, 2), "mc_samples": (-1, 8),
+    "per_domain_labeled": (-1, 8), "per_domain_unlabeled": (-1, 8),
+}
+_CHOICES = {
+    "kind": ["synthetic", "csv", "other"],
+    "path": ["", "missing.csv"],
+    "mode": ["fm", "fixmatch-baseline", "baseline"],
+    "seeds": ["0", "1,0", "-1", "x"],
+}
+
+
+def _value(key):
+    if key in _INT_RANGES:
+        return st.integers(*_INT_RANGES[key]).map(str)
+    if key in _CHOICES:
+        return st.sampled_from(_CHOICES[key])
+    if key == "hidden_dims":
+        return st.lists(st.integers(-1, 6), max_size=2).map(
+            lambda dims: ",".join(map(str, dims))
+        )
+    return st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0, 100.0])).map(repr)
+
+
+_FUZZ_KEYS = [
+    f"{section}.{key}" for section in ("data", "model", "train") for key in _SCHEMA[section]
+]
+_overrides = st.lists(
+    st.sampled_from(_FUZZ_KEYS).flatmap(lambda k: st.tuples(st.just(k), _value(k.split(".")[1]))),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large learning rates diverge
+@settings(max_examples=60, deadline=None)
+@given(_overrides)
+def test_train_overrides_fuzz(overrides):
+    """Any override ends in exit 0, 1 or 2 with no traceback; 2 writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        out = Path(tmp) / "out"
+        argv = ["train", str(config), "--out", str(out)]
+        argv += [f"--{key}={value}" for key, value in overrides]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert not out.exists()

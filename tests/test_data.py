@@ -12,12 +12,10 @@ class TestGenerateSynthetic:
         assert set(ds.signal_dims) == {0, 1, 2, 3}
         assert set(ds.noise_dims) == {4, 5, 6, 7}
 
-    def test_sample_iterator(self, small_dataset):
-        first = next(small_dataset.samples())
-        assert first.class_id == int(small_dataset.class_ids[0])
-        assert first.domain_id == int(small_dataset.domain_ids[0])
-        assert first.truth_visible
-        np.testing.assert_array_equal(first.features, small_dataset.features[0])
+    def test_cell_counts(self, small_dataset):
+        counts = small_dataset.cell_counts()
+        assert counts.shape == (3, 3)
+        assert (counts == 30).all()
 
     def test_uniform_class_distribution(self, small_dataset):
         for d in range(small_dataset.num_domains):

@@ -63,7 +63,7 @@ class TestClassifier:
     def test_modulation_identity_gives_equal_rows(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        logits = net.class_score_graph(model, ones.node, bank.blended, x[:1], "eval")
+        logits = net.score_graph(model, ones, bank, x[:1], "eval")
         np.testing.assert_allclose(logits.value[0], logits.value[1], atol=1e-12)
 
     def test_zero_classifier_uniform(self, rng):
@@ -99,8 +99,9 @@ class TestClassifier:
 
     def test_classify_row_count_matches_classes(self):
         model, modulation, bank, x, _ = make_tiny_setup()
-        logits = net.class_score_graph(model, modulation.node, bank.blended, x[:1], "eval")
+        logits = net.score_graph(model, modulation, bank, x[:1], "eval")
         assert logits.shape == (2, 2)
+        assert net.score_graph(model, None, None, x[:3], "eval").shape == (3, 2)
 
 
 class TestCheckpoint:
@@ -122,9 +123,9 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         ckpt.save_checkpoint(path, model, modulation, bank)
         restored = ckpt.load_checkpoint(path)
-        before = net.class_score_graph(model, modulation.node, bank.blended, x, "eval").value
-        after = net.class_score_graph(
-            restored.model, restored.modulation.node, restored.bank.blended, x, "eval"
+        before = net.score_graph(model, modulation, bank, x, "eval").value
+        after = net.score_graph(
+            restored.model, restored.modulation, restored.bank, x, "eval"
         ).value
         np.testing.assert_array_equal(before, after)
 
@@ -145,3 +146,42 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match="version"):
             ckpt.load_checkpoint(path)
+
+
+class TestScoreGraph:
+    def test_without_a_bank_one_unmodulated_row(self, monkeypatch):
+        from modfeat import modulator
+
+        model, modulation, _, x, _ = make_tiny_setup()
+
+        def forbidden(*args):
+            raise AssertionError("modulate called without a bank")
+
+        monkeypatch.setattr(modulator, "modulate", forbidden)
+        logits = net.score_graph(model, modulation, None, x, "eval")
+        plain = model.classifier.forward(model.extractor.forward(x, "eval"))
+        assert logits.value.tobytes() == plain.value.tobytes()
+
+    def test_class_confidence_reads_the_diagonal_or_the_row(self, rng):
+        n, c = 4, 3
+        probs = rng.uniform(size=(n * c, c))
+        blocks = probs.reshape(n, c, c)
+        np.testing.assert_array_equal(
+            net.class_confidence(probs, n, c), np.diagonal(blocks, axis1=1, axis2=2)
+        )
+        np.testing.assert_array_equal(net.class_confidence(probs[:n], n, c), probs[:n])
+
+    def test_class_confidence_rejects_other_row_counts(self, rng):
+        with pytest.raises(ad.DimensionError):
+            net.class_confidence(rng.uniform(size=(8, 3)), 4, 3)
+        with pytest.raises(ad.DimensionError):
+            net.class_confidence(rng.uniform(size=(7, 3)), 2, 3)
+
+    def test_view_bank(self):
+        _, _, bank, _, _ = make_tiny_setup()
+        assert net.view_bank("fm", bank) is bank
+        assert net.view_bank("fixmatch-baseline", bank) is None
+        with pytest.raises(ValueError, match="prototype bank"):
+            net.view_bank("fm", None)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            net.view_bank("baseline", bank)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from modfeat import autodiff as ad
+from modfeat import network as net
 from modfeat import objective as obj
-from modfeat.pseudolabel import PseudoLabelRecord, gate_record
+from modfeat.pseudolabel import PseudoLabelRecord, gate_batch
 from tests.conftest import make_tiny_setup
 
 
@@ -67,25 +68,34 @@ def oracle_total(model, modulation, bank, lx, ly, ux, records, beta, gamma):
     return l_s, l_u, l_d, l_ud, l_s + l_u + beta * l_d + gamma * l_ud
 
 
+def _diag_gap(slog):
+    """Diagonal-gap term of one sample's C x C log-score matrix."""
+    return obj._diag_gap_node(slog, 1, slog.shape[1])
+
+
 class TestSupervisedLoss:
     def test_uniform_classifier_gives_log_c(self):
         for c in (2, 5):
             model, modulation, bank, x, _ = make_tiny_setup(num_classes=c)
             model.classifier.weight.node.value[:] = 0.0
             model.classifier.bias.node.value[:] = 0.0
-            loss, _ = obj.supervised_loss(x[0], 0, model, modulation, bank, mode="eval")
+            loss = obj.total_loss(
+                x[:1], [0], np.empty((0, 3)), [], model, modulation, bank,
+                rng=np.random.default_rng(0),
+            ).l_s
             assert loss.value[0, 0] == pytest.approx(math.log(c), abs=1e-12)
 
     def test_saturated_prediction_drives_loss_to_zero(self):
         model, modulation, bank, x, _ = no_dropout_setup()
         model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
         model.classifier.weight.node.value[:] = 0.0
-        loss, _ = obj.supervised_loss(x[0], 0, model, modulation, bank, mode="eval")
+        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), [], model, modulation, bank).l_s
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_class_case(self):
         model, modulation, bank, x, _ = no_dropout_setup()
-        loss, slog = obj.supervised_loss(x[0], 1, model, modulation, bank, mode="eval")
+        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), [], model, modulation, bank).l_s
+        slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x[:1], "eval"))
         expected = -slog.value[:, 1].mean()
         assert loss.value[0, 0] == pytest.approx(expected, abs=1e-14)
 
@@ -93,53 +103,56 @@ class TestSupervisedLoss:
 class TestDiagMaxLoss:
     def test_zero_when_diagonal_is_column_max(self):
         slog = ad.constant([[-1.0, -3.0], [-2.0, -0.5]])
-        assert obj.diag_max_loss(slog).value[0, 0] == 0.0
+        assert _diag_gap(slog).value[0, 0] == 0.0
 
     def test_hand_case_half(self):
         slog = ad.constant([[-2.0, -1.0], [-1.0, -1.0]])
-        assert obj.diag_max_loss(slog).value[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert _diag_gap(slog).value[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_column_shift_invariance_exact(self):
         base = np.array([[-2.0, -1.0, -4.0], [-1.0, -3.0, -2.0], [-5.0, -2.0, -1.0]])
         shifted = base.copy()
         shifted[:, 1] += 3.0  # integer-valued floats keep this exact
-        a = obj.diag_max_loss(ad.constant(base)).value[0, 0]
-        b = obj.diag_max_loss(ad.constant(shifted)).value[0, 0]
+        a = _diag_gap(ad.constant(base)).value[0, 0]
+        b = _diag_gap(ad.constant(shifted)).value[0, 0]
         assert a == b
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ad.DimensionError):
-            obj.diag_max_loss(ad.constant(np.zeros((2, 3))))
 
     def test_target_is_gradient_stopped(self):
         p = ad.DualParam.create("p", np.array([[-2.0, -1.0], [-1.0, -1.0]]))
-        ad.backward(obj.diag_max_loss(p.node))
+        ad.backward(_diag_gap(p.node))
         # d/ds00 of ((s00 - colmax0)^2 + 0)/2 with colmax frozen at -1
         np.testing.assert_allclose(p.grad, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
 class TestUnsupervisedLoss:
     def test_discarded_record_builds_nothing(self):
-        model, modulation, bank, x, _ = no_dropout_setup()
+        model, modulation, bank, x, y = no_dropout_setup()
         rec = PseudoLabelRecord(label=0, p_max=0.5, sigma=0.2, keep=False, l_scale=0.0)
-        l_u, l_ud = obj.unsupervised_loss(x[0], rec, model, modulation, bank)
+        breakdown = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, modulation, bank)
+        l_u, l_ud = breakdown.l_u, breakdown.l_ud
         assert l_u.value[0, 0] == 0.0 and l_ud.value[0, 0] == 0.0
         assert l_u.parents == () and l_ud.parents == ()
 
     def test_linear_in_scale(self):
-        model, modulation, bank, x, _ = no_dropout_setup()
-        full = gate_record(1, 0.99, 0.0, 0.5)
+        model, modulation, bank, x, y = no_dropout_setup()
+        (full,) = gate_batch([1], [0.99], [0.0], 0.5)
         half = PseudoLabelRecord(1, 0.99, 0.0, True, full.l_scale / 2)
-        lu_full, lud_full = obj.unsupervised_loss(x[0], full, model, modulation, bank, mode="eval")
-        lu_half, lud_half = obj.unsupervised_loss(x[0], half, model, modulation, bank, mode="eval")
-        assert lu_half.value[0, 0] == pytest.approx(lu_full.value[0, 0] / 2, rel=1e-12)
-        assert lud_half.value[0, 0] == pytest.approx(lud_full.value[0, 0] / 2, rel=1e-12)
+
+        def unlabeled_terms(rec):
+            v = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, modulation, bank).values()
+            return v["l_u"], v["l_ud"]
+
+        lu_full, lud_full = unlabeled_terms(full)
+        lu_half, lud_half = unlabeled_terms(half)
+        assert lu_half == pytest.approx(lu_full / 2, rel=1e-12)
+        assert lud_half == pytest.approx(lud_full / 2, rel=1e-12)
 
 
 class TestTotalLoss:
     def _records(self, keeps):
+        (kept,) = gate_batch([0], [0.9], [0.0], 0.5)
         return [
-            gate_record(i % 2, 0.9, 0.0, 0.5) if k
+            kept._replace(label=i % 2) if k
             else PseudoLabelRecord(i % 2, 0.5, 0.3, False, 0.0)
             for i, k in enumerate(keeps)
         ]
@@ -205,7 +218,7 @@ class TestTotalLoss:
 
     def test_matches_straight_line_oracle(self):
         model, modulation, bank, x, y = no_dropout_setup(seed=21)
-        records = [gate_record(1, 0.93, 0.01, 0.75), gate_record(0, 0.97, 0.02, 0.75)]
+        records = gate_batch([1, 0], [0.93, 0.97], [0.01, 0.02], 0.75)
         lx, ly, ux = x[:2], y[:2], x[2:4]
         breakdown = obj.total_loss(
             lx, ly, ux, records, model, modulation, bank, beta=1.0, gamma=0.5
@@ -223,7 +236,7 @@ class TestTotalLoss:
     def test_unlabeled_terms_average_over_all_slots(self):
         # discarded samples count in the denominator, diluting toward zero
         model, modulation, bank, x, y = no_dropout_setup()
-        kept = [gate_record(1, 0.95, 0.0, 0.5)]
+        kept = gate_batch([1], [0.95], [0.0], 0.5)
         padded = kept + [PseudoLabelRecord(0, 0.4, 0.3, False, 0.0)]
         lone = obj.total_loss(
             x[:2], y[:2], x[2:3], kept, model, modulation, bank
@@ -238,7 +251,7 @@ class TestTotalLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, True])
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, None, None, mode="baseline"
+            x[:2], y[:2], x[2:4], records, model, None, None, mode="fixmatch-baseline"
         )
         v = breakdown.values()
         assert v["l_d"] == 0.0 and v["l_ud"] == 0.0
@@ -249,7 +262,8 @@ class TestTotalLoss:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         breakdown = obj.total_loss(
-            x[:2], y[:2], np.empty((0, 3)), [], model, None, None, mode="baseline"
+            x[:2], y[:2], np.empty((0, 3)), [], model, None, None,
+            mode="fixmatch-baseline",
         )
         assert breakdown.values()["l_s"] == pytest.approx(math.log(2), abs=1e-12)
 
@@ -258,16 +272,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             obj.total_loss(x[:2], y[:2], x[2:4], [], model, modulation, bank, mode="hybrid")
 
-    def test_per_sample_ops_consistent_with_batch(self):
+    @pytest.mark.parametrize("mode", ["typo", "baseline"])
+    def test_only_the_shared_mode_names(self, mode):
         model, modulation, bank, x, y = no_dropout_setup()
-        breakdown = obj.total_loss(
-            x[:1], y[:1], np.empty((0, 3)), [], model, modulation, bank
-        )
-        single, slog = obj.supervised_loss(x[0], y[0], model, modulation, bank, mode="train")
-        assert breakdown.values()["l_s"] == pytest.approx(single.value[0, 0], abs=1e-14)
-        assert breakdown.values()["l_d"] == pytest.approx(
-            obj.diag_max_loss(slog).value[0, 0], abs=1e-14
-        )
+        with pytest.raises(ValueError, match="mode must be one of"):
+            obj.total_loss(x[:2], y[:2], x[2:4], [], model, modulation, bank, mode=mode)
 
 
 class TestDiagTargets:
@@ -285,3 +294,15 @@ class TestDiagTargets:
         np.testing.assert_array_equal(mask, np.tile(np.eye(3), (4, 1)))
         assert obj._block_diag_mask(4, 3) is mask
         assert not mask.flags.writeable
+
+
+class TestLabelMask:
+    @pytest.mark.parametrize("n,r,c", [(1, 1, 2), (48, 1, 7), (5, 3, 3), (48, 7, 7)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_index_arrays(self, rng, n, r, c, weighted):
+        picks = rng.integers(0, c, n)
+        weights = rng.uniform(size=n) if weighted else None
+        w = np.ones(n) if weights is None else weights
+        want = np.zeros((n * r, c))
+        want[np.arange(n * r), np.repeat(picks, r)] = np.repeat(w / r, r)
+        assert obj._label_mask(n, r, c, picks, weights).tobytes() == want.tobytes()

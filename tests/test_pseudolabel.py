@@ -51,18 +51,18 @@ class TestConfidenceScale:
 
 class TestGate:
     def test_keep_case(self):
-        rec = pl.gate_record(2, p_max=0.9, sigma=0.05, tau=0.75)
+        (rec,) = pl.gate_batch([2], p_max=[0.9], sigma=[0.05], tau=0.75)
         assert rec.keep
         assert rec.l_scale == pytest.approx(math.exp(0.9**3 - 1.0), abs=1e-15)
         assert rec.l_scale == pytest.approx(0.76262, abs=1e-4)
 
     def test_discard_case(self):
-        rec = pl.gate_record(1, p_max=0.76, sigma=0.02, tau=0.75)
+        (rec,) = pl.gate_batch([1], p_max=[0.76], sigma=[0.02], tau=0.75)
         assert not rec.keep
         assert rec.l_scale == 0.0
 
     def test_strict_inequality(self):
-        rec = pl.gate_record(0, p_max=0.80, sigma=0.05, tau=0.75)
+        (rec,) = pl.gate_batch([0], p_max=[0.80], sigma=[0.05], tau=0.75)
         assert not rec.keep  # 0.75 is not > 0.75
 
     @settings(max_examples=50)
@@ -75,15 +75,17 @@ class TestGate:
     )
     def test_lower_tau_never_keeps_fewer(self, pairs, tau_a, tau_b):
         lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
-        kept_lo = sum(pl.gate_record(0, p, s, lo).keep for p, s in pairs)
-        kept_hi = sum(pl.gate_record(0, p, s, hi).keep for p, s in pairs)
+        labels, p_max, sigma = [0] * len(pairs), *zip(*pairs)
+        kept_lo = sum(r.keep for r in pl.gate_batch(labels, p_max, sigma, lo))
+        kept_hi = sum(r.keep for r in pl.gate_batch(labels, p_max, sigma, hi))
         assert kept_lo >= kept_hi
 
     def test_baseline_gate(self):
-        assert pl.baseline_gate_record(0, 0.96, 0.95).keep
-        assert pl.baseline_gate_record(0, 0.96, 0.95).l_scale == 1.0
-        assert not pl.baseline_gate_record(0, 0.95, 0.95).keep
-        assert pl.baseline_gate_record(0, 0.95, 0.95).l_scale == 0.0
+        above, tie = pl.baseline_gate_batch([0, 0], [0.96, 0.95], 0.95)
+        assert above.keep
+        assert above.l_scale == 1.0
+        assert not tie.keep
+        assert tie.l_scale == 0.0
 
 
 class TestPredictMatrix:
@@ -91,13 +93,13 @@ class TestPredictMatrix:
         model, modulation, bank, x, _ = make_tiny_setup()
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
-        s = pl.predict_matrix(x[0], model, modulation, bank)
+        s = pl.predict_matrices(x[:1], model, modulation, bank)[0]
         np.testing.assert_allclose(s, 0.5, atol=1e-15)
 
     def test_identity_modulation_equal_rows(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        s = pl.predict_matrix(x[0], model, ones, bank)
+        s = pl.predict_matrices(x[:1], model, ones, bank)[0]
         np.testing.assert_allclose(s[0], s[1], atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -107,8 +109,9 @@ class TestPredictMatrix:
 
     def test_shape(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2)
-        assert pl.predict_matrix(x[0], model, modulation, bank).shape == (2, 2)
+        assert pl.predict_matrices(x[:1], model, modulation, bank).shape == (1, 2, 2)
         assert pl.predict_matrices(x[:3], model, modulation, bank).shape == (3, 2, 2)
+        assert pl.predict_matrices(x[:3], model, None, None).shape == (3, 1, 2)
 
 
 class TestPseudoLabel:
@@ -117,8 +120,8 @@ class TestPseudoLabel:
         model.extractor.config = model.extractor.config.__class__(
             input_dim=3, hidden_dims=(5,), feature_dim=4, dropout_p=0.0
         )
-        rec = pl.pseudo_label(
-            x[0], model, modulation, bank, mc_samples=4, tau=0.3,
+        (rec,) = pl.pseudo_label_batch(
+            x[:1], model, modulation, bank, mc_samples=4, tau=0.3,
             rng=np.random.default_rng(0),
         )
         assert rec.sigma == 0.0
@@ -157,12 +160,12 @@ class TestPseudoLabel:
     def test_requires_two_mc_samples(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label(x[0], model, modulation, bank, mc_samples=1)
+            pl.pseudo_label_batch(x[:1], model, modulation, bank, mc_samples=1)
 
     def test_tau_range_checked(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label(x[0], model, modulation, bank, tau=1.5)
+            pl.pseudo_label_batch(x[:1], model, modulation, bank, tau=1.5)
 
 
 def _loop_oracle(u, model, modulation, bank, k, rng):
@@ -209,7 +212,7 @@ class TestBaselinePseudoLabel:
         model, _, _, x, _ = make_tiny_setup()
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
-        rec = pl.baseline_pseudo_label(x[0], model)
+        (rec,) = pl.baseline_pseudo_label_batch(x[:1], model)
         assert not rec.keep and rec.l_scale == 0.0
 
     def test_deterministic_single_pass(self):
@@ -276,8 +279,6 @@ class TestBatchGate:
             for label, p, s in zip(labels.tolist(), p_max.tolist(), sigma.tolist())
         ]
         _same_records(pl.gate_batch(labels, p_max, sigma, tau), want)
-        for row, record in zip(rows, want):
-            _same_records([pl.gate_record(*row, tau)], [record])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,14 +294,10 @@ class TestBatchGate:
             for label, p in zip(labels.tolist(), p_max.tolist())
         ]
         _same_records(pl.baseline_gate_batch(labels, p_max, tau_fixed), want)
-        for row, record in zip(rows, want):
-            _same_records([pl.baseline_gate_record(*row, tau_fixed)], [record])
 
     def test_kept_confidence_above_one_rejected(self):
         with pytest.raises(ParameterError):
             pl.gate_batch(np.array([0, 1]), np.array([0.9, 1.5]), np.zeros(2), 0.75)
-        with pytest.raises(ParameterError):
-            pl.gate_record(0, 1.5, 0.0, 0.75)
         # Dropped rows get no weight, so their confidence is not checked.
         (record,) = pl.gate_batch(np.array([0]), np.array([1.5]), np.array([1.0]), 0.75)
         assert not record.keep and record.l_scale == 0.0

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -60,3 +61,24 @@ def test_fingerprint_rejects_bad_config(tmp_path):
     result = _fingerprint("--config", str(config), "--hidden-dims", "x")
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
+
+
+def test_fingerprint_accuracy_matches_modfeat_train(tmp_path):
+    """Both entry points go through one seed loop: same final accuracy."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY_CONFIG)
+    printed = _fingerprint("--config", str(config), "--seeds", "0", "--epochs", "2")
+    assert printed.returncode == 0, printed.stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for line in printed.stdout.splitlines():
+        mode, seed, acc, _ = line.split()
+        out = tmp_path / mode
+        trained = subprocess.run(
+            [sys.executable, "-m", "modfeat", "train", str(config), "--mode", mode,
+             "--seeds", seed, "--epochs=2", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert trained.returncode == 0, trained.stderr
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["target_acc"] == acc

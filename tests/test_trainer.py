@@ -198,15 +198,15 @@ class TestInferEvaluate:
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
         modulated = trainer.predict(model, ones, bank, x, mode="fm")
-        plain = trainer.predict(model, None, None, x, mode="baseline")
+        plain = trainer.predict(model, None, None, x, mode="fixmatch-baseline")
         np.testing.assert_array_equal(modulated, plain)
 
     def test_uniform_model_breaks_ties_to_class_zero(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2)
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
-        assert trainer.infer(model, modulation, bank, x[0], mode="fm") == 0
-        assert trainer.infer(model, None, None, x[0], mode="baseline") == 0
+        assert trainer.predict(model, modulation, bank, x[:1], mode="fm")[0] == 0
+        assert trainer.predict(model, None, None, x[:1], mode="fixmatch-baseline")[0] == 0
 
     def test_hand_set_two_class_model(self):
         model, modulation, bank, x, _ = make_tiny_setup()
@@ -214,7 +214,7 @@ class TestInferEvaluate:
 
         (slog,) = oracle_forward(model, modulation, bank, x[:1])
         by_hand = int(np.argmax(np.diag(np.exp(slog))))
-        assert trainer.infer(model, modulation, bank, x[0], mode="fm") == by_hand
+        assert trainer.predict(model, modulation, bank, x[:1], mode="fm")[0] == by_hand
 
     def test_evaluate_matches_recount(self, rng):
         model, modulation, bank, x, y = make_tiny_setup(n_per_class=10)
@@ -229,6 +229,20 @@ class TestInferEvaluate:
         assert trainer.evaluate(model, modulation, bank, x, preds, mode="fm") == 1.0
         with pytest.raises(ValueError):
             trainer.evaluate(model, modulation, bank, x[:0], y[:0], mode="fm")
+
+    @pytest.mark.parametrize("mode", ["typo", "baseline", "FM"])
+    def test_unknown_mode_rejected(self, mode):
+        # Any other name used to fall back to the unmodulated argmax.
+        model, modulation, bank, x, y = make_tiny_setup()
+        with pytest.raises(ValueError, match="mode must be one of"):
+            trainer.predict(model, modulation, bank, x, mode)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            trainer.evaluate(model, modulation, bank, x, y, mode)
+
+    def test_fm_needs_a_bank(self):
+        model, modulation, _, x, _ = make_tiny_setup()
+        with pytest.raises(ValueError, match="prototype bank"):
+            trainer.predict(model, modulation, None, x, "fm")
 
     def test_constant_prediction_scores_one_over_c(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2, n_per_class=6)
