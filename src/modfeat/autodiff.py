@@ -16,9 +16,8 @@ only for nodes that require a gradient. It writes ``.grad`` only on
 leaves: an interior node's adjoint lives in a per-call map only until it
 has been passed to the node's parents.
 
-``masked_sum`` fuses the masked reduction c * sum(a * mask) that the
-losses use into one node, with the same arithmetic as the
-``scale(sum_all(mul(a, Node(mask))), c)`` chain.
+The engine holds only the generic ops; the loss terms are nodes of their
+own with hand-written vjps (``objective``).
 """
 
 from __future__ import annotations
@@ -220,15 +219,6 @@ def add(a: Node, b: Node) -> Node:
     return Node(a.value + b.value, (a, b), vjp)
 
 
-def sub(a: Node, b: Node) -> Node:
-    _binary_shapes(a, b, "sub")
-
-    def vjp(g):
-        return g, -g if b.requires_grad else None
-
-    return Node(a.value - b.value, (a, b), vjp)
-
-
 def mul(a: Node, b: Node) -> Node:
     _binary_shapes(a, b, "mul")
     av, bv = a.value, b.value
@@ -251,17 +241,6 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), vjp)
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    if not np.all(np.isfinite(out)):
-        raise ParameterError("exp overflow: input too large")
-
-    def vjp(g):
-        return (g * out,)
-
-    return Node(out, (a,), vjp)
-
-
 def relu(a: Node) -> Node:
     mask = a.value > 0.0
 
@@ -279,25 +258,6 @@ def sum_all(a: Node) -> Node:
         return (np.full((rows, cols), g[0, 0]),)
 
     return Node(np.array([[a.value.sum()]]), (a,), vjp)
-
-
-def masked_sum(a: Node, mask: np.ndarray, c: float) -> Node:
-    """c * sum(a * mask) as one 1x1 node; ``mask`` is a constant array.
-
-    Forward and vjp do the multiplications, sum and scale of the
-    ``scale(sum_all(mul(a, Node(mask))), c)`` chain in the same order,
-    so values and adjoints are bit for bit those of the chain.
-    """
-    if mask.shape != a.value.shape:
-        raise DimensionError(
-            f"masked_sum: mask {mask.shape} does not match {a.value.shape}"
-        )
-    c = float(c)
-
-    def vjp(g):
-        return (np.full(mask.shape, (g * c)[0, 0]) * mask,)
-
-    return Node(np.array([[(a.value * mask).sum()]]) * c, (a,), vjp)
 
 
 def row_max(a: np.ndarray) -> np.ndarray:

@@ -76,26 +76,19 @@ def load_checkpoint(path) -> Checkpoint:
             feature_dim=int(data("meta.feature_dim")[0]),
             dropout_p=float(data("meta.dropout_p")[0]),
         )
-        n_layers = len(cfg.hidden_dims) + 1 if cfg.hidden_dims else 0
-        weights, biases = [], []
-        for i in range(n_layers):
-            weights.append(
-                DualParam.create(
-                    f"extractor.{i}.weight", data(f"param.extractor.{i}.weight")
-                )
-            )
-            biases.append(
-                DualParam.create(
-                    f"extractor.{i}.bias", data(f"param.extractor.{i}.bias")
-                )
-            )
+
+        def param(name: str) -> DualParam:
+            return DualParam.create(name, data(f"param.{name}"))
+
+        layers = range(len(cfg.hidden_dims) + 1 if cfg.hidden_dims else 0)
         model = Model(
-            extractor=Extractor(config=cfg, weights=weights, biases=biases),
+            extractor=Extractor(
+                config=cfg,
+                weights=[param(f"extractor.{i}.weight") for i in layers],
+                biases=[param(f"extractor.{i}.bias") for i in layers],
+            ),
             classifier=Classifier(
-                weight=DualParam.create(
-                    "classifier.weight", data("param.classifier.weight")
-                ),
-                bias=DualParam.create("classifier.bias", data("param.classifier.bias")),
+                weight=param("classifier.weight"), bias=param("classifier.bias")
             ),
         )
         modulation = None

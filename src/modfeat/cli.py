@@ -76,21 +76,21 @@ def run_seeds(
     Each seed builds its data (or reuses ``dataset``, a loaded CSV) and
     its split, trains into ``out_dir/seed_<seed>`` when ``out_dir`` is
     given, and measures the modulator gap where it is defined: an
-    identity extractor on data whose signal and noise dimensions are
-    known. If a seed's training aborts, its diagnostics are written to
-    its run directory and ``TrainingAborted`` is raised again, naming
-    the seed.
+    identity extractor on data with known, non-empty signal and noise
+    dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError`` or
+    ``DegeneratePrototypeError``), its diagnostics are written to its run
+    directory and ``TrainingAborted`` is raised, naming the seed.
     """
     runs = []
     for seed in config.seeds:
-        data = dataset if dataset is not None else _build_dataset(config, seed)
-        plan = dat.SplitPlan(
-            target_domain=config.data.target_domain,
-            labels_per_class=config.data.labels_per_class,
-            seed=seed,
-        )
         run_dir = None if out_dir is None else Path(out_dir) / f"seed_{seed}"
         try:
+            data = dataset if dataset is not None else _build_dataset(config, seed)
+            plan = dat.SplitPlan(
+                target_domain=config.data.target_domain,
+                labels_per_class=config.data.labels_per_class,
+                seed=seed,
+            )
             result = trn.train(
                 data,
                 plan,
@@ -102,17 +102,23 @@ def run_seeds(
                 dump_modulator=config.output.dump_modulator,
                 dump_pseudo_labels=config.output.dump_pseudo_labels,
             )
-        except trn.TrainingAborted as err:
+        except (
+            trn.TrainingAborted, dat.GenerationError, DegeneratePrototypeError
+        ) as err:
+            diagnostics = getattr(
+                err, "diagnostics", {"error": type(err).__name__, "message": str(err)}
+            )
             where = ""
             if run_dir is not None:
+                run_dir.mkdir(parents=True, exist_ok=True)
                 dump_path = run_dir / "abort_diagnostics.json"
-                dump_path.write_text(json.dumps(err.diagnostics, indent=2))
+                dump_path.write_text(json.dumps(diagnostics, indent=2))
                 where = f" (diagnostics in {dump_path})"
             raise trn.TrainingAborted(
-                f"seed {seed}: {err}{where}", err.diagnostics
+                f"seed {seed}: {err}{where}", diagnostics
             ) from None
         gap = None
-        if not config.model.hidden_dims and data.signal_dims is not None:
+        if not config.model.hidden_dims and data.signal_dims and data.noise_dims:
             gap = met.modulator_gap(
                 result.modulation.values, data.signal_dims, data.noise_dims
             )
@@ -151,8 +157,7 @@ def cmd_train(args, extras) -> int:
     write_resolved(config, out_dir / "config.resolved.ini")
     try:
         runs = run_seeds(config, csv_data, out_dir)
-    except (trn.TrainingAborted, dat.GenerationError, DegeneratePrototypeError) as err:
-        # Runs that fail part way: data generation or the prototypes give out.
+    except trn.TrainingAborted as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -161,15 +166,8 @@ def cmd_train(args, extras) -> int:
         writer.writerow(["seed", "target_acc", "keep_rate", "pl_acc", "modulator_gap"])
         for seed, result, gap in runs:
             final = result.reports[-1]
-            writer.writerow(
-                [
-                    seed,
-                    repr(final.target_accuracy),
-                    repr(final.keep_rate),
-                    "" if final.pl_accuracy is None else repr(final.pl_accuracy),
-                    "" if gap is None else repr(gap),
-                ]
-            )
+            row = (final.target_accuracy, final.keep_rate, final.pl_accuracy, gap)
+            writer.writerow([seed, *("" if v is None else repr(v) for v in row)])
 
     gaps = [run.modulator_gap for run in runs if run.modulator_gap is not None]
     summary = met.aggregate(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -64,9 +64,7 @@ class RunConfig:
     seeds: tuple = (0,)
 
     def train_config_for_seed(self, seed: int) -> TrainConfig:
-        kwargs = {f.name: getattr(self.train, f.name) for f in dc_fields(TrainConfig)}
-        kwargs["seed"] = seed
-        return TrainConfig(**kwargs)
+        return replace(self.train, seed=seed)
 
 
 def _parse_hidden_dims(text: str) -> tuple:

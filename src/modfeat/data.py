@@ -91,10 +91,6 @@ class Split:
     test_y: np.ndarray
     source_domains: tuple
 
-    @property
-    def num_source_domains(self) -> int:
-        return len(self.source_domains)
-
 
 def check_synthetic(
     num_classes: int,
@@ -435,9 +431,7 @@ class BatchIterator:
             len(split_data.unlabeled_x), np.random.default_rng(rng.integers(2**63))
         )
         n_u = len(split_data.unlabeled_x)
-        self.unlabeled_per_batch = (
-            split_data.num_source_domains * per_domain_unlabeled
-        )
+        self.unlabeled_per_batch = len(split_data.source_domains) * per_domain_unlabeled
         self.batches_per_epoch = -(-n_u // self.unlabeled_per_batch)
 
     def epoch(self) -> Iterator[Batch]:

@@ -45,9 +45,9 @@ def modulator_gap(
     correspond to known input roles (synthetic data, coordinate-
     preserving extractor).
     """
-    if signal_dims is None or noise_dims is None:
+    if not signal_dims or not noise_dims:
         raise UnsupportedDiagnosticError(
-            "dimension roles unknown; the gap diagnostic needs synthetic data"
+            "dimension roles unknown or empty; the gap needs signal and noise dims"
         )
     weights = np.asarray(weights)
     return float(

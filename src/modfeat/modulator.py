@@ -78,10 +78,6 @@ class ModulationMatrix:
     def values(self) -> np.ndarray:
         return self.param.value
 
-    @property
-    def shape(self) -> tuple:
-        return self.param.value.shape
-
 
 def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
     """Blend each instance feature row toward every class anchor.

@@ -21,11 +21,14 @@ kept or not, so discarded samples dilute the unsupervised terms toward
 zero. The fixed-threshold baseline is the same loss on the unmodulated
 R = 1 view: one log-score row per sample, so l_s and l_u are plain
 negative log-likelihoods and the diagonal terms do not exist (zero).
+
+Each view's terms are two graph nodes on its log-scores, each with a
+hand-written vjp that reads and writes only the entries it uses: the
+picked entries (label term) and the n*C diagonal entries (gap term).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,8 +52,9 @@ class LossBreakdown:
     total: Node
     beta: float
     gamma: float
-    # Gradient-stopped targets actually used for the diagonal-gap terms,
-    # keyed "labeled"/"unlabeled". A finite-difference check of the loss
+    # Gradient-stopped targets actually used for the diagonal-gap terms:
+    # (n, C) column maxima, keyed "labeled"/"unlabeled" (None where a view
+    # has no gap term). A finite-difference check of the loss
     # must re-feed these, otherwise the difference quotient sees the
     # targets move while the analytic gradient (correctly) does not.
     diag_targets: dict = None
@@ -69,62 +73,59 @@ def _zero() -> Node:
     return Node(np.zeros((1, 1)))
 
 
-@functools.lru_cache(maxsize=32)
-def _block_diag_mask(n: int, num_classes: int) -> np.ndarray:
-    """(n*C x C) stack of C x C identities; cached, so read-only."""
-    mask = np.tile(np.eye(num_classes), (n, 1))
-    mask.setflags(write=False)
-    return mask
+def _label_node(slog: Node, n: int, picks, weights, denom: int) -> Node:
+    """-(1/denom) * sum_i (w_i / R) * sum_r slog[i*R + r, pick_i].
 
-
-def _label_mask(
-    n: int, rows_per_sample: int, num_classes: int, picks, weights=None
-) -> np.ndarray:
-    """Mask selecting column picks[i] in all R rows of sample i.
-
-    Each row gets weight w_i / R, so masked-sum equals the per-sample
-    mean over score rows of the picked class's log-score, weighted.
+    Reads only the n*R picked entries. ``weights`` None means w_i = 1.
+    The vjp writes (g * -1/denom) * (w_i / R) into them: the products of
+    the dense-mask formulation, so adjoints match it bit for bit.
     """
-    r = rows_per_sample
-    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)[:, None]
-    mask = np.zeros((n, r, num_classes))
-    mask[np.arange(n), :, np.asarray(picks, dtype=np.int64)] = w / r
-    return mask.reshape(n * r, num_classes)
+    rows, c = slog.value.shape
+    r = rows // n
+    at = (np.arange(n), slice(None), np.asarray(picks, dtype=np.int64))
+    w = (1.0 if weights is None else np.asarray(weights, float)[:, None]) / r
+    scale = -1.0 / denom
+
+    def vjp(g):
+        out = np.zeros((rows, c))
+        out.reshape(n, r, c)[at] = (g * scale)[0, 0] * w
+        return (out,)
+
+    picked = slog.value.reshape(n, r, c)[at]
+    return Node(np.array([[(picked * w).sum() * scale]]), (slog,), vjp)
 
 
 def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarray:
-    """Per-sample column maxima placed at the diagonal positions.
+    """(n, C) column maxima of each sample's C x C log-score block.
 
-    Evaluated from the current values and embedded as a constant, so no
-    gradient flows through the target side of the gap. The maxima come
-    from a (C, n, C) copy reduced along its outer axis, like
-    ``autodiff.row_max``; entry (i*C + c, c) is every (C+1)-th entry of
-    sample i's C*C block, so they are written through a strided view.
+    Taken from the current values and held as a constant, so no gradient
+    flows through the target side of the gap. The maxima come from a
+    (C, n, C) copy reduced along its outer axis, like ``autodiff.row_max``.
     """
     cube = slog_value.reshape(n, num_classes, num_classes).transpose(1, 0, 2)
-    colmax = np.ascontiguousarray(cube).max(axis=0)
-    target = np.zeros((n * num_classes, num_classes))
-    target.reshape(n, num_classes * num_classes)[:, :: num_classes + 1] = colmax
-    return target
+    return np.ascontiguousarray(cube).max(axis=0)
 
 
-def _diag_gap_node(
-    slog: Node, n: int, num_classes: int, weights=None, target=None
-) -> Node:
-    """sum over samples of (optional weight) * MSE(diagonal, column max)."""
-    if target is None:
-        target = _diag_targets(slog.value, n, num_classes)
-    gap = ad.mul(
-        ad.sub(slog, Node(target)),
-        Node(_block_diag_mask(n, num_classes)),
-    )
-    sq = ad.mul(gap, gap)
-    if weights is None:
-        return ad.scale(ad.sum_all(sq), 1.0 / num_classes)
-    w = np.repeat(np.asarray(weights, dtype=np.float64), num_classes)
-    return ad.masked_sum(
-        sq, _block_diag_mask(n, num_classes) * w[:, None], 1.0 / num_classes
-    )
+def _gap_node(slog: Node, n: int, weights, denom: int, target: np.ndarray) -> Node:
+    """(1/denom) * sum_i w_i * mean_c (slog[i*C + c, c] - target[i, c])**2.
+
+    Reads only the n*C diagonal entries; ``target`` is gradient-stopped.
+    With d = diagonal - target and k = ((g / denom) / C), the vjp writes
+    2 * ((k * w_i) * d) into the diagonal, as the dense formulation does.
+    """
+    rows, c = slog.value.shape
+    diag = (slice(None), slice(None, None, c + 1))  # of the (n, C*C) reshape
+    d = slog.value.reshape(n, c * c)[diag] - target
+    w = 1.0 if weights is None else np.asarray(weights, float)[:, None]
+
+    def vjp(g):
+        kd = (((g * (1.0 / denom)) * (1.0 / c))[0, 0] * w) * d
+        out = np.zeros((rows, c))
+        out.reshape(n, c * c)[diag] = kd + kd
+        return (out,)
+
+    value = (w * (d * d)).sum() * (1.0 / c) * (1.0 / denom)
+    return Node(np.array([[value]]), (slog,), vjp)
 
 
 def _view_terms(
@@ -142,20 +143,18 @@ def _view_terms(
 
     Returns (label term, gap term, gap target). The label term is the
     weighted mean over each sample's R score rows of the picked class's
-    negative log-score; the gap term and its target exist only when the
-    view is modulated (R = C), and ``target`` re-feeds a frozen one.
+    negative log-score; the gap term and its (n, C) target exist only
+    when the view is modulated (R = C), and ``target`` re-feeds a frozen
+    one.
     """
     n = x.shape[0]
     slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x, "train", rng))
-    rows, c = slog.value.shape
-    r = rows // n
-    label = ad.masked_sum(slog, _label_mask(n, r, c, picks, weights), -1.0 / denom)
+    label = _label_node(slog, n, picks, weights, denom)
     if bank is None:
         return label, _zero(), None
     if target is None:
-        target = _diag_targets(slog.value, n, c)
-    gap = _diag_gap_node(slog, n, c, weights=weights, target=target)
-    return label, ad.scale(gap, 1.0 / denom), target
+        target = _diag_targets(slog.value, n, slog.value.shape[1])
+    return label, _gap_node(slog, n, weights, denom, target), target
 
 
 def total_loss(
@@ -191,7 +190,7 @@ def total_loss(
         None, n_l, rng, frozen.get("labeled"),
     )
     kept = [i for i, r in enumerate(records) if r.keep]
-    if n_u == 0 or not kept:
+    if not kept:
         l_u, l_ud, used_targets["unlabeled"] = _zero(), _zero(), None
     else:
         l_u, l_ud, used_targets["unlabeled"] = _view_terms(

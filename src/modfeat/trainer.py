@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,8 +37,9 @@ METRICS_HEADER = (
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a step produces a non-finite loss, or an epoch ends with
-    non-finite parameters or prototypes."""
+    """Raised when a numpy op overflows or yields an invalid value, a step
+    produces a non-finite loss, or an epoch ends with non-finite
+    parameters or prototypes."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -98,21 +100,8 @@ class EpochReport:
     lr: float
 
     def csv_row(self) -> str:
-        pl = "" if self.pl_accuracy is None else repr(self.pl_accuracy)
-        return ",".join(
-            [
-                str(self.epoch),
-                repr(self.l_s),
-                repr(self.l_u),
-                repr(self.l_d),
-                repr(self.l_ud),
-                repr(self.total),
-                repr(self.keep_rate),
-                pl,
-                repr(self.target_accuracy),
-                repr(self.lr),
-            ]
-        )
+        """The fields in METRICS_HEADER order; an absent pl_accuracy is empty."""
+        return ",".join("" if v is None else repr(v) for v in astuple(self))
 
 
 @dataclass
@@ -192,6 +181,21 @@ def evaluate(
     return float((predict(model, modulation, bank, x, mode) == np.asarray(y)).mean())
 
 
+@contextmanager
+def _float_errors_abort(where):
+    """Raise numpy's overflow, invalid and divide errors inside the block,
+    each as ``TrainingAborted`` at ``where()``, the (epoch, step) reached."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as err:
+            epoch, step = where()
+            raise TrainingAborted(
+                f"non-finite value at epoch {epoch} step {step}: {err}",
+                {"epoch": epoch, "step": step, "error": str(err)},
+            ) from None
+
+
 def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -217,168 +221,174 @@ def train(
     views are pseudo-labeled from the current model, the four-term loss
     is built on weak labeled plus strong unlabeled views, and SGD steps
     with cosine-annealed rates; (3) the bank is refreshed from the
-    updated model and target metrics are recorded.
+    updated model and target metrics are recorded. Any numpy overflow,
+    invalid or divide error on the way aborts the run (``TrainingAborted``).
     """
     baseline = config.mode == "fixmatch-baseline"
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
 
-    ss = np.random.SeedSequence(config.seed)
-    init_rng, batch_seed_rng, aug_rng, mc_rng, drop_rng = (
-        np.random.default_rng(child) for child in ss.spawn(5)
-    )
-
-    split_data = split(dataset, plan)
-    augmenter = Augmenter.fit(split_data.unlabeled_x)
-    extractor_cfg = ExtractorConfig(
-        input_dim=dataset.input_dim,
-        hidden_dims=tuple(hidden_dims),
-        feature_dim=feature_dim,
-        dropout_p=config.dropout_p,
-    )
-    model = Model.init(extractor_cfg, dataset.num_classes, init_rng)
-
-    if baseline:
-        modulation = ModulationMatrix.ones(dataset.num_classes, feature_dim)
-        bank = None
-    else:
-        labeled_feats = _eval_features(model, split_data.labeled_x)
-        modulation = ModulationMatrix.from_values(
-            variance_init(labeled_feats, split_data.labeled_y, dataset.num_classes)
-        )
-        bank = build_bank(
-            labeled_feats, split_data.labeled_y, dataset.num_classes, epoch=0
+    epoch = step = 0
+    with _float_errors_abort(lambda: (epoch, step)):
+        ss = np.random.SeedSequence(config.seed)
+        init_rng, batch_seed_rng, aug_rng, mc_rng, drop_rng = (
+            np.random.default_rng(child) for child in ss.spawn(5)
         )
 
-    iterator = BatchIterator(
-        split_data,
-        config.per_domain_labeled,
-        config.per_domain_unlabeled,
-        seed=int(batch_seed_rng.integers(2**63)),
-    )
-    total_steps = config.epochs * iterator.batches_per_epoch
-    opt_main = SGD(model.params(), config.momentum)
-    opt_mod = None if baseline else SGD([modulation.param], config.momentum)
+        split_data = split(dataset, plan)
+        augmenter = Augmenter.fit(split_data.unlabeled_x)
+        extractor_cfg = ExtractorConfig(
+            input_dim=dataset.input_dim,
+            hidden_dims=tuple(hidden_dims),
+            feature_dim=feature_dim,
+            dropout_p=config.dropout_p,
+        )
+        model = Model.init(extractor_cfg, dataset.num_classes, init_rng)
 
-    reports: list[EpochReport] = []
-    pl_log_rows: list[str] = []
-    best_acc = -1.0
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
-        epoch_records: list[pseudolabel.PseudoLabelRecord] = []
-        epoch_truths: list[int] = []
-        lr_now = cosine_lr(config.lr_main, step, total_steps)
-        for batch in iterator.epoch():
-            weak_labeled = augmenter.weak(batch.labeled_x, aug_rng)
-            weak_unlabeled = augmenter.weak(batch.unlabeled_x, aug_rng)
-            strong_unlabeled = augmenter.strong(batch.unlabeled_x, aug_rng)
-            if baseline:
-                records = pseudolabel.baseline_pseudo_label_batch(weak_unlabeled, model)
-            else:
-                records = pseudolabel.pseudo_label_batch(
-                    weak_unlabeled,
+        if baseline:
+            modulation = ModulationMatrix.ones(dataset.num_classes, feature_dim)
+            bank = None
+        else:
+            labeled_feats = _eval_features(model, split_data.labeled_x)
+            modulation = ModulationMatrix.from_values(
+                variance_init(labeled_feats, split_data.labeled_y, dataset.num_classes)
+            )
+            bank = build_bank(
+                labeled_feats, split_data.labeled_y, dataset.num_classes, epoch=0
+            )
+
+        iterator = BatchIterator(
+            split_data,
+            config.per_domain_labeled,
+            config.per_domain_unlabeled,
+            seed=int(batch_seed_rng.integers(2**63)),
+        )
+        total_steps = config.epochs * iterator.batches_per_epoch
+        opt_main = SGD(model.params(), config.momentum)
+        opt_mod = None if baseline else SGD([modulation.param], config.momentum)
+
+        reports: list[EpochReport] = []
+        pl_log_rows: list[str] = []
+        best_acc = -1.0
+        for epoch in range(1, config.epochs + 1):
+            sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
+            epoch_records: list[pseudolabel.PseudoLabelRecord] = []
+            epoch_truths: list[int] = []
+            lr_now = cosine_lr(config.lr_main, step, total_steps)
+            for batch in iterator.epoch():
+                weak_labeled = augmenter.weak(batch.labeled_x, aug_rng)
+                weak_unlabeled = augmenter.weak(batch.unlabeled_x, aug_rng)
+                strong_unlabeled = augmenter.strong(batch.unlabeled_x, aug_rng)
+                if baseline:
+                    records = pseudolabel.baseline_pseudo_label_batch(
+                        weak_unlabeled, model
+                    )
+                else:
+                    records = pseudolabel.pseudo_label_batch(
+                        weak_unlabeled,
+                        model,
+                        modulation,
+                        bank,
+                        config.mc_samples,
+                        config.tau,
+                        mc_rng,
+                    )
+                breakdown = objective.total_loss(
+                    weak_labeled,
+                    batch.labeled_y,
+                    strong_unlabeled,
+                    records,
                     model,
                     modulation,
                     bank,
-                    config.mc_samples,
-                    config.tau,
-                    mc_rng,
+                    beta=config.beta,
+                    gamma=config.gamma,
+                    rng=drop_rng,
+                    mode=config.mode,
                 )
-            breakdown = objective.total_loss(
-                weak_labeled,
-                batch.labeled_y,
-                strong_unlabeled,
-                records,
+                values = breakdown.values()
+                if not all(math.isfinite(v) for v in values.values()):
+                    raise TrainingAborted(
+                        f"non-finite loss at epoch {epoch} step {step}",
+                        {"epoch": epoch, "step": step, **values},
+                    )
+                opt_main.zero_grads()
+                if opt_mod is not None:
+                    opt_mod.zero_grads()
+                ad.backward(breakdown.total)
+                lr_now = cosine_lr(config.lr_main, step, total_steps)
+                opt_main.step(lr_now)
+                if opt_mod is not None:
+                    opt_mod.step(cosine_lr(config.lr_modulator, step, total_steps))
+                step += 1
+                for key in sums:
+                    sums[key] += values[key]
+                epoch_records.extend(records)
+                epoch_truths.extend(batch.unlabeled_truth.tolist())
+                if dump_pseudo_labels:
+                    for idx, rec, truth in zip(
+                        batch.unlabeled_idx, records, batch.unlabeled_truth
+                    ):
+                        pl_log_rows.append(
+                            f"{epoch},{idx},{rec.label},{rec.p_max!r},{rec.sigma!r},"
+                            f"{int(rec.keep)},{rec.l_scale!r},{truth}"
+                        )
+
+            if not baseline:
+                bank = build_bank(
+                    _eval_features(model, split_data.labeled_x),
+                    split_data.labeled_y,
+                    dataset.num_classes,
+                    epoch=epoch,
+                )
+            # A last step can leave weights, or prototypes, that are not finite
+            # and that no loss has seen yet.
+            arrays = [p.value for p in model.params()] + [modulation.values]
+            if bank is not None:
+                arrays.append(bank.blended)
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise TrainingAborted(
+                    f"non-finite parameters or prototypes after epoch {epoch}",
+                    {"epoch": epoch, "step": step},
+                )
+            target_acc = evaluate(
                 model,
                 modulation,
                 bank,
-                beta=config.beta,
-                gamma=config.gamma,
-                rng=drop_rng,
+                split_data.test_x,
+                split_data.test_y,
                 mode=config.mode,
             )
-            values = breakdown.values()
-            if not all(math.isfinite(v) for v in values.values()):
-                raise TrainingAborted(
-                    f"non-finite loss at epoch {epoch} step {step}",
-                    {"epoch": epoch, "step": step, **values},
+            n_batches = iterator.batches_per_epoch
+            reports.append(
+                EpochReport(
+                    epoch=epoch,
+                    l_s=sums["l_s"] / n_batches,
+                    l_u=sums["l_u"] / n_batches,
+                    l_d=sums["l_d"] / n_batches,
+                    l_ud=sums["l_ud"] / n_batches,
+                    total=sums["total"] / n_batches,
+                    keep_rate=met.keep_rate(epoch_records),
+                    pl_accuracy=met.pl_accuracy(epoch_records, epoch_truths),
+                    target_accuracy=target_acc,
+                    lr=lr_now,
                 )
-            opt_main.zero_grads()
-            if opt_mod is not None:
-                opt_mod.zero_grads()
-            ad.backward(breakdown.total)
-            lr_now = cosine_lr(config.lr_main, step, total_steps)
-            opt_main.step(lr_now)
-            if opt_mod is not None:
-                opt_mod.step(cosine_lr(config.lr_modulator, step, total_steps))
-            step += 1
-            for key in sums:
-                sums[key] += values[key]
-            epoch_records.extend(records)
-            epoch_truths.extend(batch.unlabeled_truth.tolist())
-            if dump_pseudo_labels:
-                for idx, rec, truth in zip(
-                    batch.unlabeled_idx, records, batch.unlabeled_truth
-                ):
-                    pl_log_rows.append(
-                        f"{epoch},{idx},{rec.label},{rec.p_max!r},{rec.sigma!r},"
-                        f"{int(rec.keep)},{rec.l_scale!r},{truth}"
+            )
+            if run_dir is not None:
+                if target_acc > best_acc:
+                    best_acc = target_acc
+                    save_checkpoint(
+                        run_dir / "checkpoint_best.npz", model, modulation, bank
                     )
-
-        if not baseline:
-            bank = build_bank(
-                _eval_features(model, split_data.labeled_x),
-                split_data.labeled_y,
-                dataset.num_classes,
-                epoch=epoch,
-            )
-        # A last step can leave weights, or prototypes, that are not finite
-        # and that no loss has seen yet.
-        arrays = [p.value for p in model.params()] + [modulation.values]
-        if bank is not None:
-            arrays.append(bank.blended)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise TrainingAborted(
-                f"non-finite parameters or prototypes after epoch {epoch}",
-                {"epoch": epoch, "step": step},
-            )
-        target_acc = evaluate(
-            model,
-            modulation,
-            bank,
-            split_data.test_x,
-            split_data.test_y,
-            mode=config.mode,
-        )
-        n_batches = iterator.batches_per_epoch
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                l_s=sums["l_s"] / n_batches,
-                l_u=sums["l_u"] / n_batches,
-                l_d=sums["l_d"] / n_batches,
-                l_ud=sums["l_ud"] / n_batches,
-                total=sums["total"] / n_batches,
-                keep_rate=met.keep_rate(epoch_records),
-                pl_accuracy=met.pl_accuracy(epoch_records, epoch_truths),
-                target_accuracy=target_acc,
-                lr=lr_now,
-            )
-        )
-        if run_dir is not None:
-            if target_acc > best_acc:
-                best_acc = target_acc
-                save_checkpoint(run_dir / "checkpoint_best.npz", model, modulation, bank)
-            if dump_sar and bank is not None:
-                _dump_matrix(run_dir / f"prototypes_epoch{epoch}.csv", bank.prototypes)
-                _dump_matrix(run_dir / f"similarity_epoch{epoch}.csv", bank.similarity)
-                _dump_matrix(run_dir / f"blended_epoch{epoch}.csv", bank.blended)
-            if dump_modulator:
-                _dump_matrix(
-                    run_dir / f"modulator_epoch{epoch}.csv", modulation.values
-                )
+                if dump_sar and bank is not None:
+                    _dump_matrix(run_dir / f"prototypes_epoch{epoch}.csv", bank.prototypes)
+                    _dump_matrix(run_dir / f"similarity_epoch{epoch}.csv", bank.similarity)
+                    _dump_matrix(run_dir / f"blended_epoch{epoch}.csv", bank.blended)
+                if dump_modulator:
+                    _dump_matrix(
+                        run_dir / f"modulator_epoch{epoch}.csv", modulation.values
+                    )
 
     if run_dir is not None:
         with open(run_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -155,6 +156,11 @@ class TestCli:
         hidden = {"epochs": "1", "seeds": "0", "hidden_dims": "6"}
         assert cli.run_seeds(load_config(mini_config, hidden))[0].modulator_gap is None
 
+    def test_no_gap_without_noise_dims(self, mini_config):
+        # No noise columns to compare: the gap is undefined, not a nan mean.
+        overrides = {"epochs": "1", "seeds": "0", "noise_dim": "0", "feature_dim": "4"}
+        assert cli.run_seeds(load_config(mini_config, overrides))[0].modulator_gap is None
+
     def test_resolved_config_reproduces_run(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
@@ -236,18 +242,43 @@ class TestCli:
         )
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_prototypes_abort_with_exit_1(self, mini_config, tmp_path, capsys):
-        # This learning rate blows the hidden features up within one epoch:
-        # the weights stay finite, the refreshed prototypes do not.
+    def _abort(self, tmp_path, capsys, *overrides):
         config = tmp_path / "tiny.ini"
         config.write_text(TINY_CONFIG)
-        args = ["train", str(config), "--hidden_dims=4,5", "--lr_main=1.0",
-                "--out", str(tmp_path / "out")]
+        args = ["train", str(config), *overrides, "--out", str(tmp_path / "out")]
         assert cli.main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: seed 0: non-finite") and "Traceback" not in err
-        assert (tmp_path / "out" / "seed_0" / "abort_diagnostics.json").is_file()
+        assert err.startswith("error: seed 0: ") and "Traceback" not in err
+        dump = (tmp_path / "out" / "seed_0" / "abort_diagnostics.json").read_text()
+        return err, json.loads(dump)
+
+    def test_non_finite_prototypes_abort_with_exit_1(self, tmp_path, capsys):
+        # This learning rate blows the hidden features up within one epoch.
+        err, dump = self._abort(tmp_path, capsys, "--hidden_dims=4,5", "--lr_main=1.0")
+        assert err.startswith("error: seed 0: non-finite")
+        assert dump["epoch"] == 1
+
+    def test_overflow_aborts_where_it_starts(self, tmp_path, capsys):
+        # Far-apart classes overflow the diagonal gap within a few steps; the
+        # run stops at that op, before numpy warns (warnings fail the suite).
+        err, dump = self._abort(tmp_path, capsys, "--class_sep=100")
+        assert err.startswith("error: seed 0: non-finite value at epoch 1 step ")
+        assert "overflow" in dump["error"] and dump["step"] >= 0
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # Dead ReLU features leave an all-zero prototype.
+            (["--hidden_dims=1"], "prototype 0 has zero norm"),
+            # Eight classes do not fit 2.0 apart on one signal dimension.
+            (["--num_classes=8", "--signal_dim=1", "--noise_dim=3"], "could not draw"),
+        ],
+    )
+    def test_every_abort_names_the_seed_and_writes_diagnostics(
+        self, tmp_path, capsys, overrides, message
+    ):
+        _, dump = self._abort(tmp_path, capsys, *overrides)
+        assert message in dump["message"]
 
     def test_gen_data_then_eval(self, mini_config, tmp_path):
         csv_path = tmp_path / "ds.csv"
@@ -428,7 +459,6 @@ _overrides = st.lists(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large learning rates diverge
 @settings(max_examples=60, deadline=None)
 @given(_overrides)
 def test_train_overrides_fuzz(overrides):

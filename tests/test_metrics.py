@@ -92,6 +92,10 @@ class TestModulatorGap:
         with pytest.raises(met.UnsupportedDiagnosticError):
             met.modulator_gap(np.ones((2, 4)), None, None)
 
+    def test_no_noise_dims_is_unsupported_not_nan(self):
+        with pytest.raises(met.UnsupportedDiagnosticError):
+            met.modulator_gap(np.ones((2, 4)), (0, 1, 2, 3), ())
+
 
 class TestAggregate:
     def test_single_seed_zero_std(self):

@@ -82,7 +82,7 @@ def _dense_modulate(features, anchors, weights):
     ones = ad.constant(np.ones((n * num_classes, feat)))
     return ad.add(
         ad.mul(tiled_weights, replicated),
-        ad.mul(ad.sub(ones, tiled_weights), tiled_anchors),
+        ad.mul(ad.add(ones, ad.scale(tiled_weights, -1.0)), tiled_anchors),
     )
 
 

@@ -70,7 +70,7 @@ def oracle_total(model, modulation, bank, lx, ly, ux, records, beta, gamma):
 
 def _diag_gap(slog):
     """Diagonal-gap term of one sample's C x C log-score matrix."""
-    return obj._diag_gap_node(slog, 1, slog.shape[1])
+    return obj._gap_node(slog, 1, None, 1, obj._diag_targets(slog.value, 1, slog.shape[1]))
 
 
 class TestSupervisedLoss:
@@ -282,27 +282,108 @@ class TestTotalLoss:
 class TestDiagTargets:
     @pytest.mark.parametrize("n,c", [(1, 2), (5, 3), (48, 7)])
     def test_strided_write_matches_index_arrays(self, rng, n, c):
+        # (n, C) column maxima of each sample's C x C block
         slog = rng.normal(size=(n * c, c))
-        colmax = slog.reshape(n, c, c).max(axis=1)
-        want = np.zeros((n * c, c))
-        want[np.arange(n * c), np.tile(np.arange(c), n)] = colmax.reshape(-1)
+        want = np.array([slog[i * c:(i + 1) * c].max(axis=0) for i in range(n)])
         got = obj._diag_targets(slog, n, c)
-        assert got.tobytes() == want.tobytes()
-
-    def test_block_diag_mask_is_cached_read_only(self):
-        mask = obj._block_diag_mask(4, 3)
-        np.testing.assert_array_equal(mask, np.tile(np.eye(3), (4, 1)))
-        assert obj._block_diag_mask(4, 3) is mask
-        assert not mask.flags.writeable
+        assert got.shape == (n, c) and got.tobytes() == want.tobytes()
 
 
 class TestLabelMask:
     @pytest.mark.parametrize("n,r,c", [(1, 1, 2), (48, 1, 7), (5, 3, 3), (48, 7, 7)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_index_arrays(self, rng, n, r, c, weighted):
+        # The label node's adjoint is (g * -1/denom) times the mask that gives
+        # column picks[i] of all R rows of sample i the weight w_i / R.
         picks = rng.integers(0, c, n)
         weights = rng.uniform(size=n) if weighted else None
         w = np.ones(n) if weights is None else weights
-        want = np.zeros((n * r, c))
-        want[np.arange(n * r), np.repeat(picks, r)] = np.repeat(w / r, r)
-        assert obj._label_mask(n, r, c, picks, weights).tobytes() == want.tobytes()
+        mask = np.zeros((n * r, c))
+        mask[np.arange(n * r), np.repeat(picks, r)] = np.repeat(w / r, r)
+        slog = ad.leaf(rng.normal(size=(n * r, c)))
+        label = obj._label_node(slog, n, picks, weights, 3)
+        ad.backward(ad.scale(label, 0.7))
+        # Equal up to the sign of zeros: the dense product has -0.0 off the picks.
+        np.testing.assert_array_equal(slog.grad, (0.7 * (-1.0 / 3)) * mask)
+        assert label.value[0, 0] == pytest.approx(-(slog.value * mask).sum() / 3)
+
+
+def _dense_view_terms(slog, n, picks, weights, denom, target):
+    """The dense-mask chain the view nodes replace, from the ops that stay.
+
+    Masked sums are scale(sum_all(mul(a, mask)), c); sub(a, b) is
+    add(a, scale(b, -1.0)), which gives the same bits.
+    """
+    rows, c = slog.shape
+    r = rows // n
+    w = 1.0 if weights is None else np.asarray(weights)[:, None]
+    label_mask = np.zeros((n, r, c))
+    label_mask[np.arange(n), :, picks] = w / r
+    label = ad.scale(
+        ad.sum_all(ad.mul(slog, ad.Node(label_mask.reshape(rows, c)))), -1.0 / denom
+    )
+    if r == 1:
+        return label, obj._zero()
+    dense_target = np.zeros((rows, c))
+    dense_target.reshape(n, c * c)[:, :: c + 1] = target
+    block_diag = np.tile(np.eye(c), (n, 1))
+    gap = ad.mul(ad.add(slog, ad.scale(ad.Node(dense_target), -1.0)), ad.Node(block_diag))
+    sq = ad.mul(gap, gap)
+    if weights is None:
+        mean = ad.scale(ad.sum_all(sq), 1.0 / c)
+    else:
+        weighted = block_diag * np.repeat(weights, c)[:, None]
+        mean = ad.scale(ad.sum_all(ad.mul(sq, ad.Node(weighted))), 1.0 / c)
+    return label, ad.scale(mean, 1.0 / denom)
+
+
+class TestViewNodes:
+    """The two view nodes against the dense chain: adjoints bit for bit."""
+
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 0.5), (0.3, 1.7)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("per_class", [False, True])
+    @pytest.mark.parametrize("n", [1, 5, 48])
+    def test_adjoints_match_dense_chain_bitwise(
+        self, rng, n, per_class, weighted, beta, gamma
+    ):
+        c = 7
+        r = c if per_class else 1
+        # Two views, as in total_loss: (l_s, l_d) over n slots, (l_u, l_ud)
+        # over n + 3 slots.
+        views = [
+            (
+                ad.leaf(rng.normal(size=(n * r, c))),
+                rng.integers(0, c, n),
+                rng.uniform(0.4, 1.0, n) if weighted else None,
+                denom,
+            )
+            for denom in (n, n + 3)
+        ]
+
+        def run(terms):
+            for leaf, *_ in views:
+                leaf.zero_grad()
+            parts = []
+            for leaf, picks, weights, denom in views:
+                slog = ad.row_log_softmax(leaf)
+                target = obj._diag_targets(slog.value, n, c) if r == c else None
+                parts.append(terms(slog, n, picks, weights, denom, target))
+            (l_s, l_d), (l_u, l_ud) = parts
+            total = ad.add(
+                ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma))
+            )
+            ad.backward(total)
+            return total.value[0, 0], [leaf.grad.copy() for leaf, *_ in views]
+
+        def nodes(slog, n, picks, weights, denom, target):
+            label = obj._label_node(slog, n, picks, weights, denom)
+            if target is None:
+                return label, obj._zero()
+            return label, obj._gap_node(slog, n, weights, denom, target)
+
+        got_total, got = run(nodes)
+        want_total, want = run(_dense_view_terms)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got_total == pytest.approx(want_total, rel=1e-14)
