@@ -16,8 +16,8 @@ only for nodes that require a gradient. It writes ``.grad`` only on
 leaves: an interior node's adjoint lives in a per-call map only until it
 has been passed to the node's parents.
 
-The engine holds only the generic ops; the loss terms are nodes of their
-own with hand-written vjps (``objective``).
+The engine holds only the generic ops; the training loss is a node of
+its own with a hand-written vjp (``objective``).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ prototype bank ride along when present.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,11 +57,16 @@ def save_checkpoint(
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file lacks a required key or has an unsupported version."""
+    """A checkpoint file is not an archive, lacks a required key or has an
+    unsupported version."""
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path) as archive:
+    try:
+        archive = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"{path}: not a checkpoint archive ({err})") from None
+    with archive:
 
         def data(key: str) -> np.ndarray:
             if key not in archive:

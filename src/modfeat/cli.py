@@ -170,9 +170,7 @@ def cmd_train(args, extras) -> int:
             writer.writerow([seed, *("" if v is None else repr(v) for v in row)])
 
     gaps = [run.modulator_gap for run in runs if run.modulator_gap is not None]
-    summary = met.aggregate(
-        config.seeds, [run.result.reports for run in runs], gaps if gaps else None
-    )
+    summary = met.aggregate(config.seeds, [run.result.reports for run in runs], gaps)
     with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "mean", "std", "n_seeds"])
@@ -190,13 +188,23 @@ def cmd_eval(args, extras) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
         dataset = dat.load_csv(args.data)
+        width = ckpt.model.extractor.config.input_dim
+        if dataset.input_dim != width:
+            raise ValueError(
+                f"{args.data} has {dataset.input_dim} feature columns, "
+                f"the checkpoint expects {width}"
+            )
+        x, y = dataset.features, dataset.class_ids
+        if args.target_domain is not None:
+            mask = dataset.domain_ids == args.target_domain
+            x, y = x[mask], y[mask]
+        if len(x) == 0:
+            raise ValueError(
+                f"--target-domain {args.target_domain} selects no rows of {args.data}"
+            )
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    x, y = dataset.features, dataset.class_ids
-    if args.target_domain is not None:
-        mask = dataset.domain_ids == args.target_domain
-        x, y = x[mask], y[mask]
     # Checkpoints do not record their mode; only an fm run saves a bank.
     mode = "fm" if ckpt.bank is not None else "fixmatch-baseline"
     acc = trn.evaluate(ckpt.model, ckpt.modulation, ckpt.bank, x, y, mode=mode)

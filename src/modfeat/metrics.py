@@ -6,7 +6,7 @@ ground truth."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,35 +55,43 @@ def modulator_gap(
     )
 
 
+class Stat(NamedTuple):
+    """Mean and population std of ``n`` per-seed values."""
+
+    mean: float
+    std: float
+    n: int
+
+
+def _stat(values: Sequence[float]) -> Optional[Stat]:
+    """The values' Stat; None when there are none."""
+    if len(values) == 0:
+        return None
+    a = np.asarray(values, dtype=np.float64)
+    return Stat(float(a.mean()), float(a.std()), len(a))
+
+
 @dataclass(frozen=True)
 class RunSummary:
     seeds: tuple
-    target_acc_mean: float
-    target_acc_std: float
-    keep_rate_mean: float
-    keep_rate_std: float
-    pl_acc_mean: Optional[float]
-    pl_acc_std: Optional[float]
-    modulator_gap_mean: Optional[float] = None
+    target_acc: Stat
+    keep_rate: Stat
+    pl_acc: Optional[Stat]  # over the seeds whose final epoch kept labels
+    modulator_gap: Optional[Stat] = None
 
     def rows(self) -> list:
-        """(metric, mean, std, n_seeds) rows for the aggregate CSV."""
-        n = len(self.seeds)
-        out = [
-            ("target_acc", self.target_acc_mean, self.target_acc_std, n),
-            ("keep_rate", self.keep_rate_mean, self.keep_rate_std, n),
+        """(metric, mean, std, n_seeds) rows for the aggregate CSV; n_seeds
+        counts the values averaged, and absent metrics have no row."""
+        names = ("target_acc", "keep_rate", "pl_acc", "modulator_gap")
+        return [
+            (name, *stat) for name in names if (stat := getattr(self, name)) is not None
         ]
-        if self.pl_acc_mean is not None:
-            out.append(("pl_acc", self.pl_acc_mean, self.pl_acc_std, n))
-        if self.modulator_gap_mean is not None:
-            out.append(("modulator_gap", self.modulator_gap_mean, 0.0, n))
-        return out
 
 
 def aggregate(
     seeds: Sequence[int],
     report_series: Sequence[Sequence],
-    modulator_gaps: Optional[Sequence[float]] = None,
+    modulator_gaps: Sequence[float] = (),
 ) -> RunSummary:
     """Mean and population std of final-epoch metrics across seeds."""
     if not report_series:
@@ -92,18 +100,10 @@ def aggregate(
     if len(lengths) != 1:
         raise ValueError(f"inconsistent series lengths: {sorted(lengths)}")
     finals = [series[-1] for series in report_series]
-    accs = np.array([r.target_accuracy for r in finals])
-    keeps = np.array([r.keep_rate for r in finals])
-    pls = [r.pl_accuracy for r in finals if r.pl_accuracy is not None]
     return RunSummary(
         seeds=tuple(seeds),
-        target_acc_mean=float(accs.mean()),
-        target_acc_std=float(accs.std()),
-        keep_rate_mean=float(keeps.mean()),
-        keep_rate_std=float(keeps.std()),
-        pl_acc_mean=float(np.mean(pls)) if pls else None,
-        pl_acc_std=float(np.std(pls)) if pls else None,
-        modulator_gap_mean=(
-            float(np.mean(modulator_gaps)) if modulator_gaps is not None else None
-        ),
+        target_acc=_stat([r.target_accuracy for r in finals]),
+        keep_rate=_stat([r.keep_rate for r in finals]),
+        pl_acc=_stat([r.pl_accuracy for r in finals if r.pl_accuracy is not None]),
+        modulator_gap=_stat(modulator_gaps),
     )

@@ -22,9 +22,11 @@ zero. The fixed-threshold baseline is the same loss on the unmodulated
 R = 1 view: one log-score row per sample, so l_s and l_u are plain
 negative log-likelihoods and the diagonal terms do not exist (zero).
 
-Each view's terms are two graph nodes on its log-scores, each with a
-hand-written vjp that reads and writes only the entries it uses: the
-picked entries (label term) and the n*C diagonal entries (gap term).
+A step scores the labeled weak view and the kept rows of the strong
+view as one stacked batch: one forward pass, one log-softmax, and one
+loss node whose hand-written vjp reads and writes only the entries the
+terms use: the picked entries (label terms) and the n*C diagonal
+entries (gap terms).
 """
 
 from __future__ import annotations
@@ -45,54 +47,26 @@ from .pseudolabel import PseudoLabelRecord
 
 @dataclass
 class LossBreakdown:
-    l_s: Node
-    l_u: Node
-    l_d: Node
-    l_ud: Node
     total: Node
-    beta: float
-    gamma: float
+    l_s: float
+    l_u: float
+    l_d: float
+    l_ud: float
     # Gradient-stopped targets actually used for the diagonal-gap terms:
-    # (n, C) column maxima, keyed "labeled"/"unlabeled" (None where a view
-    # has no gap term). A finite-difference check of the loss
-    # must re-feed these, otherwise the difference quotient sees the
-    # targets move while the analytic gradient (correctly) does not.
-    diag_targets: dict = None
+    # the (n_labeled + n_kept, C) column maxima, None without a gap term.
+    # A finite-difference check of the loss must re-feed these, otherwise
+    # the difference quotient sees the targets move while the analytic
+    # gradient (correctly) does not.
+    diag_targets: Optional[np.ndarray] = None
 
     def values(self) -> dict:
         return {
-            "l_s": float(self.l_s.value[0, 0]),
-            "l_u": float(self.l_u.value[0, 0]),
-            "l_d": float(self.l_d.value[0, 0]),
-            "l_ud": float(self.l_ud.value[0, 0]),
+            "l_s": self.l_s,
+            "l_u": self.l_u,
+            "l_d": self.l_d,
+            "l_ud": self.l_ud,
             "total": float(self.total.value[0, 0]),
         }
-
-
-def _zero() -> Node:
-    return Node(np.zeros((1, 1)))
-
-
-def _label_node(slog: Node, n: int, picks, weights, denom: int) -> Node:
-    """-(1/denom) * sum_i (w_i / R) * sum_r slog[i*R + r, pick_i].
-
-    Reads only the n*R picked entries. ``weights`` None means w_i = 1.
-    The vjp writes (g * -1/denom) * (w_i / R) into them: the products of
-    the dense-mask formulation, so adjoints match it bit for bit.
-    """
-    rows, c = slog.value.shape
-    r = rows // n
-    at = (np.arange(n), slice(None), np.asarray(picks, dtype=np.int64))
-    w = (1.0 if weights is None else np.asarray(weights, float)[:, None]) / r
-    scale = -1.0 / denom
-
-    def vjp(g):
-        out = np.zeros((rows, c))
-        out.reshape(n, r, c)[at] = (g * scale)[0, 0] * w
-        return (out,)
-
-    picked = slog.value.reshape(n, r, c)[at]
-    return Node(np.array([[(picked * w).sum() * scale]]), (slog,), vjp)
 
 
 def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarray:
@@ -106,55 +80,56 @@ def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarra
     return np.ascontiguousarray(cube).max(axis=0)
 
 
-def _gap_node(slog: Node, n: int, weights, denom: int, target: np.ndarray) -> Node:
-    """(1/denom) * sum_i w_i * mean_c (slog[i*C + c, c] - target[i, c])**2.
+def _loss_node(slog, n_l, picks, weights, n_u, beta, gamma, target):
+    """The batch loss as one node over stacked log-scores, and its terms.
 
-    Reads only the n*C diagonal entries; ``target`` is gradient-stopped.
-    With d = diagonal - target and k = ((g / denom) / C), the vjp writes
-    2 * ((k * w_i) * d) into the diagonal, as the dense formulation does.
+    ``slog`` holds R rows per sample: ``n_l`` labeled samples, then the
+    kept unlabeled ones with confidence ``weights``; ``picks`` is each
+    sample's target class. Labeled terms divide by n_l, unlabeled ones by
+    ``n_u``. The gap terms exist when ``target`` (the gradient-stopped
+    (n, C) column maxima) is given, which needs R = C.
+
+    Returns (node, {"l_s", "l_u", "l_d", "l_ud"}). The node's value is
+    (l_s + l_u) + (l_d * beta + l_ud * gamma). Its vjp writes
+    (g * -1/denom) * (w_i / R) into the picked entries and, with
+    d = diagonal - target and k = ((g * gain) * (1/denom)) * (1/C),
+    2 * ((k * w_i) * d) into the diagonal: the products of the per-view
+    chain of scaled and added term nodes, so adjoints match it bit for bit.
     """
     rows, c = slog.value.shape
-    diag = (slice(None), slice(None, None, c + 1))  # of the (n, C*C) reshape
-    d = slog.value.reshape(n, c * c)[diag] - target
-    w = 1.0 if weights is None else np.asarray(weights, float)[:, None]
+    n = len(picks)
+    r = rows // n
+    views = (slice(None, n_l), slice(n_l, None))
+    counts = (n_l, n - n_l)
+    # n_u is 0 only when there are no unlabeled rows to divide.
+    inv = (1.0 / n_l, 1.0 / max(n_u, 1))
+    inv_row = np.repeat(inv, counts)[:, None]
+    w = np.concatenate([np.ones(n_l), np.asarray(weights, float)])[:, None]
+    lw = w / r
+    at = (np.arange(n), slice(None), np.asarray(picks, dtype=np.int64))
+    label = slog.value.reshape(n, r, c)[at] * lw
+    terms = {"l_d": 0.0, "l_ud": 0.0}
+    for key, v, s in zip(("l_s", "l_u"), views, inv):
+        terms[key] = float(label[v].sum() * -s)
+    if target is not None:
+        diag = (slice(None), slice(None, None, c + 1))  # of the (n, C*C) reshape
+        d = slog.value.reshape(n, c * c)[diag] - target
+        gap = w * (d * d)
+        for key, v, s in zip(("l_d", "l_ud"), views, inv):
+            terms[key] = float(gap[v].sum() * (1.0 / c) * s)
+        gain_row = np.repeat((beta, gamma), counts)[:, None]
 
     def vjp(g):
-        kd = (((g * (1.0 / denom)) * (1.0 / c))[0, 0] * w) * d
+        g = g[0, 0]
         out = np.zeros((rows, c))
-        out.reshape(n, c * c)[diag] = kd + kd
+        out.reshape(n, r, c)[at] = (g * -inv_row) * lw
+        if target is not None:
+            kd = ((((g * gain_row) * inv_row) * (1.0 / c)) * w) * d
+            out.reshape(n, c * c)[diag] += kd + kd
         return (out,)
 
-    value = (w * (d * d)).sum() * (1.0 / c) * (1.0 / denom)
-    return Node(np.array([[value]]), (slog,), vjp)
-
-
-def _view_terms(
-    model: Model,
-    modulation: Optional[ModulationMatrix],
-    bank: Optional[PrototypeBank],
-    x: np.ndarray,
-    picks,
-    weights,
-    denom: int,
-    rng: Optional[np.random.Generator],
-    target: Optional[np.ndarray],
-):
-    """Label and diagonal-gap terms of one view, each divided by denom.
-
-    Returns (label term, gap term, gap target). The label term is the
-    weighted mean over each sample's R score rows of the picked class's
-    negative log-score; the gap term and its (n, C) target exist only
-    when the view is modulated (R = C), and ``target`` re-feeds a frozen
-    one.
-    """
-    n = x.shape[0]
-    slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x, "train", rng))
-    label = _label_node(slog, n, picks, weights, denom)
-    if bank is None:
-        return label, _zero(), None
-    if target is None:
-        target = _diag_targets(slog.value, n, slog.value.shape[1])
-    return label, _gap_node(slog, n, weights, denom, target), target
+    value = (terms["l_s"] + terms["l_u"]) + (terms["l_d"] * beta + terms["l_ud"] * gamma)
+    return Node(np.array([[value]]), (slog,), vjp), terms
 
 
 def total_loss(
@@ -169,36 +144,28 @@ def total_loss(
     gamma: float = 0.5,
     rng: Optional[np.random.Generator] = None,
     mode: str = "fm",
-    frozen_targets: Optional[dict] = None,
+    frozen_targets: Optional[np.ndarray] = None,
 ) -> LossBreakdown:
-    """Batch loss; one graph for the labeled view, one for kept strong views.
+    """Batch loss; one graph over the labeled and the kept strong rows.
 
     ``mode`` is one of ``network.MODES``: ``"fm"`` scores the modulated
     view through ``bank``, ``"fixmatch-baseline"`` the unmodulated one.
+    ``frozen_targets`` re-feeds the ``diag_targets`` of an earlier call.
     """
     bank = net.view_bank(mode, bank)
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
     if n_l == 0:
         raise ValueError("empty batch")
-    n_u = len(records)
-    frozen = frozen_targets or {}
-    used_targets = {}
-
-    l_s, l_d, used_targets["labeled"] = _view_terms(
-        model, modulation, bank, labeled_weak, np.asarray(labeled_y, dtype=np.int64),
-        None, n_l, rng, frozen.get("labeled"),
+    kept = [r for r in records if r.keep]
+    strong = np.atleast_2d(unlabeled_strong)[[r.keep for r in records]]
+    x = np.concatenate([labeled_weak, strong])
+    slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x, "train", rng))
+    target = frozen_targets
+    if bank is not None and target is None:
+        target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])
+    total, terms = _loss_node(
+        slog, n_l, [*labeled_y, *(r.label for r in kept)],
+        [r.l_scale for r in kept], len(records), beta, gamma, target,
     )
-    kept = [i for i, r in enumerate(records) if r.keep]
-    if not kept:
-        l_u, l_ud, used_targets["unlabeled"] = _zero(), _zero(), None
-    else:
-        l_u, l_ud, used_targets["unlabeled"] = _view_terms(
-            model, modulation, bank, np.atleast_2d(unlabeled_strong)[kept],
-            [records[i].label for i in kept],
-            np.array([records[i].l_scale for i in kept]),
-            n_u, rng, frozen.get("unlabeled"),
-        )
-
-    total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))
-    return LossBreakdown(l_s, l_u, l_d, l_ud, total, beta, gamma, used_targets)
+    return LossBreakdown(total, **terms, diag_targets=target)

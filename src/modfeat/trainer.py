@@ -31,6 +31,10 @@ from .modulator import ModulationMatrix, variance_init
 from .network import MODES, ExtractorConfig, Model
 from .prototypes import PrototypeBank, build_bank
 
+# Sanity bound: the K MC passes over a batch run as one stacked forward,
+# so its arrays grow linearly in K.
+MAX_MC_SAMPLES = 1000
+
 METRICS_HEADER = (
     "epoch,l_s,l_u,l_d,l_ud,total,keep_rate,pl_acc,target_acc,lr"
 )
@@ -69,8 +73,10 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
-        if self.mc_samples < 2:
-            raise ValueError(f"mc_samples must be >= 2, got {self.mc_samples}")
+        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ValueError(
+                f"mc_samples must be in [2, {MAX_MC_SAMPLES}], got {self.mc_samples}"
+            )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if min(self.beta, self.gamma) < 0:

@@ -187,7 +187,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "override",
-        ["--mc_samples=1", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
+        ["--mc_samples=1", "--mc_samples=100000000", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
          "--momentum=1", "--labels_per_class=0", "--hidden_dims=0", "--hidden_dims=6,-1",
          "--beta=-1", "--gamma=-1", "--bias_jitter=-0.5", "--data_seed=-1",
          "--seeds=-1"],
@@ -419,6 +419,47 @@ class TestCheckpointErrors:
         assert cli.main(["eval", str(broken), str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @staticmethod
+    def _eval_fails(args, capsys, *needles):
+        capsys.readouterr()
+        assert cli.main(["eval", *map(str, args)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(needle in err for needle in needles)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    def test_empty_or_truncated_file(self, mini_config, tmp_path, capsys, keep):
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        whole = (tmp_path / "out" / "seed_0" / "checkpoint.npz").read_bytes()
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(whole[: int(len(whole) * keep)])
+        with pytest.raises(CheckpointError, match=str(broken)):
+            load_checkpoint(broken)
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        self._eval_fails([broken, csv_path], capsys, str(broken))
+
+    @pytest.mark.parametrize(
+        "signal_dim,extra,needle",
+        [("2", [], "6 feature columns"), ("4", ["--target-domain", "5"], "selects no rows")],
+    )
+    def test_data_that_does_not_fit(
+        self, mini_config, tmp_path, capsys, signal_dim, extra, needle
+    ):
+        # The checkpoint reads 8 columns; the CSV has signal_dim + 4 of them
+        # and domains 0-2.
+        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        checkpoint = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", signal_dim,
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        self._eval_fails([checkpoint, csv_path, *extra], capsys, needle)
 
 
 # Per-key values for the override fuzz: small ranges that cross each

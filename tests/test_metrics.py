@@ -100,13 +100,13 @@ class TestModulatorGap:
 class TestAggregate:
     def test_single_seed_zero_std(self):
         summary = met.aggregate([0], [[report(acc=0.6)]])
-        assert summary.target_acc_mean == 0.6
-        assert summary.target_acc_std == 0.0
+        assert summary.target_acc.mean == 0.6
+        assert summary.target_acc.std == 0.0
 
     def test_two_seed_hand_case(self):
         summary = met.aggregate([0, 1], [[report(acc=0.6)], [report(acc=0.8)]])
-        assert summary.target_acc_mean == pytest.approx(0.7)
-        assert summary.target_acc_std == pytest.approx(0.1)
+        assert summary.target_acc.mean == pytest.approx(0.7)
+        assert summary.target_acc.std == pytest.approx(0.1)
 
     def test_matches_spreadsheet_recount(self, rng):
         accs = rng.uniform(0.3, 0.9, size=6)
@@ -114,20 +114,21 @@ class TestAggregate:
         summary = met.aggregate(range(6), series)
         mean = sum(accs) / 6
         std = (sum((a - mean) ** 2 for a in accs) / 6) ** 0.5
-        assert summary.target_acc_mean == pytest.approx(mean)
-        assert summary.target_acc_std == pytest.approx(std)
+        assert summary.target_acc.mean == pytest.approx(mean)
+        assert summary.target_acc.std == pytest.approx(std)
 
     def test_permutation_invariant(self):
         series = [[report(acc=a)] for a in (0.2, 0.5, 0.8)]
         fwd = met.aggregate([0, 1, 2], series)
         rev = met.aggregate([2, 1, 0], series[::-1])
-        assert fwd.target_acc_mean == pytest.approx(rev.target_acc_mean)
-        assert fwd.target_acc_std == pytest.approx(rev.target_acc_std)
+        assert fwd.target_acc.mean == pytest.approx(rev.target_acc.mean)
+        assert fwd.target_acc.std == pytest.approx(rev.target_acc.std)
 
     def test_absent_pl_accuracy_skipped(self):
         series = [[report(pl=None)], [report(pl=0.8)]]
         summary = met.aggregate([0, 1], series)
-        assert summary.pl_acc_mean == pytest.approx(0.8)
+        assert summary.pl_acc.mean == pytest.approx(0.8)
+        assert ("pl_acc", 0.8, 0.0, 1) in summary.rows()
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -137,3 +138,20 @@ class TestAggregate:
         summary = met.aggregate([0], [[report()]], modulator_gaps=[0.3])
         names = [row[0] for row in summary.rows()]
         assert names == ["target_acc", "keep_rate", "pl_acc", "modulator_gap"]
+
+    def test_rows_report_std_and_count_of_the_values_averaged(self):
+        series = [[report(pl=pl)] for pl in (0.6, None, 0.9, 0.7)]
+        gaps = [0.226, 0.399, 0.3, 0.25]
+        rows = {
+            name: (mean, std, n)
+            for name, mean, std, n in met.aggregate(range(4), series, gaps).rows()
+        }
+        assert rows["pl_acc"][0] == pytest.approx(np.mean([0.6, 0.9, 0.7]))
+        assert rows["pl_acc"][1:] == (pytest.approx(np.std([0.6, 0.9, 0.7])), 3)
+        assert rows["modulator_gap"][1:] == (pytest.approx(np.std(gaps)), 4)
+        assert rows["target_acc"][2] == 4
+
+    def test_no_kept_labels_at_any_seed_has_no_pl_row(self):
+        summary = met.aggregate([0, 1], [[report(pl=None)], [report(pl=None)]])
+        assert summary.pl_acc is None
+        assert [row[0] for row in summary.rows()] == ["target_acc", "keep_rate"]

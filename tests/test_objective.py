@@ -68,9 +68,16 @@ def oracle_total(model, modulation, bank, lx, ly, ux, records, beta, gamma):
     return l_s, l_u, l_d, l_ud, l_s + l_u + beta * l_d + gamma * l_ud
 
 
+def _gap_loss(slog, beta=1.0):
+    """Loss node and terms of one labeled sample's C x C log-score matrix
+    (class 0 picked), with its diagonal gap weighted by ``beta``."""
+    target = obj._diag_targets(slog.value, 1, slog.shape[1])
+    return obj._loss_node(slog, 1, [0], [], 0, beta, 0.0, target)
+
+
 def _diag_gap(slog):
     """Diagonal-gap term of one sample's C x C log-score matrix."""
-    return obj._gap_node(slog, 1, None, 1, obj._diag_targets(slog.value, 1, slog.shape[1]))
+    return _gap_loss(slog)[1]["l_d"]
 
 
 class TestSupervisedLoss:
@@ -83,45 +90,51 @@ class TestSupervisedLoss:
                 x[:1], [0], np.empty((0, 3)), [], model, modulation, bank,
                 rng=np.random.default_rng(0),
             ).l_s
-            assert loss.value[0, 0] == pytest.approx(math.log(c), abs=1e-12)
+            assert loss == pytest.approx(math.log(c), abs=1e-12)
 
     def test_saturated_prediction_drives_loss_to_zero(self):
         model, modulation, bank, x, _ = no_dropout_setup()
         model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
         model.classifier.weight.node.value[:] = 0.0
         loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), [], model, modulation, bank).l_s
-        assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_class_case(self):
         model, modulation, bank, x, _ = no_dropout_setup()
         loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), [], model, modulation, bank).l_s
         slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x[:1], "eval"))
         expected = -slog.value[:, 1].mean()
-        assert loss.value[0, 0] == pytest.approx(expected, abs=1e-14)
+        assert loss == pytest.approx(expected, abs=1e-14)
 
 
 class TestDiagMaxLoss:
     def test_zero_when_diagonal_is_column_max(self):
         slog = ad.constant([[-1.0, -3.0], [-2.0, -0.5]])
-        assert _diag_gap(slog).value[0, 0] == 0.0
+        assert _diag_gap(slog) == 0.0
 
     def test_hand_case_half(self):
         slog = ad.constant([[-2.0, -1.0], [-1.0, -1.0]])
-        assert _diag_gap(slog).value[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert _diag_gap(slog) == pytest.approx(0.5, abs=1e-15)
 
     def test_column_shift_invariance_exact(self):
         base = np.array([[-2.0, -1.0, -4.0], [-1.0, -3.0, -2.0], [-5.0, -2.0, -1.0]])
         shifted = base.copy()
         shifted[:, 1] += 3.0  # integer-valued floats keep this exact
-        a = _diag_gap(ad.constant(base)).value[0, 0]
-        b = _diag_gap(ad.constant(shifted)).value[0, 0]
+        a = _diag_gap(ad.constant(base))
+        b = _diag_gap(ad.constant(shifted))
         assert a == b
 
     def test_target_is_gradient_stopped(self):
         p = ad.DualParam.create("p", np.array([[-2.0, -1.0], [-1.0, -1.0]]))
-        ad.backward(_diag_gap(p.node))
+        grads = []
+        for beta in (1.0, 0.0):  # the label term's share cancels in the difference
+            p.node.zero_grad()
+            ad.backward(_gap_loss(p.node, beta)[0])
+            grads.append(p.grad.copy())
         # d/ds00 of ((s00 - colmax0)^2 + 0)/2 with colmax frozen at -1
-        np.testing.assert_allclose(p.grad, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(
+            grads[0] - grads[1], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14
+        )
 
 
 class TestUnsupervisedLoss:
@@ -129,9 +142,10 @@ class TestUnsupervisedLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         rec = PseudoLabelRecord(label=0, p_max=0.5, sigma=0.2, keep=False, l_scale=0.0)
         breakdown = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, modulation, bank)
-        l_u, l_ud = breakdown.l_u, breakdown.l_ud
-        assert l_u.value[0, 0] == 0.0 and l_ud.value[0, 0] == 0.0
-        assert l_u.parents == () and l_ud.parents == ()
+        assert breakdown.l_u == 0.0 and breakdown.l_ud == 0.0
+        # only the labeled sample's C rows are scored
+        (slog,) = breakdown.total.parents
+        assert slog.shape == (model.num_classes, model.num_classes)
 
     def test_linear_in_scale(self):
         model, modulation, bank, x, y = no_dropout_setup()
@@ -167,6 +181,20 @@ class TestTotalLoss:
         assert v["total"] == pytest.approx(
             v["l_s"] + v["l_u"] + 1.0 * v["l_d"] + 0.5 * v["l_ud"], abs=1e-12
         )
+
+    def test_one_forward_over_labeled_and_kept_rows(self, monkeypatch):
+        model, modulation, bank, x, y = no_dropout_setup()
+        real, batches = net.score_graph, []
+
+        def counting(model, modulation, bank, x, *args):
+            batches.append(x.copy())
+            return real(model, modulation, bank, x, *args)
+
+        monkeypatch.setattr(net, "score_graph", counting)
+        records = self._records([True, False, True])
+        obj.total_loss(x[:2], y[:2], x[2:5], records, model, modulation, bank)
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0], x[[0, 1, 2, 4]])
 
     def test_zero_kept_reduces_to_supervised_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
@@ -293,23 +321,32 @@ class TestLabelMask:
     @pytest.mark.parametrize("n,r,c", [(1, 1, 2), (48, 1, 7), (5, 3, 3), (48, 7, 7)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_index_arrays(self, rng, n, r, c, weighted):
-        # The label node's adjoint is (g * -1/denom) times the mask that gives
-        # column picks[i] of all R rows of sample i the weight w_i / R.
+        # The first n_l samples are labeled (w_i = 1, denom n_l), the rest
+        # kept unlabeled ones (denom n_u). The label terms' adjoint is
+        # (g * -1/denom) times the mask that gives column picks[i] of all R
+        # rows of sample i the weight w_i / R.
+        n_l = (n + 1) // 2
+        n_k, n_u = n - n_l, n - n_l + 2
         picks = rng.integers(0, c, n)
-        weights = rng.uniform(size=n) if weighted else None
-        w = np.ones(n) if weights is None else weights
+        weights = rng.uniform(size=n_k) if weighted else np.ones(n_k)
+        w = np.concatenate([np.ones(n_l), weights])
         mask = np.zeros((n * r, c))
         mask[np.arange(n * r), np.repeat(picks, r)] = np.repeat(w / r, r)
+        denom = np.repeat([n_l, n_u], [n_l * r, n_k * r])[:, None]
         slog = ad.leaf(rng.normal(size=(n * r, c)))
-        label = obj._label_node(slog, n, picks, weights, 3)
-        ad.backward(ad.scale(label, 0.7))
+        node, terms = obj._loss_node(slog, n_l, picks, weights, n_u, 1.0, 0.5, None)
+        ad.backward(ad.scale(node, 0.7))
         # Equal up to the sign of zeros: the dense product has -0.0 off the picks.
-        np.testing.assert_array_equal(slog.grad, (0.7 * (-1.0 / 3)) * mask)
-        assert label.value[0, 0] == pytest.approx(-(slog.value * mask).sum() / 3)
+        np.testing.assert_array_equal(slog.grad, (0.7 * (-1.0 / denom)) * mask)
+        per_row = -(slog.value * mask / denom).sum(axis=1)
+        assert terms["l_s"] == pytest.approx(per_row[: n_l * r].sum())
+        assert terms["l_u"] == pytest.approx(per_row[n_l * r:].sum())
+        assert terms["l_d"] == terms["l_ud"] == 0.0
+        assert node.value[0, 0] == terms["l_s"] + terms["l_u"]
 
 
 def _dense_view_terms(slog, n, picks, weights, denom, target):
-    """The dense-mask chain the view nodes replace, from the ops that stay.
+    """One view's label and gap terms as a chain of the generic ops.
 
     Masked sums are scale(sum_all(mul(a, mask)), c); sub(a, b) is
     add(a, scale(b, -1.0)), which gives the same bits.
@@ -322,8 +359,8 @@ def _dense_view_terms(slog, n, picks, weights, denom, target):
     label = ad.scale(
         ad.sum_all(ad.mul(slog, ad.Node(label_mask.reshape(rows, c)))), -1.0 / denom
     )
-    if r == 1:
-        return label, obj._zero()
+    if target is None:
+        return label, ad.Node(np.zeros((1, 1)))
     dense_target = np.zeros((rows, c))
     dense_target.reshape(n, c * c)[:, :: c + 1] = target
     block_diag = np.tile(np.eye(c), (n, 1))
@@ -338,7 +375,8 @@ def _dense_view_terms(slog, n, picks, weights, denom, target):
 
 
 class TestViewNodes:
-    """The two view nodes against the dense chain: adjoints bit for bit."""
+    """The loss node on stacked views against a dense chain per view, the
+    views' terms joined by add and scale nodes: adjoints bit for bit."""
 
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.5), (0.3, 1.7)])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -347,43 +385,61 @@ class TestViewNodes:
     def test_adjoints_match_dense_chain_bitwise(
         self, rng, n, per_class, weighted, beta, gamma
     ):
+        self._check(rng, n, per_class, weighted, True, beta, gamma)
+
+    @pytest.mark.parametrize(
+        "kept,beta,gamma",
+        [
+            (False, 1.0, 0.5), (False, 0.3, 1.7), (False, 0.0, 0.0),
+            (True, 0.0, 0.0), (True, 1.7, 0.3),
+        ],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("per_class", [False, True])
+    @pytest.mark.parametrize("n", [1, 5, 48])
+    def test_more_view_and_weight_cases_bitwise(
+        self, rng, n, per_class, weighted, kept, beta, gamma
+    ):
+        self._check(rng, n, per_class, weighted, kept, beta, gamma)
+
+    @staticmethod
+    def _check(rng, n, per_class, weighted, kept, beta, gamma):
         c = 7
         r = c if per_class else 1
-        # Two views, as in total_loss: (l_s, l_d) over n slots, (l_u, l_ud)
-        # over n + 3 slots.
-        views = [
-            (
-                ad.leaf(rng.normal(size=(n * r, c))),
-                rng.integers(0, c, n),
-                rng.uniform(0.4, 1.0, n) if weighted else None,
-                denom,
+        # n labeled samples over n slots, then n_k kept ones over n + 3 slots
+        n_k, n_u = (n if kept else 0), n + 3
+        values = rng.normal(size=((n + n_k) * r, c))
+        picks = rng.integers(0, c, n + n_k)
+        weights = rng.uniform(0.4, 1.0, n_k) if weighted else None
+
+        stacked = ad.leaf(values)
+        slog = ad.row_log_softmax(stacked)
+        target = obj._diag_targets(slog.value, n + n_k, c) if per_class else None
+        node, terms = obj._loss_node(
+            slog, n, picks, np.ones(n_k) if weights is None else weights,
+            n_u, beta, gamma, target,
+        )
+        ad.backward(node)
+
+        views = [(slice(0, n), None, n)] + [(slice(n, n + n_k), weights, n_u)] * kept
+        leaves, parts = [], []
+        for v, w, denom in views:
+            leaves.append(ad.leaf(values[v.start * r: v.stop * r]))
+            view_slog = ad.row_log_softmax(leaves[-1])
+            view_target = None if target is None else obj._diag_targets(
+                view_slog.value, v.stop - v.start, c
             )
-            for denom in (n, n + 3)
-        ]
-
-        def run(terms):
-            for leaf, *_ in views:
-                leaf.zero_grad()
-            parts = []
-            for leaf, picks, weights, denom in views:
-                slog = ad.row_log_softmax(leaf)
-                target = obj._diag_targets(slog.value, n, c) if r == c else None
-                parts.append(terms(slog, n, picks, weights, denom, target))
-            (l_s, l_d), (l_u, l_ud) = parts
-            total = ad.add(
-                ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma))
+            parts.append(
+                _dense_view_terms(view_slog, v.stop - v.start, picks[v], w, denom, view_target)
             )
-            ad.backward(total)
-            return total.value[0, 0], [leaf.grad.copy() for leaf, *_ in views]
+        if not kept:
+            parts.append((ad.Node(np.zeros((1, 1))), ad.Node(np.zeros((1, 1)))))
+        (l_s, l_d), (l_u, l_ud) = parts
+        total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))
+        ad.backward(total)
 
-        def nodes(slog, n, picks, weights, denom, target):
-            label = obj._label_node(slog, n, picks, weights, denom)
-            if target is None:
-                return label, obj._zero()
-            return label, obj._gap_node(slog, n, weights, denom, target)
-
-        got_total, got = run(nodes)
-        want_total, want = run(_dense_view_terms)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        assert got_total == pytest.approx(want_total, rel=1e-14)
+        want = np.concatenate([leaf.grad for leaf in leaves])
+        assert stacked.grad.tobytes() == want.tobytes()
+        for key, term in zip(("l_s", "l_u", "l_d", "l_ud"), (l_s, l_u, l_d, l_ud)):
+            assert terms[key] == pytest.approx(term.value[0, 0], rel=1e-14)
+        assert node.value[0, 0] == pytest.approx(total.value[0, 0], rel=1e-14)
