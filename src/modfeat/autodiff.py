@@ -168,13 +168,6 @@ class DualParam:
         return self.node.grad
 
 
-def _binary_shapes(a: Node, b: Node, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(
-            f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}"
-        )
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(
@@ -208,37 +201,6 @@ def add_row(a: Node, b: Node) -> Node:
         return g, np.ones((n, 1)).T @ g
 
     return Node(a.value + b.value, (a, b), vjp)
-
-
-def add(a: Node, b: Node) -> Node:
-    _binary_shapes(a, b, "add")
-
-    def vjp(g):
-        return g, g
-
-    return Node(a.value + b.value, (a, b), vjp)
-
-
-def mul(a: Node, b: Node) -> Node:
-    _binary_shapes(a, b, "mul")
-    av, bv = a.value, b.value
-
-    def vjp(g):
-        return (
-            g * bv if a.requires_grad else None,
-            g * av if b.requires_grad else None,
-        )
-
-    return Node(av * bv, (a, b), vjp)
-
-
-def scale(a: Node, c: float) -> Node:
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return Node(a.value * c, (a,), vjp)
 
 
 def relu(a: Node) -> Node:

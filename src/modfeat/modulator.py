@@ -1,9 +1,17 @@
-"""Learnable feature modulation.
+"""Learnable feature modulation, fused with the shared linear head.
 
 A (num_classes x feature_dim) weight matrix blends instance features with
-blended prototype anchors, one row per candidate class:
+blended prototype anchors, one row per candidate class, before the
+shared classifier (weight W, bias b) scores them:
 
     modulated[c] = weights[c] * z + (1 - weights[c]) * anchors[c]
+    logits[c]    = modulated[c] @ W + b
+
+The logits are linear in z, so the blended features are never built:
+logits[c] = z @ M_c + k_c with M_c = diag(weights[c]) @ W and
+k_c = ((1 - weights[c]) * anchors[c]) @ W + b. ``modulate`` lays the
+M_c side by side as one (F x C*K) mixing matrix and scores every
+candidate class with one product (see its docstring).
 
 Weights are initialized from per-class feature variance so coordinates
 that vary a lot inside a class (domain-carrying coordinates) start close
@@ -79,48 +87,73 @@ class ModulationMatrix:
         return self.param.value
 
 
-def modulate(features: Node, anchors: np.ndarray, weights: Node) -> Node:
-    """Blend each instance feature row toward every class anchor.
+def modulate(
+    features: Node,
+    anchors: np.ndarray,
+    weights: Node,
+    head_weight: Node,
+    head_bias: Node,
+) -> Node:
+    """Logits of each instance row blended toward every class anchor.
 
-    ``features`` is (n x F); the result is (n*C x F) with rows grouped
-    per sample: row i*C + c modulates sample i toward class c. With a
-    single input row this is exactly the per-sample contract. Anchors
-    are a per-step constant; gradients flow to whichever of features and
-    weights requires one (the vjp skips the other's adjoint).
+    ``features`` is (n x F), ``weights`` and ``anchors`` (C x F), and the
+    head is ``head_weight`` (F x K) with ``head_bias`` (1 x K). The
+    result is (n*C x K) with rows grouped per sample: row i*C + c scores
+    sample i modulated toward class c, the value of
+    ``(weights[c] * z_i + (1 - weights[c]) * anchors[c]) @ W + b`` up to
+    rounding. Anchors are a per-step constant; gradients flow to every
+    other operand that requires one.
 
-    The blend is one broadcast graph node over an (n, C, F) view, so
-    time and memory are O(n*C*F); its vjp sums the output adjoint over
-    the class axis for ``features`` and over the sample axis for
-    ``weights``. The forward writes the anchor term into the product
-    ``w * z`` in place, and the weights adjoint subtracts ``g * a`` from
-    ``g * z`` in place: every element gets the same two products and one
-    sum or difference as the plain expressions, with one (n, C, F)
-    temporary fewer.
+    Three nodes, no (n, C, F) tensor: the (F x C*K) mixing matrix M,
+    with M[f, c*K + j] = weights[c, f] * W[f, j]; the engine product
+    ``z @ M``; and the head node, which adds the row k, with
+    k[c*K + j] = (((1 - weights[c]) * anchors[c]) @ W)[j] + b[j], into
+    that product in place and regroups it to (n*C x K). (The product's
+    vjp reads only its operands, so its value is free to reuse.) The
+    product's vjp gives ``gz = G @ M.T`` and ``gM = z.T @ G`` for the
+    (n x C*K) adjoint G; the mixing and head nodes turn ``gM`` and the
+    column sums of G into the adjoints of weights, W and b.
     """
     n, feat = features.shape
     num_classes, feat_w = weights.shape
-    if anchors.shape != (num_classes, feat) or feat_w != feat:
+    cols = head_weight.shape[1]
+    if (
+        anchors.shape != (num_classes, feat)
+        or feat_w != feat
+        or head_weight.shape[0] != feat
+        or head_bias.shape != (1, cols)
+    ):
         raise ad.DimensionError(
             f"modulate: features {features.shape}, weights {weights.shape}, "
-            f"anchors {anchors.shape} are inconsistent"
+            f"anchors {anchors.shape}, head {head_weight.shape} + "
+            f"{head_bias.shape} are inconsistent"
         )
-    a = ad.as_matrix(anchors)[None]
-    z, w = features.value[:, None, :], weights.value
-    out = w[None] * z
-    out += (1.0 - w)[None] * a
+    a = ad.as_matrix(anchors)
+    w, hw = weights.value, head_weight.value
+    shift = (1.0 - w) * a
 
-    def vjp(g):
-        g3 = g.reshape(n, num_classes, feat)
-        gz = gw = None
-        if features.requires_grad:
-            gz = g3 * w[None]
-            # BLAS sums a one-row product in its own order; keep that order so
-            # single-row batches round as the dense (n*C x n) formulation did.
-            gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
-        if weights.requires_grad:
-            t = g3 * z
-            t -= g3 * a
-            gw = t.sum(axis=0)
-        return gz, gw
+    def mix_vjp(gm):
+        g3 = gm.reshape(feat, num_classes, cols)
+        gw = np.einsum("fcj,fj->cf", g3, hw) if weights.requires_grad else None
+        ghw = np.einsum("fcj,cf->fj", g3, w) if head_weight.requires_grad else None
+        return gw, ghw
 
-    return Node(out.reshape(n * num_classes, feat), (features, weights), vjp)
+    mix = Node(
+        (w.T[:, :, None] * hw[:, None, :]).reshape(feat, num_classes * cols),
+        (weights, head_weight),
+        mix_vjp,
+    )
+    prod = ad.matmul(features, mix)
+    out = prod.value
+    out += (shift @ hw + head_bias.value).reshape(1, num_classes * cols)
+
+    def head_vjp(g):
+        g2 = g.reshape(n, num_classes * cols)
+        gk = g2.sum(axis=0).reshape(num_classes, cols)
+        gw = (gk @ hw.T) * -a if weights.requires_grad else None
+        ghw = shift.T @ gk if head_weight.requires_grad else None
+        gb = gk.sum(axis=0, keepdims=True) if head_bias.requires_grad else None
+        return g2, gw, ghw, gb
+
+    parents = (prod, weights, head_weight, head_bias)
+    return Node(out.reshape(n * num_classes, cols), parents, head_vjp)

@@ -8,10 +8,14 @@ keeps input coordinates interpretable in diagnostics.
 
 Both training modes score through one pipeline, ``score_graph``, which
 yields R rows of class logits per sample. In ``"fm"`` mode features are
-modulated toward each class's blended anchor, so R = C; the
-fixed-threshold baseline (FixMatch, Sohn et al. 2020) is the same
-pipeline without modulation, R = 1. ``class_confidence`` reads the
-per-class confidence from either view.
+modulated toward each class's blended anchor, so R = C. The classifier
+is linear, so that mode scores with ``modulator.modulate``, which folds
+the blend into the classifier's weight and bias: one (n x F) @
+(F x C*C) product gives all n*C rows, and ``Classifier.forward`` is not
+called. The fixed-threshold baseline (FixMatch, Sohn et al. 2020) is the
+same pipeline without modulation, R = 1, scored by
+``Classifier.forward``. ``class_confidence`` reads the per-class
+confidence from either view.
 """
 
 from __future__ import annotations
@@ -193,14 +197,19 @@ def score_graph(
 
     With a bank (a ``PrototypeBank``) the result is (n*C x C): row
     i*C + c holds the logits after modulating sample i toward class c's
-    blended anchor by ``modulation`` (a ``ModulationMatrix``). Without
-    one it is the unmodulated (n x C) and ``modulation`` is not read.
-    ``mode`` is the forward pass ("train", "eval" or "mc").
+    blended anchor by ``modulation`` (a ``ModulationMatrix``), computed
+    by the fused head ``modulator.modulate`` from the classifier's
+    parameters. Without one it is the unmodulated (n x C) from
+    ``Classifier.forward`` and ``modulation`` is not read. ``mode`` is
+    the forward pass ("train", "eval" or "mc").
     """
     feats = model.extractor.forward(x, mode, rng)
-    if bank is not None:
-        feats = fm.modulate(feats, bank.blended, modulation.node)
-    return model.classifier.forward(feats)
+    if bank is None:
+        return model.classifier.forward(feats)
+    head = model.classifier
+    return fm.modulate(
+        feats, bank.blended, modulation.node, head.weight.node, head.bias.node
+    )
 
 
 def class_confidence(probs: np.ndarray, n: int, num_classes: int) -> np.ndarray:

@@ -26,7 +26,11 @@ A step scores the labeled weak view and the kept rows of the strong
 view as one stacked batch: one forward pass, one log-softmax, and one
 loss node whose hand-written vjp reads and writes only the entries the
 terms use: the picked entries (label terms) and the n*C diagonal
-entries (gap terms).
+entries (gap terms). In the modulated mode the forward ends in the
+fused head (``modulator.modulate``): the n*C log-score rows come from
+one (n x F) @ (F x C*C) product of the features with a mixing matrix
+built from the modulation weights and the classifier, so a step's graph
+is the extractor, three head nodes, the log-softmax and the loss node.
 """
 
 from __future__ import annotations

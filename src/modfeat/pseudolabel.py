@@ -3,11 +3,13 @@
 For each unlabeled sample the class-probability matrix (R = C rows, one
 per class the features are modulated toward; see
 ``network.score_graph``) is evaluated K times with dropout enabled
-(Monte Carlo sampling). The K passes over a batch run as one stacked
-forward of K copies of the batch; dropout draws its masks from the
-generator's stream in order, so pass k sees the masks the k-th of K
-separate calls would have drawn (a one-sample batch runs its K passes
-one at a time: see ``pseudo_label_batch``). The per-run diagonal holds the
+(Monte Carlo sampling). The K passes over a batch run as stacked
+forwards of copies of the batch, in chunks of whole passes that fit
+``MC_BUDGET_BYTES``, so any K runs in bounded memory. Dropout draws its
+masks from the generator's stream in order, so pass k sees the masks
+the k-th of K separate calls would have drawn, whatever the chunking
+(a one-sample batch runs its K passes one at a time: see
+``pseudo_label_batch``). The per-run diagonal holds the
 confidence for each candidate class when features are modulated toward
 that class. The label is the argmax of the K-run mean diagonal; sigma
 is the K-run population standard deviation of the predicted class's
@@ -38,6 +40,9 @@ from .network import Model
 from .prototypes import PrototypeBank
 
 BASELINE_THRESHOLD = 0.95
+# Bytes the K Monte Carlo passes over one batch may hold at once: the
+# (K, n, C) confidence table plus one chunk of stacked passes.
+MC_BUDGET_BYTES = 64 * 2**20
 
 
 class PseudoLabelRecord(NamedTuple):
@@ -115,6 +120,16 @@ def predict_matrices(
     return probs.reshape(u.shape[0], -1, probs.shape[1])
 
 
+def _pass_bytes(model: Model, n: int) -> int:
+    """Upper estimate of the bytes one MC pass over ``n`` rows holds at once:
+    its input, the activations and dropout factors of each layer, and the
+    (n*C x C) logits with their softmax temporaries."""
+    cfg = model.extractor.config
+    c = model.num_classes
+    width = cfg.input_dim + 3 * (sum(cfg.hidden_dims) + cfg.feature_dim) + 4 * c * c
+    return 8 * n * width
+
+
 def pseudo_label_batch(
     u: np.ndarray,
     model: Model,
@@ -130,24 +145,20 @@ def pseudo_label_batch(
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
     u = np.atleast_2d(u)
-    n = u.shape[0]
-    if n == 1:
-        # BLAS multiplies a one-row batch with its vector routine, which
-        # rounds differently from the matrix routine a K-row stack takes;
-        # one pass at a time keeps a single sample's scores bit-identical.
-        s = np.concatenate(
-            [
-                predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
-                for _ in range(mc_samples)
-            ]
-        )
-    else:
+    n, c = u.shape[0], model.num_classes
+    conf = np.empty((mc_samples, n, c))
+    # A one-row forward goes through BLAS's vector routine, which rounds
+    # differently from the matrix routine a stack of passes takes; one
+    # pass per forward keeps a single sample's scores bit-identical.
+    room = MC_BUDGET_BYTES - conf.nbytes
+    per_chunk = 1 if n == 1 else max(1, room // _pass_bytes(model, n))
+    for k0 in range(0, mc_samples, per_chunk):
+        k = min(per_chunk, mc_samples - k0)
         s = predict_matrices(
-            np.tile(u, (mc_samples, 1)), model, modulation, bank, dropout=True, rng=rng
+            np.tile(u, (k, 1)), model, modulation, bank, dropout=True, rng=rng
         )
-    c = s.shape[-1]
-    conf = net.class_confidence(s.reshape(-1, c), mc_samples * n, c)
-    conf = conf.reshape(mc_samples, n, c)
+        chunk = net.class_confidence(s.reshape(-1, c), k * n, c)
+        conf[k0 : k0 + k] = chunk.reshape(k, n, c)
     mean_conf = conf.mean(axis=0)
     labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)

@@ -31,8 +31,8 @@ from .modulator import ModulationMatrix, variance_init
 from .network import MODES, ExtractorConfig, Model
 from .prototypes import PrototypeBank, build_bank
 
-# Sanity bound: the K MC passes over a batch run as one stacked forward,
-# so its arrays grow linearly in K.
+# Sanity bound only: the K MC passes run in chunks under
+# ``pseudolabel.MC_BUDGET_BYTES``, so the stacked forwards stay bounded.
 MAX_MC_SAMPLES = 1000
 
 METRICS_HEADER = (

@@ -92,9 +92,15 @@ def test_criterion_2_modulation_algebra():
     z = g.normal(size=(1, 6))
     anchors = g.normal(size=(4, 6))
     rep = np.tile(z, (4, 1))
-    out_one = fm.modulate(ad.constant(z), anchors, ad.constant(np.ones((4, 6)))).value
-    out_zero = fm.modulate(ad.constant(z), anchors, ad.constant(np.zeros((4, 6)))).value
-    out_half = fm.modulate(ad.constant(z), anchors, ad.constant(np.full((4, 6), 0.5))).value
+    # Through the identity head (W = I, b = 0) the fused head returns the
+    # blended features, rounded exactly as the blend rounds them.
+    head = (ad.constant(np.eye(6)), ad.constant(np.zeros((1, 6))))
+
+    def blended(weight):
+        w = ad.constant(np.full((4, 6), weight))
+        return fm.modulate(ad.constant(z), anchors, w, *head).value
+
+    out_one, out_zero, out_half = blended(1.0), blended(0.0), blended(0.5)
     ok = (
         np.array_equal(out_one, rep)
         and np.array_equal(out_zero, anchors)

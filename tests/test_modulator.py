@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from modfeat import autodiff as ad
 from modfeat import modulator as fm
+from tests import refops as ref
 
 
 def _features_with_variance(variances):
@@ -70,8 +71,20 @@ class TestVarianceInit:
         np.testing.assert_allclose(out, [[0.75, 1.0], [0.0, 1.0]])
 
 
+def identity_head(feat):
+    """The head W = I_F, b = 0. Every product with it is with 0 or 1, so
+    the fused head returns the blended features ``w * z + (1 - w) * a``
+    themselves, rounded exactly as the blend rounds them."""
+    return ad.constant(np.eye(feat)), ad.constant(np.zeros((1, feat)))
+
+
+def blend(features, anchors, weights):
+    """The fused head through ``identity_head``: the blended features."""
+    return fm.modulate(features, anchors, weights, *identity_head(features.shape[1]))
+
+
 def _dense_modulate(features, anchors, weights):
-    """Reference formulation: multiply by 0/1 replication matrices."""
+    """Reference blend: multiply by 0/1 replication matrices."""
     n, feat = features.shape
     num_classes = weights.shape[0]
     rep = np.kron(np.eye(n), np.ones((num_classes, 1)))
@@ -80,10 +93,54 @@ def _dense_modulate(features, anchors, weights):
     tiled_weights = ad.matmul(ad.constant(tile), weights)
     tiled_anchors = ad.constant(np.tile(anchors, (n, 1)))
     ones = ad.constant(np.ones((n * num_classes, feat)))
-    return ad.add(
-        ad.mul(tiled_weights, replicated),
-        ad.mul(ad.add(ones, ad.scale(tiled_weights, -1.0)), tiled_anchors),
+    return ref.add(
+        ref.mul(tiled_weights, replicated),
+        ref.mul(ref.add(ones, ref.scale(tiled_weights, -1.0)), tiled_anchors),
     )
+
+
+def _broadcast_modulate(features, anchors, weights):
+    """Reference blend as one broadcast node over an (n, C, F) view."""
+    n, feat = features.shape
+    num_classes = weights.shape[0]
+    a = np.asarray(anchors, dtype=np.float64)[None]
+    z, w = features.value[:, None, :], weights.value
+    out = w[None] * z + (1.0 - w)[None] * a
+
+    def vjp(g):
+        g3 = g.reshape(n, num_classes, feat)
+        gz = g3 * w[None]
+        gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
+        return gz, (g3 * z - g3 * a).sum(axis=0)
+
+    return ad.Node(out.reshape(n * num_classes, feat), (features, weights), vjp)
+
+
+def reference_head(features, anchors, weights, head_weight, head_bias):
+    """The chain the fused head replaces: blend, classifier matmul, bias."""
+    blended = _broadcast_modulate(features, anchors, weights)
+    return ad.add_row(ad.matmul(blended, head_weight), head_bias)
+
+
+def _operands(rng, n, num_classes=7, feat=32):
+    """Features, weights, head weight and bias as parameters, plus anchors."""
+    z = ad.DualParam.create("z", rng.normal(size=(n, feat)))
+    w = ad.DualParam.create("w", rng.uniform(-0.5, 1.5, size=(num_classes, feat)))
+    hw = ad.DualParam.create(
+        "W", rng.normal(0.0, feat**-0.5, size=(feat, num_classes))
+    )
+    hb = ad.DualParam.create("b", rng.normal(size=(1, num_classes)))
+    return [z, w, hw, hb], rng.normal(size=(num_classes, feat))
+
+
+def _value_and_adjoints(build, params, anchors, g):
+    """Output of ``build`` and the adjoints of ``params`` under ``g``."""
+    for p in params:
+        p.node.zero_grad()
+    z, w, *head = (p.node for p in params)
+    out = build(z, anchors, w, *head)
+    ad.backward(ad.sum_all(ref.mul(out, g)))
+    return [out.value] + [p.grad.copy() for p in params]
 
 
 class TestModulate:
@@ -93,9 +150,7 @@ class TestModulate:
         self.anchors = g.normal(size=(3, 4))
 
     def _modulate(self, weights):
-        return fm.modulate(
-            ad.constant(self.z), self.anchors, ad.constant(weights)
-        ).value
+        return blend(ad.constant(self.z), self.anchors, ad.constant(weights)).value
 
     def test_all_ones_returns_replicated_input(self):
         out = self._modulate(np.ones((3, 4)))
@@ -112,18 +167,17 @@ class TestModulate:
     def test_batched_rows_grouped_per_sample(self, rng):
         feats = rng.normal(size=(2, 4))
         weights = rng.uniform(size=(3, 4))
-        out = fm.modulate(ad.constant(feats), self.anchors, ad.constant(weights)).value
+        out = blend(ad.constant(feats), self.anchors, ad.constant(weights)).value
         for i in range(2):
-            single = fm.modulate(
+            single = blend(
                 ad.constant(feats[i : i + 1]), self.anchors, ad.constant(weights)
             ).value
             np.testing.assert_array_equal(out[i * 3 : (i + 1) * 3], single)
 
     def test_anchor_row_fixed_point(self, rng):
         weights = rng.uniform(size=(3, 4))
-        out = fm.modulate(
-            ad.constant(self.anchors[1:2]), self.anchors, ad.constant(weights)
-        ).value
+        anchor = ad.constant(self.anchors[1:2])
+        out = blend(anchor, self.anchors, ad.constant(weights)).value
         np.testing.assert_allclose(out[1], self.anchors[1], atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
@@ -138,7 +192,7 @@ class TestModulate:
         g = np.random.default_rng(0)
         z = g.normal(size=(1, 3))
         anchors = g.normal(size=(2, 3))
-        out = fm.modulate(ad.constant(z), anchors, ad.constant(weights)).value
+        out = blend(ad.constant(z), anchors, ad.constant(weights)).value
         rep = np.tile(z, (2, 1))
         lo = np.minimum(rep, anchors) - 1e-12
         hi = np.maximum(rep, anchors) + 1e-12
@@ -151,10 +205,10 @@ class TestModulate:
         mask_index = (2, 1)  # output row 2, coordinate 1
 
         def loss():
-            out = fm.modulate(p.node, self.anchors, w_node)
+            out = blend(p.node, self.anchors, w_node)
             mask = np.zeros((3, 4))
             mask[mask_index] = 1.0
-            return ad.sum_all(ad.mul(out, ad.constant(mask)))
+            return ad.sum_all(ref.mul(out, ad.constant(mask)))
 
         ad.backward(loss())
         expected = np.zeros((1, 4))
@@ -164,46 +218,59 @@ class TestModulate:
         assert report.passed, report
 
     def test_gradient_flows_to_weights(self):
-        w = ad.DualParam.create("w", np.random.default_rng(2).uniform(size=(3, 4)))
+        g = np.random.default_rng(2)
+        w = ad.DualParam.create("w", g.uniform(size=(3, 4)))
+        hw = ad.DualParam.create("W", g.normal(size=(4, 3)))
+        hb = ad.DualParam.create("b", g.normal(size=(1, 3)))
 
         def loss():
-            out = fm.modulate(ad.constant(self.z), self.anchors, w.node)
-            return ad.sum_all(ad.mul(out, out))
+            z = ad.constant(self.z)
+            out = fm.modulate(z, self.anchors, w.node, hw.node, hb.node)
+            return ad.sum_all(ref.mul(out, out))
 
-        report = ad.grad_check(loss, [w], step=1e-6, tolerance=1e-7)
+        report = ad.grad_check(loss, [w, hw, hb], step=1e-6, tolerance=1e-7)
         assert report.passed, report
 
     def test_shape_mismatch(self):
+        z, w = ad.constant(self.z), ad.constant(np.ones((3, 4)))
+        head = identity_head(4)
         with pytest.raises(ad.DimensionError):
-            fm.modulate(ad.constant(self.z), self.anchors[:, :2], ad.constant(np.ones((3, 4))))
+            fm.modulate(z, self.anchors[:, :2], w, *head)
+        with pytest.raises(ad.DimensionError):
+            fm.modulate(z, self.anchors, w, ad.constant(np.eye(3)), head[1])
+        with pytest.raises(ad.DimensionError):
+            fm.modulate(z, self.anchors, w, head[0], ad.constant(np.zeros((1, 3))))
 
 
 class TestBroadcastModulate:
     @pytest.mark.parametrize("n", [1, 48])
     def test_matches_dense_oracle_bitwise(self, rng, n):
+        # The reference blend the fused head is checked against is the
+        # replication-matrix formulation, bit for bit in value and adjoints;
+        # through the identity head the fused head's value is too.
         z = ad.DualParam.create("z", rng.normal(size=(n, 32)))
         w = ad.DualParam.create("w", rng.uniform(size=(7, 32)))
         anchors = rng.normal(size=(7, 32))
         g = ad.constant(rng.normal(size=(n * 7, 32)))
         results = []
-        for build in (fm.modulate, _dense_modulate):
+        for build in (_broadcast_modulate, _dense_modulate):
             z.node.zero_grad()
             w.node.zero_grad()
             out = build(z.node, anchors, w.node)
-            ad.backward(ad.sum_all(ad.mul(out, g)))
+            ad.backward(ad.sum_all(ref.mul(out, g)))
             results.append((out.value, z.grad.copy(), w.grad.copy()))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
+        fused = blend(z.node, anchors, w.node).value
+        np.testing.assert_array_equal(fused, results[1][0])
 
     def test_gradients_of_both_inputs(self, rng):
-        z = ad.DualParam.create("z", rng.normal(size=(3, 4)))
-        w = ad.DualParam.create("w", rng.uniform(size=(2, 4)))
-        anchors = rng.normal(size=(2, 4))
-        g = ad.constant(rng.normal(size=(6, 4)))
+        (z, w, hw, hb), anchors = _operands(rng, 3, num_classes=2, feat=4)
+        g = ad.constant(rng.normal(size=(6, 2)))
 
         def loss():
-            out = fm.modulate(z.node, anchors, w.node)
-            return ad.sum_all(ad.mul(ad.mul(out, out), g))
+            out = fm.modulate(z.node, anchors, w.node, hw.node, hb.node)
+            return ad.sum_all(ref.mul(ref.mul(out, out), g))
 
         report = ad.grad_check(loss, [z, w], step=1e-6, tolerance=1e-7)
         assert report.passed, report
@@ -212,10 +279,11 @@ class TestBroadcastModulate:
         z = ad.constant(rng.normal(size=(3, 4)))
         w = ad.DualParam.create("w", rng.uniform(size=(2, 4)))
         anchors = rng.normal(size=(2, 4))
-        out = fm.modulate(z, anchors, w.node)
-        gz, gw = out._vjp(rng.normal(size=(6, 4)))
+        out = blend(z, anchors, w.node)
+        product = out.parents[0]
+        gz, gm = product._vjp(rng.normal(size=product.shape))
         assert gz is None
-        assert gw.shape == (2, 4)
+        assert gm.shape == (4, 2 * 4)
         ad.backward(ad.sum_all(out))
         assert z._grad is None and w.node._grad is not None
 
@@ -223,9 +291,7 @@ class TestBroadcastModulate:
         anchors = np.zeros((2, 3))
         anchors[1, 2] = np.nan
         with pytest.raises(ad.ParameterError):
-            fm.modulate(
-                ad.constant(np.ones((1, 3))), anchors, ad.constant(np.ones((2, 3)))
-            )
+            blend(ad.constant(np.ones((1, 3))), anchors, ad.constant(np.ones((2, 3))))
 
     def test_forward_memory_is_linear_in_rows(self, rng):
         n, num_classes, feat = 4096, 7, 32
@@ -235,7 +301,7 @@ class TestBroadcastModulate:
         out_bytes = n * num_classes * feat * 8
         tracemalloc.start()
         try:
-            out = fm.modulate(features, anchors, weights)
+            out = blend(features, anchors, weights)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -244,36 +310,81 @@ class TestBroadcastModulate:
         assert peak < 3 * out_bytes
 
 
-def _broadcast_modulate(features, anchors, weights):
-    """The out-of-place broadcast blend, kept as the oracle for ``modulate``."""
-    n, feat = features.shape
-    num_classes = weights.shape[0]
-    a = np.asarray(anchors, dtype=np.float64)[None]
-    z, w = features.value[:, None, :], weights.value
-    out = w[None] * z + (1.0 - w)[None] * a
+def _out_of_place_head(features, anchors, weights, head_weight, head_bias):
+    """The fused head with its bias row added out of place: the oracle for
+    the in-place add, which reuses the product's buffer as the output."""
+    n = features.shape[0]
+    num_classes, k = weights.shape[0], head_weight.shape[1]
+    w, hw = weights.value, head_weight.value
+    shift = (1.0 - w) * anchors
+
+    def mix_vjp(gm):
+        g3 = gm.reshape(-1, num_classes, k)
+        return np.einsum("fcj,fj->cf", g3, hw), np.einsum("fcj,cf->fj", g3, w)
+
+    m = (w.T[:, :, None] * hw[:, None, :]).reshape(-1, num_classes * k)
+    product = ad.matmul(features, ad.Node(m, (weights, head_weight), mix_vjp))
+    out = product.value + (shift @ hw + head_bias.value).reshape(1, -1)
 
     def vjp(g):
-        g3 = g.reshape(n, num_classes, feat)
-        gz = g3 * w[None]
-        gz = np.ones((1, num_classes)) @ gz[0] if n == 1 else gz.sum(axis=1)
-        return gz, (g3 * z - g3 * a).sum(axis=0)
+        g2 = g.reshape(n, num_classes * k)
+        gk = g2.sum(axis=0).reshape(num_classes, k)
+        return g2, (gk @ hw.T) * -anchors, shift.T @ gk, gk.sum(axis=0, keepdims=True)
 
-    return ad.Node(out.reshape(n * num_classes, feat), (features, weights), vjp)
+    parents = (product, weights, head_weight, head_bias)
+    return ad.Node(out.reshape(n * num_classes, k), parents, vjp)
 
 
 class TestInPlaceModulate:
     @pytest.mark.parametrize("n", [1, 48, 240])
     def test_matches_out_of_place_bitwise(self, rng, n):
-        z = ad.DualParam.create("z", rng.normal(size=(n, 32)))
-        w = ad.DualParam.create("w", rng.uniform(-0.5, 1.5, size=(7, 32)))
-        anchors = rng.normal(size=(7, 32))
-        g = ad.constant(rng.normal(size=(n * 7, 32)))
-        results = []
-        for build in (fm.modulate, _broadcast_modulate):
-            z.node.zero_grad()
-            w.node.zero_grad()
-            out = build(z.node, anchors, w.node)
-            ad.backward(ad.sum_all(ad.mul(out, g)))
-            results.append((out.value, z.grad.copy(), w.grad.copy()))
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        params, anchors = _operands(rng, n)
+        g = ad.constant(rng.normal(size=(n * 7, 7)))
+        got = _value_and_adjoints(fm.modulate, params, anchors, g)
+        want = _value_and_adjoints(_out_of_place_head, params, anchors, g)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestFusedHead:
+    @pytest.mark.parametrize("n", [1, 2, 48, 240, 1050])
+    def test_matches_blend_matmul_bias_chain(self, rng, n):
+        params, anchors = _operands(rng, n)
+        g = ad.constant(rng.normal(size=(n * 7, 7)))
+        got = _value_and_adjoints(fm.modulate, params, anchors, g)
+        want = _value_and_adjoints(reference_head, params, anchors, g)
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+        # Adjoints sum over up to n*C rows; compare them at their own scale.
+        for a, b in zip(got[1:], want[1:]):
+            scale = max(1.0, np.abs(b).max())
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+
+    def test_finite_differences_of_all_operands(self, rng):
+        params, anchors = _operands(rng, 5, num_classes=3, feat=4)
+        g = ad.constant(rng.normal(size=(15, 3)))
+
+        def loss():
+            z, w, hw, hb = (p.node for p in params)
+            out = fm.modulate(z, anchors, w, hw, hb)
+            return ad.sum_all(ref.mul(ref.mul(out, out), g))
+
+        report = ad.grad_check(loss, params, step=1e-6, tolerance=1e-7)
+        assert report.passed, report
+
+    def test_no_blended_feature_tensor(self, rng):
+        n, num_classes, feat = 4096, 7, 32
+        features = ad.constant(rng.normal(size=(n, feat)))
+        weights = ad.constant(rng.uniform(size=(num_classes, feat)))
+        head = ad.constant(rng.normal(size=(feat, num_classes)))
+        bias = ad.constant(np.zeros((1, num_classes)))
+        anchors = rng.normal(size=(num_classes, feat))
+        out_bytes = n * num_classes * num_classes * 8
+        tracemalloc.start()
+        try:
+            out = fm.modulate(features, anchors, weights, head, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n * num_classes, num_classes)
+        # The (n, C, F) blend alone would be F/C ~ 4.6x the logits.
+        assert peak < 1.5 * out_bytes

@@ -162,6 +162,26 @@ class TestScoreGraph:
         plain = model.classifier.forward(model.extractor.forward(x, "eval"))
         assert logits.value.tobytes() == plain.value.tobytes()
 
+    def test_with_a_bank_one_fused_head_and_no_classifier_pass(self, monkeypatch):
+        from modfeat import modulator
+
+        model, modulation, bank, x, _ = make_tiny_setup()
+        real, calls = modulator.modulate, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def forbidden(*args):
+            raise AssertionError("Classifier.forward called with a bank")
+
+        monkeypatch.setattr(modulator, "modulate", counting)
+        monkeypatch.setattr(net.Classifier, "forward", forbidden)
+        logits = net.score_graph(model, modulation, bank, x, "eval")
+        assert len(calls) == 1 and logits.shape == (len(x) * 2, 2)
+        head = model.classifier
+        assert calls[0][3] is head.weight.node and calls[0][4] is head.bias.node
+
     def test_class_confidence_reads_the_diagonal_or_the_row(self, rng):
         n, c = 4, 3
         probs = rng.uniform(size=(n * c, c))

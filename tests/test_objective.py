@@ -7,6 +7,7 @@ from modfeat import autodiff as ad
 from modfeat import network as net
 from modfeat import objective as obj
 from modfeat.pseudolabel import PseudoLabelRecord, gate_batch
+from tests import refops as ref
 from tests.conftest import make_tiny_setup
 
 
@@ -335,7 +336,7 @@ class TestLabelMask:
         denom = np.repeat([n_l, n_u], [n_l * r, n_k * r])[:, None]
         slog = ad.leaf(rng.normal(size=(n * r, c)))
         node, terms = obj._loss_node(slog, n_l, picks, weights, n_u, 1.0, 0.5, None)
-        ad.backward(ad.scale(node, 0.7))
+        ad.backward(ref.scale(node, 0.7))
         # Equal up to the sign of zeros: the dense product has -0.0 off the picks.
         np.testing.assert_array_equal(slog.grad, (0.7 * (-1.0 / denom)) * mask)
         per_row = -(slog.value * mask / denom).sum(axis=1)
@@ -356,22 +357,22 @@ def _dense_view_terms(slog, n, picks, weights, denom, target):
     w = 1.0 if weights is None else np.asarray(weights)[:, None]
     label_mask = np.zeros((n, r, c))
     label_mask[np.arange(n), :, picks] = w / r
-    label = ad.scale(
-        ad.sum_all(ad.mul(slog, ad.Node(label_mask.reshape(rows, c)))), -1.0 / denom
+    label = ref.scale(
+        ad.sum_all(ref.mul(slog, ad.Node(label_mask.reshape(rows, c)))), -1.0 / denom
     )
     if target is None:
         return label, ad.Node(np.zeros((1, 1)))
     dense_target = np.zeros((rows, c))
     dense_target.reshape(n, c * c)[:, :: c + 1] = target
     block_diag = np.tile(np.eye(c), (n, 1))
-    gap = ad.mul(ad.add(slog, ad.scale(ad.Node(dense_target), -1.0)), ad.Node(block_diag))
-    sq = ad.mul(gap, gap)
+    gap = ref.mul(ref.add(slog, ref.scale(ad.Node(dense_target), -1.0)), ad.Node(block_diag))
+    sq = ref.mul(gap, gap)
     if weights is None:
-        mean = ad.scale(ad.sum_all(sq), 1.0 / c)
+        mean = ref.scale(ad.sum_all(sq), 1.0 / c)
     else:
         weighted = block_diag * np.repeat(weights, c)[:, None]
-        mean = ad.scale(ad.sum_all(ad.mul(sq, ad.Node(weighted))), 1.0 / c)
-    return label, ad.scale(mean, 1.0 / denom)
+        mean = ref.scale(ad.sum_all(ref.mul(sq, ad.Node(weighted))), 1.0 / c)
+    return label, ref.scale(mean, 1.0 / denom)
 
 
 class TestViewNodes:
@@ -435,7 +436,7 @@ class TestViewNodes:
         if not kept:
             parts.append((ad.Node(np.zeros((1, 1))), ad.Node(np.zeros((1, 1)))))
         (l_s, l_d), (l_u, l_ud) = parts
-        total = ad.add(ad.add(l_s, l_u), ad.add(ad.scale(l_d, beta), ad.scale(l_ud, gamma)))
+        total = ref.add(ref.add(l_s, l_u), ref.add(ref.scale(l_d, beta), ref.scale(l_ud, gamma)))
         ad.backward(total)
 
         want = np.concatenate([leaf.grad for leaf in leaves])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,20 +182,37 @@ def _loop_oracle(u, model, modulation, bank, k, rng):
     return labels, mean_diag[rows, labels], diags[:, rows, labels].std(axis=0)
 
 
+def _mc_setup(hidden, n, num_classes=7, dim=32):
+    """A model, modulation and bank in the benchmark's shapes, and n rows."""
+    model = make_tiny_model(
+        num_classes=num_classes, input_dim=dim, hidden=hidden, feature_dim=dim
+    )
+    g = np.random.default_rng(3)
+    y = np.repeat(np.arange(num_classes), 4)
+    feats = model.extractor.forward(g.normal(size=(len(y), dim)), "eval").value
+    modulation = ModulationMatrix.from_values(variance_init(feats, y, num_classes))
+    bank = build_bank(feats, y, num_classes)
+    return model, modulation, bank, g.normal(size=(n, dim))
+
+
+def _counting_passes(monkeypatch):
+    """Record the row count of every ``predict_matrices`` call."""
+    real, rows = pl.predict_matrices, []
+
+    def counting(u, *args, **kwargs):
+        rows.append(len(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "predict_matrices", counting)
+    return rows
+
+
 class TestStackedMonteCarlo:
     @pytest.mark.parametrize("hidden", [(), (64,)])
     @pytest.mark.parametrize("n", [1, 48])
     def test_matches_k_call_loop_bitwise(self, hidden, n):
-        num_classes, dim, k = 7, 32, 5
-        model = make_tiny_model(
-            num_classes=num_classes, input_dim=dim, hidden=hidden, feature_dim=dim
-        )
-        g = np.random.default_rng(3)
-        y = np.repeat(np.arange(num_classes), 4)
-        feats = model.extractor.forward(g.normal(size=(len(y), dim)), "eval").value
-        modulation = ModulationMatrix.from_values(variance_init(feats, y, num_classes))
-        bank = build_bank(feats, y, num_classes)
-        u = g.normal(size=(n, dim))
+        k = 5
+        model, modulation, bank, u = _mc_setup(hidden, n)
 
         rng = np.random.default_rng(21)
         recs = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, rng)
@@ -205,6 +223,53 @@ class TestStackedMonteCarlo:
         assert np.array([r.p_max for r in recs]).tobytes() == p_max.tobytes()
         assert np.array([r.sigma for r in recs]).tobytes() == sigma.tobytes()
         assert rng.random() == oracle_rng.random()
+
+
+class TestChunkedMonteCarlo:
+    @pytest.mark.parametrize("hidden", [(), (64,)])
+    @pytest.mark.parametrize("n", [2, 48])
+    def test_small_budget_matches_one_chunk_bitwise(self, monkeypatch, hidden, n):
+        k = 5
+        model, modulation, bank, u = _mc_setup(hidden, n)
+        rows = _counting_passes(monkeypatch)
+        one_rng = np.random.default_rng(21)
+        one = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, one_rng)
+        assert rows == [k * n]
+
+        rows.clear()
+        budget = np.empty((k, n, 7)).nbytes + 2 * pl._pass_bytes(model, n)
+        monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
+        small_rng = np.random.default_rng(21)
+        small = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, small_rng)
+        assert rows == [2 * n, 2 * n, n]
+
+        assert [r.label for r in small] == [r.label for r in one]
+        assert np.array([r.p_max for r in small]).tobytes() == np.array(
+            [r.p_max for r in one]
+        ).tobytes()
+        assert np.array([r.sigma for r in small]).tobytes() == np.array(
+            [r.sigma for r in one]
+        ).tobytes()
+        assert small_rng.random() == one_rng.random()
+
+    def test_large_k_peak_memory_stays_under_budget(self, monkeypatch):
+        n, k, budget = 16, 1000, 4 * 2**20
+        model, modulation, bank, u = _mc_setup((), n)
+        monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
+        rows = _counting_passes(monkeypatch)
+        # One stacked forward of all K passes would hold ~25 MB.
+        assert k * pl._pass_bytes(model, n) > 6 * budget
+        tracemalloc.start()
+        try:
+            recs = pl.pseudo_label_batch(
+                u, model, modulation, bank, k, 0.5, np.random.default_rng(0)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == n
+        assert sum(rows) == k * n and len(rows) > 1
+        assert peak < budget
 
 
 class TestBaselinePseudoLabel:

@@ -6,6 +6,7 @@ from modfeat import objective, trainer
 from modfeat.autodiff import DualParam
 from modfeat.modulator import ModulationMatrix
 from modfeat.trainer import SGD, TrainConfig, cosine_lr
+from tests import refops as ref
 from tests.conftest import make_tiny_setup
 
 
@@ -60,7 +61,7 @@ class TestSGD:
         losses = []
         for _ in range(100):
             opt.zero_grads()
-            loss = ad.sum_all(ad.mul(p.node, p.node))
+            loss = ad.sum_all(ref.mul(p.node, p.node))
             losses.append(loss.value[0, 0])
             ad.backward(loss)
             opt.step(0.02)
