@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import sys
 
-from modfeat import cli, config, network, trainer
+from modfeat import cli, config, trainer
 
 
 def fingerprint(result: trainer.TrainResult) -> str:
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default="configs/synthetic.ini")
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
-    parser.add_argument("--modes", default=",".join(network.MODES))
+    parser.add_argument("--modes", default=",".join(trainer.MODES))
     parser.add_argument("--epochs", type=int, help="override train.epochs")
     parser.add_argument(
         "--hidden-dims", help="override model.hidden_dims, e.g. 64 or 64,64"

@@ -230,9 +230,9 @@ def row_max(a: np.ndarray) -> np.ndarray:
     overhead. Max involves no rounding, so every value is the same as
     ``a.max(axis=1, keepdims=True)`` (nan included); the one exception is
     a row whose maximum is a tie between +0.0 and -0.0, where the sign
-    of the zero returned depends on the order of comparison. The
-    softmaxes below give the same bits either way: exp(+0) == exp(-0),
-    and a tie means two entries of exp 1, so log_z is never 0.
+    of the zero returned depends on the order of comparison. Softmaxes
+    built on it give the same bits either way: exp(+0) == exp(-0), and
+    a tie means two entries of exp 1, so log_z is never 0.
     """
     return np.ascontiguousarray(a.T).max(axis=0)[:, None]
 
@@ -248,13 +248,6 @@ def row_log_softmax(a: Node) -> Node:
         return (g - probs * g.sum(axis=1, keepdims=True),)
 
     return Node(out, (a,), vjp)
-
-
-def row_softmax(a: np.ndarray) -> np.ndarray:
-    """No-gradient per-row softmax on a 2-D float array, stabilized."""
-    shifted = a - row_max(a)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def dropout(a: Node, p: float, rng: np.random.Generator, enabled: bool = True) -> Node:

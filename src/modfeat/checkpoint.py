@@ -57,8 +57,9 @@ def save_checkpoint(
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is not an archive, lacks a required key or has an
-    unsupported version."""
+    """A checkpoint file is not an archive, lacks a required key, has an
+    unsupported version, or holds an array whose shape does not match its
+    metadata or whose values are not finite."""
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -68,44 +69,72 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: not a checkpoint archive ({err})") from None
     with archive:
 
-        def data(key: str) -> np.ndarray:
+        def data(key: str, shape=None) -> np.ndarray:
+            """The array under ``key``: of ``shape`` and finite when a shape
+            is given, as parameters and bank arrays are."""
             if key not in archive:
                 raise CheckpointError(f"{path}: missing key {key!r}")
-            return archive[key]
+            a = archive[key]
+            if shape is None:
+                return a
+            if a.shape != shape:
+                raise CheckpointError(
+                    f"{path}: {key!r} has shape {a.shape}, the metadata implies {shape}"
+                )
+            if not np.isfinite(a).all():
+                raise CheckpointError(f"{path}: {key!r} holds non-finite values")
+            return a
 
-        version = int(data("meta.version")[0])
+        def scalar(key: str):
+            return data(key, (1,))[0]
+
+        version = int(scalar("meta.version"))
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        cfg = ExtractorConfig(
-            input_dim=int(data("meta.input_dim")[0]),
-            hidden_dims=tuple(int(h) for h in data("meta.hidden_dims")),
-            feature_dim=int(data("meta.feature_dim")[0]),
-            dropout_p=float(data("meta.dropout_p")[0]),
-        )
+        c = int(scalar("meta.num_classes"))
+        if c < 1:
+            raise CheckpointError(f"{path}: 'meta.num_classes' is {c}, not >= 1")
+        meta = {k: scalar(f"meta.{k}") for k in ("input_dim", "feature_dim", "dropout_p")}
+        hidden = data("meta.hidden_dims")
+        try:
+            cfg = ExtractorConfig(
+                input_dim=int(meta["input_dim"]),
+                hidden_dims=tuple(int(h) for h in hidden),
+                feature_dim=int(meta["feature_dim"]),
+                dropout_p=float(meta["dropout_p"]),
+            )
+        except ValueError as err:
+            raise CheckpointError(f"{path}: invalid metadata ({err})") from None
+        f = cfg.feature_dim
 
-        def param(name: str) -> DualParam:
-            return DualParam.create(name, data(f"param.{name}"))
+        def param(name: str, shape: tuple) -> DualParam:
+            return DualParam.create(name, data(f"param.{name}", shape))
 
-        layers = range(len(cfg.hidden_dims) + 1 if cfg.hidden_dims else 0)
+        dims = [cfg.input_dim, *cfg.hidden_dims, f] if cfg.hidden_dims else []
+        layers = list(enumerate(zip(dims[:-1], dims[1:])))
         model = Model(
             extractor=Extractor(
                 config=cfg,
-                weights=[param(f"extractor.{i}.weight") for i in layers],
-                biases=[param(f"extractor.{i}.bias") for i in layers],
+                weights=[param(f"extractor.{i}.weight", d) for i, d in layers],
+                biases=[param(f"extractor.{i}.bias", (1, d[1])) for i, d in layers],
             ),
             classifier=Classifier(
-                weight=param("classifier.weight"), bias=param("classifier.bias")
+                weight=param("classifier.weight", (f, c)),
+                bias=param("classifier.bias", (1, c)),
             ),
         )
-        modulation = None
-        if "param.modulator.weights" in archive:
-            modulation = ModulationMatrix.from_values(data("param.modulator.weights"))
         bank = None
         if "bank.prototypes" in archive:
             bank = PrototypeBank(
-                prototypes=data("bank.prototypes").copy(),
-                similarity=data("bank.similarity").copy(),
-                blended=data("bank.blended").copy(),
-                epoch=int(data("bank.epoch")[0]),
+                prototypes=data("bank.prototypes", (c, f)),
+                similarity=data("bank.similarity", (c, c)),
+                blended=data("bank.blended", (c, f)),
+                epoch=int(scalar("bank.epoch")),
+            )
+        modulation = None
+        # A bank is only read through the modulation weights.
+        if bank is not None or "param.modulator.weights" in archive:
+            modulation = ModulationMatrix.from_values(
+                data("param.modulator.weights", (c, f))
             )
     return Checkpoint(model=model, modulation=modulation, bank=bank)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -28,7 +29,6 @@ from .config import (
     write_resolved,
 )
 from .gradcheck import full_loss_grad_check
-from .network import MODES
 from .prototypes import DegeneratePrototypeError
 
 
@@ -213,6 +213,13 @@ def cmd_eval(args, extras) -> int:
 
 
 def cmd_gradcheck(args, extras) -> int:
+    if args.seed < 0 or not 0.0 < args.tolerance < math.inf:
+        print(
+            "error: gradcheck needs --seed >= 0 and a finite --tolerance > 0, "
+            f"got {args.seed} and {args.tolerance}",
+            file=sys.stderr,
+        )
+        return 2
     report = full_loss_grad_check(seed=args.seed, tolerance=args.tolerance)
     for name, err in sorted(report.per_param.items()):
         print(f"{name:<24} max rel error {err:.3e}")
@@ -225,18 +232,25 @@ def cmd_gradcheck(args, extras) -> int:
 
 
 def cmd_gen_data(args, extras) -> int:
-    dataset = dat.generate_synthetic(
-        args.num_classes,
-        args.num_domains,
-        args.signal_dim,
-        args.noise_dim,
-        args.samples_per_class,
-        args.class_sep,
-        args.domain_shift,
-        args.seed,
-        bias_jitter=args.bias_jitter,
-    )
-    dat.save_csv(dataset, args.out)
+    try:
+        dataset = dat.generate_synthetic(
+            args.num_classes,
+            args.num_domains,
+            args.signal_dim,
+            args.noise_dim,
+            args.samples_per_class,
+            args.class_sep,
+            args.domain_shift,
+            args.seed,
+            bias_jitter=args.bias_jitter,
+        )
+        dat.save_csv(dataset, args.out)
+    except dat.GenerationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -251,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train across seeds from a config file")
     p_train.add_argument("config", help="INI config with [data] [model] [train] [output]")
-    p_train.add_argument("--mode", choices=MODES, help="override train.mode")
+    p_train.add_argument("--mode", choices=trn.MODES, help="override train.mode")
     p_train.add_argument("--seeds", help="override train.seeds, e.g. 0,1,2")
     p_train.add_argument("--out", help="override output.dir")
     p_train.add_argument("--dump-sar", action="store_true")

@@ -6,7 +6,6 @@ can be reproduced from its own provenance file."""
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Optional
@@ -16,8 +15,6 @@ import numpy as np
 from .data import check_synthetic
 from .network import ExtractorConfig
 from .trainer import TrainConfig
-
-ENV_SEED = "MODFEAT_SEED"
 
 
 class ConfigError(ValueError):
@@ -130,7 +127,7 @@ def _build(values: dict) -> RunConfig:
     output = OutputSpec()
     specs = {"data": data, "model": model, "output": output}
     train_kwargs = {}
-    seeds = None
+    seeds = (0,)
     for (section, key), value in values.items():
         if section in specs:
             setattr(specs[section], key, value)
@@ -138,9 +135,6 @@ def _build(values: dict) -> RunConfig:
             seeds = value
         else:
             train_kwargs[key] = value
-    if seeds is None:
-        env = os.environ.get(ENV_SEED)
-        seeds = (int(env),) if env else (0,)
     try:
         train = TrainConfig(**train_kwargs)
     except ValueError as err:

@@ -67,7 +67,6 @@ def full_loss_grad_check(
             beta=1.0,
             gamma=0.5,
             rng=np.random.default_rng(drop_seed),
-            mode="fm",
             frozen_targets=frozen_targets,
         )
 

@@ -7,15 +7,16 @@ identity (features are the raw inputs, dropout still applies), which
 keeps input coordinates interpretable in diagnostics.
 
 Both training modes score through one pipeline, ``score_graph``, which
-yields R rows of class logits per sample. In ``"fm"`` mode features are
-modulated toward each class's blended anchor, so R = C. The classifier
-is linear, so that mode scores with ``modulator.modulate``, which folds
-the blend into the classifier's weight and bias: one (n x F) @
-(F x C*C) product gives all n*C rows, and ``Classifier.forward`` is not
-called. The fixed-threshold baseline (FixMatch, Sohn et al. 2020) is the
-same pipeline without modulation, R = 1, scored by
-``Classifier.forward``. ``class_confidence`` reads the per-class
-confidence from either view.
+yields R rows of class logits per sample. In the modulated mode features
+are modulated toward each class's blended anchor, so R = C. The
+classifier is linear, so that mode scores with ``modulator.modulate``,
+which folds the blend into the classifier's weight and bias: one
+(n x F) @ (F x C*C) product gives all n*C rows, and
+``Classifier.forward`` is not called. The fixed-threshold baseline
+(FixMatch, Sohn et al. 2020) is the same pipeline without modulation,
+R = 1, scored by ``Classifier.forward``. Whether a pass is modulated is
+decided by the prototype bank alone: ``score_graph`` modulates if and
+only if it is given one.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from . import modulator as fm
+from . import modulator
 from .autodiff import DualParam, Node
 
-# Training modes: the modulated pipeline and the fixed-threshold baseline.
-MODES = ("fm", "fixmatch-baseline")
 # Forward passes: dropout is active in "train" and "mc", off in "eval".
 PASS_MODES = ("train", "eval", "mc")
 
@@ -172,19 +171,6 @@ class Model:
         return self.extractor.params() + self.classifier.params()
 
 
-def view_bank(mode: str, bank):
-    """The prototype bank the pipeline modulates toward in ``mode``.
-
-    ``"fm"`` needs a bank and scores R = C rows per sample; the baseline
-    scores the unmodulated R = 1 view, so it gets none.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "fm" and bank is None:
-        raise ValueError("mode 'fm' needs a prototype bank")
-    return bank if mode == "fm" else None
-
-
 def score_graph(
     model: Model,
     modulation,
@@ -207,24 +193,6 @@ def score_graph(
     if bank is None:
         return model.classifier.forward(feats)
     head = model.classifier
-    return fm.modulate(
+    return modulator.modulate(
         feats, bank.blended, modulation.node, head.weight.node, head.bias.node
     )
-
-
-def class_confidence(probs: np.ndarray, n: int, num_classes: int) -> np.ndarray:
-    """(n x C) confidence of each sample in each class.
-
-    ``probs`` holds R rows of class probabilities per sample (R = C or
-    R = 1); entry (i, c) is taken from row i*R + (c mod R): the diagonal
-    of each sample's C x C block when modulated, the row itself when not.
-    """
-    r = probs.shape[0] // n
-    if r * n != probs.shape[0] or r not in (1, num_classes):
-        raise ad.DimensionError(
-            f"expected {n} or {n * num_classes} rows of probabilities, "
-            f"got {probs.shape[0]}"
-        )
-    if r == 1:
-        return probs
-    return np.diagonal(probs.reshape(n, r, num_classes), axis1=1, axis2=2)

@@ -21,6 +21,8 @@ kept or not, so discarded samples dilute the unsupervised terms toward
 zero. The fixed-threshold baseline is the same loss on the unmodulated
 R = 1 view: one log-score row per sample, so l_s and l_u are plain
 negative log-likelihoods and the diagonal terms do not exist (zero).
+``total_loss`` scores the modulated view if and only if it is given a
+prototype bank, as ``network.score_graph`` does.
 
 A step scores the labeled weak view and the kept rows of the strong
 view as one stacked batch: one forward pass, one log-softmax, and one
@@ -147,16 +149,14 @@ def total_loss(
     beta: float = 1.0,
     gamma: float = 0.5,
     rng: Optional[np.random.Generator] = None,
-    mode: str = "fm",
     frozen_targets: Optional[np.ndarray] = None,
 ) -> LossBreakdown:
     """Batch loss; one graph over the labeled and the kept strong rows.
 
-    ``mode`` is one of ``network.MODES``: ``"fm"`` scores the modulated
-    view through ``bank``, ``"fixmatch-baseline"`` the unmodulated one.
+    With a ``bank`` it scores the modulated view and adds the gap terms;
+    without one, the unmodulated view, and ``modulation`` is not read.
     ``frozen_targets`` re-feeds the ``diag_targets`` of an earlier call.
     """
-    bank = net.view_bank(mode, bank)
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
     if n_l == 0:

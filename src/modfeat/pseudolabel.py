@@ -1,25 +1,24 @@
 """Uncertainty-gated pseudo-labeling over modulated class scores.
 
-For each unlabeled sample the class-probability matrix (R = C rows, one
-per class the features are modulated toward; see
-``network.score_graph``) is evaluated K times with dropout enabled
-(Monte Carlo sampling). The K passes over a batch run as stacked
-forwards of copies of the batch, in chunks of whole passes that fit
+The gate reads one confidence per sample and class: the probability of
+class c once the features are modulated toward c (see
+``network.score_graph``), which ``predict_matrices`` returns as an
+(n x C) array. It is evaluated K times with dropout enabled (Monte
+Carlo sampling). The K passes over a batch run as stacked forwards of
+copies of the batch, in chunks of whole passes that fit
 ``MC_BUDGET_BYTES``, so any K runs in bounded memory. Dropout draws its
 masks from the generator's stream in order, so pass k sees the masks
 the k-th of K separate calls would have drawn, whatever the chunking
 (a one-sample batch runs its K passes one at a time: see
-``pseudo_label_batch``). The per-run diagonal holds the
-confidence for each candidate class when features are modulated toward
-that class. The label is the argmax of the K-run mean diagonal; sigma
-is the K-run population standard deviation of the predicted class's
-diagonal probability. A label is kept when mean_confidence - sigma
-clears the threshold, and kept labels get a confidence-dependent loss
-weight exp(p^3 - 1).
+``pseudo_label_batch``). The label is the argmax of the K-run mean
+confidence; sigma is the K-run population standard deviation of the
+predicted class's confidence. A label is kept when mean_confidence -
+sigma clears the threshold, and kept labels get a confidence-dependent
+loss weight exp(p^3 - 1).
 
-The fixed-threshold baseline scores the same pipeline's unmodulated
-R = 1 view in a single deterministic pass (K = 1, sigma 0) and gives
-an all-or-nothing weight.
+The fixed-threshold baseline reads the same pipeline's unmodulated
+class probabilities in a single deterministic pass (K = 1, sigma 0) and
+gives an all-or-nothing weight.
 
 Scoring passes run under ``autodiff.no_grad()``: they only read values,
 so they record no graph. Each gate rule is defined once, on arrays, and
@@ -34,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, no_grad, row_softmax
+from .autodiff import ParameterError, no_grad, row_max
 from .modulator import ModulationMatrix
 from .network import Model
 from .prototypes import PrototypeBank
@@ -105,19 +104,24 @@ def predict_matrices(
     dropout: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """(n, R, C) class-probability matrices for a batch of weak views.
+    """(n x C) confidence of each sample in each class.
 
-    With a bank, entry [i, j, :] holds the class probabilities for
-    sample i after modulating its features toward class j (R = C);
-    without one, [i, 0, :] holds the unmodulated ones (R = 1). No
+    With a bank, entry (i, c) is the probability of class c after
+    modulating sample i toward class c, the diagonal of its C x C block
+    of row softmaxes; without one, the unmodulated probability. Every
+    row is normalized; only the returned entries are divided. No
     gradients are recorded.
     """
     u = np.atleast_2d(u)
     mode = "mc" if dropout else "eval"
     with no_grad():
-        logits = net.score_graph(model, modulation, bank, u, mode, rng)
-    probs = row_softmax(logits.value)
-    return probs.reshape(u.shape[0], -1, probs.shape[1])
+        logits = net.score_graph(model, modulation, bank, u, mode, rng).value
+    e = np.exp(logits - row_max(logits))
+    total = e.sum(axis=1, keepdims=True)
+    if bank is None:
+        return e / total
+    c = logits.shape[1]
+    return e.reshape(-1, c * c)[:, :: c + 1] / total.reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -154,10 +158,9 @@ def pseudo_label_batch(
     per_chunk = 1 if n == 1 else max(1, room // _pass_bytes(model, n))
     for k0 in range(0, mc_samples, per_chunk):
         k = min(per_chunk, mc_samples - k0)
-        s = predict_matrices(
+        chunk = predict_matrices(
             np.tile(u, (k, 1)), model, modulation, bank, dropout=True, rng=rng
         )
-        chunk = net.class_confidence(s.reshape(-1, c), k * n, c)
         conf[k0 : k0 + k] = chunk.reshape(k, n, c)
     mean_conf = conf.mean(axis=0)
     labels = mean_conf.argmax(axis=1)
@@ -172,8 +175,6 @@ def baseline_pseudo_label_batch(
     tau_fixed: float = BASELINE_THRESHOLD,
 ) -> list:
     """Fixed-threshold labels from one deterministic unmodulated pass."""
-    s = predict_matrices(u, model, None, None)
-    n, _, c = s.shape
-    probs = net.class_confidence(s.reshape(n, c), n, c)
+    probs = predict_matrices(u, model, None, None)
     labels = probs.argmax(axis=1)
     return baseline_gate_batch(labels, probs[np.arange(len(labels)), labels], tau_fixed)

@@ -3,7 +3,8 @@ pseudo-labeling, SGD with cosine-annealed learning rates, evaluation and
 checkpointing. Also runs the fixed-threshold baseline mode: the same
 pipeline's unmodulated R = 1 view (``network.score_graph``), so the
 modulator and the diagonal losses drop out, and pseudo-labels come from
-a single deterministic pass at threshold 0.95.
+a single deterministic pass at threshold 0.95. Only this module names
+the modes (``MODES``); below it a pass is modulated iff it gets a bank.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
@@ -23,13 +24,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as met
-from . import network as net
 from . import objective, pseudolabel
 from .checkpoint import save_checkpoint
 from .data import Augmenter, BatchIterator, DomainDataset, SplitPlan, split
 from .modulator import ModulationMatrix, variance_init
-from .network import MODES, ExtractorConfig, Model
+from .network import ExtractorConfig, Model
 from .prototypes import PrototypeBank, build_bank
+
+# Training modes: the modulated pipeline and the fixed-threshold baseline.
+MODES = ("fm", "fixmatch-baseline")
 
 # Sanity bound only: the K MC passes run in chunks under
 # ``pseudolabel.MC_BUDGET_BYTES``, so the stacked forwards stay bounded.
@@ -163,15 +166,15 @@ def predict(
 ) -> np.ndarray:
     """Predicted class per row; ties break toward the smaller class id.
 
-    ``mode`` is one of ``MODES``; the baseline ignores ``modulation``
-    and ``bank``. Records no graph (``autodiff.no_grad``).
+    ``mode`` is one of ``MODES``; ``"fm"`` needs a bank, the baseline
+    ignores ``modulation`` and ``bank``. Records no graph.
     """
-    x = np.atleast_2d(x)
-    probs = pseudolabel.predict_matrices(
-        x, model, modulation, net.view_bank(mode, bank)
-    )
-    c = model.num_classes
-    return net.class_confidence(probs.reshape(-1, c), x.shape[0], c).argmax(axis=1)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "fm" and bank is None:
+        raise ValueError("mode 'fm' needs a prototype bank")
+    bank = bank if mode == "fm" else None
+    return pseudolabel.predict_matrices(x, model, modulation, bank).argmax(axis=1)
 
 
 def evaluate(
@@ -311,7 +314,6 @@ def train(
                     beta=config.beta,
                     gamma=config.gamma,
                     rng=drop_rng,
-                    mode=config.mode,
                 )
                 values = breakdown.values()
                 if not all(math.isfinite(v) for v in values.values()):

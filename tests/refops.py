@@ -1,12 +1,16 @@
-"""Elementwise graph ops that only the tests' dense reference chains use.
+"""Ops that only the tests' dense reference chains use.
 
 Training never runs them, so they live here rather than in the engine.
-They follow the engine's conventions: a fresh ``Node`` per call, the
-graph recorded only when an operand requires a gradient, and no adjoint
-computed for an operand that does not.
+The graph ops follow the engine's conventions: a fresh ``Node`` per
+call, the graph recorded only when an operand requires a gradient, and
+no adjoint computed for an operand that does not. ``row_softmax`` is
+the full softmax whose read entries ``pseudolabel.predict_matrices``
+computes.
 """
 
-from modfeat.autodiff import DimensionError, Node
+import numpy as np
+
+from modfeat.autodiff import DimensionError, Node, row_max
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -45,3 +49,10 @@ def scale(a: Node, c: float) -> Node:
         return (g * c,)
 
     return Node(a.value * c, (a,), vjp)
+
+
+def row_softmax(a: np.ndarray) -> np.ndarray:
+    """No-gradient per-row softmax on a 2-D float array, stabilized."""
+    shifted = a - row_max(a)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)

@@ -23,8 +23,8 @@ from modfeat import objective, trainer
 from modfeat.config import load_config
 from modfeat.gradcheck import full_loss_grad_check
 from modfeat.prototypes import build_bank
-from modfeat.network import MODES
 from modfeat.pseudolabel import confidence_scale, gate_batch, pseudo_label_batch
+from modfeat.trainer import MODES
 from tests.conftest import make_tiny_setup
 from tests.test_objective import no_dropout_setup, oracle_total
 

@@ -113,12 +113,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(mini_config, {"train.epochs": "many"})
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_unset_seeds_default_to_zero(self, tmp_path, monkeypatch):
+        # Seeds come from --seeds or the file only; the environment is not read.
         path = tmp_path / "c.ini"
         path.write_text("[train]\nepochs = 1\n")
         monkeypatch.setenv("MODFEAT_SEED", "42")
-        assert load_config(path).seeds == (42,)
-        monkeypatch.delenv("MODFEAT_SEED")
         assert load_config(path).seeds == (0,)
 
     def test_csv_kind_requires_path(self, tmp_path):
@@ -398,6 +397,46 @@ class TestCrossFieldValidation:
         assert not (tmp_path / "out").exists()
 
 
+def _fails_cleanly(argv, capsys, code):
+    """``modfeat argv`` exits ``code`` with one ``error:`` line, no traceback."""
+    capsys.readouterr()
+    assert cli.main([*map(str, argv)]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err and out == ""
+    return err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--num-classes", "0"], ["--class-sep", "0"], ["--samples-per-class", "0"]],
+    )
+    def test_gen_data_bad_settings_exit_2(self, tmp_path, capsys, flags):
+        _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 2)
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_gen_data_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "g.csv"
+        assert "g.csv" in _fails_cleanly(["gen-data", target], capsys, 2)
+
+    def test_gen_data_generation_failure_exits_1(self, tmp_path, capsys):
+        flags = ["--num-classes", "40", "--class-sep", "50", "--signal-dim", "1"]
+        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 1)
+        assert "class means" in err
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--seed", "-1"], "got -1 and"),
+            (["--tolerance", "nan"], "and nan"),
+            (["--tolerance", "-1"], "and -1.0"),
+        ],
+    )
+    def test_gradcheck_bad_arguments_exit_2(self, capsys, flags, needle):
+        assert needle in _fails_cleanly(["gradcheck", *flags], capsys, 2)
+
+
 class TestCheckpointErrors:
     @pytest.mark.parametrize("key", ["meta.version", "param.classifier.weight"])
     def test_missing_key(self, mini_config, tmp_path, capsys, key):
@@ -422,11 +461,36 @@ class TestCheckpointErrors:
 
     @staticmethod
     def _eval_fails(args, capsys, *needles):
-        capsys.readouterr()
-        assert cli.main(["eval", *map(str, args)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        err = _fails_cleanly(["eval", *args], capsys, 2)
         assert all(needle in err for needle in needles)
+
+    @pytest.mark.parametrize(
+        "key,edit,needle",
+        [
+            ("param.classifier.weight", lambda a: a[:4], "shape"),
+            ("bank.blended", lambda a: a[:, :4], "shape"),
+            ("param.modulator.weights", lambda a: a[:2], "shape"),
+            ("bank.blended", lambda a: np.where(np.eye(*a.shape), np.nan, a), "finite"),
+        ],
+        ids=["classifier-rows", "blended-columns", "modulator-rows", "blended-nan"],
+    )
+    def test_inconsistent_arrays(
+        self, mini_config, tmp_path, capsys, key, edit, needle
+    ):
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
+        arrays[key] = edit(arrays[key])
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
+            load_checkpoint(broken)
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
 
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_empty_or_truncated_file(self, mini_config, tmp_path, capsys, keep):

@@ -5,6 +5,7 @@ from modfeat import autodiff as ad
 from modfeat import checkpoint as ckpt
 from modfeat import network as net
 from modfeat.modulator import ModulationMatrix
+from tests import refops as ref
 from tests.conftest import make_tiny_model, make_tiny_setup
 
 
@@ -71,7 +72,7 @@ class TestClassifier:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         z = ad.constant(rng.normal(size=(2, 4)))
-        probs = ad.row_softmax(model.classifier.forward(z).value)
+        probs = ref.row_softmax(model.classifier.forward(z).value)
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
     def test_hand_computed_logits(self):
@@ -181,27 +182,3 @@ class TestScoreGraph:
         assert len(calls) == 1 and logits.shape == (len(x) * 2, 2)
         head = model.classifier
         assert calls[0][3] is head.weight.node and calls[0][4] is head.bias.node
-
-    def test_class_confidence_reads_the_diagonal_or_the_row(self, rng):
-        n, c = 4, 3
-        probs = rng.uniform(size=(n * c, c))
-        blocks = probs.reshape(n, c, c)
-        np.testing.assert_array_equal(
-            net.class_confidence(probs, n, c), np.diagonal(blocks, axis1=1, axis2=2)
-        )
-        np.testing.assert_array_equal(net.class_confidence(probs[:n], n, c), probs[:n])
-
-    def test_class_confidence_rejects_other_row_counts(self, rng):
-        with pytest.raises(ad.DimensionError):
-            net.class_confidence(rng.uniform(size=(8, 3)), 4, 3)
-        with pytest.raises(ad.DimensionError):
-            net.class_confidence(rng.uniform(size=(7, 3)), 2, 3)
-
-    def test_view_bank(self):
-        _, _, bank, _, _ = make_tiny_setup()
-        assert net.view_bank("fm", bank) is bank
-        assert net.view_bank("fixmatch-baseline", bank) is None
-        with pytest.raises(ValueError, match="prototype bank"):
-            net.view_bank("fm", None)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            net.view_bank("baseline", bank)

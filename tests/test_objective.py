@@ -279,9 +279,7 @@ class TestTotalLoss:
     def test_baseline_mode_has_zero_diag_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, True])
-        breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, None, None, mode="fixmatch-baseline"
-        )
+        breakdown = obj.total_loss(x[:2], y[:2], x[2:4], records, model, None, None)
         v = breakdown.values()
         assert v["l_d"] == 0.0 and v["l_ud"] == 0.0
         assert v["l_s"] > 0.0 and v["l_u"] > 0.0
@@ -291,21 +289,9 @@ class TestTotalLoss:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         breakdown = obj.total_loss(
-            x[:2], y[:2], np.empty((0, 3)), [], model, None, None,
-            mode="fixmatch-baseline",
+            x[:2], y[:2], np.empty((0, 3)), [], model, None, None
         )
         assert breakdown.values()["l_s"] == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_unknown_mode(self):
-        model, modulation, bank, x, y = no_dropout_setup()
-        with pytest.raises(ValueError):
-            obj.total_loss(x[:2], y[:2], x[2:4], [], model, modulation, bank, mode="hybrid")
-
-    @pytest.mark.parametrize("mode", ["typo", "baseline"])
-    def test_only_the_shared_mode_names(self, mode):
-        model, modulation, bank, x, y = no_dropout_setup()
-        with pytest.raises(ValueError, match="mode must be one of"):
-            obj.total_loss(x[:2], y[:2], x[2:4], [], model, modulation, bank, mode=mode)
 
 
 class TestDiagTargets:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modfeat import network as net
 from modfeat import pseudolabel as pl
-from modfeat.autodiff import ParameterError
+from modfeat.autodiff import ParameterError, no_grad
 from modfeat.modulator import ModulationMatrix, variance_init
 from modfeat.prototypes import build_bank
+from tests import refops as ref
 from tests.conftest import make_tiny_model, make_tiny_setup
 
 
@@ -98,21 +100,55 @@ class TestPredictMatrix:
         np.testing.assert_allclose(s, 0.5, atol=1e-15)
 
     def test_identity_modulation_equal_rows(self):
+        # Every modulated row is the unmodulated one, so the confidences
+        # read off the diagonal are the plain class probabilities.
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        s = pl.predict_matrices(x[:1], model, ones, bank)[0]
-        np.testing.assert_allclose(s[0], s[1], atol=1e-12)
+        s = pl.predict_matrices(x[:1], model, ones, bank)
+        plain = pl.predict_matrices(x[:1], model, None, None)
+        np.testing.assert_allclose(s, plain, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         model, modulation, bank, x, _ = make_tiny_setup()
+        plain = pl.predict_matrices(x, model, None, None)
+        np.testing.assert_allclose(plain.sum(axis=1), 1.0, atol=1e-12)
+        ones = ModulationMatrix.ones(2, 4)
+        s = pl.predict_matrices(x, model, ones, bank)
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
         s = pl.predict_matrices(x, model, modulation, bank)
-        np.testing.assert_allclose(s.sum(axis=2), 1.0, atol=1e-12)
+        assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
     def test_shape(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2)
-        assert pl.predict_matrices(x[:1], model, modulation, bank).shape == (1, 2, 2)
-        assert pl.predict_matrices(x[:3], model, modulation, bank).shape == (3, 2, 2)
-        assert pl.predict_matrices(x[:3], model, None, None).shape == (3, 1, 2)
+        assert pl.predict_matrices(x[:1], model, modulation, bank).shape == (1, 2)
+        assert pl.predict_matrices(x[:3], model, modulation, bank).shape == (3, 2)
+        assert pl.predict_matrices(x[:3], model, None, None).shape == (3, 2)
+
+    @pytest.mark.parametrize("hidden", [(), (64,)])
+    @pytest.mark.parametrize("n", [1, 48, 1050])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("modulated", [True, False])
+    def test_matches_read_entries_of_full_softmax_bitwise(
+        self, hidden, n, dropout, modulated
+    ):
+        model, modulation, bank, u = _mc_setup(hidden, n)
+        if not modulated:
+            modulation = bank = None
+        c = model.num_classes
+        got_rng = np.random.default_rng(9)
+        got = pl.predict_matrices(u, model, modulation, bank, dropout, got_rng)
+
+        want_rng = np.random.default_rng(9)
+        with no_grad():
+            logits = net.score_graph(
+                model, modulation, bank, u, "mc" if dropout else "eval", want_rng
+            ).value
+        probs = ref.row_softmax(logits)
+        if modulated:
+            probs = np.diagonal(probs.reshape(n, c, c), axis1=1, axis2=2)
+        assert got.shape == (n, c)
+        assert got.tobytes() == np.ascontiguousarray(probs).tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 class TestPseudoLabel:
@@ -147,8 +183,9 @@ class TestPseudoLabel:
         rng = np.random.default_rng(seed)
         diags = np.empty((k, len(x), 2))
         for i in range(k):
-            s = pl.predict_matrices(x, model, modulation, bank, dropout=True, rng=rng)
-            diags[i] = np.diagonal(s, axis1=1, axis2=2)
+            diags[i] = pl.predict_matrices(
+                x, model, modulation, bank, dropout=True, rng=rng
+            )
         mean_diag = diags.mean(axis=0)
         for idx, rec in enumerate(recs):
             label = mean_diag[idx].argmax()
@@ -174,8 +211,7 @@ def _loop_oracle(u, model, modulation, bank, k, rng):
     n, c = len(u), model.num_classes
     diags = np.empty((k, n, c))
     for i in range(k):
-        s = pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
-        diags[i] = np.diagonal(s, axis1=1, axis2=2)
+        diags[i] = pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
     mean_diag = diags.mean(axis=0)
     labels = mean_diag.argmax(axis=1)
     rows = np.arange(n)
