@@ -18,6 +18,14 @@ has been passed to the node's parents.
 
 The engine holds only the generic ops; the training loss is a node of
 its own with a hand-written vjp (``objective``).
+
+Score rows are narrow (C = 7 classes), and numpy's row reductions pay a
+per-row overhead there. ``row_max`` and ``row_sum`` reduce a transposed
+copy along its outer axis instead, and give the same bits as
+``a.max(axis=1)`` and ``a.sum(axis=1)``. For sums this rests on how
+numpy adds: a row of fewer than 8 entries left to right, which the
+transposed reduction repeats, and from 8 columns on in pairwise blocks,
+which it does not, so ``row_sum`` hands rows of 8 or more to ``a.sum``.
 """
 
 from __future__ import annotations
@@ -232,20 +240,29 @@ def row_max(a: np.ndarray) -> np.ndarray:
     a row whose maximum is a tie between +0.0 and -0.0, where the sign
     of the zero returned depends on the order of comparison. Softmaxes
     built on it give the same bits either way: exp(+0) == exp(-0), and
-    a tie means two entries of exp 1, so log_z is never 0.
+    a tie means two entries of exp 1, so log_z is never 0. ``row_sum``
+    is the same trick for sums, where it is exact only on narrow rows.
     """
     return np.ascontiguousarray(a.T).max(axis=0)[:, None]
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """(n x 1) row sums of an (n x m) array, bitwise
+    ``a.sum(axis=1, keepdims=True)``: a transposed reduction below 8
+    columns, ``a.sum`` itself from 8 on (see the module docstring)."""
+    if a.shape[1] < 8:
+        return np.ascontiguousarray(a.T).sum(axis=0)[:, None]
+    return a.sum(axis=1, keepdims=True)
+
+
 def row_log_softmax(a: Node) -> Node:
     """Per-row log-softmax, stabilized by subtracting the row max."""
-    shifted = a.value - row_max(a.value)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - log_z
+    out = a.value - row_max(a.value)
+    out -= np.log(row_sum(np.exp(out)))
     probs = np.exp(out)
 
     def vjp(g):
-        return (g - probs * g.sum(axis=1, keepdims=True),)
+        return (g - probs * row_sum(g),)
 
     return Node(out, (a,), vjp)
 
@@ -323,7 +340,9 @@ def backward(loss: Node) -> None:
     for node in order:
         g = adjoint.get(id(node))
         if g is not None:
-            node.grad = node.grad + g
+            # A first adjoint is stored as g + 0.0: the bits of
+            # zeros + g (-0.0 becomes +0.0) without allocating the zeros.
+            node.grad = g + 0.0 if node._grad is None else node._grad + g
 
 
 @dataclass

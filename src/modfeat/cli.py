@@ -232,6 +232,9 @@ def cmd_gradcheck(args, extras) -> int:
 
 
 def cmd_gen_data(args, extras) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         dataset = dat.generate_synthetic(
             args.num_classes,

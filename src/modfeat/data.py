@@ -351,11 +351,11 @@ class Augmenter:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.weak_scale == 0.0:
             return x.copy()
-        return x + rng.normal(size=x.shape) * (self.weak_scale * self.feature_std)
+        return x + rng.standard_normal(x.shape) * (self.weak_scale * self.feature_std)
 
     def strong(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = x + rng.normal(size=x.shape) * (self.strong_scale * self.feature_std)
+        out = x + rng.standard_normal(x.shape) * (self.strong_scale * self.feature_std)
         n, dim = out.shape
         n_mask = int(self.mask_fraction * dim)
         if n_mask > 0:

@@ -106,11 +106,12 @@ def _loss_node(slog, n_l, picks, weights, n_u, beta, gamma, target):
     n = len(picks)
     r = rows // n
     views = (slice(None, n_l), slice(n_l, None))
-    counts = (n_l, n - n_l)
     # n_u is 0 only when there are no unlabeled rows to divide.
     inv = (1.0 / n_l, 1.0 / max(n_u, 1))
-    inv_row = np.repeat(inv, counts)[:, None]
-    w = np.concatenate([np.ones(n_l), np.asarray(weights, float)])[:, None]
+    inv_row = np.empty((n, 1))
+    inv_row[:n_l], inv_row[n_l:] = inv
+    w = np.ones((n, 1))
+    w[n_l:, 0] = weights
     lw = w / r
     at = (np.arange(n), slice(None), np.asarray(picks, dtype=np.int64))
     label = slog.value.reshape(n, r, c)[at] * lw
@@ -123,7 +124,8 @@ def _loss_node(slog, n_l, picks, weights, n_u, beta, gamma, target):
         gap = w * (d * d)
         for key, v, s in zip(("l_d", "l_ud"), views, inv):
             terms[key] = float(gap[v].sum() * (1.0 / c) * s)
-        gain_row = np.repeat((beta, gamma), counts)[:, None]
+        gain_row = np.empty((n, 1))
+        gain_row[:n_l], gain_row[n_l:] = beta, gamma
 
     def vjp(g):
         g = g[0, 0]
@@ -168,8 +170,9 @@ def total_loss(
     target = frozen_targets
     if bank is not None and target is None:
         target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])
+    picks = np.concatenate([labeled_y, np.array([r.label for r in kept], np.int64)])
     total, terms = _loss_node(
-        slog, n_l, [*labeled_y, *(r.label for r in kept)],
+        slog, n_l, picks,
         [r.l_scale for r in kept], len(records), beta, gamma, target,
     )
     return LossBreakdown(total, **terms, diag_targets=target)

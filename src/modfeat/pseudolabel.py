@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, no_grad, row_max
+from .autodiff import ParameterError, no_grad, row_max, row_sum
 from .modulator import ModulationMatrix
 from .network import Model
 from .prototypes import PrototypeBank
@@ -67,16 +67,10 @@ def gate_batch(labels, p_max, sigma, tau: float) -> list:
     sigma = np.asarray(sigma, dtype=np.float64)
     keep = (p_max - sigma > tau).tolist()
     p_list = p_max.tolist()
-    return list(
-        map(
-            PseudoLabelRecord,
-            np.asarray(labels, dtype=np.int64).tolist(),
-            p_list,
-            sigma.tolist(),
-            keep,
-            [confidence_scale(p) if k else 0.0 for p, k in zip(p_list, keep)],
-        )
-    )
+    scales = [confidence_scale(p) if k else 0.0 for p, k in zip(p_list, keep)]
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    fields = zip(labels, p_list, sigma.tolist(), keep, scales)
+    return list(map(PseudoLabelRecord._make, fields))
 
 
 def baseline_gate_batch(labels, p_max, tau_fixed: float) -> list:
@@ -110,14 +104,16 @@ def predict_matrices(
     modulating sample i toward class c, the diagonal of its C x C block
     of row softmaxes; without one, the unmodulated probability. Every
     row is normalized; only the returned entries are divided. No
-    gradients are recorded.
+    gradients are recorded. The logits are a fresh array, so the shift
+    and the exp are taken in place; ``u`` is only read.
     """
     u = np.atleast_2d(u)
     mode = "mc" if dropout else "eval"
     with no_grad():
         logits = net.score_graph(model, modulation, bank, u, mode, rng).value
-    e = np.exp(logits - row_max(logits))
-    total = e.sum(axis=1, keepdims=True)
+    logits -= row_max(logits)
+    e = np.exp(logits, out=logits)
+    total = row_sum(e)
     if bank is None:
         return e / total
     c = logits.shape[1]
@@ -125,13 +121,18 @@ def predict_matrices(
 
 
 def _pass_bytes(model: Model, n: int) -> int:
-    """Upper estimate of the bytes one MC pass over ``n`` rows holds at once:
-    its input, the activations and dropout factors of each layer, and the
-    (n*C x C) logits with their softmax temporaries."""
+    """Upper estimate of the bytes one MC pass over ``n`` rows holds at once.
+
+    Per row: its input; 25 bytes per unit of every extractor layer, for a
+    layer's input, output and dropout factor and the dropout mask (only
+    one layer's are live at a time); and the C x C logits, the transposed
+    copy the row maxima and sums are taken from, those C maxima and C
+    sums, and the C confidences returned.
+    """
     cfg = model.extractor.config
     c = model.num_classes
-    width = cfg.input_dim + 3 * (sum(cfg.hidden_dims) + cfg.feature_dim) + 4 * c * c
-    return 8 * n * width
+    floats = cfg.input_dim + 2 * c * c + 3 * c
+    return n * (8 * floats + 25 * (sum(cfg.hidden_dims) + cfg.feature_dim))
 
 
 def pseudo_label_batch(
@@ -149,7 +150,7 @@ def pseudo_label_batch(
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
     u = np.atleast_2d(u)
-    n, c = u.shape[0], model.num_classes
+    (n, d), c = u.shape, model.num_classes
     conf = np.empty((mc_samples, n, c))
     # A one-row forward goes through BLAS's vector routine, which rounds
     # differently from the matrix routine a stack of passes takes; one
@@ -158,15 +159,27 @@ def pseudo_label_batch(
     per_chunk = 1 if n == 1 else max(1, room // _pass_bytes(model, n))
     for k0 in range(0, mc_samples, per_chunk):
         k = min(per_chunk, mc_samples - k0)
-        chunk = predict_matrices(
-            np.tile(u, (k, 1)), model, modulation, bank, dropout=True, rng=rng
-        )
+        stack = np.broadcast_to(u, (k, n, d)).reshape(k * n, d)
+        chunk = predict_matrices(stack, model, modulation, bank, dropout=True, rng=rng)
         conf[k0 : k0 + k] = chunk.reshape(k, n, c)
-    mean_conf = conf.mean(axis=0)
+    mean_conf = _pass_mean(conf)
     labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)
-    sigma = conf[:, rows, labels].std(axis=0)  # population std, divisor K
+    sigma = _pass_std(conf[:, rows, labels])
     return gate_batch(labels, mean_conf[rows, labels], sigma, tau)
+
+
+# The K-pass statistics, computed as ``np.mean(a, axis=0)`` and
+# ``np.std(a, axis=0)`` (population, divisor K) compute them, bit for bit,
+# without the Python layers around their reductions.
+def _pass_mean(a: np.ndarray) -> np.ndarray:
+    return np.add.reduce(a, axis=0) / a.shape[0]
+
+
+def _pass_std(a: np.ndarray) -> np.ndarray:
+    dev = a - _pass_mean(a)
+    dev *= dev
+    return np.sqrt(np.add.reduce(dev, axis=0) / a.shape[0])
 
 
 def baseline_pseudo_label_batch(

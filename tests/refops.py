@@ -5,7 +5,9 @@ The graph ops follow the engine's conventions: a fresh ``Node`` per
 call, the graph recorded only when an operand requires a gradient, and
 no adjoint computed for an operand that does not. ``row_softmax`` is
 the full softmax whose read entries ``pseudolabel.predict_matrices``
-computes.
+computes. ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s
+draws in their ``rng.normal(size=...)`` form, which its
+``rng.standard_normal`` draws must repeat bit for bit.
 """
 
 import numpy as np
@@ -56,3 +58,21 @@ def row_softmax(a: np.ndarray) -> np.ndarray:
     shifted = a - row_max(a)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def weak_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if aug.weak_scale == 0.0:
+        return x.copy()
+    return x + rng.normal(size=x.shape) * (aug.weak_scale * aug.feature_std)
+
+
+def strong_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = x + rng.normal(size=x.shape) * (aug.strong_scale * aug.feature_std)
+    n, dim = out.shape
+    n_mask = int(aug.mask_fraction * dim)
+    if n_mask > 0:
+        cols = np.argsort(rng.random((n, dim)), axis=1)[:, :n_mask]
+        out[np.arange(n)[:, None], cols] = 0.0
+    return out

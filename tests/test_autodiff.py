@@ -218,6 +218,51 @@ class TestRowMax:
         assert got.tobytes() == (shifted - log_z).tobytes()
 
 
+@st.composite
+def _sum_rows(draw):
+    """(rows x width) floats with signed zeros, tiny and huge magnitudes,
+    and in some rows one inf (one sign per row: mixed infs make nan)."""
+    shape = (draw(st.integers(1, 3000)), draw(st.integers(1, 12)))
+    a = draw(
+        arrays(
+            np.float64,
+            shape,
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                st.floats(-1e300, 1e300, allow_nan=False),
+            ),
+        )
+    )
+    inf = draw(arrays(np.float64, shape[0], elements=st.sampled_from([0.0, np.inf, -np.inf])))
+    col = draw(arrays(np.int64, shape[0], elements=st.integers(0, shape[1] - 1)))
+    rows = np.flatnonzero(inf)
+    a[rows, col[rows]] = inf[rows]
+    return a
+
+
+class TestRowSum:
+    @settings(max_examples=200, deadline=None)
+    @given(_sum_rows())
+    def test_matches_axis_sum_bitwise(self, a):
+        got = ad.row_sum(a)
+        assert got.shape == (a.shape[0], 1)
+        assert got.tobytes() == a.sum(axis=1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_random_rows_match_axis_sum_bitwise(self, width):
+        g = np.random.default_rng(width)
+        a = g.normal(size=(2000, width)) * np.exp(g.uniform(-30, 30, (2000, width)))
+        assert ad.row_sum(a).tobytes() == a.sum(axis=1, keepdims=True).tobytes()
+
+    def test_wide_rows_are_not_summed_left_to_right(self):
+        # Why row_sum defers to a.sum from 8 columns on: numpy's pairwise
+        # blocks round differently from a left-to-right transposed sum.
+        g = np.random.default_rng(0)
+        a = g.normal(size=(2000, 8)) * np.exp(g.uniform(-30, 30, (2000, 8)))
+        transposed = np.ascontiguousarray(a.T).sum(axis=0)[:, None]
+        assert transposed.tobytes() != a.sum(axis=1, keepdims=True).tobytes()
+
+
 class TestDropout:
     def test_disabled_is_exact_identity(self, rng):
         x = ad.constant(rng.normal(size=(3, 3)))
@@ -283,6 +328,16 @@ class TestBackward:
         ad.backward(loss)
         ad.backward(loss)
         np.testing.assert_array_equal(p.grad, 2 * np.ones((2, 2)))
+
+    def test_first_adjoint_is_added_to_zeros_bitwise(self):
+        # relu passes -1 * False = -0.0 to the entries it cuts; a grad
+        # added to zeros turns those into +0.0.
+        x = np.array([[1.5, -2.0, 0.0, -0.0]])
+        p = ad.DualParam.create("p", x)
+        ad.backward(ad.sum_all(ref.scale(ad.relu(p.node), -1.0)))
+        want = np.zeros_like(x) + np.where(x > 0.0, -1.0, -0.0)
+        assert p.grad.tobytes() == want.tobytes()
+        assert not np.signbit(p.grad[0, 1:]).any()
 
     def test_non_scalar_loss_rejected(self, rng):
         with pytest.raises(ad.ContractError):

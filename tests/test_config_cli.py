@@ -410,11 +410,18 @@ def _fails_cleanly(argv, capsys, code):
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "flags",
-        [["--num-classes", "0"], ["--class-sep", "0"], ["--samples-per-class", "0"]],
+        [
+            ["--num-classes", "0"],
+            ["--class-sep", "0"],
+            ["--samples-per-class", "0"],
+            ["--seed", "-1"],
+        ],
     )
     def test_gen_data_bad_settings_exit_2(self, tmp_path, capsys, flags):
-        _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 2)
+        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 2)
         assert not (tmp_path / "g.csv").exists()
+        if flags[0] == "--seed":
+            assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_gen_data_missing_directory_exits_2(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "g.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modfeat import data as dat
+from tests import refops as ref
 
 
 class TestGenerateSynthetic:
@@ -202,6 +203,22 @@ class TestAugmenter:
         weak_spread = np.std(aug.weak(x, rng))
         strong_spread = np.std(aug.strong(x, rng) - 0.0)
         assert strong_spread > weak_spread
+
+    @pytest.mark.parametrize("shape", [(1, 1), (42, 32), (48, 32), (7, 5)])
+    def test_draws_match_normal_form_bitwise(self, shape):
+        for seed in range(50):
+            g = np.random.default_rng(seed)
+            x = g.normal(size=shape) * 3.0
+            # 0.3, unlike the default 0.25, is no power of two: a regrouped
+            # product of the scales would round differently.
+            aug = dat.Augmenter.fit(g.normal(size=(20, shape[1])), strong_scale=0.3)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for got, want in [
+                (aug.weak(x, got_rng), ref.weak_augment(aug, x, want_rng)),
+                (aug.strong(x, got_rng), ref.strong_augment(aug, x, want_rng)),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_fit_uses_per_dim_std(self, rng):
         feats = rng.normal(size=(100, 3)) * np.array([1.0, 5.0, 0.1])

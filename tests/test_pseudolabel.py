@@ -135,8 +135,10 @@ class TestPredictMatrix:
         if not modulated:
             modulation = bank = None
         c = model.num_classes
+        before = u.tobytes()
         got_rng = np.random.default_rng(9)
         got = pl.predict_matrices(u, model, modulation, bank, dropout, got_rng)
+        assert u.tobytes() == before  # the in-place softmax works on its own logits
 
         want_rng = np.random.default_rng(9)
         with no_grad():
@@ -306,6 +308,40 @@ class TestChunkedMonteCarlo:
         assert len(recs) == n
         assert sum(rows) == k * n and len(rows) > 1
         assert peak < budget
+
+    @pytest.mark.parametrize("hidden", [(), (64,)])
+    @pytest.mark.parametrize("n", [48, 1050])
+    def test_pass_bytes_bounds_measured_peak(self, hidden, n):
+        """``_pass_bytes`` covers one pass's traced peak and its input, and
+        at a held-out-domain size overestimates it by at most 2x."""
+        model, modulation, bank, u = _mc_setup(hidden, n)
+        rng = np.random.default_rng(0)
+        pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+        tracemalloc.start()
+        try:
+            pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peak += u.nbytes
+        estimate = pl._pass_bytes(model, n)
+        assert estimate >= peak
+        if n == 1050:
+            assert estimate <= 2 * peak
+
+
+class TestPassStatistics:
+    @pytest.mark.parametrize("k", [2, 5, 1000])
+    def test_mean_and_std_match_numpy_bitwise(self, k):
+        g = np.random.default_rng(k)
+        for _ in range(20):
+            a = g.uniform(size=(k, 48)) ** g.uniform(0.1, 10)
+            assert pl._pass_mean(a).tobytes() == np.mean(a, axis=0).tobytes()
+            assert pl._pass_std(a).tobytes() == np.std(a, axis=0).tobytes()
+
+    def test_three_dimensional_mean_matches_numpy_bitwise(self):
+        a = np.random.default_rng(1).uniform(size=(5, 48, 7))
+        assert pl._pass_mean(a).tobytes() == a.mean(axis=0).tobytes()
 
 
 class TestBaselinePseudoLabel:

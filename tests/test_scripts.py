@@ -1,9 +1,12 @@
 import csv
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,3 +85,77 @@ def test_fingerprint_accuracy_matches_modfeat_train(tmp_path):
         with open(out / "summary.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["target_acc"] == acc
+
+
+def _ab_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ab_run(pair, side, work, rss=50.0, acc=0.5, failed=0):
+    metrics = {"setup_s": 0.03, "work_per_s": work, "peak_rss_mb": rss, "target_acc": acc}
+    line = {"correct": True, "attempted": 9, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}
+    return json.dumps({"workload": "train-fm", "side": side, "seed": 100 + pair,
+                       "pair": pair, "trace": 0, "final_line": line})
+
+
+def _ab_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def test_ab_pairs_summary_on_canned_runs():
+    ab = _ab_pairs()
+    parent = [900, 910, 890, 905, 895, 920, 880, 900, 915, 885]
+    lines = []
+    for i, p in enumerate(parent):
+        change = p + 100 if i else p - 1  # pair 0 is a loss
+        lines += [_ab_run(i, "change", change, rss=60.0 if i == 3 else 50.0),
+                  _ab_run(i, "parent", p)]
+    summary = ab.summarize([json.loads(line) for line in lines], _ab_spec())
+    assert summary["pairs"] == 10 and summary["failed"] == {"parent": 0, "change": 0}
+    work = summary["metrics"]["work_per_s"]
+    assert work["wins"] == 9 and work["gain"] and not work["worse"]
+    assert work["parent"]["median"] == 900.0
+    assert (work["parent"]["q1"], work["parent"]["q3"]) == (891.25, 908.75)
+    assert work["change"]["median"] == 997.5
+    acc = summary["metrics"]["target_acc"]
+    assert acc["wins"] == 0 and not acc["gain"] and not acc["worse"]  # ties count for neither
+    rss = summary["metrics"]["peak_rss_mb"]  # lower is better; one pair is 20% worse
+    assert rss["wins"] == 0 and not rss["worse"]
+
+
+def test_ab_pairs_gain_rules():
+    ab = _ab_pairs()
+
+    def work_verdict(parent, change):
+        runs = [json.loads(_ab_run(i, side, w))
+                for i, (p, c) in enumerate(zip(parent, change))
+                for side, w in (("parent", p), ("change", c))]
+        return ab.summarize(runs, _ab_spec())["metrics"]["work_per_s"]
+
+    parent = [900.0 + 10 * i for i in range(10)]
+    assert not work_verdict(parent[:9], [p + 200 for p in parent[:9]])["gain"]  # < 10 pairs
+    assert not work_verdict(parent, [p + 20 for p in parent])["gain"]  # within the spread
+    eight = [p + 200 if i < 8 else p - 1 for i, p in enumerate(parent)]
+    assert not work_verdict(parent, eight)["gain"]  # 8/10 wins
+    assert work_verdict(parent, [p * 0.7 for p in parent])["worse"]  # 30% > bound 25%
+    with pytest.raises(ValueError):
+        ab.summarize([json.loads(_ab_run(0, "parent", 900.0))], _ab_spec())
+
+
+def test_ab_pairs_summarize_file(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("\n".join(_ab_run(i, s, 900.0 + i) for i in range(3)
+                              for s in ("parent", "change")) + "\n")
+    printed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_pairs.py"), "--summarize", str(runs)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert printed.returncode == 0, printed.stderr
+    assert printed.stdout.startswith("3 pairs; failed operations: parent 0, change 0")
+    assert "change wins 0/3, gain no, worse than bound no" in printed.stdout
