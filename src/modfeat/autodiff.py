@@ -271,14 +271,17 @@ def dropout(a: Node, p: float, rng: np.random.Generator, enabled: bool = True) -
     """Inverted dropout: zero entries w.p. ``p``, scale survivors by 1/(1-p).
 
     Disabled mode is the exact identity (the input node is returned).
-    The mask is captured by the vjp closure for the backward pass.
+    The factor (0 or 1/(1-p) per entry) is captured by the vjp closure
+    for the backward pass. It is the boolean mask times the scalar
+    1/(1-p): the bits of dividing the mask by 1 - p (1/(1-p) and 0/(1-p)
+    per entry), without numpy's casting division of a bool array.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if not enabled:
         return a
     keep = rng.random(a.value.shape) >= p
-    factor = keep / (1.0 - p)
+    factor = np.multiply(keep, 1.0 / (1.0 - p))
 
     def vjp(g):
         return (g * factor,)

@@ -13,6 +13,7 @@ outputs: training consumes the unlabeled pool without domain identity.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -110,8 +111,13 @@ def check_synthetic(
         )
     if noise_dim < 0:
         raise ValueError("noise_dim must be >= 0")
-    if class_sep <= 0 or domain_shift < 0 or bias_jitter < 0:
-        raise ValueError("class_sep must be > 0, domain_shift and bias_jitter >= 0")
+    # Written so that nan fails every bound; -0.0 passes as 0.
+    if not (0 < class_sep < math.inf and 0 <= domain_shift < math.inf
+            and 0 <= bias_jitter < math.inf):
+        raise ValueError(
+            "class_sep must be finite and > 0, domain_shift and bias_jitter "
+            f"finite and >= 0, got {class_sep}, {domain_shift} and {bias_jitter}"
+        )
 
 
 def generate_synthetic(
@@ -167,7 +173,9 @@ def generate_synthetic(
     if noise_dim > 0 and domain_shift > 0:
         raw = rng.normal(size=(num_domains, noise_dim))
         domain_bias = raw / np.linalg.norm(raw, axis=1, keepdims=True) * domain_shift
-        jitter_sd = bias_jitter * domain_shift / np.sqrt(noise_dim)
+        # abs: a bias_jitter of -0.0 gives a scale of -0.0, which
+        # rng.normal rejects as negative.
+        jitter_sd = abs(bias_jitter) * domain_shift / np.sqrt(noise_dim)
         cell_jitter = rng.normal(
             0.0, jitter_sd, size=(num_domains, num_classes, noise_dim)
         )

@@ -7,7 +7,8 @@ the parameters alone: the dropout generator is reseeded on every build,
 pseudo-label records are computed once at the base point, and the
 diagonal-gap targets captured at the base point are re-fed on every
 rebuild (they are gradient-stopped, so the difference quotient must not
-see them move).
+see them move). The fused head is not frozen: each build makes its own,
+so that it holds the perturbed weights.
 """
 
 from __future__ import annotations
@@ -50,20 +51,21 @@ def full_loss_grad_check(
 
     mc_rng = np.random.default_rng(seed + 1)
     records = pseudolabel.pseudo_label_batch(
-        unlabeled_x, model, modulation, bank, mc_samples=3, tau=0.1, rng=mc_rng
+        unlabeled_x, model, model.fm_head(modulation, bank), mc_samples=3,
+        tau=0.1, rng=mc_rng,
     )
 
     drop_seed = seed + 2
 
     def build(frozen_targets=None):
+        # A fresh head per build: it holds values of the perturbed weights.
         return objective.total_loss(
             labeled_x,
             labeled_y,
             unlabeled_x,
             records,
             model,
-            modulation,
-            bank,
+            model.fm_head(modulation, bank),
             beta=1.0,
             gamma=0.5,
             rng=np.random.default_rng(drop_seed),

@@ -9,9 +9,13 @@ shared classifier (weight W, bias b) scores them:
 
 The logits are linear in z, so the blended features are never built:
 logits[c] = z @ M_c + k_c with M_c = diag(weights[c]) @ W and
-k_c = ((1 - weights[c]) * anchors[c]) @ W + b. ``modulate`` lays the
-M_c side by side as one (F x C*K) mixing matrix and scores every
-candidate class with one product (see its docstring).
+k_c = ((1 - weights[c]) * anchors[c]) @ W + b. A ``FusedHead`` lays the
+M_c side by side as one (F x C*K) mixing matrix next to the k_c, and
+``modulate`` scores every candidate class with one product of the
+features with it (see its docstring). Neither M nor k depends on the
+features, so a training step builds its head once and shares it: the
+Monte Carlo passes of the pseudo-label gate and the loss forward read
+the same head.
 
 Weights are initialized from per-class feature variance so coordinates
 that vary a lot inside a class (domain-carrying coordinates) start close
@@ -87,65 +91,88 @@ class ModulationMatrix:
         return self.param.value
 
 
-def modulate(
-    features: Node,
-    anchors: np.ndarray,
-    weights: Node,
-    head_weight: Node,
-    head_bias: Node,
-) -> Node:
+class FusedHead:
+    """The part of the fused head that does not depend on the features.
+
+    Holds the checked anchors, the shift ``(1 - weights) * anchors``, the
+    (F x C*K) mixing node M with M[f, c*K + j] = weights[c, f] * W[f, j],
+    and the row k, with k[c*K + j] = (shift[c] @ W)[j] + b[j]. Its values
+    are taken from the parameters when it is built, so one head serves
+    every ``modulate`` call until the parameters next change: a training
+    step shares it between the Monte Carlo passes and the loss forward.
+    The mixing node records its graph when built outside ``no_grad()``,
+    so build the head in the grad mode of the pass that backpropagates.
+    """
+
+    __slots__ = ("weights", "head_weight", "head_bias", "anchors", "shift", "mix", "k")
+
+    def __init__(
+        self, anchors: np.ndarray, weights: Node, head_weight: Node, head_bias: Node
+    ):
+        """``weights`` and ``anchors`` are (C x F), ``head_weight`` (F x K)
+        and ``head_bias`` (1 x K)."""
+        num_classes, feat = weights.shape
+        cols = head_weight.shape[1]
+        if (
+            np.shape(anchors) != (num_classes, feat)
+            or head_weight.shape[0] != feat
+            or head_bias.shape != (1, cols)
+        ):
+            raise ad.DimensionError(
+                f"fused head: weights {weights.shape}, anchors {np.shape(anchors)}, "
+                f"head {head_weight.shape} + {head_bias.shape} are inconsistent"
+            )
+        a = ad.as_matrix(anchors)
+        w, hw = weights.value, head_weight.value
+        shift = (1.0 - w) * a
+
+        def mix_vjp(gm):
+            g3 = gm.reshape(feat, num_classes, cols)
+            gw = np.einsum("fcj,fj->cf", g3, hw) if weights.requires_grad else None
+            ghw = np.einsum("fcj,cf->fj", g3, w) if head_weight.requires_grad else None
+            return gw, ghw
+
+        self.weights, self.head_weight, self.head_bias = weights, head_weight, head_bias
+        self.anchors, self.shift = a, shift
+        self.mix = Node(
+            (w.T[:, :, None] * hw[:, None, :]).reshape(feat, num_classes * cols),
+            (weights, head_weight),
+            mix_vjp,
+        )
+        self.k = (shift @ hw + head_bias.value).reshape(1, num_classes * cols)
+
+
+def modulate(features: Node, head: FusedHead) -> Node:
     """Logits of each instance row blended toward every class anchor.
 
-    ``features`` is (n x F), ``weights`` and ``anchors`` (C x F), and the
-    head is ``head_weight`` (F x K) with ``head_bias`` (1 x K). The
-    result is (n*C x K) with rows grouped per sample: row i*C + c scores
-    sample i modulated toward class c, the value of
+    ``features`` is (n x F) and ``head`` a ``FusedHead`` over C classes
+    and K outputs. The result is (n*C x K) with rows grouped per sample:
+    row i*C + c scores sample i modulated toward class c, the value of
     ``(weights[c] * z_i + (1 - weights[c]) * anchors[c]) @ W + b`` up to
     rounding. Anchors are a per-step constant; gradients flow to every
     other operand that requires one.
 
-    Three nodes, no (n, C, F) tensor: the (F x C*K) mixing matrix M,
-    with M[f, c*K + j] = weights[c, f] * W[f, j]; the engine product
-    ``z @ M``; and the head node, which adds the row k, with
-    k[c*K + j] = (((1 - weights[c]) * anchors[c]) @ W)[j] + b[j], into
-    that product in place and regroups it to (n*C x K). (The product's
-    vjp reads only its operands, so its value is free to reuse.) The
-    product's vjp gives ``gz = G @ M.T`` and ``gM = z.T @ G`` for the
-    (n x C*K) adjoint G; the mixing and head nodes turn ``gM`` and the
-    column sums of G into the adjoints of weights, W and b.
+    Two nodes per call, no (n, C, F) tensor: the engine product
+    ``z @ M`` with the head's mixing node, and the head node, which adds
+    the head's row k into that product in place and regroups it to
+    (n*C x K). (The product's vjp reads only its operands, so its value
+    is free to reuse.) The product's vjp gives ``gz = G @ M.T`` and
+    ``gM = z.T @ G`` for the (n x C*K) adjoint G; the mixing and head
+    nodes turn ``gM`` and the column sums of G into the adjoints of
+    weights, W and b.
     """
     n, feat = features.shape
-    num_classes, feat_w = weights.shape
-    cols = head_weight.shape[1]
-    if (
-        anchors.shape != (num_classes, feat)
-        or feat_w != feat
-        or head_weight.shape[0] != feat
-        or head_bias.shape != (1, cols)
-    ):
+    weights, head_weight, head_bias = head.weights, head.head_weight, head.head_bias
+    num_classes, cols = weights.shape[0], head_weight.shape[1]
+    if feat != weights.shape[1]:
         raise ad.DimensionError(
-            f"modulate: features {features.shape}, weights {weights.shape}, "
-            f"anchors {anchors.shape}, head {head_weight.shape} + "
-            f"{head_bias.shape} are inconsistent"
+            f"modulate: features {features.shape} do not fit a head over "
+            f"{weights.shape[1]} features"
         )
-    a = ad.as_matrix(anchors)
-    w, hw = weights.value, head_weight.value
-    shift = (1.0 - w) * a
-
-    def mix_vjp(gm):
-        g3 = gm.reshape(feat, num_classes, cols)
-        gw = np.einsum("fcj,fj->cf", g3, hw) if weights.requires_grad else None
-        ghw = np.einsum("fcj,cf->fj", g3, w) if head_weight.requires_grad else None
-        return gw, ghw
-
-    mix = Node(
-        (w.T[:, :, None] * hw[:, None, :]).reshape(feat, num_classes * cols),
-        (weights, head_weight),
-        mix_vjp,
-    )
-    prod = ad.matmul(features, mix)
+    a, shift, hw = head.anchors, head.shift, head_weight.value
+    prod = ad.matmul(features, head.mix)
     out = prod.value
-    out += (shift @ hw + head_bias.value).reshape(1, num_classes * cols)
+    out += head.k
 
     def head_vjp(g):
         g2 = g.reshape(n, num_classes * cols)

@@ -15,8 +15,9 @@ which folds the blend into the classifier's weight and bias: one
 ``Classifier.forward`` is not called. The fixed-threshold baseline
 (FixMatch, Sohn et al. 2020) is the same pipeline without modulation,
 R = 1, scored by ``Classifier.forward``. Whether a pass is modulated is
-decided by the prototype bank alone: ``score_graph`` modulates if and
-only if it is given one.
+decided by the head alone: ``score_graph`` modulates if and only if it
+is given one (``Model.fm_head``, built from the modulation weights, the
+prototype bank and the classifier).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import modulator
 from .autodiff import DualParam, Node
+from .prototypes import PrototypeBank
 
 # Forward passes: dropout is active in "train" and "mc", off in "eval".
 PASS_MODES = ("train", "eval", "mc")
@@ -170,29 +172,36 @@ class Model:
     def params(self) -> list:
         return self.extractor.params() + self.classifier.params()
 
+    def fm_head(
+        self, modulation: modulator.ModulationMatrix, bank: Optional[PrototypeBank]
+    ) -> Optional[modulator.FusedHead]:
+        """The fused head that modulates by ``modulation`` toward
+        ``bank``'s blended anchors through the classifier; None without
+        a bank."""
+        if bank is None:
+            return None
+        return modulator.FusedHead(
+            bank.blended, modulation.node, self.classifier.weight.node,
+            self.classifier.bias.node,
+        )
+
 
 def score_graph(
     model: Model,
-    modulation,
-    bank,
+    head: Optional[modulator.FusedHead],
     x,
     mode: str,
     rng: Optional[np.random.Generator] = None,
 ) -> Node:
     """Class logits for a batch, R rows per sample.
 
-    With a bank (a ``PrototypeBank``) the result is (n*C x C): row
-    i*C + c holds the logits after modulating sample i toward class c's
-    blended anchor by ``modulation`` (a ``ModulationMatrix``), computed
-    by the fused head ``modulator.modulate`` from the classifier's
-    parameters. Without one it is the unmodulated (n x C) from
-    ``Classifier.forward`` and ``modulation`` is not read. ``mode`` is
-    the forward pass ("train", "eval" or "mc").
+    With a head (``Model.fm_head``) the result is (n*C x C): row i*C + c
+    holds the logits after modulating sample i toward class c's blended
+    anchor, computed by ``modulator.modulate``. Without one it is the
+    unmodulated (n x C) from ``Classifier.forward``. ``mode`` is the
+    forward pass ("train", "eval" or "mc").
     """
     feats = model.extractor.forward(x, mode, rng)
-    if bank is None:
+    if head is None:
         return model.classifier.forward(feats)
-    head = model.classifier
-    return modulator.modulate(
-        feats, bank.blended, modulation.node, head.weight.node, head.bias.node
-    )
+    return modulator.modulate(feats, head)

@@ -22,7 +22,8 @@ zero. The fixed-threshold baseline is the same loss on the unmodulated
 R = 1 view: one log-score row per sample, so l_s and l_u are plain
 negative log-likelihoods and the diagonal terms do not exist (zero).
 ``total_loss`` scores the modulated view if and only if it is given a
-prototype bank, as ``network.score_graph`` does.
+fused head, as ``network.score_graph`` does; a training step passes the
+head its Monte Carlo passes scored through.
 
 A step scores the labeled weak view and the kept rows of the strong
 view as one stacked batch: one forward pass, one log-softmax, and one
@@ -38,6 +39,7 @@ is the extractor, three head nodes, the log-softmax and the loss node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,9 +47,8 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .autodiff import Node
-from .modulator import ModulationMatrix
+from .modulator import FusedHead
 from .network import Model
-from .prototypes import PrototypeBank
 from .pseudolabel import PseudoLabelRecord
 
 
@@ -146,8 +147,7 @@ def total_loss(
     unlabeled_strong: np.ndarray,
     records: Sequence[PseudoLabelRecord],
     model: Model,
-    modulation: Optional[ModulationMatrix],
-    bank: Optional[PrototypeBank],
+    head: Optional[FusedHead],
     beta: float = 1.0,
     gamma: float = 0.5,
     rng: Optional[np.random.Generator] = None,
@@ -155,24 +155,24 @@ def total_loss(
 ) -> LossBreakdown:
     """Batch loss; one graph over the labeled and the kept strong rows.
 
-    With a ``bank`` it scores the modulated view and adds the gap terms;
-    without one, the unmodulated view, and ``modulation`` is not read.
+    With a ``head`` (``Model.fm_head``) it scores the modulated view and
+    adds the gap terms; without one, the unmodulated view.
     ``frozen_targets`` re-feeds the ``diag_targets`` of an earlier call.
     """
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
     if n_l == 0:
         raise ValueError("empty batch")
-    kept = [r for r in records if r.keep]
-    strong = np.atleast_2d(unlabeled_strong)[[r.keep for r in records]]
+    labels, _, _, keep, scales = zip(*records) if records else ((),) * 5
+    strong = np.atleast_2d(unlabeled_strong)[list(keep)]
     x = np.concatenate([labeled_weak, strong])
-    slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x, "train", rng))
+    slog = ad.row_log_softmax(net.score_graph(model, head, x, "train", rng))
     target = frozen_targets
-    if bank is not None and target is None:
+    if head is not None and target is None:
         target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])
-    picks = np.concatenate([labeled_y, np.array([r.label for r in kept], np.int64)])
+    picks = np.concatenate([labeled_y, np.fromiter(compress(labels, keep), np.int64)])
     total, terms = _loss_node(
         slog, n_l, picks,
-        [r.l_scale for r in kept], len(records), beta, gamma, target,
+        list(compress(scales, keep)), len(records), beta, gamma, target,
     )
     return LossBreakdown(total, **terms, diag_targets=target)

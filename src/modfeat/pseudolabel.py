@@ -14,7 +14,17 @@ the k-th of K separate calls would have drawn, whatever the chunking
 confidence; sigma is the K-run population standard deviation of the
 predicted class's confidence. A label is kept when mean_confidence -
 sigma clears the threshold, and kept labels get a confidence-dependent
-loss weight exp(p^3 - 1).
+loss weight exp(p^3 - 1). The K passes of a training step score through
+the step's one fused head (``Model.fm_head``), the head its loss forward
+reads too.
+
+A pass yields n*C rows of C logits, and numpy's row reductions pay a
+per-row overhead on rows that narrow. So ``predict_matrices`` takes the
+modulated softmax on one class-major (C x n*C) copy of the logits: the
+row maxima and sums are column reductions of it, the shift and exp run
+in place in it, and the returned diagonal is read from it. These are the
+reductions ``autodiff.row_max`` and ``row_sum`` run on a transposed
+copy, so the bits are theirs, from one copy instead of one per reduction.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass (K = 1, sigma 0) and
@@ -34,9 +44,8 @@ import numpy as np
 
 from . import network as net
 from .autodiff import ParameterError, no_grad, row_max, row_sum
-from .modulator import ModulationMatrix
+from .modulator import FusedHead
 from .network import Model
-from .prototypes import PrototypeBank
 
 BASELINE_THRESHOLD = 0.95
 # Bytes the K Monte Carlo passes over one batch may hold at once: the
@@ -93,31 +102,39 @@ def baseline_gate_batch(labels, p_max, tau_fixed: float) -> list:
 def predict_matrices(
     u: np.ndarray,
     model: Model,
-    modulation: Optional[ModulationMatrix],
-    bank: Optional[PrototypeBank],
+    head: Optional[FusedHead],
     dropout: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """(n x C) confidence of each sample in each class.
 
-    With a bank, entry (i, c) is the probability of class c after
-    modulating sample i toward class c, the diagonal of its C x C block
-    of row softmaxes; without one, the unmodulated probability. Every
-    row is normalized; only the returned entries are divided. No
-    gradients are recorded. The logits are a fresh array, so the shift
-    and the exp are taken in place; ``u`` is only read.
+    With a head (``Model.fm_head``), entry (i, c) is the probability of
+    class c after modulating sample i toward class c, the diagonal of its
+    C x C block of row softmaxes; without one, the unmodulated
+    probability. Every row is normalized; only the returned entries are
+    divided. No gradients are recorded. The logits are a fresh array, so
+    the unmodulated shift and exp are taken in place; ``u`` is only read.
+    The modulated softmax runs on one class-major copy (see the module
+    docstring).
     """
     u = np.atleast_2d(u)
     mode = "mc" if dropout else "eval"
     with no_grad():
-        logits = net.score_graph(model, modulation, bank, u, mode, rng).value
-    logits -= row_max(logits)
-    e = np.exp(logits, out=logits)
-    total = row_sum(e)
-    if bank is None:
-        return e / total
+        logits = net.score_graph(model, head, u, mode, rng).value
+    if head is None:
+        logits -= row_max(logits)
+        e = np.exp(logits, out=logits)
+        return e / row_sum(e)
     c = logits.shape[1]
-    return e.reshape(-1, c * c)[:, :: c + 1] / total.reshape(-1, c)
+    # Rebinding frees the row-major logits once the copy is made.
+    logits = np.ascontiguousarray(logits.T)
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    # Below 8 classes numpy sums a row left to right, as this column sum
+    # does; from 8 on it sums pairwise, so those rows go back row-major.
+    total = logits.sum(axis=0) if c < 8 else row_sum(logits.T.copy())[:, 0]
+    diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+    return diagonal / total.reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -125,9 +142,10 @@ def _pass_bytes(model: Model, n: int) -> int:
 
     Per row: its input; 25 bytes per unit of every extractor layer, for a
     layer's input, output and dropout factor and the dropout mask (only
-    one layer's are live at a time); and the C x C logits, the transposed
-    copy the row maxima and sums are taken from, those C maxima and C
-    sums, and the C confidences returned.
+    one layer's are live at a time); the C x C logits and their
+    class-major copy, both live while the copy is made; and, counted on
+    top though the logits are freed before they exist, the copy's C
+    column maxima and C column sums and the C confidences returned.
     """
     cfg = model.extractor.config
     c = model.num_classes
@@ -138,13 +156,13 @@ def _pass_bytes(model: Model, n: int) -> int:
 def pseudo_label_batch(
     u: np.ndarray,
     model: Model,
-    modulation: ModulationMatrix,
-    bank: PrototypeBank,
+    head: FusedHead,
     mc_samples: int = 5,
     tau: float = 0.75,
     rng: Optional[np.random.Generator] = None,
 ) -> list:
-    """Monte Carlo pseudo-labels for a batch of weakly augmented samples."""
+    """Monte Carlo pseudo-labels for a batch of weakly augmented samples,
+    scored through ``head`` (``Model.fm_head``)."""
     if mc_samples < 2:
         raise ParameterError(f"mc_samples must be >= 2, got {mc_samples}")
     if not 0.0 < tau < 1.0:
@@ -160,13 +178,14 @@ def pseudo_label_batch(
     for k0 in range(0, mc_samples, per_chunk):
         k = min(per_chunk, mc_samples - k0)
         stack = np.broadcast_to(u, (k, n, d)).reshape(k * n, d)
-        chunk = predict_matrices(stack, model, modulation, bank, dropout=True, rng=rng)
+        chunk = predict_matrices(stack, model, head, dropout=True, rng=rng)
         conf[k0 : k0 + k] = chunk.reshape(k, n, c)
     mean_conf = _pass_mean(conf)
     labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)
-    sigma = _pass_std(conf[:, rows, labels])
-    return gate_batch(labels, mean_conf[rows, labels], sigma, tau)
+    p_max = mean_conf[rows, labels]
+    sigma = _pass_std(conf[:, rows, labels], p_max)
+    return gate_batch(labels, p_max, sigma, tau)
 
 
 # The K-pass statistics, computed as ``np.mean(a, axis=0)`` and
@@ -176,8 +195,17 @@ def _pass_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0) / a.shape[0]
 
 
-def _pass_std(a: np.ndarray) -> np.ndarray:
-    dev = a - _pass_mean(a)
+def _pass_std(a: np.ndarray, table_mean: np.ndarray) -> np.ndarray:
+    """Population std of the (K x n) picked entries ``a`` along the passes.
+
+    ``table_mean`` is the matching read of ``_pass_mean`` over the whole
+    (K, n, C) table. Below 8 passes it is the bits of ``a``'s own mean,
+    so the deviations are taken from it. From 8 on it is not: numpy sums
+    the whole table pass by pass, but ``a``, a column-major read, along
+    contiguous memory in blocks of 8, so ``a``'s mean is taken afresh.
+    """
+    mean = table_mean if a.shape[0] < 8 else _pass_mean(a)
+    dev = a - mean
     dev *= dev
     return np.sqrt(np.add.reduce(dev, axis=0) / a.shape[0])
 
@@ -188,6 +216,6 @@ def baseline_pseudo_label_batch(
     tau_fixed: float = BASELINE_THRESHOLD,
 ) -> list:
     """Fixed-threshold labels from one deterministic unmodulated pass."""
-    probs = predict_matrices(u, model, None, None)
+    probs = predict_matrices(u, model, None)
     labels = probs.argmax(axis=1)
     return baseline_gate_batch(labels, probs[np.arange(len(labels)), labels], tau_fixed)

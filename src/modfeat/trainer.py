@@ -4,7 +4,9 @@ checkpointing. Also runs the fixed-threshold baseline mode: the same
 pipeline's unmodulated R = 1 view (``network.score_graph``), so the
 modulator and the diagonal losses drop out, and pseudo-labels come from
 a single deterministic pass at threshold 0.95. Only this module names
-the modes (``MODES``); below it a pass is modulated iff it gets a bank.
+the modes (``MODES``); below it a pass is modulated iff it gets a fused
+head, which an fm step builds once (``Model.fm_head``) and shares
+between its Monte Carlo passes and its loss forward.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
@@ -173,8 +175,9 @@ def predict(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "fm" and bank is None:
         raise ValueError("mode 'fm' needs a prototype bank")
-    bank = bank if mode == "fm" else None
-    return pseudolabel.predict_matrices(x, model, modulation, bank).argmax(axis=1)
+    with ad.no_grad():
+        head = model.fm_head(modulation, bank) if mode == "fm" else None
+    return pseudolabel.predict_matrices(x, model, head).argmax(axis=1)
 
 
 def evaluate(
@@ -289,6 +292,8 @@ def train(
                 weak_labeled = augmenter.weak(batch.labeled_x, aug_rng)
                 weak_unlabeled = augmenter.weak(batch.unlabeled_x, aug_rng)
                 strong_unlabeled = augmenter.strong(batch.unlabeled_x, aug_rng)
+                # One head per step: the MC passes and the loss read it.
+                head = model.fm_head(modulation, bank)
                 if baseline:
                     records = pseudolabel.baseline_pseudo_label_batch(
                         weak_unlabeled, model
@@ -297,8 +302,7 @@ def train(
                     records = pseudolabel.pseudo_label_batch(
                         weak_unlabeled,
                         model,
-                        modulation,
-                        bank,
+                        head,
                         config.mc_samples,
                         config.tau,
                         mc_rng,
@@ -309,8 +313,7 @@ def train(
                     strong_unlabeled,
                     records,
                     model,
-                    modulation,
-                    bank,
+                    head,
                     beta=config.beta,
                     gamma=config.gamma,
                     rng=drop_rng,

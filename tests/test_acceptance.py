@@ -98,7 +98,7 @@ def test_criterion_2_modulation_algebra():
 
     def blended(weight):
         w = ad.constant(np.full((4, 6), weight))
-        return fm.modulate(ad.constant(z), anchors, w, *head).value
+        return fm.modulate(ad.constant(z), fm.FusedHead(anchors, w, *head)).value
 
     out_one, out_zero, out_half = blended(1.0), blended(0.0), blended(0.5)
     ok = (
@@ -159,7 +159,7 @@ def test_criterion_5_loss_scaling():
 
     model, modulation, bank, x, _ = make_tiny_setup(num_classes=2, n_per_class=8)
     records = pseudo_label_batch(
-        x, model, modulation, bank, mc_samples=5, tau=0.5,
+        x, model, model.fm_head(modulation, bank), mc_samples=5, tau=0.5,
         rng=np.random.default_rng(0),
     )
     pairs = [(r.p_max, r.sigma) for r in records] + [
@@ -192,7 +192,7 @@ def test_criterion_6_oracle_equivalence():
     records = gate_batch([1, 0], [0.94, 0.88], [0.01, 0.02], 0.75)
     lx, ly, ux = x[:2], y[:2], x[2:4]
     breakdown = objective.total_loss(
-        lx, ly, ux, records, model, modulation, bank, beta=1.0, gamma=0.5
+        lx, ly, ux, records, model, model.fm_head(modulation, bank), beta=1.0, gamma=0.5
     )
     got = breakdown.values()["total"]
     expected = oracle_total(model, modulation, bank, lx, ly, ux, records, 1.0, 0.5)[4]
@@ -264,7 +264,7 @@ def test_criterion_10_mc_uncertainty():
         input_dim=cfg.input_dim, hidden_dims=cfg.hidden_dims,
         feature_dim=cfg.feature_dim, dropout_p=0.0,
     )
-    recs_p0 = pseudo_label_batch(x, model, modulation, bank, mc_samples=5,
+    recs_p0 = pseudo_label_batch(x, model, model.fm_head(modulation, bank), mc_samples=5,
                                  tau=0.75, rng=np.random.default_rng(0))
     zero_ok = all(r.sigma == 0.0 for r in recs_p0)
 
@@ -272,7 +272,7 @@ def test_criterion_10_mc_uncertainty():
         input_dim=cfg.input_dim, hidden_dims=cfg.hidden_dims,
         feature_dim=cfg.feature_dim, dropout_p=0.05,
     )
-    recs_p05 = pseudo_label_batch(x, model, modulation, bank, mc_samples=5,
+    recs_p05 = pseudo_label_batch(x, model, model.fm_head(modulation, bank), mc_samples=5,
                                   tau=0.75, rng=np.random.default_rng(0))
     mean_sigma = float(np.mean([r.sigma for r in recs_p05]))
     check(

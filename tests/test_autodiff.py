@@ -489,7 +489,7 @@ class TestNoGrad:
 
         model, modulation, bank, x, _ = make_tiny_setup()
         with ad.no_grad():
-            logits = net.score_graph(model, modulation, bank, x, "eval")
+            logits = net.score_graph(model, model.fm_head(modulation, bank), x, "eval")
         assert logits.parents == () and not logits.requires_grad
 
     def test_scoring_passes_record_no_graph(self, monkeypatch):
@@ -513,7 +513,7 @@ class TestNoGrad:
             net.Extractor, "forward", recording(net.Extractor.forward)
         )
         rng = np.random.default_rng(0)
-        pseudolabel.pseudo_label_batch(x, model, modulation, bank, 3, 0.5, rng)
+        pseudolabel.pseudo_label_batch(x, model, model.fm_head(modulation, bank), 3, 0.5, rng)
         pseudolabel.baseline_pseudo_label_batch(x, model)
         trainer.predict(model, modulation, bank, x, "fm")
         trainer.predict(model, None, None, x, "fixmatch-baseline")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modfeat import cli
@@ -415,6 +415,7 @@ class TestUsageErrors:
             ["--class-sep", "0"],
             ["--samples-per-class", "0"],
             ["--seed", "-1"],
+            ["--bias-jitter", "nan"],
         ],
     )
     def test_gen_data_bad_settings_exit_2(self, tmp_path, capsys, flags):
@@ -573,6 +574,8 @@ _overrides = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_overrides)
+@example([("data.bias_jitter", "-0.0")])
+@example([("data.bias_jitter", "nan")])
 def test_train_overrides_fuzz(overrides):
     """Any override ends in exit 0, 1 or 2 with no traceback; 2 writes nothing."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -67,6 +67,34 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             dat.generate_synthetic(2, 2, 2, 2, 10, -1.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"class_sep": float("inf")},
+            {"class_sep": float("nan")},
+            {"domain_shift": float("nan")},
+            {"domain_shift": float("inf")},
+            {"bias_jitter": float("nan")},
+            {"bias_jitter": float("inf")},
+            {"bias_jitter": -1e-300},
+        ],
+    )
+    def test_non_finite_or_negative_scales_rejected(self, settings):
+        args = {"class_sep": 2.0, "domain_shift": 1.0, "bias_jitter": 0.5, **settings}
+        with pytest.raises(ValueError, match="bias_jitter"):
+            dat.generate_synthetic(2, 2, 2, 2, 10, seed=0, **args)
+
+    def test_negative_zero_jitter_is_zero_jitter(self):
+        # -0.0 passes the >= 0 check; rng.normal rejects it as a scale.
+        def make(jitter):
+            return dat.generate_synthetic(
+                3, 2, 2, 3, 10, class_sep=2.0, domain_shift=1.0, seed=0,
+                bias_jitter=jitter,
+            )
+
+        zero, negative_zero = make(0.0), make(-0.0)
+        assert negative_zero.features.tobytes() == zero.features.tobytes()
+
 
 class TestCsvRoundTrip:
     def test_save_load(self, small_dataset, tmp_path):

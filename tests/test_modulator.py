@@ -78,9 +78,14 @@ def identity_head(feat):
     return ad.constant(np.eye(feat)), ad.constant(np.zeros((1, feat)))
 
 
+def fused(features, anchors, weights, head_weight, head_bias):
+    """``modulate`` through a head built for this one call."""
+    return fm.modulate(features, fm.FusedHead(anchors, weights, head_weight, head_bias))
+
+
 def blend(features, anchors, weights):
     """The fused head through ``identity_head``: the blended features."""
-    return fm.modulate(features, anchors, weights, *identity_head(features.shape[1]))
+    return fused(features, anchors, weights, *identity_head(features.shape[1]))
 
 
 def _dense_modulate(features, anchors, weights):
@@ -225,7 +230,7 @@ class TestModulate:
 
         def loss():
             z = ad.constant(self.z)
-            out = fm.modulate(z, self.anchors, w.node, hw.node, hb.node)
+            out = fused(z, self.anchors, w.node, hw.node, hb.node)
             return ad.sum_all(ref.mul(out, out))
 
         report = ad.grad_check(loss, [w, hw, hb], step=1e-6, tolerance=1e-7)
@@ -235,11 +240,14 @@ class TestModulate:
         z, w = ad.constant(self.z), ad.constant(np.ones((3, 4)))
         head = identity_head(4)
         with pytest.raises(ad.DimensionError):
-            fm.modulate(z, self.anchors[:, :2], w, *head)
+            fused(z, self.anchors[:, :2], w, *head)
         with pytest.raises(ad.DimensionError):
-            fm.modulate(z, self.anchors, w, ad.constant(np.eye(3)), head[1])
+            fused(z, self.anchors, w, ad.constant(np.eye(3)), head[1])
         with pytest.raises(ad.DimensionError):
-            fm.modulate(z, self.anchors, w, head[0], ad.constant(np.zeros((1, 3))))
+            fused(z, self.anchors, w, head[0], ad.constant(np.zeros((1, 3))))
+        wide = ad.constant(np.ones((1, 5)))
+        with pytest.raises(ad.DimensionError):
+            fm.modulate(wide, fm.FusedHead(self.anchors, w, *head))
 
 
 class TestBroadcastModulate:
@@ -269,7 +277,7 @@ class TestBroadcastModulate:
         g = ad.constant(rng.normal(size=(6, 2)))
 
         def loss():
-            out = fm.modulate(z.node, anchors, w.node, hw.node, hb.node)
+            out = fused(z.node, anchors, w.node, hw.node, hb.node)
             return ad.sum_all(ref.mul(ref.mul(out, out), g))
 
         report = ad.grad_check(loss, [z, w], step=1e-6, tolerance=1e-7)
@@ -340,7 +348,7 @@ class TestInPlaceModulate:
     def test_matches_out_of_place_bitwise(self, rng, n):
         params, anchors = _operands(rng, n)
         g = ad.constant(rng.normal(size=(n * 7, 7)))
-        got = _value_and_adjoints(fm.modulate, params, anchors, g)
+        got = _value_and_adjoints(fused, params, anchors, g)
         want = _value_and_adjoints(_out_of_place_head, params, anchors, g)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -351,7 +359,7 @@ class TestFusedHead:
     def test_matches_blend_matmul_bias_chain(self, rng, n):
         params, anchors = _operands(rng, n)
         g = ad.constant(rng.normal(size=(n * 7, 7)))
-        got = _value_and_adjoints(fm.modulate, params, anchors, g)
+        got = _value_and_adjoints(fused, params, anchors, g)
         want = _value_and_adjoints(reference_head, params, anchors, g)
         np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
         # Adjoints sum over up to n*C rows; compare them at their own scale.
@@ -359,13 +367,46 @@ class TestFusedHead:
             scale = max(1.0, np.abs(b).max())
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("n", [1, 48, 240])
+    def test_head_built_once_matches_head_built_per_call_bitwise(self, rng, n):
+        # A training step builds one head, scores its MC stack through it
+        # without a graph, then its loss forward with one: the loss
+        # forward's logits and parameter gradients are those of a head
+        # built for that call alone.
+        params, anchors = _operands(rng, n)
+        z, w, hw, hb = (p.node for p in params)
+        g = ad.constant(rng.normal(size=(n * 7, 7)))
+        shared = fm.FusedHead(anchors, w, hw, hb)
+        stack = ad.constant(rng.normal(size=(5 * n, 32)))
+        with ad.no_grad():
+            mc = fm.modulate(stack, shared)
+        assert not mc.requires_grad
+        np.testing.assert_array_equal(mc.value, fused(stack, anchors, w, hw, hb).value)
+
+        def with_shared(z, anchors, w, hw, hb):
+            return fm.modulate(z, shared)
+
+        got = _value_and_adjoints(with_shared, params, anchors, g)
+        want = _value_and_adjoints(fused, params, anchors, g)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_head_reads_parameters_when_built(self, rng):
+        (z, w, hw, hb), anchors = _operands(rng, 3)
+        head = fm.FusedHead(anchors, w.node, hw.node, hb.node)
+        before = fm.modulate(z.node, head).value.copy()
+        w.node.value += 0.5
+        assert fm.modulate(z.node, head).value.tobytes() == before.tobytes()
+        rebuilt = fm.FusedHead(anchors, w.node, hw.node, hb.node)
+        assert fm.modulate(z.node, rebuilt).value.tobytes() != before.tobytes()
+
     def test_finite_differences_of_all_operands(self, rng):
         params, anchors = _operands(rng, 5, num_classes=3, feat=4)
         g = ad.constant(rng.normal(size=(15, 3)))
 
         def loss():
             z, w, hw, hb = (p.node for p in params)
-            out = fm.modulate(z, anchors, w, hw, hb)
+            out = fused(z, anchors, w, hw, hb)
             return ad.sum_all(ref.mul(ref.mul(out, out), g))
 
         report = ad.grad_check(loss, params, step=1e-6, tolerance=1e-7)
@@ -381,7 +422,7 @@ class TestFusedHead:
         out_bytes = n * num_classes * num_classes * 8
         tracemalloc.start()
         try:
-            out = fm.modulate(features, anchors, weights, head, bias)
+            out = fused(features, anchors, weights, head, bias)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

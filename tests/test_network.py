@@ -64,7 +64,7 @@ class TestClassifier:
     def test_modulation_identity_gives_equal_rows(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        logits = net.score_graph(model, ones, bank, x[:1], "eval")
+        logits = net.score_graph(model, model.fm_head(ones, bank), x[:1], "eval")
         np.testing.assert_allclose(logits.value[0], logits.value[1], atol=1e-12)
 
     def test_zero_classifier_uniform(self, rng):
@@ -100,9 +100,9 @@ class TestClassifier:
 
     def test_classify_row_count_matches_classes(self):
         model, modulation, bank, x, _ = make_tiny_setup()
-        logits = net.score_graph(model, modulation, bank, x[:1], "eval")
+        logits = net.score_graph(model, model.fm_head(modulation, bank), x[:1], "eval")
         assert logits.shape == (2, 2)
-        assert net.score_graph(model, None, None, x[:3], "eval").shape == (3, 2)
+        assert net.score_graph(model, None, x[:3], "eval").shape == (3, 2)
 
 
 class TestCheckpoint:
@@ -124,10 +124,9 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         ckpt.save_checkpoint(path, model, modulation, bank)
         restored = ckpt.load_checkpoint(path)
-        before = net.score_graph(model, modulation, bank, x, "eval").value
-        after = net.score_graph(
-            restored.model, restored.modulation, restored.bank, x, "eval"
-        ).value
+        before = net.score_graph(model, model.fm_head(modulation, bank), x, "eval").value
+        restored_head = restored.model.fm_head(restored.modulation, restored.bank)
+        after = net.score_graph(restored.model, restored_head, x, "eval").value
         np.testing.assert_array_equal(before, after)
 
     def test_model_only_checkpoint(self, tmp_path):
@@ -150,20 +149,20 @@ class TestCheckpoint:
 
 
 class TestScoreGraph:
-    def test_without_a_bank_one_unmodulated_row(self, monkeypatch):
+    def test_without_a_head_one_unmodulated_row(self, monkeypatch):
         from modfeat import modulator
 
-        model, modulation, _, x, _ = make_tiny_setup()
+        model, _, _, x, _ = make_tiny_setup()
 
         def forbidden(*args):
-            raise AssertionError("modulate called without a bank")
+            raise AssertionError("modulate called without a head")
 
         monkeypatch.setattr(modulator, "modulate", forbidden)
-        logits = net.score_graph(model, modulation, None, x, "eval")
+        logits = net.score_graph(model, None, x, "eval")
         plain = model.classifier.forward(model.extractor.forward(x, "eval"))
         assert logits.value.tobytes() == plain.value.tobytes()
 
-    def test_with_a_bank_one_fused_head_and_no_classifier_pass(self, monkeypatch):
+    def test_with_a_head_one_fused_head_and_no_classifier_pass(self, monkeypatch):
         from modfeat import modulator
 
         model, modulation, bank, x, _ = make_tiny_setup()
@@ -174,11 +173,15 @@ class TestScoreGraph:
             return real(*args)
 
         def forbidden(*args):
-            raise AssertionError("Classifier.forward called with a bank")
+            raise AssertionError("Classifier.forward called with a head")
 
         monkeypatch.setattr(modulator, "modulate", counting)
         monkeypatch.setattr(net.Classifier, "forward", forbidden)
-        logits = net.score_graph(model, modulation, bank, x, "eval")
+        head = model.fm_head(modulation, bank)
+        logits = net.score_graph(model, head, x, "eval")
         assert len(calls) == 1 and logits.shape == (len(x) * 2, 2)
-        head = model.classifier
-        assert calls[0][3] is head.weight.node and calls[0][4] is head.bias.node
+        assert calls[0][1] is head
+        classifier = model.classifier
+        assert head.head_weight is classifier.weight.node
+        assert head.head_bias is classifier.bias.node
+        assert head.weights is modulation.node

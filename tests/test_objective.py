@@ -88,7 +88,7 @@ class TestSupervisedLoss:
             model.classifier.weight.node.value[:] = 0.0
             model.classifier.bias.node.value[:] = 0.0
             loss = obj.total_loss(
-                x[:1], [0], np.empty((0, 3)), [], model, modulation, bank,
+                x[:1], [0], np.empty((0, 3)), [], model, model.fm_head(modulation, bank),
                 rng=np.random.default_rng(0),
             ).l_s
             assert loss == pytest.approx(math.log(c), abs=1e-12)
@@ -97,13 +97,15 @@ class TestSupervisedLoss:
         model, modulation, bank, x, _ = no_dropout_setup()
         model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
         model.classifier.weight.node.value[:] = 0.0
-        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), [], model, modulation, bank).l_s
+        head = model.fm_head(modulation, bank)
+        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), [], model, head).l_s
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_class_case(self):
         model, modulation, bank, x, _ = no_dropout_setup()
-        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), [], model, modulation, bank).l_s
-        slog = ad.row_log_softmax(net.score_graph(model, modulation, bank, x[:1], "eval"))
+        head = model.fm_head(modulation, bank)
+        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), [], model, head).l_s
+        slog = ad.row_log_softmax(net.score_graph(model, head, x[:1], "eval"))
         expected = -slog.value[:, 1].mean()
         assert loss == pytest.approx(expected, abs=1e-14)
 
@@ -142,7 +144,8 @@ class TestUnsupervisedLoss:
     def test_discarded_record_builds_nothing(self):
         model, modulation, bank, x, y = no_dropout_setup()
         rec = PseudoLabelRecord(label=0, p_max=0.5, sigma=0.2, keep=False, l_scale=0.0)
-        breakdown = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, modulation, bank)
+        head = model.fm_head(modulation, bank)
+        breakdown = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, head)
         assert breakdown.l_u == 0.0 and breakdown.l_ud == 0.0
         # only the labeled sample's C rows are scored
         (slog,) = breakdown.total.parents
@@ -153,8 +156,10 @@ class TestUnsupervisedLoss:
         (full,) = gate_batch([1], [0.99], [0.0], 0.5)
         half = PseudoLabelRecord(1, 0.99, 0.0, True, full.l_scale / 2)
 
+        head = model.fm_head(modulation, bank)
+
         def unlabeled_terms(rec):
-            v = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, modulation, bank).values()
+            v = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, head).values()
             return v["l_u"], v["l_ud"]
 
         lu_full, lud_full = unlabeled_terms(full)
@@ -175,8 +180,9 @@ class TestTotalLoss:
     def test_breakdown_sums_exactly(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, False, True])
+        head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:5], records, model, modulation, bank, beta=1.0, gamma=0.5
+            x[:2], y[:2], x[2:5], records, model, head, beta=1.0, gamma=0.5
         )
         v = breakdown.values()
         assert v["total"] == pytest.approx(
@@ -187,21 +193,22 @@ class TestTotalLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         real, batches = net.score_graph, []
 
-        def counting(model, modulation, bank, x, *args):
+        def counting(model, head, x, *args):
             batches.append(x.copy())
-            return real(model, modulation, bank, x, *args)
+            return real(model, head, x, *args)
 
         monkeypatch.setattr(net, "score_graph", counting)
         records = self._records([True, False, True])
-        obj.total_loss(x[:2], y[:2], x[2:5], records, model, modulation, bank)
+        obj.total_loss(x[:2], y[:2], x[2:5], records, model, model.fm_head(modulation, bank))
         assert len(batches) == 1
         np.testing.assert_array_equal(batches[0], x[[0, 1, 2, 4]])
 
     def test_zero_kept_reduces_to_supervised_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([False, False])
+        head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, modulation, bank, beta=1.0, gamma=0.5
+            x[:2], y[:2], x[2:4], records, model, head, beta=1.0, gamma=0.5
         )
         v = breakdown.values()
         assert v["l_u"] == 0.0 and v["l_ud"] == 0.0
@@ -210,8 +217,9 @@ class TestTotalLoss:
     def test_zero_weights_reduce_to_nll_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, True])
+        head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, modulation, bank, beta=0.0, gamma=0.0
+            x[:2], y[:2], x[2:4], records, model, head, beta=0.0, gamma=0.0
         )
         v = breakdown.values()
         assert v["total"] == pytest.approx(v["l_s"] + v["l_u"], abs=1e-14)
@@ -225,11 +233,11 @@ class TestTotalLoss:
                 p.node.zero_grad()
             if with_unlabeled:
                 breakdown = obj.total_loss(
-                    x[:2], y[:2], x[2:6], records, model, modulation, bank
+                    x[:2], y[:2], x[2:6], records, model, model.fm_head(modulation, bank)
                 )
             else:
                 breakdown = obj.total_loss(
-                    x[:2], y[:2], np.empty((0, 3)), [], model, modulation, bank
+                    x[:2], y[:2], np.empty((0, 3)), [], model, model.fm_head(modulation, bank)
                 )
             ad.backward(breakdown.total)
             return [p.node.grad.copy() for p in params]
@@ -240,17 +248,16 @@ class TestTotalLoss:
 
     def test_empty_batch_rejected(self):
         model, modulation, bank, x, y = no_dropout_setup()
+        head = model.fm_head(modulation, bank)
         with pytest.raises(ValueError):
-            obj.total_loss(
-                np.empty((0, 3)), [], x, self._records([True]), model, modulation, bank
-            )
+            obj.total_loss(np.empty((0, 3)), [], x, self._records([True]), model, head)
 
     def test_matches_straight_line_oracle(self):
         model, modulation, bank, x, y = no_dropout_setup(seed=21)
         records = gate_batch([1, 0], [0.93, 0.97], [0.01, 0.02], 0.75)
         lx, ly, ux = x[:2], y[:2], x[2:4]
         breakdown = obj.total_loss(
-            lx, ly, ux, records, model, modulation, bank, beta=1.0, gamma=0.5
+            lx, ly, ux, records, model, model.fm_head(modulation, bank), beta=1.0, gamma=0.5
         )
         got = breakdown.values()
         l_s, l_u, l_d, l_ud, total = oracle_total(
@@ -268,10 +275,10 @@ class TestTotalLoss:
         kept = gate_batch([1], [0.95], [0.0], 0.5)
         padded = kept + [PseudoLabelRecord(0, 0.4, 0.3, False, 0.0)]
         lone = obj.total_loss(
-            x[:2], y[:2], x[2:3], kept, model, modulation, bank
+            x[:2], y[:2], x[2:3], kept, model, model.fm_head(modulation, bank)
         ).values()
         diluted = obj.total_loss(
-            x[:2], y[:2], x[2:4], padded, model, modulation, bank
+            x[:2], y[:2], x[2:4], padded, model, model.fm_head(modulation, bank)
         ).values()
         assert diluted["l_u"] == pytest.approx(lone["l_u"] / 2, rel=1e-12)
         assert diluted["l_ud"] == pytest.approx(lone["l_ud"] / 2, rel=1e-12)
@@ -279,7 +286,7 @@ class TestTotalLoss:
     def test_baseline_mode_has_zero_diag_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, True])
-        breakdown = obj.total_loss(x[:2], y[:2], x[2:4], records, model, None, None)
+        breakdown = obj.total_loss(x[:2], y[:2], x[2:4], records, model, None)
         v = breakdown.values()
         assert v["l_d"] == 0.0 and v["l_ud"] == 0.0
         assert v["l_s"] > 0.0 and v["l_u"] > 0.0
@@ -289,7 +296,7 @@ class TestTotalLoss:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         breakdown = obj.total_loss(
-            x[:2], y[:2], np.empty((0, 3)), [], model, None, None
+            x[:2], y[:2], np.empty((0, 3)), [], model, None
         )
         assert breakdown.values()["l_s"] == pytest.approx(math.log(2), abs=1e-12)
 

@@ -96,7 +96,7 @@ class TestPredictMatrix:
         model, modulation, bank, x, _ = make_tiny_setup()
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
-        s = pl.predict_matrices(x[:1], model, modulation, bank)[0]
+        s = pl.predict_matrices(x[:1], model, model.fm_head(modulation, bank))[0]
         np.testing.assert_allclose(s, 0.5, atol=1e-15)
 
     def test_identity_modulation_equal_rows(self):
@@ -104,47 +104,48 @@ class TestPredictMatrix:
         # read off the diagonal are the plain class probabilities.
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        s = pl.predict_matrices(x[:1], model, ones, bank)
-        plain = pl.predict_matrices(x[:1], model, None, None)
+        s = pl.predict_matrices(x[:1], model, model.fm_head(ones, bank))
+        plain = pl.predict_matrices(x[:1], model, None)
         np.testing.assert_allclose(s, plain, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         model, modulation, bank, x, _ = make_tiny_setup()
-        plain = pl.predict_matrices(x, model, None, None)
+        plain = pl.predict_matrices(x, model, None)
         np.testing.assert_allclose(plain.sum(axis=1), 1.0, atol=1e-12)
         ones = ModulationMatrix.ones(2, 4)
-        s = pl.predict_matrices(x, model, ones, bank)
+        s = pl.predict_matrices(x, model, model.fm_head(ones, bank))
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
-        s = pl.predict_matrices(x, model, modulation, bank)
+        s = pl.predict_matrices(x, model, model.fm_head(modulation, bank))
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
     def test_shape(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2)
-        assert pl.predict_matrices(x[:1], model, modulation, bank).shape == (1, 2)
-        assert pl.predict_matrices(x[:3], model, modulation, bank).shape == (3, 2)
-        assert pl.predict_matrices(x[:3], model, None, None).shape == (3, 2)
+        head = model.fm_head(modulation, bank)
+        assert pl.predict_matrices(x[:1], model, head).shape == (1, 2)
+        assert pl.predict_matrices(x[:3], model, head).shape == (3, 2)
+        assert pl.predict_matrices(x[:3], model, None).shape == (3, 2)
 
     @pytest.mark.parametrize("hidden", [(), (64,)])
     @pytest.mark.parametrize("n", [1, 48, 1050])
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("modulated", [True, False])
+    # From 8 classes on numpy sums a row pairwise, not left to right.
+    @pytest.mark.parametrize("num_classes", [7, 9])
     def test_matches_read_entries_of_full_softmax_bitwise(
-        self, hidden, n, dropout, modulated
+        self, hidden, n, dropout, modulated, num_classes
     ):
-        model, modulation, bank, u = _mc_setup(hidden, n)
-        if not modulated:
-            modulation = bank = None
+        model, modulation, bank, u = _mc_setup(hidden, n, num_classes)
+        head = model.fm_head(modulation, bank) if modulated else None
         c = model.num_classes
         before = u.tobytes()
         got_rng = np.random.default_rng(9)
-        got = pl.predict_matrices(u, model, modulation, bank, dropout, got_rng)
+        got = pl.predict_matrices(u, model, head, dropout, got_rng)
         assert u.tobytes() == before  # the in-place softmax works on its own logits
 
         want_rng = np.random.default_rng(9)
         with no_grad():
-            logits = net.score_graph(
-                model, modulation, bank, u, "mc" if dropout else "eval", want_rng
-            ).value
+            mode = "mc" if dropout else "eval"
+            logits = net.score_graph(model, head, u, mode, want_rng).value
         probs = ref.row_softmax(logits)
         if modulated:
             probs = np.diagonal(probs.reshape(n, c, c), axis1=1, axis2=2)
@@ -160,7 +161,7 @@ class TestPseudoLabel:
             input_dim=3, hidden_dims=(5,), feature_dim=4, dropout_p=0.0
         )
         (rec,) = pl.pseudo_label_batch(
-            x[:1], model, modulation, bank, mc_samples=4, tau=0.3,
+            x[:1], model, model.fm_head(modulation, bank), mc_samples=4, tau=0.3,
             rng=np.random.default_rng(0),
         )
         assert rec.sigma == 0.0
@@ -169,7 +170,7 @@ class TestPseudoLabel:
     def test_mc_sigma_positive_with_dropout(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         recs = pl.pseudo_label_batch(
-            x, model, modulation, bank, mc_samples=5, tau=0.75,
+            x, model, model.fm_head(modulation, bank), mc_samples=5, tau=0.75,
             rng=np.random.default_rng(0),
         )
         assert np.mean([r.sigma for r in recs]) > 0.0
@@ -179,14 +180,14 @@ class TestPseudoLabel:
         model, modulation, bank, x, _ = make_tiny_setup()
         seed, k = 42, 5
         recs = pl.pseudo_label_batch(
-            x, model, modulation, bank, mc_samples=k, tau=0.75,
+            x, model, model.fm_head(modulation, bank), mc_samples=k, tau=0.75,
             rng=np.random.default_rng(seed),
         )
         rng = np.random.default_rng(seed)
         diags = np.empty((k, len(x), 2))
         for i in range(k):
             diags[i] = pl.predict_matrices(
-                x, model, modulation, bank, dropout=True, rng=rng
+                x, model, model.fm_head(modulation, bank), dropout=True, rng=rng
             )
         mean_diag = diags.mean(axis=0)
         for idx, rec in enumerate(recs):
@@ -200,20 +201,21 @@ class TestPseudoLabel:
     def test_requires_two_mc_samples(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label_batch(x[:1], model, modulation, bank, mc_samples=1)
+            pl.pseudo_label_batch(x[:1], model, model.fm_head(modulation, bank), mc_samples=1)
 
     def test_tau_range_checked(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label_batch(x[:1], model, modulation, bank, tau=1.5)
+            pl.pseudo_label_batch(x[:1], model, model.fm_head(modulation, bank), tau=1.5)
 
 
 def _loop_oracle(u, model, modulation, bank, k, rng):
     """The K-call MC loop the stacked forward replaces."""
     n, c = len(u), model.num_classes
     diags = np.empty((k, n, c))
+    head = model.fm_head(modulation, bank)
     for i in range(k):
-        diags[i] = pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+        diags[i] = pl.predict_matrices(u, model, head, dropout=True, rng=rng)
     mean_diag = diags.mean(axis=0)
     labels = mean_diag.argmax(axis=1)
     rows = np.arange(n)
@@ -253,7 +255,7 @@ class TestStackedMonteCarlo:
         model, modulation, bank, u = _mc_setup(hidden, n)
 
         rng = np.random.default_rng(21)
-        recs = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, rng)
+        recs = pl.pseudo_label_batch(u, model, model.fm_head(modulation, bank), k, 0.5, rng)
         oracle_rng = np.random.default_rng(21)
         labels, p_max, sigma = _loop_oracle(u, model, modulation, bank, k, oracle_rng)
 
@@ -269,16 +271,17 @@ class TestChunkedMonteCarlo:
     def test_small_budget_matches_one_chunk_bitwise(self, monkeypatch, hidden, n):
         k = 5
         model, modulation, bank, u = _mc_setup(hidden, n)
+        head = model.fm_head(modulation, bank)
         rows = _counting_passes(monkeypatch)
         one_rng = np.random.default_rng(21)
-        one = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, one_rng)
+        one = pl.pseudo_label_batch(u, model, head, k, 0.5, one_rng)
         assert rows == [k * n]
 
         rows.clear()
         budget = np.empty((k, n, 7)).nbytes + 2 * pl._pass_bytes(model, n)
         monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
         small_rng = np.random.default_rng(21)
-        small = pl.pseudo_label_batch(u, model, modulation, bank, k, 0.5, small_rng)
+        small = pl.pseudo_label_batch(u, model, head, k, 0.5, small_rng)
         assert rows == [2 * n, 2 * n, n]
 
         assert [r.label for r in small] == [r.label for r in one]
@@ -293,15 +296,14 @@ class TestChunkedMonteCarlo:
     def test_large_k_peak_memory_stays_under_budget(self, monkeypatch):
         n, k, budget = 16, 1000, 4 * 2**20
         model, modulation, bank, u = _mc_setup((), n)
+        head = model.fm_head(modulation, bank)
         monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
         rows = _counting_passes(monkeypatch)
         # One stacked forward of all K passes would hold ~25 MB.
         assert k * pl._pass_bytes(model, n) > 6 * budget
         tracemalloc.start()
         try:
-            recs = pl.pseudo_label_batch(
-                u, model, modulation, bank, k, 0.5, np.random.default_rng(0)
-            )
+            recs = pl.pseudo_label_batch(u, model, head, k, 0.5, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,11 +317,12 @@ class TestChunkedMonteCarlo:
         """``_pass_bytes`` covers one pass's traced peak and its input, and
         at a held-out-domain size overestimates it by at most 2x."""
         model, modulation, bank, u = _mc_setup(hidden, n)
+        head = model.fm_head(modulation, bank)
         rng = np.random.default_rng(0)
-        pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+        pl.predict_matrices(u, model, head, dropout=True, rng=rng)
         tracemalloc.start()
         try:
-            pl.predict_matrices(u, model, modulation, bank, dropout=True, rng=rng)
+            pl.predict_matrices(u, model, head, dropout=True, rng=rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -337,11 +340,27 @@ class TestPassStatistics:
         for _ in range(20):
             a = g.uniform(size=(k, 48)) ** g.uniform(0.1, 10)
             assert pl._pass_mean(a).tobytes() == np.mean(a, axis=0).tobytes()
-            assert pl._pass_std(a).tobytes() == np.std(a, axis=0).tobytes()
+            std = pl._pass_std(a, pl._pass_mean(a))
+            assert std.tobytes() == np.std(a, axis=0).tobytes()
 
     def test_three_dimensional_mean_matches_numpy_bitwise(self):
         a = np.random.default_rng(1).uniform(size=(5, 48, 7))
         assert pl._pass_mean(a).tobytes() == a.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 5, 7, 8, 1000])
+    def test_std_about_the_table_mean_matches_numpy_bitwise(self, k):
+        # The gate passes p_max, a read of the whole (K, n, C) table's
+        # mean, as the centre of sigma's deviations: sigma must still be
+        # np.std of the picked (K, n) entries, bit for bit, at every K.
+        g = np.random.default_rng(k)
+        rows = np.arange(48)
+        for _ in range(20):
+            conf = g.uniform(size=(k, 48, 7)) ** g.uniform(0.1, 10)
+            labels = g.integers(0, 7, size=48)
+            picked = conf[:, rows, labels]
+            p_max = pl._pass_mean(conf)[rows, labels]
+            std = pl._pass_std(picked, p_max)
+            assert std.tobytes() == np.std(picked, axis=0).tobytes()
 
 
 class TestBaselinePseudoLabel:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,25 @@ def test_ab_pairs_summarize_file(tmp_path):
     assert printed.returncode == 0, printed.stderr
     assert printed.stdout.startswith("3 pairs; failed operations: parent 0, change 0")
     assert "change wins 0/3, gain no, worse than bound no" in printed.stdout
+
+
+def _ledger():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ledger.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_ledger_repeats_exactly_and_runs_quickly():
+    (first, first_s), (second, second_s) = _ledger(), _ledger()
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert max(first_s, second_s) < 10.0
+    assert re.findall(r"^\[(\S+)\] (\d+) steps$", first.stdout, re.M) == [
+        ("fm", "132"), ("fixmatch-baseline", "132")
+    ]
+    assert first.stdout.count("tracemalloc peak") == 2
+    for name in ("autodiff.as_matrix_bytes", "modulator.modulate_calls"):
+        assert first.stdout.count(name) == 2

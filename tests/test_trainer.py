@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modfeat import data as dat
-from modfeat import objective, trainer
+from modfeat import modulator, objective, pseudolabel, trainer
 from modfeat.autodiff import DualParam
 from modfeat.modulator import ModulationMatrix
 from modfeat.trainer import SGD, TrainConfig, cosine_lr
@@ -182,6 +182,68 @@ class TestTrain:
                 hidden_dims=(), feature_dim=8,
             )
         assert "epoch" in info.value.diagnostics
+
+    def test_fm_step_builds_one_head_for_mc_and_loss(self, small_dataset, monkeypatch):
+        """Each fm step builds the fused head's mixing node once, and its
+        MC passes and its loss forward all score through that head."""
+        events = []
+
+        class CountedHead(modulator.FusedHead):
+            def __init__(self, *args):
+                super().__init__(*args)
+                events.append(("build", self))
+
+        def recording(kind, fn, head_at):
+            def wrapper(*args, **kwargs):
+                events.append((kind, args[head_at]))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        real_predict = trainer.predict
+
+        def predict(*args, **kwargs):
+            events.append(("eval", None))
+            try:
+                return real_predict(*args, **kwargs)
+            finally:
+                events.append(("eval-end", None))
+
+        monkeypatch.setattr(modulator, "FusedHead", CountedHead)
+        monkeypatch.setattr(
+            modulator, "modulate", recording("modulate", modulator.modulate, 1)
+        )
+        monkeypatch.setattr(
+            pseudolabel, "pseudo_label_batch",
+            recording("label", pseudolabel.pseudo_label_batch, 2),
+        )
+        monkeypatch.setattr(
+            objective, "total_loss", recording("loss", objective.total_loss, 5)
+        )
+        monkeypatch.setattr(trainer, "predict", predict)
+        trainer.train(
+            small_dataset, small_plan(), quick_config(epochs=1),
+            hidden_dims=(), feature_dim=8,
+        )
+        # Drop evaluation, which builds a head of its own per call.
+        steps, in_eval = [], False
+        for kind, head in events:
+            in_eval = (in_eval or kind == "eval") and kind != "eval-end"
+            if not in_eval and kind != "eval-end":
+                steps.append((kind, head))
+        losses = [i for i, (kind, _) in enumerate(steps) if kind == "loss"]
+        assert len(losses) > 1
+        start = 0
+        for end in losses:
+            kinds = [kind for kind, _ in steps[start : end + 2]]
+            # One build, then one label call whose MC passes modulate
+            # through the built head, then the loss, which modulates once.
+            assert kinds[:2] == ["build", "label"] and kinds[-2:] == ["loss", "modulate"]
+            assert kinds.count("build") == 1 and kinds.count("modulate") >= 2
+            head = steps[start][1]
+            assert all(h is head for _, h in steps[start : end + 2])
+            start = end + 2
+        assert start == len(steps)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
