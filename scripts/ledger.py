@@ -20,12 +20,10 @@ change in what a step does shows up here even where a timing cannot
 resolve it.
 
     python scripts/ledger.py
-    python scripts/ledger.py --modes fm --top 20
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import os
 import re
@@ -44,6 +42,7 @@ from perfbench import spans  # noqa: E402
 
 EPOCHS = 2
 SEED = 0
+TOP = 15  # functions listed per mode
 # A built-in's profile name can hold an object address, which differs
 # from process to process.
 _ADDRESS = re.compile(r" at 0x[0-9a-f]+")
@@ -91,7 +90,7 @@ def traced_peak(cfg, dataset) -> int:
         tracemalloc.stop()
 
 
-def ledger(mode: str, top: int) -> list:
+def ledger(mode: str) -> list:
     cfg = config.load_config(
         ROOT / "configs" / "synthetic.ini",
         {"train.mode": mode, "train.epochs": str(EPOCHS), "train.seeds": str(SEED)},
@@ -105,9 +104,9 @@ def ledger(mode: str, top: int) -> list:
     lines = [
         f"[{mode}] {steps} steps",
         f"  calls/step {total / steps:12.1f}   total {total}",
-        f"  top {top} functions by calls/step:",
+        f"  top {TOP} functions by calls/step:",
     ]
-    ranked = sorted(calls.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    ranked = sorted(calls.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
     lines += [f"    {n / steps:10.2f}  {name}" for name, n in ranked]
     lines.append("  exact counts (per step, total):")
     lines += [
@@ -117,14 +116,10 @@ def ledger(mode: str, top: int) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--modes", default=",".join(trainer.MODES))
-    parser.add_argument("--top", type=int, default=15, help="functions listed per mode")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"# cost ledger: configs/synthetic.ini, {EPOCHS} epochs, seed {SEED}")
-    for mode in args.modes.split(","):
-        print("\n".join(ledger(mode, args.top)), flush=True)
+    for mode in trainer.MODES:
+        print("\n".join(ledger(mode)), flush=True)
     return 0
 
 

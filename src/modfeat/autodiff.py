@@ -26,6 +26,7 @@ copy along its outer axis instead, and give the same bits as
 numpy adds: a row of fewer than 8 entries left to right, which the
 transposed reduction repeats, and from 8 columns on in pairwise blocks,
 which it does not, so ``row_sum`` hands rows of 8 or more to ``a.sum``.
+``PAIRWISE_SUM_WIDTH`` names that width for every caller that relies on it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+
+# Rows at least this wide numpy sums pairwise; narrower ones left to right.
+PAIRWISE_SUM_WIDTH = 8
 
 
 class DimensionError(ValueError):
@@ -250,7 +255,7 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     """(n x 1) row sums of an (n x m) array, bitwise
     ``a.sum(axis=1, keepdims=True)``: a transposed reduction below 8
     columns, ``a.sum`` itself from 8 on (see the module docstring)."""
-    if a.shape[1] < 8:
+    if a.shape[1] < PAIRWISE_SUM_WIDTH:
         return np.ascontiguousarray(a.T).sum(axis=0)[:, None]
     return a.sum(axis=1, keepdims=True)
 

@@ -19,12 +19,16 @@ the step's one fused head (``Model.fm_head``), the head its loss forward
 reads too.
 
 A pass yields n*C rows of C logits, and numpy's row reductions pay a
-per-row overhead on rows that narrow. So ``predict_matrices`` takes the
-modulated softmax on one class-major (C x n*C) copy of the logits: the
-row maxima and sums are column reductions of it, the shift and exp run
-in place in it, and the returned diagonal is read from it. These are the
-reductions ``autodiff.row_max`` and ``row_sum`` run on a transposed
-copy, so the bits are theirs, from one copy instead of one per reduction.
+per-row overhead on rows that narrow. So below
+``autodiff.PAIRWISE_SUM_WIDTH`` (8) classes ``predict_matrices`` takes
+the modulated softmax on one class-major (C x n*C) copy of the logits:
+the row maxima and sums are column reductions of it, the shift and exp
+run in place in it, and the returned diagonal is read from it. These
+are the reductions ``autodiff.row_max`` and ``row_sum`` run on a
+transposed copy, so the bits are theirs, from one copy instead of one
+per reduction. Wider rows take the row-major path the unmodulated
+softmax takes: numpy sums them pairwise, which a column sum does not
+repeat.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass (K = 1, sigma 0) and
@@ -43,7 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, no_grad, row_max, row_sum
+from .autodiff import PAIRWISE_SUM_WIDTH, ParameterError, no_grad, row_max, row_sum
 from .modulator import FusedHead
 from .network import Model
 
@@ -113,28 +117,28 @@ def predict_matrices(
     C x C block of row softmaxes; without one, the unmodulated
     probability. Every row is normalized; only the returned entries are
     divided. No gradients are recorded. The logits are a fresh array, so
-    the unmodulated shift and exp are taken in place; ``u`` is only read.
-    The modulated softmax runs on one class-major copy (see the module
-    docstring).
+    the shift and the exp are taken in place; ``u`` is only read. Below
+    8 classes the modulated softmax runs on one class-major copy (see
+    the module docstring).
     """
     u = np.atleast_2d(u)
     mode = "mc" if dropout else "eval"
     with no_grad():
         logits = net.score_graph(model, head, u, mode, rng).value
-    if head is None:
-        logits -= row_max(logits)
-        e = np.exp(logits, out=logits)
-        return e / row_sum(e)
     c = logits.shape[1]
-    # Rebinding frees the row-major logits once the copy is made.
-    logits = np.ascontiguousarray(logits.T)
-    logits -= logits.max(axis=0)
-    np.exp(logits, out=logits)
-    # Below 8 classes numpy sums a row left to right, as this column sum
-    # does; from 8 on it sums pairwise, so those rows go back row-major.
-    total = logits.sum(axis=0) if c < 8 else row_sum(logits.T.copy())[:, 0]
-    diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-    return diagonal / total.reshape(-1, c)
+    if head is not None and c < PAIRWISE_SUM_WIDTH:
+        # Rebinding frees the row-major logits once the copy is made.
+        logits = np.ascontiguousarray(logits.T)
+        logits -= logits.max(axis=0)
+        np.exp(logits, out=logits)
+        diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+        return diagonal / logits.sum(axis=0).reshape(-1, c)
+    logits -= row_max(logits)
+    e = np.exp(logits, out=logits)
+    total = row_sum(e)
+    if head is None:
+        return e / total
+    return e.reshape(-1, c * c)[:, :: c + 1] / total.reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -142,10 +146,10 @@ def _pass_bytes(model: Model, n: int) -> int:
 
     Per row: its input; 25 bytes per unit of every extractor layer, for a
     layer's input, output and dropout factor and the dropout mask (only
-    one layer's are live at a time); the C x C logits and their
-    class-major copy, both live while the copy is made; and, counted on
-    top though the logits are freed before they exist, the copy's C
-    column maxima and C column sums and the C confidences returned.
+    one layer's are live at a time); the C x C logits and one transposed
+    copy of them (the class-major copy below 8 classes, ``row_max``'s
+    from 8 on), both live while the copy is made; and C row maxima, C
+    row sums and the C confidences returned.
     """
     cfg = model.extractor.config
     c = model.num_classes
@@ -183,9 +187,8 @@ def pseudo_label_batch(
     mean_conf = _pass_mean(conf)
     labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)
-    p_max = mean_conf[rows, labels]
-    sigma = _pass_std(conf[:, rows, labels], p_max)
-    return gate_batch(labels, p_max, sigma, tau)
+    sigma = _pass_std(conf[:, rows, labels])
+    return gate_batch(labels, mean_conf[rows, labels], sigma, tau)
 
 
 # The K-pass statistics, computed as ``np.mean(a, axis=0)`` and
@@ -195,17 +198,8 @@ def _pass_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0) / a.shape[0]
 
 
-def _pass_std(a: np.ndarray, table_mean: np.ndarray) -> np.ndarray:
-    """Population std of the (K x n) picked entries ``a`` along the passes.
-
-    ``table_mean`` is the matching read of ``_pass_mean`` over the whole
-    (K, n, C) table. Below 8 passes it is the bits of ``a``'s own mean,
-    so the deviations are taken from it. From 8 on it is not: numpy sums
-    the whole table pass by pass, but ``a``, a column-major read, along
-    contiguous memory in blocks of 8, so ``a``'s mean is taken afresh.
-    """
-    mean = table_mean if a.shape[0] < 8 else _pass_mean(a)
-    dev = a - mean
+def _pass_std(a: np.ndarray) -> np.ndarray:
+    dev = a - _pass_mean(a)
     dev *= dev
     return np.sqrt(np.add.reduce(dev, axis=0) / a.shape[0])
 
