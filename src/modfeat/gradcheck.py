@@ -4,7 +4,7 @@ Builds a miniature pipeline (2 classes, feature dim 4) and compares every
 parameter's analytic gradient against central finite differences. All
 per-step constants are frozen so the loss is a deterministic function of
 the parameters alone: the dropout generator is reseeded on every build,
-pseudo-label records are computed once at the base point, and the
+pseudo-labels are computed once at the base point, and the
 diagonal-gap targets captured at the base point are re-fed on every
 rebuild (they are gradient-stopped, so the difference quotient must not
 see them move). The fused head is not frozen: each build makes its own,
@@ -50,7 +50,7 @@ def full_loss_grad_check(
     bank = build_bank(feats, labeled_y, num_classes)
 
     mc_rng = np.random.default_rng(seed + 1)
-    records = pseudolabel.pseudo_label_batch(
+    pseudo = pseudolabel.pseudo_label_batch(
         unlabeled_x, model, model.fm_head(modulation, bank), mc_samples=3,
         tau=0.1, rng=mc_rng,
     )
@@ -63,7 +63,7 @@ def full_loss_grad_check(
             labeled_x,
             labeled_y,
             unlabeled_x,
-            records,
+            pseudo,
             model,
             model.fm_head(modulation, bank),
             beta=1.0,

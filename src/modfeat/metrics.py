@@ -15,24 +15,29 @@ class UnsupportedDiagnosticError(ValueError):
     """The diagnostic needs dimension roles that this dataset lacks."""
 
 
-def keep_rate(records: Sequence) -> float:
-    if not records:
-        raise ValueError("keep_rate of an empty record list is undefined")
-    return sum(1 for r in records if r.keep) / len(records)
+def keep_rate(keep) -> float:
+    """Fraction of pseudo-labels kept, from their ``keep`` flags."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.size == 0:
+        raise ValueError("keep_rate of an empty keep array is undefined")
+    return int(np.count_nonzero(keep)) / keep.size
 
 
-def pl_accuracy(records: Sequence, true_classes: Sequence) -> Optional[float]:
-    """Accuracy of kept pseudo-labels against hidden truth.
+def pl_accuracy(labels, keep, true_classes) -> Optional[float]:
+    """Accuracy of kept pseudo-labels against hidden truth; the three
+    arrays are aligned, one entry per pseudo-labeled sample.
 
     Returns None (absent) when nothing was kept; early epochs can keep
     nothing and a hard 0 would distort averages.
     """
-    if len(records) != len(true_classes):
-        raise ValueError("records and truth lengths differ")
-    kept = [(r.label, int(t)) for r, t in zip(records, true_classes) if r.keep]
+    labels, truth = np.asarray(labels), np.asarray(true_classes)
+    keep = np.asarray(keep, dtype=bool)
+    if not labels.shape == keep.shape == truth.shape:
+        raise ValueError("labels, keep and truth lengths differ")
+    kept = int(np.count_nonzero(keep))
     if not kept:
         return None
-    return sum(1 for label, t in kept if label == t) / len(kept)
+    return int(np.count_nonzero(labels[keep] == truth[keep])) / kept
 
 
 def modulator_gap(

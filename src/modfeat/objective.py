@@ -8,8 +8,8 @@ log-softmax row per candidate class the features were modulated toward
         modulation rows of the weak labeled view: blending features
         toward another class's anchor must not change the label, so
         every row carries the sample's own class as its target
-  l_u   the same with the pseudo-label on the strong view, times the
-        record's confidence weight
+  l_u   the same with the pseudo-label on the strong view, times its
+        confidence weight (the ``weight`` of its pseudo-label row)
   l_d   mean squared gap between the diagonal and the per-column maximum
         (the column max is a gradient-stopped target: the diagonal is
         pulled up, the max is not pulled down)
@@ -39,8 +39,7 @@ is the extractor, three head nodes, the log-softmax and the loss node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from . import network as net
 from .autodiff import Node
 from .modulator import FusedHead
 from .network import Model
-from .pseudolabel import PseudoLabelRecord
 
 
 @dataclass
@@ -145,7 +143,7 @@ def total_loss(
     labeled_weak: np.ndarray,
     labeled_y: np.ndarray,
     unlabeled_strong: np.ndarray,
-    records: Sequence[PseudoLabelRecord],
+    pseudo: np.ndarray,
     model: Model,
     head: Optional[FusedHead],
     beta: float = 1.0,
@@ -155,24 +153,25 @@ def total_loss(
 ) -> LossBreakdown:
     """Batch loss; one graph over the labeled and the kept strong rows.
 
-    With a ``head`` (``Model.fm_head``) it scores the modulated view and
-    adds the gap terms; without one, the unmodulated view.
-    ``frozen_targets`` re-feeds the ``diag_targets`` of an earlier call.
+    ``pseudo`` holds the strong rows' pseudo-labels, a
+    ``pseudolabel.PSEUDO_LABELS`` array. With a ``head``
+    (``Model.fm_head``) it scores the modulated view and adds the gap
+    terms; without one, the unmodulated view. ``frozen_targets``
+    re-feeds the ``diag_targets`` of an earlier call.
     """
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
     if n_l == 0:
         raise ValueError("empty batch")
-    labels, _, _, keep, scales = zip(*records) if records else ((),) * 5
-    strong = np.atleast_2d(unlabeled_strong)[list(keep)]
-    x = np.concatenate([labeled_weak, strong])
+    keep = pseudo["keep"]
+    x = np.concatenate([labeled_weak, np.atleast_2d(unlabeled_strong)[keep]])
     slog = ad.row_log_softmax(net.score_graph(model, head, x, "train", rng))
     target = frozen_targets
     if head is not None and target is None:
         target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])
-    picks = np.concatenate([labeled_y, np.fromiter(compress(labels, keep), np.int64)])
+    kept = pseudo[keep]
+    picks = np.concatenate([labeled_y, kept["label"]])
     total, terms = _loss_node(
-        slog, n_l, picks,
-        list(compress(scales, keep)), len(records), beta, gamma, target,
+        slog, n_l, picks, kept["weight"], len(pseudo), beta, gamma, target
     )
     return LossBreakdown(total, **terms, diag_targets=target)

@@ -31,18 +31,18 @@ softmax takes: numpy sums them pairwise, which a column sum does not
 repeat.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
-class probabilities in a single deterministic pass (K = 1, sigma 0) and
-gives an all-or-nothing weight.
+class probabilities in a single deterministic pass and applies the same
+gate with K = 1, sigma 0 and a unit weight: all or nothing.
 
 Scoring passes run under ``autodiff.no_grad()``: they only read values,
-so they record no graph. Each gate rule is defined once, on arrays, and
-applied to a whole batch (``gate_batch``, ``baseline_gate_batch``).
+so they record no graph. Both labelers return one ``PSEUDO_LABELS``
+array per batch, a row per sample, from the one gate (``gate_batch``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,12 +57,13 @@ BASELINE_THRESHOLD = 0.95
 MC_BUDGET_BYTES = 64 * 2**20
 
 
-class PseudoLabelRecord(NamedTuple):
-    label: int
-    p_max: float
-    sigma: float
-    keep: bool
-    l_scale: float
+# A batch's pseudo-labels, one row per sample: the gate's inputs, its
+# decision and the kept rows' loss weight (0 on discarded rows). A plain
+# ndarray whose rows are ``np.record``s, so a row also reads ``row.keep``.
+PSEUDO_LABELS = np.dtype((np.record, [
+    ("label", np.int64), ("p_max", np.float64), ("sigma", np.float64),
+    ("keep", np.bool_), ("weight", np.float64),
+]))
 
 
 def confidence_scale(p: float) -> float:
@@ -72,35 +73,17 @@ def confidence_scale(p: float) -> float:
     return math.exp(p**3 - 1.0)
 
 
-def gate_batch(labels, p_max, sigma, tau: float) -> list:
-    """Apply the uncertainty gate to arrays of per-sample values: keep iff
-    p_max - sigma strictly clears tau; kept labels get the
-    confidence-scaled weight, discarded get 0."""
-    p_max = np.asarray(p_max, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    keep = (p_max - sigma > tau).tolist()
-    p_list = p_max.tolist()
-    scales = [confidence_scale(p) if k else 0.0 for p, k in zip(p_list, keep)]
-    labels = np.asarray(labels, dtype=np.int64).tolist()
-    fields = zip(labels, p_list, sigma.tolist(), keep, scales)
-    return list(map(PseudoLabelRecord._make, fields))
-
-
-def baseline_gate_batch(labels, p_max, tau_fixed: float) -> list:
-    """Fixed-threshold gate over arrays: strict inequality, sigma 0 and an
-    all-or-nothing weight."""
-    p_max = np.asarray(p_max, dtype=np.float64)
-    keep = (p_max > tau_fixed).tolist()
-    return list(
-        map(
-            PseudoLabelRecord,
-            np.asarray(labels, dtype=np.int64).tolist(),
-            p_max.tolist(),
-            [0.0] * len(keep),
-            keep,
-            [1.0 if k else 0.0 for k in keep],
-        )
-    )
+def gate_batch(labels, p_max, sigma, tau: float, scale=confidence_scale) -> np.ndarray:
+    """The uncertainty gate over a batch, as a ``PSEUDO_LABELS`` array:
+    keep iff p_max - sigma strictly clears tau; kept rows weigh
+    ``scale(p_max)``, one call on a Python float per kept row, and
+    discarded rows weigh 0."""
+    out = np.zeros(len(p_max), PSEUDO_LABELS)
+    out["label"], out["p_max"], out["sigma"] = labels, p_max, sigma
+    keep = out["p_max"] - out["sigma"] > tau
+    out["keep"] = keep
+    out["weight"][keep] = [scale(p) for p in out["p_max"][keep].tolist()]
+    return out
 
 
 def predict_matrices(
@@ -164,7 +147,7 @@ def pseudo_label_batch(
     mc_samples: int = 5,
     tau: float = 0.75,
     rng: Optional[np.random.Generator] = None,
-) -> list:
+) -> np.ndarray:
     """Monte Carlo pseudo-labels for a batch of weakly augmented samples,
     scored through ``head`` (``Model.fm_head``)."""
     if mc_samples < 2:
@@ -208,8 +191,10 @@ def baseline_pseudo_label_batch(
     u: np.ndarray,
     model: Model,
     tau_fixed: float = BASELINE_THRESHOLD,
-) -> list:
-    """Fixed-threshold labels from one deterministic unmodulated pass."""
+) -> np.ndarray:
+    """Fixed-threshold labels from one deterministic unmodulated pass:
+    the gate with sigma 0 and a unit weight."""
     probs = predict_matrices(u, model, None)
     labels = probs.argmax(axis=1)
-    return baseline_gate_batch(labels, probs[np.arange(len(labels)), labels], tau_fixed)
+    p_max = probs[np.arange(len(labels)), labels]
+    return gate_batch(labels, p_max, 0.0, tau_fixed, scale=lambda p: 1.0)

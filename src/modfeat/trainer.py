@@ -285,8 +285,8 @@ def train(
         best_acc = -1.0
         for epoch in range(1, config.epochs + 1):
             sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
-            epoch_records: list[pseudolabel.PseudoLabelRecord] = []
-            epoch_truths: list[int] = []
+            # Each step's keep and label columns and the rows' truth.
+            epoch_keep, epoch_labels, epoch_truths = [], [], []
             lr_now = cosine_lr(config.lr_main, step, total_steps)
             for batch in iterator.epoch():
                 weak_labeled = augmenter.weak(batch.labeled_x, aug_rng)
@@ -295,11 +295,11 @@ def train(
                 # One head per step: the MC passes and the loss read it.
                 head = model.fm_head(modulation, bank)
                 if baseline:
-                    records = pseudolabel.baseline_pseudo_label_batch(
+                    pseudo = pseudolabel.baseline_pseudo_label_batch(
                         weak_unlabeled, model
                     )
                 else:
-                    records = pseudolabel.pseudo_label_batch(
+                    pseudo = pseudolabel.pseudo_label_batch(
                         weak_unlabeled,
                         model,
                         head,
@@ -311,7 +311,7 @@ def train(
                     weak_labeled,
                     batch.labeled_y,
                     strong_unlabeled,
-                    records,
+                    pseudo,
                     model,
                     head,
                     beta=config.beta,
@@ -335,15 +335,16 @@ def train(
                 step += 1
                 for key in sums:
                     sums[key] += values[key]
-                epoch_records.extend(records)
-                epoch_truths.extend(batch.unlabeled_truth.tolist())
+                epoch_keep.append(pseudo["keep"])
+                epoch_labels.append(pseudo["label"])
+                epoch_truths.append(batch.unlabeled_truth)
                 if dump_pseudo_labels:
-                    for idx, rec, truth in zip(
-                        batch.unlabeled_idx, records, batch.unlabeled_truth
+                    for idx, (label, p_max, sigma, keep, weight), truth in zip(
+                        batch.unlabeled_idx, pseudo.tolist(), batch.unlabeled_truth
                     ):
                         pl_log_rows.append(
-                            f"{epoch},{idx},{rec.label},{rec.p_max!r},{rec.sigma!r},"
-                            f"{int(rec.keep)},{rec.l_scale!r},{truth}"
+                            f"{epoch},{idx},{label},{p_max!r},{sigma!r},"
+                            f"{int(keep)},{weight!r},{truth}"
                         )
 
             if not baseline:
@@ -372,6 +373,7 @@ def train(
                 mode=config.mode,
             )
             n_batches = iterator.batches_per_epoch
+            keep = np.concatenate(epoch_keep)
             reports.append(
                 EpochReport(
                     epoch=epoch,
@@ -380,8 +382,10 @@ def train(
                     l_d=sums["l_d"] / n_batches,
                     l_ud=sums["l_ud"] / n_batches,
                     total=sums["total"] / n_batches,
-                    keep_rate=met.keep_rate(epoch_records),
-                    pl_accuracy=met.pl_accuracy(epoch_records, epoch_truths),
+                    keep_rate=met.keep_rate(keep),
+                    pl_accuracy=met.pl_accuracy(
+                        np.concatenate(epoch_labels), keep, np.concatenate(epoch_truths)
+                    ),
                     target_accuracy=target_acc,
                     lr=lr_now,
                 )

@@ -162,12 +162,12 @@ def test_criterion_5_loss_scaling():
         x, model, model.fm_head(modulation, bank), mc_samples=5, tau=0.5,
         rng=np.random.default_rng(0),
     )
-    pairs = [(r.p_max, r.sigma) for r in records] + [
+    pairs = list(zip(records["p_max"].tolist(), records["sigma"].tolist())) + [
         (p, s) for p in np.linspace(0.05, 0.99, 21) for s in (0.0, 0.05, 0.2)
     ]
     labels, p_max, sigma = [0] * len(pairs), *zip(*pairs)
-    kept_075 = sum(r.keep for r in gate_batch(labels, p_max, sigma, 0.75))
-    kept_095 = sum(r.keep for r in gate_batch(labels, p_max, sigma, 0.95))
+    kept_075 = np.count_nonzero(gate_batch(labels, p_max, sigma, 0.75)["keep"])
+    kept_095 = np.count_nonzero(gate_batch(labels, p_max, sigma, 0.95)["keep"])
     monotone_ok = kept_075 >= kept_095
     check(
         5,
@@ -266,7 +266,7 @@ def test_criterion_10_mc_uncertainty():
     )
     recs_p0 = pseudo_label_batch(x, model, model.fm_head(modulation, bank), mc_samples=5,
                                  tau=0.75, rng=np.random.default_rng(0))
-    zero_ok = all(r.sigma == 0.0 for r in recs_p0)
+    zero_ok = bool((recs_p0["sigma"] == 0.0).all())
 
     model.extractor.config = type(cfg)(
         input_dim=cfg.input_dim, hidden_dims=cfg.hidden_dims,
@@ -274,7 +274,7 @@ def test_criterion_10_mc_uncertainty():
     )
     recs_p05 = pseudo_label_batch(x, model, model.fm_head(modulation, bank), mc_samples=5,
                                   tau=0.75, rng=np.random.default_rng(0))
-    mean_sigma = float(np.mean([r.sigma for r in recs_p05]))
+    mean_sigma = float(recs_p05["sigma"].mean())
     check(
         10,
         zero_ok and mean_sigma > 0.0,

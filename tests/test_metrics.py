@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfeat import metrics as met
-from modfeat.pseudolabel import PseudoLabelRecord
 from modfeat.trainer import EpochReport
-
-
-def rec(keep, label=0):
-    return PseudoLabelRecord(label=label, p_max=0.9, sigma=0.0, keep=keep,
-                             l_scale=1.0 if keep else 0.0)
 
 
 def report(epoch=1, acc=0.5, keep=0.5, pl=0.9):
@@ -22,11 +16,15 @@ def report(epoch=1, acc=0.5, keep=0.5, pl=0.9):
 
 class TestKeepRate:
     def test_all_and_none(self):
-        assert met.keep_rate([rec(True)] * 4) == 1.0
-        assert met.keep_rate([rec(False)] * 4) == 0.0
+        assert met.keep_rate([True] * 4) == 1.0
+        assert met.keep_rate(np.zeros(4, dtype=bool)) == 0.0
 
     def test_two_of_three(self):
-        assert met.keep_rate([rec(True), rec(True), rec(False)]) == pytest.approx(2 / 3)
+        assert met.keep_rate([True, True, False]) == pytest.approx(2 / 3)
+
+    def test_python_float(self):
+        # metrics.csv writes repr(value), which a numpy scalar would change.
+        assert type(met.keep_rate(np.array([True, False]))) is float
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -35,36 +33,38 @@ class TestKeepRate:
 
 class TestPlAccuracy:
     def test_all_correct(self):
-        records = [rec(True, label=1)] * 3
-        assert met.pl_accuracy(records, [1, 1, 1]) == 1.0
+        assert met.pl_accuracy([1, 1, 1], [True] * 3, [1, 1, 1]) == 1.0
 
     def test_half_correct(self):
-        records = [rec(True, 0), rec(True, 1)]
-        assert met.pl_accuracy(records, [0, 0]) == 0.5
+        assert met.pl_accuracy([0, 1], [True, True], [0, 0]) == 0.5
 
     def test_discarded_never_counted(self):
-        records = [rec(True, 0), rec(False, 1)]
-        assert met.pl_accuracy(records, [0, 0]) == 1.0
+        assert met.pl_accuracy([0, 1], [True, False], [0, 0]) == 1.0
 
     def test_zero_kept_is_absent(self):
-        assert met.pl_accuracy([rec(False)] * 3, [0, 0, 0]) is None
+        assert met.pl_accuracy([0] * 3, [False] * 3, [0, 0, 0]) is None
+
+    def test_python_float(self):
+        acc = met.pl_accuracy(np.array([0, 1]), np.array([True, True]), np.array([0, 0]))
+        assert type(acc) is float
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            met.pl_accuracy([rec(True)], [0, 1])
+            met.pl_accuracy([0], [True], [0, 1])
+        with pytest.raises(ValueError):
+            met.pl_accuracy([0, 1], [True], [0, 1])
 
     @settings(max_examples=30)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)),
                     min_size=1, max_size=40))
     def test_counting_invariant(self, triples):
-        records = [rec(k, label) for k, label, _ in triples]
-        truths = [t for _, _, t in triples]
-        kept = sum(r.keep for r in records)
+        keep, labels, truths = (list(column) for column in zip(*triples))
+        kept = sum(keep)
         correct_kept = sum(
-            1 for r, t in zip(records, truths) if r.keep and r.label == t
+            1 for k, label, t in triples if k and label == t
         )
-        assert correct_kept <= kept <= len(records)
-        acc = met.pl_accuracy(records, truths)
+        assert correct_kept <= kept <= len(triples)
+        acc = met.pl_accuracy(labels, keep, truths)
         if kept:
             assert acc == pytest.approx(correct_kept / kept)
         else:

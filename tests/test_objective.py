@@ -6,9 +6,13 @@ import pytest
 from modfeat import autodiff as ad
 from modfeat import network as net
 from modfeat import objective as obj
-from modfeat.pseudolabel import PseudoLabelRecord, gate_batch
+from modfeat.pseudolabel import gate_batch
 from tests import refops as ref
 from tests.conftest import make_tiny_setup
+
+
+# The pseudo-labels of a batch without unlabeled rows.
+NO_PSEUDO = gate_batch([], [], [], 0.5)
 
 
 def no_dropout_setup(num_classes=2, input_dim=3, feature_dim=4, seed=7):
@@ -64,8 +68,8 @@ def oracle_total(model, modulation, bank, lx, ly, ux, records, beta, gamma):
         if not rec.keep:
             continue
         (slog,) = oracle_forward(model, modulation, bank, u_row[None])
-        l_u += rec.l_scale * (-slog[:, rec.label].mean()) / n_u
-        l_ud += rec.l_scale * ((np.diag(slog) - slog.max(axis=0)) ** 2).mean() / n_u
+        l_u += rec.weight * (-slog[:, rec.label].mean()) / n_u
+        l_ud += rec.weight * ((np.diag(slog) - slog.max(axis=0)) ** 2).mean() / n_u
     return l_s, l_u, l_d, l_ud, l_s + l_u + beta * l_d + gamma * l_ud
 
 
@@ -88,7 +92,7 @@ class TestSupervisedLoss:
             model.classifier.weight.node.value[:] = 0.0
             model.classifier.bias.node.value[:] = 0.0
             loss = obj.total_loss(
-                x[:1], [0], np.empty((0, 3)), [], model, model.fm_head(modulation, bank),
+                x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, model.fm_head(modulation, bank),
                 rng=np.random.default_rng(0),
             ).l_s
             assert loss == pytest.approx(math.log(c), abs=1e-12)
@@ -98,13 +102,13 @@ class TestSupervisedLoss:
         model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
         model.classifier.weight.node.value[:] = 0.0
         head = model.fm_head(modulation, bank)
-        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), [], model, head).l_s
+        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, head).l_s
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_class_case(self):
         model, modulation, bank, x, _ = no_dropout_setup()
         head = model.fm_head(modulation, bank)
-        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), [], model, head).l_s
+        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), NO_PSEUDO, model, head).l_s
         slog = ad.row_log_softmax(net.score_graph(model, head, x[:1], "eval"))
         expected = -slog.value[:, 1].mean()
         assert loss == pytest.approx(expected, abs=1e-14)
@@ -143,9 +147,9 @@ class TestDiagMaxLoss:
 class TestUnsupervisedLoss:
     def test_discarded_record_builds_nothing(self):
         model, modulation, bank, x, y = no_dropout_setup()
-        rec = PseudoLabelRecord(label=0, p_max=0.5, sigma=0.2, keep=False, l_scale=0.0)
+        dropped = gate_batch([0], [0.5], [0.2], 0.75)
         head = model.fm_head(modulation, bank)
-        breakdown = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, head)
+        breakdown = obj.total_loss(x[:1], y[:1], x[:1], dropped, model, head)
         assert breakdown.l_u == 0.0 and breakdown.l_ud == 0.0
         # only the labeled sample's C rows are scored
         (slog,) = breakdown.total.parents
@@ -153,13 +157,14 @@ class TestUnsupervisedLoss:
 
     def test_linear_in_scale(self):
         model, modulation, bank, x, y = no_dropout_setup()
-        (full,) = gate_batch([1], [0.99], [0.0], 0.5)
-        half = PseudoLabelRecord(1, 0.99, 0.0, True, full.l_scale / 2)
+        full = gate_batch([1], [0.99], [0.0], 0.5)
+        half = full.copy()
+        half["weight"] /= 2
 
         head = model.fm_head(modulation, bank)
 
-        def unlabeled_terms(rec):
-            v = obj.total_loss(x[:1], y[:1], x[:1], [rec], model, head).values()
+        def unlabeled_terms(pseudo):
+            v = obj.total_loss(x[:1], y[:1], x[:1], pseudo, model, head).values()
             return v["l_u"], v["l_ud"]
 
         lu_full, lud_full = unlabeled_terms(full)
@@ -170,12 +175,14 @@ class TestUnsupervisedLoss:
 
 class TestTotalLoss:
     def _records(self, keeps):
-        (kept,) = gate_batch([0], [0.9], [0.0], 0.5)
-        return [
-            kept._replace(label=i % 2) if k
-            else PseudoLabelRecord(i % 2, 0.5, 0.3, False, 0.0)
-            for i, k in enumerate(keeps)
-        ]
+        """Labels alternating 0, 1; kept rows at p_max 0.9, dropped ones at
+        p_max 0.5 and sigma 0.3."""
+        return gate_batch(
+            [i % 2 for i in range(len(keeps))],
+            [0.9 if k else 0.5 for k in keeps],
+            [0.0 if k else 0.3 for k in keeps],
+            0.5,
+        )
 
     def test_breakdown_sums_exactly(self):
         model, modulation, bank, x, y = no_dropout_setup()
@@ -228,22 +235,17 @@ class TestTotalLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         params = model.params() + [modulation.param]
 
-        def grads(records, with_unlabeled):
+        def grads(unlabeled, pseudo):
             for p in params:
                 p.node.zero_grad()
-            if with_unlabeled:
-                breakdown = obj.total_loss(
-                    x[:2], y[:2], x[2:6], records, model, model.fm_head(modulation, bank)
-                )
-            else:
-                breakdown = obj.total_loss(
-                    x[:2], y[:2], np.empty((0, 3)), [], model, model.fm_head(modulation, bank)
-                )
+            breakdown = obj.total_loss(
+                x[:2], y[:2], unlabeled, pseudo, model, model.fm_head(modulation, bank)
+            )
             ad.backward(breakdown.total)
             return [p.node.grad.copy() for p in params]
 
         dropped = self._records([False, False, False, False])
-        for a, b in zip(grads(dropped, True), grads([], False)):
+        for a, b in zip(grads(x[2:6], dropped), grads(np.empty((0, 3)), NO_PSEUDO)):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -273,7 +275,7 @@ class TestTotalLoss:
         # discarded samples count in the denominator, diluting toward zero
         model, modulation, bank, x, y = no_dropout_setup()
         kept = gate_batch([1], [0.95], [0.0], 0.5)
-        padded = kept + [PseudoLabelRecord(0, 0.4, 0.3, False, 0.0)]
+        padded = gate_batch([1, 0], [0.95, 0.4], [0.0, 0.3], 0.5)
         lone = obj.total_loss(
             x[:2], y[:2], x[2:3], kept, model, model.fm_head(modulation, bank)
         ).values()
@@ -296,7 +298,7 @@ class TestTotalLoss:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         breakdown = obj.total_loss(
-            x[:2], y[:2], np.empty((0, 3)), [], model, None
+            x[:2], y[:2], np.empty((0, 3)), NO_PSEUDO, model, None
         )
         assert breakdown.values()["l_s"] == pytest.approx(math.log(2), abs=1e-12)
 

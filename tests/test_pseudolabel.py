@@ -11,6 +11,7 @@ from modfeat import pseudolabel as pl
 from modfeat.autodiff import ParameterError, no_grad
 from modfeat.modulator import ModulationMatrix, variance_init
 from modfeat.prototypes import build_bank
+from perfbench import spans
 from tests import refops as ref
 from tests.conftest import make_tiny_model, make_tiny_setup
 
@@ -56,13 +57,13 @@ class TestGate:
     def test_keep_case(self):
         (rec,) = pl.gate_batch([2], p_max=[0.9], sigma=[0.05], tau=0.75)
         assert rec.keep
-        assert rec.l_scale == pytest.approx(math.exp(0.9**3 - 1.0), abs=1e-15)
-        assert rec.l_scale == pytest.approx(0.76262, abs=1e-4)
+        assert rec.weight == pytest.approx(math.exp(0.9**3 - 1.0), abs=1e-15)
+        assert rec.weight == pytest.approx(0.76262, abs=1e-4)
 
     def test_discard_case(self):
         (rec,) = pl.gate_batch([1], p_max=[0.76], sigma=[0.02], tau=0.75)
         assert not rec.keep
-        assert rec.l_scale == 0.0
+        assert rec.weight == 0.0
 
     def test_strict_inequality(self):
         (rec,) = pl.gate_batch([0], p_max=[0.80], sigma=[0.05], tau=0.75)
@@ -79,16 +80,16 @@ class TestGate:
     def test_lower_tau_never_keeps_fewer(self, pairs, tau_a, tau_b):
         lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
         labels, p_max, sigma = [0] * len(pairs), *zip(*pairs)
-        kept_lo = sum(r.keep for r in pl.gate_batch(labels, p_max, sigma, lo))
-        kept_hi = sum(r.keep for r in pl.gate_batch(labels, p_max, sigma, hi))
+        kept_lo = np.count_nonzero(pl.gate_batch(labels, p_max, sigma, lo)["keep"])
+        kept_hi = np.count_nonzero(pl.gate_batch(labels, p_max, sigma, hi)["keep"])
         assert kept_lo >= kept_hi
 
     def test_baseline_gate(self):
-        above, tie = pl.baseline_gate_batch([0, 0], [0.96, 0.95], 0.95)
+        above, tie = pl.gate_batch([0, 0], [0.96, 0.95], 0.0, 0.95, scale=_unit)
         assert above.keep
-        assert above.l_scale == 1.0
+        assert above.weight == 1.0
         assert not tie.keep
-        assert tie.l_scale == 0.0
+        assert tie.weight == 0.0
 
 
 class TestPredictMatrix:
@@ -173,7 +174,7 @@ class TestPseudoLabel:
             x, model, model.fm_head(modulation, bank), mc_samples=5, tau=0.75,
             rng=np.random.default_rng(0),
         )
-        assert np.mean([r.sigma for r in recs]) > 0.0
+        assert recs["sigma"].mean() > 0.0
 
     def test_sigma_is_population_std_of_predicted_class(self):
         # reproduce the aggregation by hand from the same MC stream
@@ -259,9 +260,9 @@ class TestStackedMonteCarlo:
         oracle_rng = np.random.default_rng(21)
         labels, p_max, sigma = _loop_oracle(u, model, modulation, bank, k, oracle_rng)
 
-        assert [r.label for r in recs] == labels.tolist()
-        assert np.array([r.p_max for r in recs]).tobytes() == p_max.tobytes()
-        assert np.array([r.sigma for r in recs]).tobytes() == sigma.tobytes()
+        assert recs["label"].tolist() == labels.tolist()
+        assert recs["p_max"].tobytes() == p_max.tobytes()
+        assert recs["sigma"].tobytes() == sigma.tobytes()
         assert rng.random() == oracle_rng.random()
 
 
@@ -284,13 +285,7 @@ class TestChunkedMonteCarlo:
         small = pl.pseudo_label_batch(u, model, head, k, 0.5, small_rng)
         assert rows == [2 * n, 2 * n, n]
 
-        assert [r.label for r in small] == [r.label for r in one]
-        assert np.array([r.p_max for r in small]).tobytes() == np.array(
-            [r.p_max for r in one]
-        ).tobytes()
-        assert np.array([r.sigma for r in small]).tobytes() == np.array(
-            [r.sigma for r in one]
-        ).tobytes()
+        assert small.tobytes() == one.tobytes()
         assert small_rng.random() == one_rng.random()
 
     def test_large_k_peak_memory_stays_under_budget(self, monkeypatch):
@@ -354,59 +349,71 @@ class TestBaselinePseudoLabel:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         (rec,) = pl.baseline_pseudo_label_batch(x[:1], model)
-        assert not rec.keep and rec.l_scale == 0.0
+        assert not rec.keep and rec.weight == 0.0
 
     def test_deterministic_single_pass(self):
         model, _, _, x, _ = make_tiny_setup()
         a = pl.baseline_pseudo_label_batch(x, model)
         b = pl.baseline_pseudo_label_batch(x, model)
-        assert a == b
-        assert all(r.sigma == 0.0 for r in a)
+        assert a.tobytes() == b.tobytes()
+        assert (a["sigma"] == 0.0).all()
 
     def test_weight_is_binary(self):
         model, _, _, x, _ = make_tiny_setup()
         model.classifier.weight.node.value[:] *= 50.0  # force saturation
         recs = pl.baseline_pseudo_label_batch(x, model)
-        assert {r.l_scale for r in recs} <= {0.0, 1.0}
-        assert any(r.keep for r in recs)
+        assert set(recs["weight"].tolist()) <= {0.0, 1.0}
+        assert recs["keep"].any()
+
+    def test_matches_per_record_gate(self):
+        model, _, _, x, _ = make_tiny_setup(n_per_class=20)
+        model.classifier.weight.node.value[:] *= 20.0  # keep some, drop some
+        got = pl.baseline_pseudo_label_batch(x, model)
+        probs = pl.predict_matrices(x, model, None)
+        labels = probs.argmax(axis=1)
+        want = [
+            _old_baseline_gate_record(label, probs[i, label], pl.BASELINE_THRESHOLD)
+            for i, label in enumerate(labels.tolist())
+        ]
+        _same_records(got, want)
+        assert 0 < np.count_nonzero(got["keep"]) < len(got)
 
 
 def _old_gate_record(label, p_max, sigma, tau):
-    """The per-record uncertainty gate, kept as the oracle for ``gate_batch``."""
+    """The per-record uncertainty gate, kept as the oracle for ``gate_batch``:
+    one (label, p_max, sigma, keep, weight) tuple of Python scalars."""
     keep = bool(p_max - sigma > tau)
-    return pl.PseudoLabelRecord(
-        label=int(label),
-        p_max=float(p_max),
-        sigma=float(sigma),
-        keep=keep,
-        l_scale=pl.confidence_scale(float(p_max)) if keep else 0.0,
-    )
+    weight = pl.confidence_scale(float(p_max)) if keep else 0.0
+    return int(label), float(p_max), float(sigma), keep, weight
 
 
 def _old_baseline_gate_record(label, p_max, tau_fixed):
     keep = bool(p_max > tau_fixed)
-    return pl.PseudoLabelRecord(
-        label=int(label),
-        p_max=float(p_max),
-        sigma=0.0,
-        keep=keep,
-        l_scale=1.0 if keep else 0.0,
-    )
+    return int(label), float(p_max), 0.0, keep, 1.0 if keep else 0.0
+
+
+def _unit(p):
+    return 1.0
 
 
 def _same_records(got, want):
-    """Field by field, including types and float bits (repr round-trips)."""
-    assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
-    assert repr(got) == repr(want)
+    """A plain ndarray of ``PSEUDO_LABELS`` rows equal to the oracle's
+    tuples field by field, including types and float bits (repr
+    round-trips)."""
+    assert type(got) is np.ndarray and got.dtype == pl.PSEUDO_LABELS
+    assert all(isinstance(r, np.record) for r in got)
+    rows = got.tolist()
+    assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
+    assert repr(rows) == repr(want)
 
 
-_unit = st.floats(0.0, 1.0)
+_prob = st.floats(0.0, 1.0)
 
 
 class TestBatchGate:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 6), _unit, st.floats(0.0, 0.5)), max_size=48),
+        st.lists(st.tuples(st.integers(0, 6), _prob, st.floats(0.0, 0.5)), max_size=48),
         st.floats(0.01, 0.99),
     )
     @example([(3, 0.875, 0.125)], 0.75)  # p_max - sigma == tau exactly: dropped
@@ -423,7 +430,7 @@ class TestBatchGate:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 6), _unit), max_size=48),
+        st.lists(st.tuples(st.integers(0, 6), _prob), max_size=48),
         st.floats(0.01, 0.99),
     )
     @example([(0, 0.95), (1, 0.9500000000000001)], 0.95)  # tie is dropped
@@ -434,11 +441,40 @@ class TestBatchGate:
             _old_baseline_gate_record(label, p, tau_fixed)
             for label, p in zip(labels.tolist(), p_max.tolist())
         ]
-        _same_records(pl.baseline_gate_batch(labels, p_max, tau_fixed), want)
+        # The baseline's call: sigma 0 and a unit weight.
+        _same_records(pl.gate_batch(labels, p_max, 0.0, tau_fixed, scale=_unit), want)
 
     def test_kept_confidence_above_one_rejected(self):
         with pytest.raises(ParameterError):
             pl.gate_batch(np.array([0, 1]), np.array([0.9, 1.5]), np.zeros(2), 0.75)
         # Dropped rows get no weight, so their confidence is not checked.
         (record,) = pl.gate_batch(np.array([0]), np.array([1.5]), np.array([1.0]), 0.75)
-        assert not record.keep and record.l_scale == 0.0
+        assert not record.keep and record.weight == 0.0
+
+
+class TestTracerContract:
+    """``perfbench.spans`` counts the labelers' output as ``len(out)`` rows
+    and ``sum(r.keep for r in out)`` kept labels, and patches both
+    labelers by name."""
+
+    def _check(self, out, n):
+        assert len(out) == n
+        assert sum(r.keep for r in out) == np.count_nonzero(out["keep"])
+        tracer = spans.Tracer()
+        tracer._count_labels((), {}, out)
+        assert tracer.counts["pseudolabel.rows"] == n
+        assert tracer.counts["pseudolabel.kept"] == np.count_nonzero(out["keep"])
+
+    def test_fm_labeler(self):
+        model, modulation, bank, u = _mc_setup((), 48)
+        head = model.fm_head(modulation, bank)
+        out = pl.pseudo_label_batch(u, model, head, 5, 0.3, np.random.default_rng(0))
+        assert 0 < np.count_nonzero(out["keep"]) < 48
+        self._check(out, 48)
+
+    def test_baseline_labeler(self):
+        model, _, _, x, _ = make_tiny_setup(n_per_class=20)
+        model.classifier.weight.node.value[:] *= 20.0
+        out = pl.baseline_pseudo_label_batch(x, model)
+        assert 0 < np.count_nonzero(out["keep"]) < len(x)
+        self._check(out, len(x))

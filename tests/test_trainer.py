@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,42 @@ class TestTrain:
         assert header == "epoch,l_s,l_u,l_d,l_ud,total,keep_rate,pl_acc,target_acc,lr"
         pl_header = (tmp_path / "pseudo_labels.csv").read_text().splitlines()[0]
         assert pl_header == "epoch,sample_idx,label,p_max,sigma,keep,l_scale,true_class"
+
+    @pytest.mark.parametrize(
+        "mode, changes",
+        [
+            ("fm", {}),
+            ("fixmatch-baseline", {}),
+            # Slow learning under a high tau: epoch 3 keeps nothing.
+            ("fm", {"tau": 0.95, "lr_main": 0.003, "lr_modulator": 0.003}),
+        ],
+    )
+    def test_pseudo_label_dump_matches_epoch_metrics(
+        self, small_dataset, tmp_path, mode, changes
+    ):
+        """Per epoch, the dumped rows' kept fraction is ``keep_rate`` and
+        their kept-row accuracy ``pl_acc`` (empty when nothing is kept)."""
+        config = dataclasses.replace(quick_config(mode=mode, epochs=4), **changes)
+        trainer.train(
+            small_dataset, small_plan(), config,
+            hidden_dims=(), feature_dim=8, run_dir=tmp_path, dump_pseudo_labels=True,
+        )
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            metrics = list(csv.DictReader(fh))
+        with open(tmp_path / "pseudo_labels.csv", newline="") as fh:
+            dumped = list(csv.DictReader(fh))
+        assert len(metrics) == 4
+        for row in metrics:
+            rows = [r for r in dumped if r["epoch"] == row["epoch"]]
+            kept = [r for r in rows if r["keep"] == "1"]
+            correct = sum(r["label"] == r["true_class"] for r in kept)
+            assert rows
+            assert float(row["keep_rate"]) == len(kept) / len(rows)
+            if kept:
+                assert float(row["pl_acc"]) == correct / len(kept)
+            else:
+                assert row["pl_acc"] == ""
+        assert any(row["pl_acc"] == "" for row in metrics) == bool(changes)
 
     def test_bitwise_reproducible_outputs(self, small_dataset, tmp_path):
         for name in ("a", "b"):
