@@ -17,7 +17,9 @@ leaves: an interior node's adjoint lives in a per-call map only until it
 has been passed to the node's parents.
 
 The engine holds only the generic ops; the training loss is a node of
-its own with a hand-written vjp (``objective``).
+its own with a hand-written vjp (``objective``). ``dropout`` is the only
+random op, and it is random only when given a generator: a pass drops
+units iff its caller hands it one.
 
 Score rows are narrow (C = 7 classes), and numpy's row reductions pay a
 per-row overhead there. ``row_max`` and ``row_sum`` reduce a transposed
@@ -272,10 +274,11 @@ def row_log_softmax(a: Node) -> Node:
     return Node(out, (a,), vjp)
 
 
-def dropout(a: Node, p: float, rng: np.random.Generator, enabled: bool = True) -> Node:
+def dropout(a: Node, p: float, rng: Optional[np.random.Generator]) -> Node:
     """Inverted dropout: zero entries w.p. ``p``, scale survivors by 1/(1-p).
 
-    Disabled mode is the exact identity (the input node is returned).
+    A pass drops units iff it is given a generator: without one, or at
+    ``p == 0``, the input node is returned and nothing is drawn.
     The factor (0 or 1/(1-p) per entry) is captured by the vjp closure
     for the backward pass. It is the boolean mask times the scalar
     1/(1-p): the bits of dividing the mask by 1 - p (1/(1-p) and 0/(1-p)
@@ -283,7 +286,7 @@ def dropout(a: Node, p: float, rng: np.random.Generator, enabled: bool = True) -
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    if not enabled:
+    if rng is None or p == 0.0:
         return a
     keep = rng.random(a.value.shape) >= p
     factor = np.multiply(keep, 1.0 / (1.0 - p))
@@ -374,8 +377,8 @@ def grad_check(
     """Check every parameter entry of a deterministic scalar loss.
 
     ``build_fn`` must rebuild the same loss from the current parameter
-    values on every call (dropout disabled, or its masks frozen by
-    reseeding inside the builder). Relative error per entry is
+    values on every call (no dropout generator, or one reseeded inside
+    the builder, which freezes its masks). Relative error per entry is
     |analytic - numeric| / max(|analytic|, |numeric|, rel_floor).
     """
     base = build_fn().value[0, 0]

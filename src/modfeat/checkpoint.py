@@ -1,9 +1,10 @@
 """Versioned binary key-value checkpoints (npz with named float64 arrays).
 
 Round trips are bit-exact: arrays are stored raw, shapes live in the npy
-headers. A checkpoint always carries the network parameters and enough
-config to rebuild the model standalone; the modulation matrix and the
-prototype bank ride along when present.
+headers. A checkpoint always carries the network parameters, one
+``param.<name>`` array per entry of ``Model.params()``, and enough config
+to rebuild the model standalone through ``Model.init``; the modulation
+matrix and the prototype bank ride along when present.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import DualParam
 from .modulator import ModulationMatrix
-from .network import Classifier, Extractor, ExtractorConfig, Model
+from .network import ExtractorConfig, Model
 from .prototypes import PrototypeBank
 
 FORMAT_VERSION = 1
@@ -106,23 +106,11 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as err:
             raise CheckpointError(f"{path}: invalid metadata ({err})") from None
         f = cfg.feature_dim
-
-        def param(name: str, shape: tuple) -> DualParam:
-            return DualParam.create(name, data(f"param.{name}", shape))
-
-        dims = [cfg.input_dim, *cfg.hidden_dims, f] if cfg.hidden_dims else []
-        layers = list(enumerate(zip(dims[:-1], dims[1:])))
-        model = Model(
-            extractor=Extractor(
-                config=cfg,
-                weights=[param(f"extractor.{i}.weight", d) for i, d in layers],
-                biases=[param(f"extractor.{i}.bias", (1, d[1])) for i, d in layers],
-            ),
-            classifier=Classifier(
-                weight=param("classifier.weight", (f, c)),
-                bias=param("classifier.bias", (1, c)),
-            ),
-        )
+        # The network names and shapes the parameters; the initial draws
+        # are all overwritten.
+        model = Model.init(cfg, c, np.random.default_rng(0))
+        for p in model.params():
+            p.node.value[...] = data(f"param.{p.name}", p.value.shape)
         bank = None
         if "bank.prototypes" in archive:
             bank = PrototypeBank(

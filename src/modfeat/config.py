@@ -85,9 +85,14 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_seeds(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        seeds = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"seeds must be comma-separated ints, got {text!r}")
+    # Each seed trains into its own seed_<seed> directory, once.
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"seeds must be distinct, got seed {seed} twice")
+    return seeds
 
 
 def _parse_optional_int(text: str):

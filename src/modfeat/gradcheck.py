@@ -43,7 +43,7 @@ def full_loss_grad_check(
     labeled_y = np.array([0, 0, 1, 1])
     unlabeled_x = rng.normal(size=(2, input_dim))
 
-    feats = model.extractor.forward(labeled_x, "eval").value
+    feats = model.extractor.forward(labeled_x).value
     modulation = ModulationMatrix.from_values(
         variance_init(feats, labeled_y, num_classes)
     )

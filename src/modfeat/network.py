@@ -6,6 +6,10 @@ uncertainty sampling. An empty hidden stack means the extractor is the
 identity (features are the raw inputs, dropout still applies), which
 keeps input coordinates interpretable in diagnostics.
 
+A pass drops units iff it is given a dropout generator. ``Model.init``
+and ``Model.params()`` are the one description of the layers; checkpoints
+are saved and loaded through them.
+
 Both training modes score through one pipeline, ``score_graph``, which
 yields R rows of class logits per sample. In the modulated mode features
 are modulated toward each class's blended anchor, so R = C. The
@@ -32,16 +36,13 @@ from . import modulator
 from .autodiff import DualParam, Node
 from .prototypes import PrototypeBank
 
-# Forward passes: dropout is active in "train" and "mc", off in "eval".
-PASS_MODES = ("train", "eval", "mc")
-
 
 @dataclass(frozen=True)
 class ExtractorConfig:
     input_dim: int
-    hidden_dims: tuple = (64, 64)
-    feature_dim: int = 32
-    dropout_p: float = 0.05
+    hidden_dims: tuple
+    feature_dim: int
+    dropout_p: float
 
     def __post_init__(self):
         if self.feature_dim < 1:
@@ -56,12 +57,6 @@ class ExtractorConfig:
                 f"feature_dim == input_dim, got feature_dim={self.feature_dim} "
                 f"and input_dim={self.input_dim}"
             )
-
-
-def _dropout_enabled(mode: str) -> bool:
-    if mode not in PASS_MODES:
-        raise ValueError(f"mode must be one of {PASS_MODES}, got {mode!r}")
-    return mode != "eval"
 
 
 @dataclass
@@ -95,25 +90,22 @@ class Extractor:
             out.extend([w, b])
         return out
 
-    def forward(self, x, mode: str, rng: Optional[np.random.Generator] = None) -> Node:
-        """Feature graph for a batch; dropout active in train and mc modes."""
-        enabled = _dropout_enabled(mode) and self.config.dropout_p > 0.0
-        if enabled and rng is None:
-            raise ValueError(f"mode {mode!r} needs an rng for dropout")
+    def forward(self, x, rng: Optional[np.random.Generator] = None) -> Node:
+        """Feature graph for a batch; units drop iff ``rng`` is given."""
         h = x if isinstance(x, Node) else ad.constant(x)
         if h.shape[1] != self.config.input_dim:
             raise ad.DimensionError(
                 f"expected {self.config.input_dim} input columns, got {h.shape[1]}"
             )
         if not self.weights:
-            return ad.dropout(h, self.config.dropout_p, rng, enabled)
+            return ad.dropout(h, self.config.dropout_p, rng)
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = ad.add_row(ad.matmul(h, w.node), b.node)
             if i < n_layers - 1:
                 h = ad.relu(h)
                 if i == n_layers - 2:
-                    h = ad.dropout(h, self.config.dropout_p, rng, enabled)
+                    h = ad.dropout(h, self.config.dropout_p, rng)
         return h
 
 
@@ -165,10 +157,6 @@ class Model:
     def num_classes(self) -> int:
         return self.classifier.num_classes
 
-    @property
-    def feature_dim(self) -> int:
-        return self.extractor.config.feature_dim
-
     def params(self) -> list:
         return self.extractor.params() + self.classifier.params()
 
@@ -190,7 +178,6 @@ def score_graph(
     model: Model,
     head: Optional[modulator.FusedHead],
     x,
-    mode: str,
     rng: Optional[np.random.Generator] = None,
 ) -> Node:
     """Class logits for a batch, R rows per sample.
@@ -198,10 +185,10 @@ def score_graph(
     With a head (``Model.fm_head``) the result is (n*C x C): row i*C + c
     holds the logits after modulating sample i toward class c's blended
     anchor, computed by ``modulator.modulate``. Without one it is the
-    unmodulated (n x C) from ``Classifier.forward``. ``mode`` is the
-    forward pass ("train", "eval" or "mc").
+    unmodulated (n x C) from ``Classifier.forward``. Units drop iff
+    ``rng`` is given.
     """
-    feats = model.extractor.forward(x, mode, rng)
+    feats = model.extractor.forward(x, rng)
     if head is None:
         return model.classifier.forward(feats)
     return modulator.modulate(feats, head)

@@ -23,7 +23,8 @@ R = 1 view: one log-score row per sample, so l_s and l_u are plain
 negative log-likelihoods and the diagonal terms do not exist (zero).
 ``total_loss`` scores the modulated view if and only if it is given a
 fused head, as ``network.score_graph`` does; a training step passes the
-head its Monte Carlo passes scored through.
+head its Monte Carlo passes scored through. Its forward drops units iff
+it is given a generator, which a training step always passes.
 
 A step scores the labeled weak view and the kept rows of the strong
 view as one stacked batch: one forward pass, one log-softmax, and one
@@ -156,8 +157,9 @@ def total_loss(
     ``pseudo`` holds the strong rows' pseudo-labels, a
     ``pseudolabel.PSEUDO_LABELS`` array. With a ``head``
     (``Model.fm_head``) it scores the modulated view and adds the gap
-    terms; without one, the unmodulated view. ``frozen_targets``
-    re-feeds the ``diag_targets`` of an earlier call.
+    terms; without one, the unmodulated view. The forward drops units
+    iff it is given ``rng``, the step's dropout generator.
+    ``frozen_targets`` re-feeds the ``diag_targets`` of an earlier call.
     """
     labeled_weak = np.atleast_2d(labeled_weak)
     n_l = labeled_weak.shape[0]
@@ -165,7 +167,7 @@ def total_loss(
         raise ValueError("empty batch")
     keep = pseudo["keep"]
     x = np.concatenate([labeled_weak, np.atleast_2d(unlabeled_strong)[keep]])
-    slog = ad.row_log_softmax(net.score_graph(model, head, x, "train", rng))
+    slog = ad.row_log_softmax(net.score_graph(model, head, x, rng))
     target = frozen_targets
     if head is not None and target is None:
         target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])

@@ -3,11 +3,11 @@
 The gate reads one confidence per sample and class: the probability of
 class c once the features are modulated toward c (see
 ``network.score_graph``), which ``predict_matrices`` returns as an
-(n x C) array. It is evaluated K times with dropout enabled (Monte
-Carlo sampling). The K passes over a batch run as stacked forwards of
-copies of the batch, in chunks of whole passes that fit
-``MC_BUDGET_BYTES``, so any K runs in bounded memory. Dropout draws its
-masks from the generator's stream in order, so pass k sees the masks
+(n x C) array. It is evaluated K times, each pass given the Monte Carlo
+generator so that it drops units. The K passes over a batch run as
+stacked forwards of copies of the batch, in chunks of whole passes that
+fit ``MC_BUDGET_BYTES``, so any K runs in bounded memory. Dropout draws
+its masks from the generator's stream in order, so pass k sees the masks
 the k-th of K separate calls would have drawn, whatever the chunking
 (a one-sample batch runs its K passes one at a time: see
 ``pseudo_label_batch``). The label is the argmax of the K-run mean
@@ -31,8 +31,9 @@ softmax takes: numpy sums them pairwise, which a column sum does not
 repeat.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
-class probabilities in a single deterministic pass and applies the same
-gate with K = 1, sigma 0 and a unit weight: all or nothing.
+class probabilities in a single deterministic pass, given no generator,
+and applies the same gate with K = 1, sigma 0 and a unit weight: all or
+nothing.
 
 Scoring passes run under ``autodiff.no_grad()``: they only read values,
 so they record no graph. Both labelers return one ``PSEUDO_LABELS``
@@ -98,16 +99,18 @@ def predict_matrices(
     With a head (``Model.fm_head``), entry (i, c) is the probability of
     class c after modulating sample i toward class c, the diagonal of its
     C x C block of row softmaxes; without one, the unmodulated
-    probability. Every row is normalized; only the returned entries are
-    divided. No gradients are recorded. The logits are a fresh array, so
-    the shift and the exp are taken in place; ``u`` is only read. Below
-    8 classes the modulated softmax runs on one class-major copy (see
-    the module docstring).
+    probability. Units drop iff ``dropout`` is set, drawn from ``rng``,
+    which it then needs. Every row is normalized; only the returned
+    entries are divided. No gradients are recorded. The logits are a
+    fresh array, so the shift and the exp are taken in place; ``u`` is
+    only read. Below 8 classes the modulated softmax runs on one
+    class-major copy (see the module docstring).
     """
+    if dropout and rng is None:
+        raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
-    mode = "mc" if dropout else "eval"
     with no_grad():
-        logits = net.score_graph(model, head, u, mode, rng).value
+        logits = net.score_graph(model, head, u, rng if dropout else None).value
     c = logits.shape[1]
     if head is not None and c < PAIRWISE_SUM_WIDTH:
         # Rebinding frees the row-major logits once the copy is made.

@@ -6,7 +6,9 @@ modulator and the diagonal losses drop out, and pseudo-labels come from
 a single deterministic pass at threshold 0.95. Only this module names
 the modes (``MODES``); below it a pass is modulated iff it gets a fused
 head, which an fm step builds once (``Model.fm_head``) and shares
-between its Monte Carlo passes and its loss forward.
+between its Monte Carlo passes and its loss forward, and a pass drops
+units iff it gets a dropout generator: the MC passes get ``mc_rng``, the
+loss forward ``drop_rng``, and evaluation and the bank refresh none.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
@@ -74,8 +76,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if min(self.lr_main, self.lr_modulator) <= 0:
-            raise ValueError("learning rates must be > 0")
+        # Written so that nan fails every bound.
+        if not (0 < self.lr_main < math.inf and 0 < self.lr_modulator < math.inf):
+            raise ValueError(
+                "lr_main and lr_modulator must be finite and > 0, "
+                f"got {self.lr_main} and {self.lr_modulator}"
+            )
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
         if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
@@ -84,9 +90,9 @@ class TrainConfig:
             )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if min(self.beta, self.gamma) < 0:
+        if not (0 <= self.beta < math.inf and 0 <= self.gamma < math.inf):
             raise ValueError(
-                f"beta and gamma must be >= 0, got {self.beta} and {self.gamma}"
+                f"beta and gamma must be finite and >= 0, got {self.beta} and {self.gamma}"
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -156,7 +162,7 @@ class SGD:
 
 def _eval_features(model: Model, x: np.ndarray) -> np.ndarray:
     with ad.no_grad():
-        return model.extractor.forward(x, "eval").value
+        return model.extractor.forward(x).value
 
 
 def predict(
@@ -219,8 +225,8 @@ def train(
     dataset: DomainDataset,
     plan: SplitPlan,
     config: TrainConfig,
-    hidden_dims: tuple = (64, 64),
-    feature_dim: int = 32,
+    hidden_dims: tuple,
+    feature_dim: int,
     run_dir=None,
     dump_sar: bool = False,
     dump_modulator: bool = False,

@@ -35,7 +35,7 @@ def make_tiny_setup(num_classes=2, input_dim=3, feature_dim=4, seed=7, n_per_cla
     g = np.random.default_rng(seed + 1)
     x = g.normal(size=(num_classes * n_per_class, input_dim))
     y = np.repeat(np.arange(num_classes), n_per_class)
-    feats = model.extractor.forward(x, "eval").value
+    feats = model.extractor.forward(x).value
     modulation = ModulationMatrix.from_values(variance_init(feats, y, num_classes))
     bank = build_bank(feats, y, num_classes)
     return model, modulation, bank, x, y

@@ -264,25 +264,25 @@ class TestRowSum:
 
 
 class TestDropout:
-    def test_disabled_is_exact_identity(self, rng):
+    def test_without_generator_is_exact_identity(self, rng):
         x = ad.constant(rng.normal(size=(3, 3)))
-        out = ad.dropout(x, 0.5, rng, enabled=False)
-        assert out is x
+        assert ad.dropout(x, 0.5, None) is x
 
-    def test_p_zero_is_identity(self, rng):
+    def test_p_zero_is_identity_and_draws_nothing(self, rng):
         x = ad.constant(rng.normal(size=(3, 3)))
-        out = ad.dropout(x, 0.0, rng, enabled=True)
-        np.testing.assert_array_equal(out.value, x.value)
+        state = rng.bit_generator.state
+        assert ad.dropout(x, 0.0, rng) is x
+        assert rng.bit_generator.state == state
 
     def test_zeroed_fraction_concentrates(self):
         x = ad.constant(np.ones((1000, 1000)))
-        out = ad.dropout(x, 0.05, np.random.default_rng(0), enabled=True)
+        out = ad.dropout(x, 0.05, np.random.default_rng(0))
         frac = np.mean(out.value == 0.0)
         assert abs(frac - 0.05) < 0.002
 
     def test_survivors_scaled(self):
         x = ad.constant(np.ones((100, 100)))
-        out = ad.dropout(x, 0.2, np.random.default_rng(0), enabled=True)
+        out = ad.dropout(x, 0.2, np.random.default_rng(0))
         survivors = out.value[out.value != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.8)
 
@@ -296,15 +296,15 @@ class TestDropout:
     @settings(max_examples=20, deadline=None)
     def test_same_seed_same_mask(self, seed):
         x = ad.constant(np.ones((8, 8)))
-        a = ad.dropout(x, 0.3, np.random.default_rng(seed), enabled=True)
-        b = ad.dropout(x, 0.3, np.random.default_rng(seed), enabled=True)
+        a = ad.dropout(x, 0.3, np.random.default_rng(seed))
+        b = ad.dropout(x, 0.3, np.random.default_rng(seed))
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_gradient_flows_through_mask(self, rng):
         p = ad.DualParam.create("p", rng.normal(size=(4, 4)))
 
         def loss():
-            dropped = ad.dropout(p.node, 0.4, np.random.default_rng(99), enabled=True)
+            dropped = ad.dropout(p.node, 0.4, np.random.default_rng(99))
             return ad.sum_all(ref.mul(dropped, dropped))
 
         report = ad.grad_check(loss, [p], step=1e-6, tolerance=1e-6)
@@ -489,7 +489,7 @@ class TestNoGrad:
 
         model, modulation, bank, x, _ = make_tiny_setup()
         with ad.no_grad():
-            logits = net.score_graph(model, model.fm_head(modulation, bank), x, "eval")
+            logits = net.score_graph(model, model.fm_head(modulation, bank), x)
         assert logits.parents == () and not logits.requires_grad
 
     def test_scoring_passes_record_no_graph(self, monkeypatch):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -189,7 +190,8 @@ class TestCli:
         ["--mc_samples=1", "--mc_samples=100000000", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
          "--momentum=1", "--labels_per_class=0", "--hidden_dims=0", "--hidden_dims=6,-1",
          "--beta=-1", "--gamma=-1", "--bias_jitter=-0.5", "--data_seed=-1",
-         "--seeds=-1"],
+         "--seeds=-1", "--lr_main=nan", "--lr_main=inf", "--lr_modulator=nan",
+         "--lr_modulator=inf", "--beta=nan", "--beta=inf", "--gamma=nan", "--gamma=inf"],
     )
     def test_out_of_range_training_value_exits_2(
         self, mini_config, tmp_path, capsys, override
@@ -199,6 +201,13 @@ class TestCli:
         key = override[2:].split("=")[0]
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_exits_2(self, mini_config, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="seed 1 twice"):
+            load_config(mini_config, {"seeds": "1,0,1"})
+        err = _fails_cleanly(["train", mini_config, "--seeds", "0,0"], capsys, 2)
+        assert "seed 0" in err
         assert not (tmp_path / "out").exists()
 
     def test_mode_override_runs_baseline(self, mini_config, tmp_path):
@@ -500,6 +509,35 @@ class TestCheckpointErrors:
                          "--noise-dim", "4", "--samples-per-class", "4"]) == 0
         self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
 
+    @pytest.mark.parametrize(
+        "key,edit,needle",
+        [
+            ("param.extractor.1.bias", None, "missing key"),
+            ("param.extractor.0.weight", lambda a: a[:, :5], "shape"),
+        ],
+        ids=["missing-bias", "weight-columns"],
+    )
+    def test_hidden_layer_arrays(self, mini_config, tmp_path, capsys, key, edit, needle):
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", "--model.hidden_dims=6"]
+        assert cli.main([*map(str, argv)]) == 0
+        arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
+        assert arrays["param.extractor.0.weight"].shape == (8, 6)
+        if edit is None:
+            del arrays[key]
+        else:
+            arrays[key] = edit(arrays[key])
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
+            load_checkpoint(broken)
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
+
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_empty_or_truncated_file(self, mini_config, tmp_path, capsys, keep):
         from modfeat.checkpoint import CheckpointError, load_checkpoint
@@ -547,7 +585,7 @@ _CHOICES = {
     "kind": ["synthetic", "csv", "other"],
     "path": ["", "missing.csv"],
     "mode": ["fm", "fixmatch-baseline", "baseline"],
-    "seeds": ["0", "1,0", "-1", "x"],
+    "seeds": ["0", "1,0", "-1", "x", "0,0"],
 }
 
 
@@ -560,7 +598,9 @@ def _value(key):
         return st.lists(st.integers(-1, 6), max_size=2).map(
             lambda dims: ",".join(map(str, dims))
         )
-    return st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0, 100.0])).map(repr)
+    return st.one_of(
+        st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0, 100.0, math.nan, math.inf])
+    ).map(repr)
 
 
 _FUZZ_KEYS = [
@@ -576,6 +616,11 @@ _overrides = st.lists(
 @given(_overrides)
 @example([("data.bias_jitter", "-0.0")])
 @example([("data.bias_jitter", "nan")])
+@example([("train.lr_main", "nan")])
+@example([("train.lr_modulator", "inf")])
+@example([("train.beta", "nan")])
+@example([("train.gamma", "inf")])
+@example([("train.seeds", "0,0")])
 def test_train_overrides_fuzz(overrides):
     """Any override ends in exit 0, 1 or 2 with no traceback; 2 writes nothing."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -13,15 +13,15 @@ class TestExtractor:
     def test_eval_mode_deterministic(self, rng):
         model = make_tiny_model()
         x = rng.normal(size=(4, 3))
-        a = model.extractor.forward(x, "eval").value
-        b = model.extractor.forward(x, "eval").value
+        a = model.extractor.forward(x).value
+        b = model.extractor.forward(x).value
         np.testing.assert_array_equal(a, b)
 
     def test_mc_mode_stochastic(self, rng):
         model = make_tiny_model(dropout_p=0.3)
         x = rng.normal(size=(8, 3))
-        a = model.extractor.forward(x, "mc", np.random.default_rng(1)).value
-        b = model.extractor.forward(x, "mc", np.random.default_rng(2)).value
+        a = model.extractor.forward(x, np.random.default_rng(1)).value
+        b = model.extractor.forward(x, np.random.default_rng(2)).value
         assert not np.array_equal(a, b)
 
     def test_zero_weight_network_outputs_bias(self, rng):
@@ -30,33 +30,28 @@ class TestExtractor:
             w.node.value[:] = 0.0
         for b in model.extractor.biases:
             b.node.value[:] = 0.0
-        out = model.extractor.forward(rng.normal(size=(3, 3)), "eval").value
+        out = model.extractor.forward(rng.normal(size=(3, 3))).value
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_input_dim_mismatch(self, rng):
         model = make_tiny_model()
         with pytest.raises(ad.DimensionError):
-            model.extractor.forward(rng.normal(size=(2, 7)), "eval")
-
-    def test_unknown_mode(self, rng):
-        model = make_tiny_model()
-        with pytest.raises(ValueError):
-            model.extractor.forward(rng.normal(size=(2, 3)), "predict")
+            model.extractor.forward(rng.normal(size=(2, 7)))
 
     def test_identity_extractor_passthrough(self, rng):
         cfg = net.ExtractorConfig(input_dim=4, hidden_dims=(), feature_dim=4, dropout_p=0.05)
         model = net.Model.init(cfg, 3, rng)
         x = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(model.extractor.forward(x, "eval").value, x)
+        np.testing.assert_array_equal(model.extractor.forward(x).value, x)
         assert model.extractor.params() == []
 
     def test_identity_extractor_requires_matching_dims(self):
         with pytest.raises(ValueError):
-            net.ExtractorConfig(input_dim=4, hidden_dims=(), feature_dim=8)
+            net.ExtractorConfig(input_dim=4, hidden_dims=(), feature_dim=8, dropout_p=0.05)
 
     def test_output_shape(self, rng):
         model = make_tiny_model(hidden=(6, 5), feature_dim=4)
-        out = model.extractor.forward(rng.normal(size=(9, 3)), "eval")
+        out = model.extractor.forward(rng.normal(size=(9, 3)))
         assert out.shape == (9, 4)
 
 
@@ -64,7 +59,7 @@ class TestClassifier:
     def test_modulation_identity_gives_equal_rows(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         ones = ModulationMatrix.ones(2, 4)
-        logits = net.score_graph(model, model.fm_head(ones, bank), x[:1], "eval")
+        logits = net.score_graph(model, model.fm_head(ones, bank), x[:1])
         np.testing.assert_allclose(logits.value[0], logits.value[1], atol=1e-12)
 
     def test_zero_classifier_uniform(self, rng):
@@ -100,9 +95,9 @@ class TestClassifier:
 
     def test_classify_row_count_matches_classes(self):
         model, modulation, bank, x, _ = make_tiny_setup()
-        logits = net.score_graph(model, model.fm_head(modulation, bank), x[:1], "eval")
+        logits = net.score_graph(model, model.fm_head(modulation, bank), x[:1])
         assert logits.shape == (2, 2)
-        assert net.score_graph(model, None, x[:3], "eval").shape == (3, 2)
+        assert net.score_graph(model, None, x[:3]).shape == (3, 2)
 
 
 class TestCheckpoint:
@@ -124,9 +119,9 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         ckpt.save_checkpoint(path, model, modulation, bank)
         restored = ckpt.load_checkpoint(path)
-        before = net.score_graph(model, model.fm_head(modulation, bank), x, "eval").value
+        before = net.score_graph(model, model.fm_head(modulation, bank), x).value
         restored_head = restored.model.fm_head(restored.modulation, restored.bank)
-        after = net.score_graph(restored.model, restored_head, x, "eval").value
+        after = net.score_graph(restored.model, restored_head, x).value
         np.testing.assert_array_equal(before, after)
 
     def test_model_only_checkpoint(self, tmp_path):
@@ -158,8 +153,8 @@ class TestScoreGraph:
             raise AssertionError("modulate called without a head")
 
         monkeypatch.setattr(modulator, "modulate", forbidden)
-        logits = net.score_graph(model, None, x, "eval")
-        plain = model.classifier.forward(model.extractor.forward(x, "eval"))
+        logits = net.score_graph(model, None, x)
+        plain = model.classifier.forward(model.extractor.forward(x))
         assert logits.value.tobytes() == plain.value.tobytes()
 
     def test_with_a_head_one_fused_head_and_no_classifier_pass(self, monkeypatch):
@@ -178,7 +173,7 @@ class TestScoreGraph:
         monkeypatch.setattr(modulator, "modulate", counting)
         monkeypatch.setattr(net.Classifier, "forward", forbidden)
         head = model.fm_head(modulation, bank)
-        logits = net.score_graph(model, head, x, "eval")
+        logits = net.score_graph(model, head, x)
         assert len(calls) == 1 and logits.shape == (len(x) * 2, 2)
         assert calls[0][1] is head
         classifier = model.classifier

@@ -109,7 +109,7 @@ class TestSupervisedLoss:
         model, modulation, bank, x, _ = no_dropout_setup()
         head = model.fm_head(modulation, bank)
         loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), NO_PSEUDO, model, head).l_s
-        slog = ad.row_log_softmax(net.score_graph(model, head, x[:1], "eval"))
+        slog = ad.row_log_softmax(net.score_graph(model, head, x[:1]))
         expected = -slog.value[:, 1].mean()
         assert loss == pytest.approx(expected, abs=1e-14)
 

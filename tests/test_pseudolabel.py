@@ -126,6 +126,14 @@ class TestPredictMatrix:
         assert pl.predict_matrices(x[:3], model, head).shape == (3, 2)
         assert pl.predict_matrices(x[:3], model, None).shape == (3, 2)
 
+    @pytest.mark.parametrize("modulated", [True, False])
+    def test_monte_carlo_pass_needs_generator(self, modulated):
+        model, modulation, bank, x, _ = make_tiny_setup()
+        assert model.extractor.config.dropout_p > 0
+        head = model.fm_head(modulation, bank) if modulated else None
+        with pytest.raises(ParameterError, match="dropout generator"):
+            pl.predict_matrices(x, model, head, dropout=True, rng=None)
+
     @pytest.mark.parametrize("hidden", [(), (64,)])
     @pytest.mark.parametrize("n", [1, 48, 1050])
     @pytest.mark.parametrize("dropout", [False, True])
@@ -145,8 +153,7 @@ class TestPredictMatrix:
 
         want_rng = np.random.default_rng(9)
         with no_grad():
-            mode = "mc" if dropout else "eval"
-            logits = net.score_graph(model, head, u, mode, want_rng).value
+            logits = net.score_graph(model, head, u, want_rng if dropout else None).value
         probs = ref.row_softmax(logits)
         if modulated:
             probs = np.diagonal(probs.reshape(n, c, c), axis1=1, axis2=2)
@@ -230,7 +237,7 @@ def _mc_setup(hidden, n, num_classes=7, dim=32):
     )
     g = np.random.default_rng(3)
     y = np.repeat(np.arange(num_classes), 4)
-    feats = model.extractor.forward(g.normal(size=(len(y), dim)), "eval").value
+    feats = model.extractor.forward(g.normal(size=(len(y), dim))).value
     modulation = ModulationMatrix.from_values(variance_init(feats, y, num_classes))
     bank = build_bank(feats, y, num_classes)
     return model, modulation, bank, g.normal(size=(n, dim))
