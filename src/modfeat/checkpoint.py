@@ -3,7 +3,7 @@
 Round trips are bit-exact: arrays are stored raw, shapes live in the npy
 headers. A checkpoint always carries the network parameters, one
 ``param.<name>`` array per entry of ``Model.params()``, and enough config
-to rebuild the model standalone through ``Model.init``; the modulation
+to rebuild the model standalone through ``Model.build``; the modulation
 matrix and the prototype bank ride along when present.
 """
 
@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import DualParam
 from .modulator import ModulationMatrix
 from .network import ExtractorConfig, Model
 from .prototypes import PrototypeBank
@@ -106,11 +107,11 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as err:
             raise CheckpointError(f"{path}: invalid metadata ({err})") from None
         f = cfg.feature_dim
-        # The network names and shapes the parameters; the initial draws
-        # are all overwritten.
-        model = Model.init(cfg, c, np.random.default_rng(0))
-        for p in model.params():
-            p.node.value[...] = data(f"param.{p.name}", p.value.shape)
+        # The network names and shapes each parameter, and each array is
+        # checked before the next is read: the metadata allocates nothing.
+        model = Model.build(
+            cfg, c, lambda name, shape, _: DualParam.create(name, data(f"param.{name}", shape))
+        )
         bank = None
         if "bank.prototypes" in archive:
             bank = PrototypeBank(

@@ -6,9 +6,9 @@ uncertainty sampling. An empty hidden stack means the extractor is the
 identity (features are the raw inputs, dropout still applies), which
 keeps input coordinates interpretable in diagnostics.
 
-A pass drops units iff it is given a dropout generator. ``Model.init``
-and ``Model.params()`` are the one description of the layers; checkpoints
-are saved and loaded through them.
+A pass drops units iff it is given a dropout generator. ``Model.build``
+is the one description of the layers; ``Model.init`` draws their
+parameters through it and ``checkpoint.load_checkpoint`` reads them.
 
 Both training modes score through one pipeline, ``score_graph``, which
 yields R rows of class logits per sample. In the modulated mode features
@@ -66,22 +66,16 @@ class Extractor:
     biases: list = field(default_factory=list)
 
     @classmethod
-    def init(cls, config: ExtractorConfig, rng: np.random.Generator) -> "Extractor":
+    def build(cls, config: ExtractorConfig, make) -> "Extractor":
+        """The layers of ``config``, each parameter ``make(name, shape, std)``."""
         dims = [config.input_dim, *config.hidden_dims, config.feature_dim]
         weights, biases = [], []
         if config.hidden_dims:
             for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
                 # He scaling for the ReLU stack, LeCun for the linear output.
                 std = np.sqrt((2.0 if i < len(dims) - 2 else 1.0) / fan_in)
-                weights.append(
-                    DualParam.create(
-                        f"extractor.{i}.weight",
-                        rng.normal(0.0, std, size=(fan_in, fan_out)),
-                    )
-                )
-                biases.append(
-                    DualParam.create(f"extractor.{i}.bias", np.zeros((1, fan_out)))
-                )
+                weights.append(make(f"extractor.{i}.weight", (fan_in, fan_out), std))
+                biases.append(make(f"extractor.{i}.bias", (1, fan_out), 0.0))
         return cls(config=config, weights=weights, biases=biases)
 
     def params(self) -> list:
@@ -117,15 +111,11 @@ class Classifier:
     bias: DualParam  # (1, num_classes)
 
     @classmethod
-    def init(
-        cls, feature_dim: int, num_classes: int, rng: np.random.Generator
-    ) -> "Classifier":
+    def build(cls, feature_dim: int, num_classes: int, make) -> "Classifier":
+        std = 1.0 / np.sqrt(feature_dim)
         return cls(
-            weight=DualParam.create(
-                "classifier.weight",
-                rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(feature_dim, num_classes)),
-            ),
-            bias=DualParam.create("classifier.bias", np.zeros((1, num_classes))),
+            weight=make("classifier.weight", (feature_dim, num_classes), std),
+            bias=make("classifier.bias", (1, num_classes), 0.0),
         )
 
     @property
@@ -148,9 +138,20 @@ class Model:
     def init(
         cls, config: ExtractorConfig, num_classes: int, rng: np.random.Generator
     ) -> "Model":
+        """Weights drawn from N(0, std^2) in layer order; zero biases."""
+        def draw(name, shape, std):
+            value = rng.normal(0.0, std, size=shape) if std else np.zeros(shape)
+            return DualParam.create(name, value)
+
+        return cls.build(config, num_classes, draw)
+
+    @classmethod
+    def build(cls, config: ExtractorConfig, num_classes: int, make) -> "Model":
+        """The model of ``config``; ``make(name, shape, std)`` returns each
+        parameter, a ``DualParam`` (``std``: initial scale, 0 for a bias)."""
         return cls(
-            extractor=Extractor.init(config, rng),
-            classifier=Classifier.init(config.feature_dim, num_classes, rng),
+            extractor=Extractor.build(config, make),
+            classifier=Classifier.build(config.feature_dim, num_classes, make),
         )
 
     @property

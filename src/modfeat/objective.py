@@ -147,9 +147,9 @@ def total_loss(
     pseudo: np.ndarray,
     model: Model,
     head: Optional[FusedHead],
+    rng: Optional[np.random.Generator],
     beta: float = 1.0,
     gamma: float = 0.5,
-    rng: Optional[np.random.Generator] = None,
     frozen_targets: Optional[np.ndarray] = None,
 ) -> LossBreakdown:
     """Batch loss; one graph over the labeled and the kept strong rows.

@@ -192,7 +192,8 @@ def test_criterion_6_oracle_equivalence():
     records = gate_batch([1, 0], [0.94, 0.88], [0.01, 0.02], 0.75)
     lx, ly, ux = x[:2], y[:2], x[2:4]
     breakdown = objective.total_loss(
-        lx, ly, ux, records, model, model.fm_head(modulation, bank), beta=1.0, gamma=0.5
+        lx, ly, ux, records, model, model.fm_head(modulation, bank), None,
+        beta=1.0, gamma=0.5,
     )
     got = breakdown.values()["total"]
     expected = oracle_total(model, modulation, bank, lx, ly, ux, records, 1.0, 0.5)[4]

@@ -482,48 +482,28 @@ class TestCheckpointErrors:
         assert all(needle in err for needle in needles)
 
     @pytest.mark.parametrize(
-        "key,edit,needle",
+        "flags,key,edit,needle",
         [
-            ("param.classifier.weight", lambda a: a[:4], "shape"),
-            ("bank.blended", lambda a: a[:, :4], "shape"),
-            ("param.modulator.weights", lambda a: a[:2], "shape"),
-            ("bank.blended", lambda a: np.where(np.eye(*a.shape), np.nan, a), "finite"),
+            ([], "param.classifier.weight", lambda a: a[:4], "shape"),
+            ([], "bank.blended", lambda a: a[:, :4], "shape"),
+            ([], "param.modulator.weights", lambda a: a[:2], "shape"),
+            ([], "bank.blended", lambda a: np.where(np.eye(*a.shape), np.nan, a), "finite"),
+            (["--model.hidden_dims=6"], "param.extractor.1.bias", None, "missing key"),
+            (["--model.hidden_dims=6"], "param.extractor.0.weight", lambda a: a[:, :5],
+             "shape"),
         ],
-        ids=["classifier-rows", "blended-columns", "modulator-rows", "blended-nan"],
+        ids=["classifier-rows", "blended-columns", "modulator-rows", "blended-nan",
+             "hidden-missing-bias", "hidden-weight-columns"],
     )
     def test_inconsistent_arrays(
-        self, mini_config, tmp_path, capsys, key, edit, needle
+        self, mini_config, tmp_path, capsys, flags, key, edit, needle
     ):
+        """``edit`` None deletes the key."""
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
-        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
-        arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
-        arrays[key] = edit(arrays[key])
-        broken = tmp_path / "broken.npz"
-        np.savez(broken, **arrays)
-        with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
-            load_checkpoint(broken)
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
-        self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
-
-    @pytest.mark.parametrize(
-        "key,edit,needle",
-        [
-            ("param.extractor.1.bias", None, "missing key"),
-            ("param.extractor.0.weight", lambda a: a[:, :5], "shape"),
-        ],
-        ids=["missing-bias", "weight-columns"],
-    )
-    def test_hidden_layer_arrays(self, mini_config, tmp_path, capsys, key, edit, needle):
-        from modfeat.checkpoint import CheckpointError, load_checkpoint
-
-        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", "--model.hidden_dims=6"]
+        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", *flags]
         assert cli.main([*map(str, argv)]) == 0
         arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
-        assert arrays["param.extractor.0.weight"].shape == (8, 6)
         if edit is None:
             del arrays[key]
         else:
@@ -537,6 +517,34 @@ class TestCheckpointErrors:
                          "--num-domains", "3", "--signal-dim", "4",
                          "--noise-dim", "4", "--samples-per-class", "4"]) == 0
         self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
+
+    def test_metadata_naming_huge_layers(self, mini_config, tmp_path, capsys):
+        """Metadata that names layers far wider than the file's arrays is
+        rejected at the first array, before any layer is allocated."""
+        import tracemalloc
+
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", "--model.hidden_dims=6"]
+        assert cli.main([*map(str, argv)]) == 0
+        arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
+        arrays["meta.hidden_dims"] = np.array([10**6, 10**6])
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        key = "param.extractor.0.weight"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=f"{broken}.*{key}.*1000000"):
+                load_checkpoint(broken)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        csv_path = tmp_path / "ds.csv"
+        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        self._eval_fails([broken, csv_path], capsys, str(broken), key, "shape")
 
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_empty_or_truncated_file(self, mini_config, tmp_path, capsys, keep):

@@ -102,13 +102,13 @@ class TestSupervisedLoss:
         model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
         model.classifier.weight.node.value[:] = 0.0
         head = model.fm_head(modulation, bank)
-        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, head).l_s
+        loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, head, None).l_s
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_class_case(self):
         model, modulation, bank, x, _ = no_dropout_setup()
         head = model.fm_head(modulation, bank)
-        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), NO_PSEUDO, model, head).l_s
+        loss = obj.total_loss(x[:1], [1], np.empty((0, 3)), NO_PSEUDO, model, head, None).l_s
         slog = ad.row_log_softmax(net.score_graph(model, head, x[:1]))
         expected = -slog.value[:, 1].mean()
         assert loss == pytest.approx(expected, abs=1e-14)
@@ -149,7 +149,7 @@ class TestUnsupervisedLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         dropped = gate_batch([0], [0.5], [0.2], 0.75)
         head = model.fm_head(modulation, bank)
-        breakdown = obj.total_loss(x[:1], y[:1], x[:1], dropped, model, head)
+        breakdown = obj.total_loss(x[:1], y[:1], x[:1], dropped, model, head, None)
         assert breakdown.l_u == 0.0 and breakdown.l_ud == 0.0
         # only the labeled sample's C rows are scored
         (slog,) = breakdown.total.parents
@@ -164,7 +164,7 @@ class TestUnsupervisedLoss:
         head = model.fm_head(modulation, bank)
 
         def unlabeled_terms(pseudo):
-            v = obj.total_loss(x[:1], y[:1], x[:1], pseudo, model, head).values()
+            v = obj.total_loss(x[:1], y[:1], x[:1], pseudo, model, head, None).values()
             return v["l_u"], v["l_ud"]
 
         lu_full, lud_full = unlabeled_terms(full)
@@ -189,7 +189,7 @@ class TestTotalLoss:
         records = self._records([True, False, True])
         head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:5], records, model, head, beta=1.0, gamma=0.5
+            x[:2], y[:2], x[2:5], records, model, head, None, beta=1.0, gamma=0.5
         )
         v = breakdown.values()
         assert v["total"] == pytest.approx(
@@ -206,7 +206,9 @@ class TestTotalLoss:
 
         monkeypatch.setattr(net, "score_graph", counting)
         records = self._records([True, False, True])
-        obj.total_loss(x[:2], y[:2], x[2:5], records, model, model.fm_head(modulation, bank))
+        obj.total_loss(
+            x[:2], y[:2], x[2:5], records, model, model.fm_head(modulation, bank), None
+        )
         assert len(batches) == 1
         np.testing.assert_array_equal(batches[0], x[[0, 1, 2, 4]])
 
@@ -215,7 +217,7 @@ class TestTotalLoss:
         records = self._records([False, False])
         head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, head, beta=1.0, gamma=0.5
+            x[:2], y[:2], x[2:4], records, model, head, None, beta=1.0, gamma=0.5
         )
         v = breakdown.values()
         assert v["l_u"] == 0.0 and v["l_ud"] == 0.0
@@ -226,7 +228,7 @@ class TestTotalLoss:
         records = self._records([True, True])
         head = model.fm_head(modulation, bank)
         breakdown = obj.total_loss(
-            x[:2], y[:2], x[2:4], records, model, head, beta=0.0, gamma=0.0
+            x[:2], y[:2], x[2:4], records, model, head, None, beta=0.0, gamma=0.0
         )
         v = breakdown.values()
         assert v["total"] == pytest.approx(v["l_s"] + v["l_u"], abs=1e-14)
@@ -239,7 +241,7 @@ class TestTotalLoss:
             for p in params:
                 p.node.zero_grad()
             breakdown = obj.total_loss(
-                x[:2], y[:2], unlabeled, pseudo, model, model.fm_head(modulation, bank)
+                x[:2], y[:2], unlabeled, pseudo, model, model.fm_head(modulation, bank), None
             )
             ad.backward(breakdown.total)
             return [p.node.grad.copy() for p in params]
@@ -252,14 +254,15 @@ class TestTotalLoss:
         model, modulation, bank, x, y = no_dropout_setup()
         head = model.fm_head(modulation, bank)
         with pytest.raises(ValueError):
-            obj.total_loss(np.empty((0, 3)), [], x, self._records([True]), model, head)
+            obj.total_loss(np.empty((0, 3)), [], x, self._records([True]), model, head, None)
 
     def test_matches_straight_line_oracle(self):
         model, modulation, bank, x, y = no_dropout_setup(seed=21)
         records = gate_batch([1, 0], [0.93, 0.97], [0.01, 0.02], 0.75)
         lx, ly, ux = x[:2], y[:2], x[2:4]
         breakdown = obj.total_loss(
-            lx, ly, ux, records, model, model.fm_head(modulation, bank), beta=1.0, gamma=0.5
+            lx, ly, ux, records, model, model.fm_head(modulation, bank), None,
+            beta=1.0, gamma=0.5,
         )
         got = breakdown.values()
         l_s, l_u, l_d, l_ud, total = oracle_total(
@@ -277,10 +280,10 @@ class TestTotalLoss:
         kept = gate_batch([1], [0.95], [0.0], 0.5)
         padded = gate_batch([1, 0], [0.95, 0.4], [0.0, 0.3], 0.5)
         lone = obj.total_loss(
-            x[:2], y[:2], x[2:3], kept, model, model.fm_head(modulation, bank)
+            x[:2], y[:2], x[2:3], kept, model, model.fm_head(modulation, bank), None
         ).values()
         diluted = obj.total_loss(
-            x[:2], y[:2], x[2:4], padded, model, model.fm_head(modulation, bank)
+            x[:2], y[:2], x[2:4], padded, model, model.fm_head(modulation, bank), None
         ).values()
         assert diluted["l_u"] == pytest.approx(lone["l_u"] / 2, rel=1e-12)
         assert diluted["l_ud"] == pytest.approx(lone["l_ud"] / 2, rel=1e-12)
@@ -288,7 +291,7 @@ class TestTotalLoss:
     def test_baseline_mode_has_zero_diag_terms(self):
         model, modulation, bank, x, y = no_dropout_setup()
         records = self._records([True, True])
-        breakdown = obj.total_loss(x[:2], y[:2], x[2:4], records, model, None)
+        breakdown = obj.total_loss(x[:2], y[:2], x[2:4], records, model, None, None)
         v = breakdown.values()
         assert v["l_d"] == 0.0 and v["l_ud"] == 0.0
         assert v["l_s"] > 0.0 and v["l_u"] > 0.0
@@ -298,7 +301,7 @@ class TestTotalLoss:
         model.classifier.weight.node.value[:] = 0.0
         model.classifier.bias.node.value[:] = 0.0
         breakdown = obj.total_loss(
-            x[:2], y[:2], np.empty((0, 3)), NO_PSEUDO, model, None
+            x[:2], y[:2], np.empty((0, 3)), NO_PSEUDO, model, None, None
         )
         assert breakdown.values()["l_s"] == pytest.approx(math.log(2), abs=1e-12)
 
