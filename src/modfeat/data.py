@@ -1,4 +1,5 @@
-"""Multi-domain datasets: synthetic generation, CSV I/O, splits, batching.
+"""Multi-domain datasets: synthetic generation, CSV I/O, splits, batching
+and augmentation.
 
 Synthetic data places class means on dedicated signal coordinates and a
 per-domain bias (plus a small per-domain-per-class jitter) on dedicated
@@ -8,11 +9,15 @@ unseen domain.
 
 Domain ids of unlabeled samples are deliberately absent from split
 outputs: training consumes the unlabeled pool without domain identity.
+
+The data layer works in bulk: ``save_csv`` writes a row per call, and
+``BatchIterator.epoch`` gathers the rows and draws the augmented views
+of a block of whole steps at once, with the draws and bits that one
+step at a time would give.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -215,18 +220,20 @@ CSV_HEADER_PREFIX = ("domain_id", "class_id")
 
 
 def save_csv(dataset: DomainDataset, path) -> None:
-    """Write the `domain_id,class_id,f0,...` schema with LF line endings."""
+    """Write the `domain_id,class_id,f0,...` schema with LF line endings.
+
+    Each feature is written as ``repr`` of its Python float, the shortest
+    text that reads back to the same float64. Each row is one write of
+    its ids (from one ``tolist()`` per id array) and its ``tolist()``.
+    """
+    header = list(CSV_HEADER_PREFIX) + [f"f{j}" for j in range(dataset.input_dim)]
+    rows = zip(
+        dataset.domain_ids.tolist(), dataset.class_ids.tolist(), dataset.features
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(CSV_HEADER_PREFIX) + [
-            f"f{j}" for j in range(dataset.input_dim)
-        ]
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            writer.writerow(
-                [int(dataset.domain_ids[i]), int(dataset.class_ids[i])]
-                + [repr(float(v)) for v in dataset.features[i]]
-            )
+        fh.write(",".join(header) + "\n")
+        for d, c, features in rows:
+            fh.write(f"{d},{c}," + ",".join(map(repr, features.tolist())) + "\n")
 
 
 def load_csv(path) -> DomainDataset:
@@ -337,13 +344,23 @@ def split(dataset: DomainDataset, plan: SplitPlan) -> Split:
     )
 
 
+# Bytes of the float64 arrays one step's views are built from: its
+# gathered labeled and unlabeled rows, its three noise draws and its mask
+# keys. ``BatchIterator.epoch`` builds blocks of whole steps within it,
+# at least one step per block.
+BLOCK_BUDGET_BYTES = 2**20
+
+
 @dataclass
 class Augmenter:
     """Feature-space weak/strong augmentation.
 
     Weak adds Gaussian noise at ``weak_scale`` times the per-dimension
     training std; strong uses ``strong_scale`` and then zeroes a fixed
-    fraction of coordinates per sample. Neither reads labels.
+    fraction (``mask_count``) of coordinates per sample. Neither reads
+    labels. Both take their draws as arrays of ``x``'s shape, overwrite
+    the noise with the view and return it: the caller draws them (see
+    ``BatchIterator.epoch``). Any leading axes are rows.
     """
 
     feature_std: np.ndarray
@@ -355,34 +372,57 @@ class Augmenter:
     def fit(cls, train_features: np.ndarray, **kwargs) -> "Augmenter":
         return cls(feature_std=train_features.std(axis=0), **kwargs)
 
-    def weak(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.weak_scale == 0.0:
-            return x.copy()
-        return x + rng.standard_normal(x.shape) * (self.weak_scale * self.feature_std)
+    def mask_count(self, dim: int) -> int:
+        """Coordinates that ``strong`` zeroes in each row of width ``dim``."""
+        return int(self.mask_fraction * dim)
 
-    def strong(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = x + rng.standard_normal(x.shape) * (self.strong_scale * self.feature_std)
-        n, dim = out.shape
-        n_mask = int(self.mask_fraction * dim)
-        if n_mask > 0:
-            cols = np.argsort(rng.random((n, dim)), axis=1)[:, :n_mask]
-            out[np.arange(n)[:, None], cols] = 0.0
-        return out
+    def weak(self, x: np.ndarray, noise: Optional[np.ndarray]) -> np.ndarray:
+        """``x + noise * (weak_scale * std)``, in ``noise``'s memory.
+
+        At a zero ``weak_scale`` nothing is drawn: ``noise`` is None and
+        ``x`` itself is returned.
+        """
+        if noise is None:
+            return x
+        noise *= self.weak_scale * self.feature_std
+        noise += x
+        return noise
+
+    def strong(
+        self, x: np.ndarray, noise: np.ndarray, keys: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``x + noise * (strong_scale * std)`` in ``noise``'s memory, with
+        each row's ``mask_count`` coordinates of smallest key set to 0.
+
+        ``keys`` are uniform draws of ``x``'s shape, None when no
+        coordinate is masked.
+        """
+        noise *= self.strong_scale * self.feature_std
+        noise += x
+        if keys is not None:
+            cols = np.argsort(keys, axis=-1)[..., : self.mask_count(x.shape[-1])]
+            np.put_along_axis(noise, cols, 0.0, axis=-1)
+        return noise
 
 
 @dataclass
 class Batch:
-    labeled_x: np.ndarray
+    """One step's augmented views, labels and pool positions."""
+
+    weak_labeled: np.ndarray
     labeled_y: np.ndarray
-    unlabeled_x: np.ndarray
+    weak_unlabeled: np.ndarray
+    strong_unlabeled: np.ndarray
     unlabeled_truth: np.ndarray  # metrics only
     unlabeled_idx: np.ndarray  # positions in the unlabeled pool (logging)
 
 
 class _ShuffledCycler:
-    """Walks a shuffled index range, reshuffling whenever it runs out."""
+    """Walks a shuffled index range, reshuffling whenever it runs out.
+
+    It reshuffles only when a take needs a position past the end, so one
+    ``take(k * t)`` returns what ``t`` calls of ``take(k)`` would.
+    """
 
     def __init__(self, n: int, rng: np.random.Generator):
         self._n = n
@@ -414,7 +454,8 @@ class BatchIterator:
     taken from the pooled unlabeled set without any domain identity.
 
     One epoch is ceil(|unlabeled| / (num_source_domains *
-    per_domain_unlabeled)) batches.
+    per_domain_unlabeled)) batches. Every source domain needs labeled
+    rows and the pool needs rows, or there is no batch to draw.
     """
 
     def __init__(
@@ -426,35 +467,75 @@ class BatchIterator:
     ):
         if per_domain_labeled < 1 or per_domain_unlabeled < 1:
             raise ValueError("per-domain batch sizes must be >= 1")
+        n_u = len(split_data.unlabeled_x)
+        if n_u == 0:
+            raise ValueError("the unlabeled pool is empty")
         self.split = split_data
         self.per_domain_labeled = per_domain_labeled
         self.per_domain_unlabeled = per_domain_unlabeled
         rng = np.random.default_rng(seed)
-        self._labeled_cyclers = {}
+        self._labeled_cyclers = []
         for d in split_data.source_domains:
             idx = np.flatnonzero(split_data.labeled_domains == d)
+            if len(idx) == 0:
+                raise ValueError(f"source domain {d} has no labeled rows")
             pool_rng = np.random.default_rng(rng.integers(2**63))
-            self._labeled_cyclers[d] = (idx, _ShuffledCycler(len(idx), pool_rng))
+            self._labeled_cyclers.append((idx, _ShuffledCycler(len(idx), pool_rng)))
         self._unlabeled_cycler = _ShuffledCycler(
-            len(split_data.unlabeled_x), np.random.default_rng(rng.integers(2**63))
+            n_u, np.random.default_rng(rng.integers(2**63))
         )
-        n_u = len(split_data.unlabeled_x)
         self.unlabeled_per_batch = len(split_data.source_domains) * per_domain_unlabeled
         self.batches_per_epoch = -(-n_u // self.unlabeled_per_batch)
 
-    def epoch(self) -> Iterator[Batch]:
-        s = self.split
-        for _ in range(self.batches_per_epoch):
-            lab_parts = []
-            for d in s.source_domains:
-                idx, cycler = self._labeled_cyclers[d]
-                lab_parts.append(idx[cycler.take(self.per_domain_labeled)])
-            lab = np.concatenate(lab_parts)
-            unl = self._unlabeled_cycler.take(self.unlabeled_per_batch)
-            yield Batch(
-                labeled_x=s.labeled_x[lab],
-                labeled_y=s.labeled_y[lab],
-                unlabeled_x=s.unlabeled_x[unl],
-                unlabeled_truth=s.unlabeled_truth[unl],
-                unlabeled_idx=unl,
+    def epoch(
+        self, augmenter: Augmenter, rng: np.random.Generator
+    ) -> Iterator[Batch]:
+        """One epoch of batches, their views drawn from ``rng``.
+
+        Views are built for blocks of whole steps that fit
+        ``BLOCK_BUDGET_BYTES``. Within a block, each step draws in turn
+        its weak labeled, weak unlabeled and strong noise and its mask
+        keys, so every step sees the draws, and every view the bits, that
+        augmenting one step at a time would give.
+        """
+        n_l = len(self._labeled_cyclers) * self.per_domain_labeled
+        row_bytes = self.split.unlabeled_x.shape[1] * 8
+        step_bytes = (2 * n_l + 4 * self.unlabeled_per_batch) * row_bytes
+        per_block = max(1, BLOCK_BUDGET_BYTES // step_bytes)
+        for start in range(0, self.batches_per_epoch, per_block):
+            yield from self._block(
+                min(per_block, self.batches_per_epoch - start), augmenter, rng
             )
+
+    def _block(
+        self, steps: int, augmenter: Augmenter, rng: np.random.Generator
+    ) -> Iterator[Batch]:
+        s, k = self.split, self.per_domain_labeled
+        # Step-major: each step's rows are its domains' draws in order.
+        lab = np.stack(
+            [idx[cycler.take(k * steps)].reshape(steps, k)
+             for idx, cycler in self._labeled_cyclers],
+            axis=1,
+        ).reshape(steps, -1)
+        unl = self._unlabeled_cycler.take(
+            self.unlabeled_per_batch * steps
+        ).reshape(steps, -1)
+        x_l, x_u = s.labeled_x[lab], s.unlabeled_x[unl]
+        weak_draws = augmenter.weak_scale != 0.0
+        noise_l = np.empty_like(x_l) if weak_draws else None
+        noise_u = np.empty_like(x_u) if weak_draws else None
+        noise_s = np.empty_like(x_u)
+        keys = np.empty_like(x_u) if augmenter.mask_count(x_u.shape[-1]) > 0 else None
+        for t in range(steps):
+            if weak_draws:
+                rng.standard_normal(out=noise_l[t])
+                rng.standard_normal(out=noise_u[t])
+            rng.standard_normal(out=noise_s[t])
+            if keys is not None:
+                rng.random(out=keys[t])
+        weak_l = augmenter.weak(x_l, noise_l)
+        weak_u = augmenter.weak(x_u, noise_u)
+        strong_u = augmenter.strong(x_u, noise_s, keys)
+        y, truth = s.labeled_y[lab], s.unlabeled_truth[unl]
+        for t in range(steps):
+            yield Batch(weak_l[t], y[t], weak_u[t], strong_u[t], truth[t], unl[t])

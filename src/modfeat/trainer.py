@@ -294,19 +294,16 @@ def train(
             # Each step's keep and label columns and the rows' truth.
             epoch_keep, epoch_labels, epoch_truths = [], [], []
             lr_now = cosine_lr(config.lr_main, step, total_steps)
-            for batch in iterator.epoch():
-                weak_labeled = augmenter.weak(batch.labeled_x, aug_rng)
-                weak_unlabeled = augmenter.weak(batch.unlabeled_x, aug_rng)
-                strong_unlabeled = augmenter.strong(batch.unlabeled_x, aug_rng)
+            for batch in iterator.epoch(augmenter, aug_rng):
                 # One head per step: the MC passes and the loss read it.
                 head = model.fm_head(modulation, bank)
                 if baseline:
                     pseudo = pseudolabel.baseline_pseudo_label_batch(
-                        weak_unlabeled, model
+                        batch.weak_unlabeled, model
                     )
                 else:
                     pseudo = pseudolabel.pseudo_label_batch(
-                        weak_unlabeled,
+                        batch.weak_unlabeled,
                         model,
                         head,
                         config.mc_samples,
@@ -314,9 +311,9 @@ def train(
                         mc_rng,
                     )
                 breakdown = objective.total_loss(
-                    weak_labeled,
+                    batch.weak_labeled,
                     batch.labeled_y,
-                    strong_unlabeled,
+                    batch.strong_unlabeled,
                     pseudo,
                     model,
                     head,

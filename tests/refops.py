@@ -6,13 +6,19 @@ call, the graph recorded only when an operand requires a gradient, and
 no adjoint computed for an operand that does not. ``row_softmax`` is
 the full softmax whose read entries ``pseudolabel.predict_matrices``
 computes. ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s
-draws in their ``rng.normal(size=...)`` form, which its
-``rng.standard_normal`` draws must repeat bit for bit.
+views drawn one call at a time, in their ``rng.normal(size=...)`` form,
+and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a
+time: the block path must repeat both bit for bit. ``save_csv`` is
+``data.save_csv`` in its ``csv.writer`` form, which the bulk writer must
+repeat byte for byte.
 """
+
+import csv
 
 import numpy as np
 
 from modfeat.autodiff import DimensionError, Node, row_max
+from modfeat.data import _ShuffledCycler
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -76,3 +82,53 @@ def strong_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         cols = np.argsort(rng.random((n, dim)), axis=1)[:, :n_mask]
         out[np.arange(n)[:, None], cols] = 0.0
     return out
+
+
+def per_step_batches(split, per_domain_labeled, per_domain_unlabeled, seed,
+                     aug, aug_rng, epochs):
+    """``epochs`` epochs of ``BatchIterator(split, ..., seed)`` drawn a step
+    at a time: per step, one labeled take per source domain and one
+    unlabeled take, then the weak labeled, weak unlabeled and strong
+    views in that order from ``aug_rng``.
+
+    Returns each step's (weak labeled, labels, weak unlabeled, strong
+    unlabeled, truths, pool positions) and the cyclers, labeled ones in
+    source-domain order and the unlabeled one last.
+    """
+    rng = np.random.default_rng(seed)
+    labeled = []
+    for d in split.source_domains:
+        idx = np.flatnonzero(split.labeled_domains == d)
+        cycler = _ShuffledCycler(len(idx), np.random.default_rng(rng.integers(2**63)))
+        labeled.append((idx, cycler))
+    pool = _ShuffledCycler(
+        len(split.unlabeled_x), np.random.default_rng(rng.integers(2**63))
+    )
+    per_batch = len(split.source_domains) * per_domain_unlabeled
+    steps = -(-len(split.unlabeled_x) // per_batch)
+    out = []
+    for _ in range(epochs * steps):
+        lab = np.concatenate(
+            [idx[cycler.take(per_domain_labeled)] for idx, cycler in labeled]
+        )
+        unl = pool.take(per_batch)
+        x_u = split.unlabeled_x[unl]
+        weak_l = weak_augment(aug, split.labeled_x[lab], aug_rng)
+        weak_u = weak_augment(aug, x_u, aug_rng)
+        strong_u = strong_augment(aug, x_u, aug_rng)
+        out.append((weak_l, split.labeled_y[lab], weak_u, strong_u,
+                    split.unlabeled_truth[unl], unl))
+    return out, [cycler for _, cycler in labeled] + [pool]
+
+
+def save_csv(dataset, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["domain_id", "class_id"] + [f"f{j}" for j in range(dataset.input_dim)]
+        )
+        for i in range(len(dataset)):
+            writer.writerow(
+                [int(dataset.domain_ids[i]), int(dataset.class_ids[i])]
+                + [repr(float(v)) for v in dataset.features[i]]
+            )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from modfeat import cli
 from modfeat import data as dat
 from modfeat.config import _SCHEMA, ConfigError, DataSpec, load_config
+from tests import refops as ref
 
 MINI_CONFIG = """
 [data]
@@ -240,7 +241,8 @@ class TestCli:
     def test_gen_data_defaults_are_the_data_spec(self, tmp_path):
         assert cli.main(["gen-data", str(tmp_path / "cli.csv")]) == 0
         spec = DataSpec()
-        dat.save_csv(
+        # The csv.writer form: the bulk writer repeats it byte for byte.
+        ref.save_csv(
             dat.generate_synthetic(
                 spec.num_classes, spec.num_domains, spec.signal_dim, spec.noise_dim,
                 spec.samples_per_class_per_domain, spec.class_sep, spec.domain_shift,
@@ -249,6 +251,26 @@ class TestCli:
             tmp_path / "spec.csv",
         )
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,generate",
+        [
+            (["--num-classes", "3", "--num-domains", "2", "--noise-dim", "0",
+              "--samples-per-class", "40", "--seed", "7"],
+             (3, 2, 16, 0, 40, 2.0, 6.0, 7, 1.0)),
+            (["--num-classes", "12", "--num-domains", "11", "--signal-dim", "8",
+              "--noise-dim", "5", "--samples-per-class", "3", "--class-sep", "0.5",
+              "--domain-shift", "1e6", "--bias-jitter", "3", "--seed", "3"],
+             (12, 11, 8, 5, 3, 0.5, 1e6, 3, 3.0)),
+        ],
+    )
+    def test_gen_data_writes_the_csv_writer_bytes(self, tmp_path, flags, generate):
+        assert cli.main(["gen-data", str(tmp_path / "cli.csv"), *flags]) == 0
+        *head, seed, jitter = generate
+        ref.save_csv(
+            dat.generate_synthetic(*head, seed, bias_jitter=jitter), tmp_path / "ref.csv"
+        )
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def _abort(self, tmp_path, capsys, *overrides):
         config = tmp_path / "tiny.ini"
@@ -582,6 +604,7 @@ class TestCheckpointErrors:
 
 # Per-key values for the override fuzz: small ranges that cross each
 # bound, capped so that no draw asks for a large allocation or a long run.
+# The fuzz's examples and test_mc_samples_bound try mc_samples at its bound.
 _INT_RANGES = {
     "num_classes": (-1, 8), "num_domains": (-1, 5), "signal_dim": (-1, 8),
     "noise_dim": (-2, 8), "samples_per_class_per_domain": (-1, 12),
@@ -629,8 +652,20 @@ _overrides = st.lists(
 @example([("train.beta", "nan")])
 @example([("train.gamma", "inf")])
 @example([("train.seeds", "0,0")])
+@example([("train.mc_samples", "1000")])
+@example([("train.mc_samples", "1001")])
 def test_train_overrides_fuzz(overrides):
     """Any override ends in exit 0, 1 or 2 with no traceback; 2 writes nothing."""
+    code = _train_tiny(overrides)
+    assert code in (0, 1, 2)
+
+
+def _train_tiny(overrides) -> int:
+    """Exit code of ``modfeat train`` on TINY_CONFIG with ``overrides``.
+
+    Checks what every exit shares: no traceback, and an exit 2 that
+    starts its message with "error: " and writes nothing.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "tiny.ini"
         config.write_text(TINY_CONFIG)
@@ -640,8 +675,15 @@ def test_train_overrides_fuzz(overrides):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
-    assert code in (0, 1, 2)
+        wrote = out.exists()
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
-        assert not out.exists()
+        assert not wrote
+    return code
+
+
+@pytest.mark.parametrize("k,code", [(1000, 0), (1001, 2)])
+def test_mc_samples_bound(k, code):
+    # 1000 MC passes of a tiny config take well under a second.
+    assert _train_tiny([("train.mc_samples", str(k))]) == code

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,35 @@ class TestCsvRoundTrip:
         assert loaded.num_classes == small_dataset.num_classes
         assert loaded.num_domains == small_dataset.num_domains
 
+    def _both_writers(self, ds, tmp_path) -> bytes:
+        dat.save_csv(ds, tmp_path / "bulk.csv")
+        ref.save_csv(ds, tmp_path / "ref.csv")
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "ref.csv").read_bytes()
+        return bulk
+
+    def test_bytes_match_csv_writer_at_edge_values(self, tmp_path):
+        top = 1.7976931348623157e308
+        features = np.array([
+            [-0.0, 5e-324, 1e-05, 0.1],
+            [1e16, top, -top, -5e-324],
+            [1 / 3, -2.5, 0.0, 123456789.0],
+        ])
+        ds = dat.DomainDataset(
+            features, class_ids=np.array([0, 12, 3]), domain_ids=np.array([10, 0, 123]),
+            num_classes=13, num_domains=124,
+        )
+        text = self._both_writers(ds, tmp_path).decode()
+        assert text.splitlines()[1] == "10,0,-0.0,5e-324,1e-05,0.1"
+        assert text.splitlines()[2].startswith("0,12,1e+16,1.7976931348623157e+308,")
+        loaded = dat.load_csv(tmp_path / "bulk.csv")
+        assert loaded.features.tobytes() == features.tobytes()
+
+    def test_bytes_match_csv_writer_without_noise_dims(self, tmp_path):
+        ds = dat.generate_synthetic(3, 2, 4, 0, 5, class_sep=2.0, domain_shift=1.0, seed=4)
+        assert ds.input_dim == 4
+        self._both_writers(ds, tmp_path)
+
     def test_small_wellformed(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("domain_id,class_id,f0,f1\n0,0,1.5,2.0\n0,1,0.5,-1.0\n1,0,3.0,4.0\n")
@@ -204,16 +235,26 @@ class TestSplit:
             dat.split(small_dataset, dat.SplitPlan(target_domain=9, labels_per_class=2, seed=0))
 
 
+def _weak(aug, x, rng):
+    return aug.weak(x.copy(), rng.standard_normal(x.shape))
+
+
+def _strong(aug, x, rng):
+    noise = rng.standard_normal(x.shape)
+    keys = rng.random(x.shape) if aug.mask_count(x.shape[-1]) > 0 else None
+    return aug.strong(x.copy(), noise, keys)
+
+
 class TestAugmenter:
     def test_weak_zero_scale_is_identity(self, rng):
         aug = dat.Augmenter(feature_std=np.ones(4), weak_scale=0.0)
         x = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(aug.weak(x, rng), x)
+        np.testing.assert_array_equal(aug.weak(x, None), x)
 
     def test_weak_is_unbiased(self, rng):
         aug = dat.Augmenter(feature_std=np.full(3, 2.0))
         x = np.array([[1.0, -2.0, 0.5]])
-        draws = np.stack([aug.weak(x, rng)[0] for _ in range(10_000)])
+        draws = np.stack([_weak(aug, x, rng)[0] for _ in range(10_000)])
         se = 0.05 * 2.0 / np.sqrt(10_000)
         assert np.all(np.abs(draws.mean(axis=0) - x[0]) < 3 * se)
 
@@ -221,15 +262,23 @@ class TestAugmenter:
         dim = 20
         aug = dat.Augmenter(feature_std=np.zeros(dim), strong_scale=0.0)
         x = rng.normal(size=(7, dim)) + 10.0
-        out = aug.strong(x, rng)
+        out = _strong(aug, x, rng)
         zero_counts = (out == 0.0).sum(axis=1)
         assert np.all(zero_counts == int(0.15 * dim))
+
+    def test_strong_masks_each_row_of_a_block(self, rng):
+        # Leading axes are rows: a (steps, rows, dim) block masks per row.
+        dim = 20
+        aug = dat.Augmenter(feature_std=np.zeros(dim), strong_scale=0.0)
+        x = rng.normal(size=(3, 7, dim)) + 10.0
+        out = _strong(aug, x, rng)
+        assert np.all((out == 0.0).sum(axis=-1) == aug.mask_count(dim))
 
     def test_strong_noisier_than_weak(self, rng):
         aug = dat.Augmenter(feature_std=np.ones(6))
         x = np.zeros((200, 6))
-        weak_spread = np.std(aug.weak(x, rng))
-        strong_spread = np.std(aug.strong(x, rng) - 0.0)
+        weak_spread = np.std(_weak(aug, x, rng))
+        strong_spread = np.std(_strong(aug, x, rng) - 0.0)
         assert strong_spread > weak_spread
 
     @pytest.mark.parametrize("shape", [(1, 1), (42, 32), (48, 32), (7, 5)])
@@ -242,11 +291,19 @@ class TestAugmenter:
             aug = dat.Augmenter.fit(g.normal(size=(20, shape[1])), strong_scale=0.3)
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for got, want in [
-                (aug.weak(x, got_rng), ref.weak_augment(aug, x, want_rng)),
-                (aug.strong(x, got_rng), ref.strong_augment(aug, x, want_rng)),
+                (_weak(aug, x, got_rng), ref.weak_augment(aug, x, want_rng)),
+                (_strong(aug, x, got_rng), ref.strong_augment(aug, x, want_rng)),
             ]:
                 assert got.tobytes() == want.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_views_leave_the_rows_unchanged(self, rng):
+        aug = dat.Augmenter(feature_std=np.ones(5))
+        x = rng.normal(size=(4, 5))
+        before = x.copy()
+        aug.weak(x, rng.standard_normal(x.shape))
+        aug.strong(x, rng.standard_normal(x.shape), rng.random(x.shape))
+        assert x.tobytes() == before.tobytes()
 
     def test_fit_uses_per_dim_std(self, rng):
         feats = rng.normal(size=(100, 3)) * np.array([1.0, 5.0, 0.1])
@@ -254,24 +311,34 @@ class TestAugmenter:
         np.testing.assert_allclose(aug.feature_std, feats.std(axis=0))
 
 
+# Leaves every row as it is and draws nothing for its weak views.
+IDENTITY = dat.Augmenter(feature_std=np.zeros(8), weak_scale=0.0, mask_fraction=0.0)
+
+
+def _epoch(it, aug=IDENTITY, seed=0):
+    return it.epoch(aug, np.random.default_rng(seed))
+
+
 class TestBatchIterator:
     def test_slot_counts(self, small_split):
         it = dat.BatchIterator(small_split, per_domain_labeled=4, per_domain_unlabeled=6, seed=0)
-        batch = next(it.epoch())
-        assert len(batch.labeled_x) == 4 * 2  # two source domains
-        assert len(batch.unlabeled_x) == 6 * 2
+        batch = next(_epoch(it))
+        assert len(batch.weak_labeled) == 4 * 2  # two source domains
+        assert len(batch.labeled_y) == 4 * 2
+        assert len(batch.weak_unlabeled) == 6 * 2
+        assert len(batch.strong_unlabeled) == 6 * 2
 
     def test_epoch_length(self, small_split):
         it = dat.BatchIterator(small_split, 4, 6, seed=0)
         n_u = len(small_split.unlabeled_x)
         expected = -(-n_u // (2 * 6))
         assert it.batches_per_epoch == expected
-        assert len(list(it.epoch())) == expected
+        assert len(list(_epoch(it))) == expected
 
     def test_same_seed_same_sequence(self, small_split):
         def collect(seed):
             it = dat.BatchIterator(small_split, 3, 5, seed=seed)
-            return [b.unlabeled_idx.tolist() + b.labeled_y.tolist() for b in it.epoch()]
+            return [b.unlabeled_idx.tolist() + b.labeled_y.tolist() for b in _epoch(it)]
 
         assert collect(123) == collect(123)
         assert collect(123) != collect(124)
@@ -280,10 +347,10 @@ class TestBatchIterator:
         it = dat.BatchIterator(small_split, 4, 6, seed=0)
         # labeled slots are concatenated per source domain in order
         domains = np.asarray(small_split.source_domains)
-        for batch in it.epoch():
+        for batch in _epoch(it):
             # recover the drawing domain by position blocks
             for pos, d in enumerate(domains):
-                block = batch.labeled_x[pos * 4 : (pos + 1) * 4]
+                block = batch.weak_labeled[pos * 4 : (pos + 1) * 4]
                 for row in block:
                     matches = np.where((small_split.labeled_x == row).all(axis=1))[0]
                     assert small_split.labeled_domains[matches[0]] == d
@@ -292,7 +359,7 @@ class TestBatchIterator:
         it = dat.BatchIterator(small_split, 4, 6, seed=7)
         seen = np.zeros(len(small_split.unlabeled_x))
         for _ in range(2):
-            for batch in it.epoch():
+            for batch in _epoch(it):
                 seen[batch.unlabeled_idx] += 1
         assert seen.mean() >= 1.0
         assert seen.min() >= 1  # shuffled walk covers the pool each epoch
@@ -300,3 +367,112 @@ class TestBatchIterator:
     def test_bad_sizes(self, small_split):
         with pytest.raises(ValueError):
             dat.BatchIterator(small_split, 0, 4, seed=0)
+
+    def test_source_domain_without_labeled_rows(self, small_split):
+        # Its cycler would walk an empty order forever.
+        keep = small_split.labeled_domains != small_split.source_domains[1]
+        no_labels = dataclasses.replace(
+            small_split,
+            labeled_x=small_split.labeled_x[keep],
+            labeled_y=small_split.labeled_y[keep],
+            labeled_domains=small_split.labeled_domains[keep],
+        )
+        with pytest.raises(ValueError, match="source domain 2 has no labeled rows"):
+            dat.BatchIterator(no_labels, 4, 6, seed=0)
+
+    def test_empty_unlabeled_pool(self, small_split):
+        empty = dataclasses.replace(
+            small_split,
+            unlabeled_x=small_split.unlabeled_x[:0],
+            unlabeled_truth=small_split.unlabeled_truth[:0],
+        )
+        with pytest.raises(ValueError, match="unlabeled pool is empty"):
+            dat.BatchIterator(empty, 4, 6, seed=0)
+
+
+class TestShuffledCycler:
+    @pytest.mark.parametrize("n,k,steps", [(6, 3, 4), (6, 2, 3), (5, 3, 7), (4, 9, 2), (1, 1, 3)])
+    def test_one_take_is_the_steps_takes(self, n, k, steps):
+        # (6, 3, 4) and (6, 2, 3) end takes exactly at the end of an order.
+        bulk = dat._ShuffledCycler(n, np.random.default_rng(n * 100 + k))
+        each = dat._ShuffledCycler(n, np.random.default_rng(n * 100 + k))
+        for _ in range(3):
+            got = bulk.take(k * steps)
+            want = np.concatenate([each.take(k) for _ in range(steps)])
+            np.testing.assert_array_equal(got, want)
+        assert bulk._rng.bit_generator.state == each._rng.bit_generator.state
+
+
+class TestBlockViewsMatchPerStep:
+    """The block path against the per-step oracle, bit for bit."""
+
+    def _run(self, split, l, u, seed, aug, epochs, budget, monkeypatch):
+        monkeypatch.setattr(dat, "BLOCK_BUDGET_BYTES", budget)
+        blocks = []
+        weak = dat.Augmenter.weak
+
+        def counted_weak(self, x, noise):
+            blocks.append(len(x))
+            return weak(self, x, noise)
+
+        monkeypatch.setattr(dat.Augmenter, "weak", counted_weak)
+        it = dat.BatchIterator(split, l, u, seed)
+        got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = [b for _ in range(epochs) for b in it.epoch(aug, got_rng)]
+        want, cyclers = ref.per_step_batches(split, l, u, seed, aug, want_rng, epochs)
+        assert len(got) == len(want) == epochs * it.batches_per_epoch
+        for b, w in zip(got, want):
+            fields = (b.weak_labeled, b.labeled_y, b.weak_unlabeled,
+                      b.strong_unlabeled, b.unlabeled_truth, b.unlabeled_idx)
+            for g, v in zip(fields, w):
+                assert g.shape == v.shape
+                assert g.dtype == v.dtype
+                assert g.tobytes() == v.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # The cyclers end where the per-step ones do.
+        mine = [c for _, c in it._labeled_cyclers] + [it._unlabeled_cycler]
+        for c, w in zip(mine, cyclers):
+            np.testing.assert_array_equal(c.take(2 * c._n + 1), w.take(2 * w._n + 1))
+        return blocks[::2]  # weak runs twice a block
+
+    @pytest.mark.parametrize("steps_per_block,blocks", [(1, 15), (7, 3), (15, 1), (100, 1)])
+    def test_block_sizes(self, small_split, monkeypatch, steps_per_block, blocks):
+        # 180 pool rows at 12 a step: 15 steps an epoch, which 7 does not divide.
+        aug = dat.Augmenter.fit(small_split.unlabeled_x, strong_scale=0.3)
+        step_bytes = (2 * 8 + 4 * 12) * small_split.unlabeled_x.shape[1] * 8
+        sizes = self._run(small_split, 4, 6, 3, aug, 1,
+                          steps_per_block * step_bytes, monkeypatch)
+        assert len(sizes) == blocks
+        assert sum(sizes) == 15
+
+    def test_two_epochs(self, small_split, monkeypatch):
+        aug = dat.Augmenter.fit(small_split.unlabeled_x)
+        sizes = self._run(small_split, 3, 5, 8, aug, 2, 2**20, monkeypatch)
+        assert len(sizes) == 2
+
+    def test_budget_below_one_step(self, small_split, monkeypatch):
+        aug = dat.Augmenter.fit(small_split.unlabeled_x)
+        sizes = self._run(small_split, 4, 6, 0, aug, 1, 1, monkeypatch)
+        assert len(sizes) == 15
+
+    def test_one_row_batches(self, small_dataset, monkeypatch):
+        # Two domains leave one source domain: a step is one labeled and
+        # one unlabeled row.
+        two = dat.DomainDataset(
+            small_dataset.features[small_dataset.domain_ids < 2],
+            small_dataset.class_ids[small_dataset.domain_ids < 2],
+            small_dataset.domain_ids[small_dataset.domain_ids < 2],
+            small_dataset.num_classes, 2,
+        )
+        one_source = dat.split(two, dat.SplitPlan(target_domain=1, labels_per_class=2, seed=1))
+        aug = dat.Augmenter.fit(one_source.unlabeled_x, strong_scale=0.3)
+        self._run(one_source, 1, 1, 4, aug, 2, 5000, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"weak_scale": 0.0}, {"mask_fraction": 0.0}, {"mask_fraction": -0.5},
+         {"weak_scale": 0.0, "mask_fraction": 0.0}],
+    )
+    def test_augmenters_that_skip_draws(self, small_split, monkeypatch, settings):
+        aug = dat.Augmenter.fit(small_split.unlabeled_x, **settings)
+        self._run(small_split, 4, 6, 5, aug, 2, 40_000, monkeypatch)
