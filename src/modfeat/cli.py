@@ -9,7 +9,6 @@ training, 2 invalid configuration or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -62,10 +61,20 @@ def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
     )
 
 
+SUMMARY_HEADER = ("seed", "target_acc", "keep_rate", "pl_acc", "modulator_gap")
+AGGREGATE_HEADER = ("metric", "mean", "std", "n_seeds")
+
+
 class SeedRun(NamedTuple):
     seed: int
     result: trn.TrainResult
     modulator_gap: Optional[float]  # None where the gap is not defined
+
+    def row(self) -> tuple:
+        """This seed's final-epoch values in ``SUMMARY_HEADER`` order."""
+        final = self.result.reports[-1]
+        return (self.seed, final.target_accuracy, final.keep_rate,
+                final.pl_accuracy, self.modulator_gap)
 
 
 def run_seeds(
@@ -77,9 +86,10 @@ def run_seeds(
     its split, trains into ``out_dir/seed_<seed>`` when ``out_dir`` is
     given, and measures the modulator gap where it is defined: an
     identity extractor on data with known, non-empty signal and noise
-    dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError`` or
-    ``DegeneratePrototypeError``), its diagnostics are written to its run
-    directory and ``TrainingAborted`` is raised, naming the seed.
+    dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError``,
+    ``DegeneratePrototypeError`` or ``MemoryError``), its diagnostics are
+    written to its run directory and ``TrainingAborted`` is raised, naming
+    the seed.
     """
     runs = []
     for seed in config.seeds:
@@ -103,7 +113,8 @@ def run_seeds(
                 dump_pseudo_labels=config.output.dump_pseudo_labels,
             )
         except (
-            trn.TrainingAborted, dat.GenerationError, DegeneratePrototypeError
+            trn.TrainingAborted, dat.GenerationError, DegeneratePrototypeError,
+            MemoryError,
         ) as err:
             diagnostics = getattr(
                 err, "diagnostics", {"error": type(err).__name__, "message": str(err)}
@@ -161,24 +172,14 @@ def cmd_train(args, extras) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "target_acc", "keep_rate", "pl_acc", "modulator_gap"])
-        for seed, result, gap in runs:
-            final = result.reports[-1]
-            row = (final.target_accuracy, final.keep_rate, final.pl_accuracy, gap)
-            writer.writerow([seed, *("" if v is None else repr(v) for v in row)])
-
-    gaps = [run.modulator_gap for run in runs if run.modulator_gap is not None]
-    summary = met.aggregate(config.seeds, [run.result.reports for run in runs], gaps)
-    with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "mean", "std", "n_seeds"])
-        for name, mean, std, n in summary.rows():
-            writer.writerow([name, repr(mean), repr(std), n])
+    # summary.csv, aggregate.csv and the printed table all read this table.
+    table = [run.row() for run in runs]
+    met.write_csv(out_dir / "summary.csv", [SUMMARY_HEADER, *table])
+    stats = met.column_stats(SUMMARY_HEADER[1:], [row[1:] for row in table])
+    met.write_csv(out_dir / "aggregate.csv", [AGGREGATE_HEADER, *stats])
 
     print(f"{'metric':<16}{'mean':>12}{'std':>12}  (n={len(config.seeds)})")
-    for name, mean, std, _ in summary.rows():
+    for name, mean, std, _ in stats:
         print(f"{name:<16}{mean:>12.4f}{std:>12.4f}")
     print(f"outputs in {out_dir}")
     return 0
@@ -193,6 +194,12 @@ def cmd_eval(args, extras) -> int:
             raise ValueError(
                 f"{args.data} has {dataset.input_dim} feature columns, "
                 f"the checkpoint expects {width}"
+            )
+        if dataset.num_classes > ckpt.model.num_classes:
+            raise ValueError(
+                f"{args.data} has {dataset.num_classes} classes (ids 0.."
+                f"{dataset.num_classes - 1}), the checkpoint predicts "
+                f"{ckpt.model.num_classes}"
             )
         x, y = dataset.features, dataset.class_ids
         if args.target_domain is not None:
@@ -248,7 +255,7 @@ def cmd_gen_data(args, extras) -> int:
             bias_jitter=args.bias_jitter,
         )
         dat.save_csv(dataset, args.out)
-    except dat.GenerationError as err:
+    except (dat.GenerationError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as err:

@@ -407,14 +407,17 @@ class Augmenter:
 
 @dataclass
 class Batch:
-    """One step's augmented views, labels and pool positions."""
+    """One step's augmented views, labels and pool positions.
+
+    It carries no ground truth of the unlabeled rows: metrics read it
+    from ``Split.unlabeled_truth`` at ``unlabeled_idx``.
+    """
 
     weak_labeled: np.ndarray
     labeled_y: np.ndarray
     weak_unlabeled: np.ndarray
     strong_unlabeled: np.ndarray
-    unlabeled_truth: np.ndarray  # metrics only
-    unlabeled_idx: np.ndarray  # positions in the unlabeled pool (logging)
+    unlabeled_idx: np.ndarray  # positions in the unlabeled pool
 
 
 class _ShuffledCycler:
@@ -536,6 +539,6 @@ class BatchIterator:
         weak_l = augmenter.weak(x_l, noise_l)
         weak_u = augmenter.weak(x_u, noise_u)
         strong_u = augmenter.strong(x_u, noise_s, keys)
-        y, truth = s.labeled_y[lab], s.unlabeled_truth[unl]
+        y = s.labeled_y[lab]
         for t in range(steps):
-            yield Batch(weak_l[t], y[t], weak_u[t], strong_u[t], truth[t], unl[t])
+            yield Batch(weak_l[t], y[t], weak_u[t], strong_u[t], unl[t])

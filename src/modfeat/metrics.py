@@ -1,12 +1,12 @@
-"""Run metrics: keep rate, pseudo-label accuracy, modulation diagnostics,
-and cross-seed aggregation. Pure functions over immutable inputs; this is
-the only module (besides data generation) allowed to look at hidden
-ground truth."""
+"""Run metrics: keep rate, pseudo-label accuracy, modulation diagnostics
+and per-column statistics across seeds, as pure functions over immutable
+inputs; and ``write_csv``, the one writer of every run CSV. This is the
+only module (besides data generation) allowed to look at hidden ground
+truth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,55 +60,26 @@ def modulator_gap(
     )
 
 
-class Stat(NamedTuple):
-    """Mean and population std of ``n`` per-seed values."""
-
-    mean: float
-    std: float
-    n: int
-
-
-def _stat(values: Sequence[float]) -> Optional[Stat]:
-    """The values' Stat; None when there are none."""
-    if len(values) == 0:
-        return None
-    a = np.asarray(values, dtype=np.float64)
-    return Stat(float(a.mean()), float(a.std()), len(a))
+def cell(v) -> str:
+    """One CSV cell: empty for None, else ``str(v)``. On a Python float
+    (as ``tolist()`` gives) that is its ``repr``, the shortest text that
+    reads back to the same float64."""
+    return "" if v is None else str(v)
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    seeds: tuple
-    target_acc: Stat
-    keep_rate: Stat
-    pl_acc: Optional[Stat]  # over the seeds whose final epoch kept labels
-    modulator_gap: Optional[Stat] = None
-
-    def rows(self) -> list:
-        """(metric, mean, std, n_seeds) rows for the aggregate CSV; n_seeds
-        counts the values averaged, and absent metrics have no row."""
-        names = ("target_acc", "keep_rate", "pl_acc", "modulator_gap")
-        return [
-            (name, *stat) for name in names if (stat := getattr(self, name)) is not None
-        ]
+def write_csv(path, rows) -> None:
+    """Write ``rows`` (the header first) as comma-joined cells, LF endings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
 
 
-def aggregate(
-    seeds: Sequence[int],
-    report_series: Sequence[Sequence],
-    modulator_gaps: Sequence[float] = (),
-) -> RunSummary:
-    """Mean and population std of final-epoch metrics across seeds."""
-    if not report_series:
-        raise ValueError("no report series to aggregate")
-    lengths = {len(s) for s in report_series}
-    if len(lengths) != 1:
-        raise ValueError(f"inconsistent series lengths: {sorted(lengths)}")
-    finals = [series[-1] for series in report_series]
-    return RunSummary(
-        seeds=tuple(seeds),
-        target_acc=_stat([r.target_accuracy for r in finals]),
-        keep_rate=_stat([r.keep_rate for r in finals]),
-        pl_acc=_stat([r.pl_accuracy for r in finals if r.pl_accuracy is not None]),
-        modulator_gap=_stat(modulator_gaps),
-    )
+def column_stats(names: Sequence[str], rows: Sequence[Sequence]) -> list:
+    """(name, mean, population std, count) of each column's non-None
+    values, in ``names`` order; a column with no values has no entry."""
+    stats = []
+    for name, column in zip(names, zip(*rows)):
+        values = [v for v in column if v is not None]
+        if values:
+            a = np.asarray(values, dtype=np.float64)
+            stats.append((name, float(a.mean()), float(a.std()), len(values)))
+    return stats

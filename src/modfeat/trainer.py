@@ -12,12 +12,15 @@ loss forward ``drop_rng``, and evaluation and the bank refresh none.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
-would leak the target domain into model selection).
+would leak the target domain into model selection). Ground truth of the
+unlabeled pool never enters a step: each epoch reads it once, at the
+pool positions its batches drew, for pseudo-label accuracy and the
+pseudo-label log. Every run CSV goes through ``metrics.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
@@ -43,7 +46,11 @@ MODES = ("fm", "fixmatch-baseline")
 MAX_MC_SAMPLES = 1000
 
 METRICS_HEADER = (
-    "epoch,l_s,l_u,l_d,l_ud,total,keep_rate,pl_acc,target_acc,lr"
+    "epoch", "l_s", "l_u", "l_d", "l_ud", "total", "keep_rate", "pl_acc",
+    "target_acc", "lr",
+)
+PSEUDO_LABELS_HEADER = (
+    "epoch", "sample_idx", "label", "p_max", "sigma", "keep", "l_scale", "true_class",
 )
 
 
@@ -117,8 +124,9 @@ class EpochReport:
     lr: float
 
     def csv_row(self) -> str:
-        """The fields in METRICS_HEADER order; an absent pl_accuracy is empty."""
-        return ",".join("" if v is None else repr(v) for v in astuple(self))
+        """The fields in METRICS_HEADER order, each a ``metrics.cell``; an
+        absent pl_accuracy is empty."""
+        return ",".join(map(met.cell, astuple(self)))
 
 
 @dataclass
@@ -214,11 +222,12 @@ def _float_errors_abort(where):
             ) from None
 
 
-def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+def _pseudo_label_rows(epoch, idx, pseudo, truth):
+    """One epoch's pseudo_labels.csv rows, in PSEUDO_LABELS_HEADER order."""
+    for i, (label, p_max, sigma, keep, weight), t in zip(
+        idx.tolist(), pseudo.tolist(), truth.tolist()
+    ):
+        yield epoch, i, label, p_max, sigma, int(keep), weight, t
 
 
 def train(
@@ -239,8 +248,10 @@ def train(
     views are pseudo-labeled from the current model, the four-term loss
     is built on weak labeled plus strong unlabeled views, and SGD steps
     with cosine-annealed rates; (3) the bank is refreshed from the
-    updated model and target metrics are recorded. Any numpy overflow,
-    invalid or divide error on the way aborts the run (``TrainingAborted``).
+    updated model, and target accuracy and the pseudo-labels' keep rate
+    and accuracy (against the truth at the epoch's pool positions) are
+    recorded. Any numpy overflow, invalid or divide error on the way
+    aborts the run (``TrainingAborted``).
     """
     baseline = config.mode == "fixmatch-baseline"
     run_dir = Path(run_dir) if run_dir is not None else None
@@ -287,13 +298,14 @@ def train(
         opt_mod = None if baseline else SGD([modulation.param], config.momentum)
 
         reports: list[EpochReport] = []
-        pl_log_rows: list[str] = []
+        # Per epoch: its number, pool positions, pseudo-labels and truths.
+        pl_log: list[tuple] = []
         best_acc = -1.0
         for epoch in range(1, config.epochs + 1):
             sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
-            # Each step's keep and label columns and the rows' truth.
-            epoch_keep, epoch_labels, epoch_truths = [], [], []
-            lr_now = cosine_lr(config.lr_main, step, total_steps)
+            # Each step's keep and label columns and pool positions, and
+            # its pseudo-label arrays when they are logged.
+            epoch_keep, epoch_labels, epoch_idx, epoch_pseudo = [], [], [], []
             for batch in iterator.epoch(augmenter, aug_rng):
                 # One head per step: the MC passes and the loss read it.
                 head = model.fm_head(modulation, bank)
@@ -340,15 +352,9 @@ def train(
                     sums[key] += values[key]
                 epoch_keep.append(pseudo["keep"])
                 epoch_labels.append(pseudo["label"])
-                epoch_truths.append(batch.unlabeled_truth)
+                epoch_idx.append(batch.unlabeled_idx)
                 if dump_pseudo_labels:
-                    for idx, (label, p_max, sigma, keep, weight), truth in zip(
-                        batch.unlabeled_idx, pseudo.tolist(), batch.unlabeled_truth
-                    ):
-                        pl_log_rows.append(
-                            f"{epoch},{idx},{label},{p_max!r},{sigma!r},"
-                            f"{int(keep)},{weight!r},{truth}"
-                        )
+                    epoch_pseudo.append(pseudo)
 
             if not baseline:
                 bank = build_bank(
@@ -377,6 +383,9 @@ def train(
             )
             n_batches = iterator.batches_per_epoch
             keep = np.concatenate(epoch_keep)
+            idx = np.concatenate(epoch_idx)
+            # Ground truth is read here, for metrics, and nowhere in the steps.
+            truth = split_data.unlabeled_truth[idx]
             reports.append(
                 EpochReport(
                     epoch=epoch,
@@ -387,38 +396,40 @@ def train(
                     total=sums["total"] / n_batches,
                     keep_rate=met.keep_rate(keep),
                     pl_accuracy=met.pl_accuracy(
-                        np.concatenate(epoch_labels), keep, np.concatenate(epoch_truths)
+                        np.concatenate(epoch_labels), keep, truth
                     ),
                     target_accuracy=target_acc,
                     lr=lr_now,
                 )
             )
+            if dump_pseudo_labels:
+                pl_log.append((epoch, idx, np.concatenate(epoch_pseudo), truth))
+            # Carry no pool-sized array through the next epoch's steps.
+            del keep, idx, truth
             if run_dir is not None:
                 if target_acc > best_acc:
                     best_acc = target_acc
                     save_checkpoint(
                         run_dir / "checkpoint_best.npz", model, modulation, bank
                     )
+                dumps = {}
                 if dump_sar and bank is not None:
-                    _dump_matrix(run_dir / f"prototypes_epoch{epoch}.csv", bank.prototypes)
-                    _dump_matrix(run_dir / f"similarity_epoch{epoch}.csv", bank.similarity)
-                    _dump_matrix(run_dir / f"blended_epoch{epoch}.csv", bank.blended)
+                    dumps.update(prototypes=bank.prototypes,
+                                 similarity=bank.similarity, blended=bank.blended)
                 if dump_modulator:
-                    _dump_matrix(
-                        run_dir / f"modulator_epoch{epoch}.csv", modulation.values
-                    )
+                    dumps["modulator"] = modulation.values
+                for name, matrix in dumps.items():
+                    met.write_csv(run_dir / f"{name}_epoch{epoch}.csv", matrix.tolist())
 
     if run_dir is not None:
-        with open(run_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for report in reports:
-                fh.write(report.csv_row() + "\n")
+        met.write_csv(run_dir / "metrics.csv", [METRICS_HEADER, *map(astuple, reports)])
         save_checkpoint(run_dir / "checkpoint.npz", model, modulation, bank)
         if dump_pseudo_labels:
-            with open(run_dir / "pseudo_labels.csv", "w", newline="", encoding="utf-8") as fh:
-                fh.write("epoch,sample_idx,label,p_max,sigma,keep,l_scale,true_class\n")
-                for row in pl_log_rows:
-                    fh.write(row + "\n")
+            epochs = itertools.starmap(_pseudo_label_rows, pl_log)
+            met.write_csv(
+                run_dir / "pseudo_labels.csv",
+                itertools.chain([PSEUDO_LABELS_HEADER], *epochs),
+            )
     return TrainResult(
         model=model, modulation=modulation, bank=bank, reports=reports, config=config
     )

@@ -10,7 +10,10 @@ views drawn one call at a time, in their ``rng.normal(size=...)`` form,
 and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a
 time: the block path must repeat both bit for bit. ``save_csv`` is
 ``data.save_csv`` in its ``csv.writer`` form, which the bulk writer must
-repeat byte for byte.
+repeat byte for byte. ``write_summary``, ``write_aggregate``,
+``dump_matrix`` and ``pl_log_row`` are the run files' earlier writers
+(``csv.writer`` rows, a per-metric ``aggregate`` and an f-string per
+pseudo-label row); ``metrics.write_csv`` must repeat their bytes.
 """
 
 import csv
@@ -132,3 +135,60 @@ def save_csv(dataset, path) -> None:
                 [int(dataset.domain_ids[i]), int(dataset.class_ids[i])]
                 + [repr(float(v)) for v in dataset.features[i]]
             )
+
+
+def write_summary(path, runs) -> None:
+    """summary.csv from ``cli.SeedRun``s."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["seed", "target_acc", "keep_rate", "pl_acc", "modulator_gap"])
+        for seed, result, gap in runs:
+            final = result.reports[-1]
+            row = (final.target_accuracy, final.keep_rate, final.pl_accuracy, gap)
+            writer.writerow([seed, *("" if v is None else repr(v) for v in row)])
+
+
+def aggregate(runs) -> list:
+    """(metric, mean, std, n_seeds) of the final epochs' values; pl_acc
+    over the seeds that kept labels, and a metric with no values has no
+    row."""
+    finals = [run.result.reports[-1] for run in runs]
+    columns = {
+        "target_acc": [r.target_accuracy for r in finals],
+        "keep_rate": [r.keep_rate for r in finals],
+        "pl_acc": [r.pl_accuracy for r in finals if r.pl_accuracy is not None],
+        "modulator_gap": [
+            run.modulator_gap for run in runs if run.modulator_gap is not None
+        ],
+    }
+    rows = []
+    for name, values in columns.items():
+        if values:
+            a = np.asarray(values, dtype=np.float64)
+            rows.append((name, float(a.mean()), float(a.std()), len(a)))
+    return rows
+
+
+def write_aggregate(path, runs) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "mean", "std", "n_seeds"])
+        for name, mean, std, n in aggregate(runs):
+            writer.writerow([name, repr(mean), repr(std), n])
+
+
+def dump_matrix(path, matrix: np.ndarray) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in np.atleast_2d(matrix):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def pl_log_row(epoch, idx, record, truth) -> str:
+    """One pseudo_labels.csv line (no newline): a pseudo-label array row
+    at pool position ``idx`` whose true class is ``truth``."""
+    label, p_max, sigma, keep, weight = record.tolist()
+    return (
+        f"{epoch},{idx},{label},{p_max!r},{sigma!r},"
+        f"{int(keep)},{weight!r},{truth}"
+    )

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from modfeat import cli
 from modfeat import data as dat
+from modfeat import pseudolabel
+from modfeat import trainer as trn
 from modfeat.config import _SCHEMA, ConfigError, DataSpec, load_config
 from tests import refops as ref
 
@@ -310,6 +313,16 @@ class TestCli:
         _, dump = self._abort(tmp_path, capsys, *overrides)
         assert message in dump["message"]
 
+    # Each asks for petabytes, which no allocator grants, so it fails at once.
+    @pytest.mark.parametrize(
+        "override", ["--hidden_dims=1000000000000000",
+                     "--samples_per_class_per_domain=1000000000000000"],
+    )
+    def test_out_of_memory_aborts_the_seed(self, tmp_path, capsys, override):
+        err, dump = self._abort(tmp_path, capsys, override)
+        assert len(err.splitlines()) == 1
+        assert "Unable to allocate" in dump["message"]
+
     def test_gen_data_then_eval(self, mini_config, tmp_path):
         csv_path = tmp_path / "ds.csv"
         assert (
@@ -354,6 +367,91 @@ class TestCli:
         assert (out / "seed_0" / "modulator_epoch2.csv").is_file()
         assert (out / "seed_0" / "similarity_epoch1.csv").is_file()
         assert (out / "seed_0" / "pseudo_labels.csv").is_file()
+
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.ini"
+
+
+class TestRunFilesMatchTheOracles:
+    """Every CSV of a tiny run, with every dump on, has the bytes of the
+    earlier writers in ``refops``. Of seeds 2 and 3, seed 3 keeps no
+    pseudo-label in its final epoch, so its pl_acc cell is empty."""
+
+    @pytest.mark.parametrize("mode,epochs", [("fm", 2), ("fixmatch-baseline", 1)])
+    def test_every_csv(self, tmp_path, monkeypatch, mode, epochs):
+        seed_runs, labeled, evaluated, epoch_steps = [], [], [], []
+
+        def keep_results(owner, name, results):
+            f = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                results.append(f(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def evaluated_by(model, modulation, bank, x, y, mode, f=trn.evaluate):
+            # An epoch dumps the modulation and bank it evaluates.
+            evaluated.append((modulation.values.copy(), bank))
+            return f(model, modulation, bank, x, y, mode=mode)
+
+        def epoch(self, augmenter, rng, f=dat.BatchIterator.epoch):
+            epoch_steps.append([])
+            for batch in f(self, augmenter, rng):
+                epoch_steps[-1].append((self.split, batch.unlabeled_idx))
+                yield batch
+
+        keep_results(cli, "run_seeds", seed_runs)
+        keep_results(pseudolabel, "pseudo_label_batch", labeled)
+        keep_results(pseudolabel, "baseline_pseudo_label_batch", labeled)
+        monkeypatch.setattr(trn, "evaluate", evaluated_by)
+        monkeypatch.setattr(dat.BatchIterator, "epoch", epoch)
+        out = tmp_path / "out"
+        assert cli.main([
+            "train", str(CONFIG), "--mode", mode, "--seeds", "2,3", "--out", str(out),
+            "--dump-sar", "--dump-modulator", "--dump-pseudo-labels",
+            f"--epochs={epochs}", "--samples_per_class_per_domain=6",
+            "--labels_per_class=2", "--tau=0.9",
+        ]) == 0
+        [runs] = seed_runs
+        assert [run.result.reports[-1].pl_accuracy is None for run in runs] == [
+            False, True
+        ]
+
+        want = tmp_path / "want"
+        want.mkdir()
+        ref.write_summary(want / "summary.csv", runs)
+        ref.write_aggregate(want / "aggregate.csv", runs)
+        labels = iter(labeled)
+        for k, run in enumerate(runs):
+            seed_dir = want / f"seed_{run.seed}"
+            seed_dir.mkdir()
+            metrics = ["epoch,l_s,l_u,l_d,l_ud,total,keep_rate,pl_acc,target_acc,lr"]
+            metrics += [
+                ",".join("" if v is None else repr(v) for v in dataclasses.astuple(r))
+                for r in run.result.reports
+            ]
+            (seed_dir / "metrics.csv").write_text("\n".join(metrics) + "\n")
+            log = ["epoch,sample_idx,label,p_max,sigma,keep,l_scale,true_class"]
+            for epoch in range(1, epochs + 1):
+                values, bank = evaluated[k * epochs + epoch - 1]
+                ref.dump_matrix(seed_dir / f"modulator_epoch{epoch}.csv", values)
+                if bank is not None:
+                    for name in ("prototypes", "similarity", "blended"):
+                        ref.dump_matrix(
+                            seed_dir / f"{name}_epoch{epoch}.csv", getattr(bank, name)
+                        )
+                for split, idx in epoch_steps[k * epochs + epoch - 1]:
+                    log += [
+                        ref.pl_log_row(epoch, i, record, split.unlabeled_truth[i])
+                        for i, record in zip(idx, next(labels))
+                    ]
+            (seed_dir / "pseudo_labels.csv").write_text("\n".join(log) + "\n")
+
+        written = sorted(p.relative_to(out) for p in out.rglob("*.csv"))
+        assert written == sorted(p.relative_to(want) for p in want.rglob("*.csv"))
+        for name in written:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 class TestCrossFieldValidation:
@@ -463,6 +561,13 @@ class TestUsageErrors:
         flags = ["--num-classes", "40", "--class-sep", "50", "--signal-dim", "1"]
         err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 1)
         assert "class means" in err
+
+    def test_gen_data_out_of_memory_exits_1(self, tmp_path, capsys):
+        # Petabytes of features: the allocation fails at once.
+        flags = ["--samples-per-class", "1000000000000"]
+        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 1)
+        assert "Unable to allocate" in err
+        assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize(
         "flags,needle",
@@ -585,21 +690,25 @@ class TestCheckpointErrors:
         self._eval_fails([broken, csv_path], capsys, str(broken))
 
     @pytest.mark.parametrize(
-        "signal_dim,extra,needle",
-        [("2", [], "6 feature columns"), ("4", ["--target-domain", "5"], "selects no rows")],
+        "flags,extra,needles",
+        [
+            (["--signal-dim", "2"], [], ["6 feature columns"]),
+            ([], ["--target-domain", "5"], ["selects no rows"]),
+            (["--num-classes", "5"], [], ["5 classes", "predicts 3"]),
+        ],
     )
     def test_data_that_does_not_fit(
-        self, mini_config, tmp_path, capsys, signal_dim, extra, needle
+        self, mini_config, tmp_path, capsys, flags, extra, needles
     ):
-        # The checkpoint reads 8 columns; the CSV has signal_dim + 4 of them
-        # and domains 0-2.
+        # The checkpoint reads 8 columns and predicts 3 classes; by default
+        # the CSV has 8 columns, 3 classes and domains 0-2.
         assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
         checkpoint = tmp_path / "out" / "seed_0" / "checkpoint.npz"
         csv_path = tmp_path / "ds.csv"
         assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", signal_dim,
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
-        self._eval_fails([checkpoint, csv_path, *extra], capsys, needle)
+                         "--num-domains", "3", "--signal-dim", "4",
+                         "--noise-dim", "4", "--samples-per-class", "4", *flags]) == 0
+        self._eval_fails([checkpoint, csv_path, *extra], capsys, str(csv_path), *needles)
 
 
 # Per-key values for the override fuzz: small ranges that cross each

@@ -328,6 +328,11 @@ class TestBatchIterator:
         assert len(batch.weak_unlabeled) == 6 * 2
         assert len(batch.strong_unlabeled) == 6 * 2
 
+    def test_no_ground_truth_in_a_batch(self):
+        # Metrics read the pool's truth at ``unlabeled_idx`` from the split.
+        names = {f.name for f in dataclasses.fields(dat.Batch)}
+        assert not any("truth" in name for name in names)
+
     def test_epoch_length(self, small_split):
         it = dat.BatchIterator(small_split, 4, 6, seed=0)
         n_u = len(small_split.unlabeled_x)
@@ -422,8 +427,8 @@ class TestBlockViewsMatchPerStep:
         want, cyclers = ref.per_step_batches(split, l, u, seed, aug, want_rng, epochs)
         assert len(got) == len(want) == epochs * it.batches_per_epoch
         for b, w in zip(got, want):
-            fields = (b.weak_labeled, b.labeled_y, b.weak_unlabeled,
-                      b.strong_unlabeled, b.unlabeled_truth, b.unlabeled_idx)
+            fields = (b.weak_labeled, b.labeled_y, b.weak_unlabeled, b.strong_unlabeled,
+                      split.unlabeled_truth[b.unlabeled_idx], b.unlabeled_idx)
             for g, v in zip(fields, w):
                 assert g.shape == v.shape
                 assert g.dtype == v.dtype

@@ -4,14 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfeat import metrics as met
-from modfeat.trainer import EpochReport
-
-
-def report(epoch=1, acc=0.5, keep=0.5, pl=0.9):
-    return EpochReport(
-        epoch=epoch, l_s=0.1, l_u=0.1, l_d=0.0, l_ud=0.0, total=0.2,
-        keep_rate=keep, pl_accuracy=pl, target_accuracy=acc, lr=0.01,
-    )
 
 
 class TestKeepRate:
@@ -97,61 +89,64 @@ class TestModulatorGap:
             met.modulator_gap(np.ones((2, 4)), (0, 1, 2, 3), ())
 
 
-class TestAggregate:
+def finals(accs=(0.5,), keeps=None, pls=None, gaps=None) -> list:
+    """summary.csv value rows (target_acc, keep_rate, pl_acc, modulator_gap)."""
+    n = len(accs)
+    return list(zip(accs, keeps or [0.5] * n, pls or [0.9] * n, gaps or [None] * n))
+
+
+NAMES = ("target_acc", "keep_rate", "pl_acc", "modulator_gap")
+
+
+def stats(rows) -> dict:
+    return {name: (mean, std, n) for name, mean, std, n in met.column_stats(NAMES, rows)}
+
+
+class TestColumnStats:
     def test_single_seed_zero_std(self):
-        summary = met.aggregate([0], [[report(acc=0.6)]])
-        assert summary.target_acc.mean == 0.6
-        assert summary.target_acc.std == 0.0
+        assert stats(finals([0.6]))["target_acc"] == (0.6, 0.0, 1)
 
     def test_two_seed_hand_case(self):
-        summary = met.aggregate([0, 1], [[report(acc=0.6)], [report(acc=0.8)]])
-        assert summary.target_acc.mean == pytest.approx(0.7)
-        assert summary.target_acc.std == pytest.approx(0.1)
+        mean, std, n = stats(finals([0.6, 0.8]))["target_acc"]
+        assert (mean, std, n) == (pytest.approx(0.7), pytest.approx(0.1), 2)
 
     def test_matches_spreadsheet_recount(self, rng):
-        accs = rng.uniform(0.3, 0.9, size=6)
-        series = [[report(acc=a, keep=a / 2)] for a in accs]
-        summary = met.aggregate(range(6), series)
-        mean = sum(accs) / 6
-        std = (sum((a - mean) ** 2 for a in accs) / 6) ** 0.5
-        assert summary.target_acc.mean == pytest.approx(mean)
-        assert summary.target_acc.std == pytest.approx(std)
+        accs = rng.uniform(0.3, 0.9, size=6).tolist()
+        mean, std, _ = stats(finals(accs, keeps=[a / 2 for a in accs]))["target_acc"]
+        want = sum(accs) / 6
+        assert mean == pytest.approx(want)
+        assert std == pytest.approx((sum((a - want) ** 2 for a in accs) / 6) ** 0.5)
 
     def test_permutation_invariant(self):
-        series = [[report(acc=a)] for a in (0.2, 0.5, 0.8)]
-        fwd = met.aggregate([0, 1, 2], series)
-        rev = met.aggregate([2, 1, 0], series[::-1])
-        assert fwd.target_acc.mean == pytest.approx(rev.target_acc.mean)
-        assert fwd.target_acc.std == pytest.approx(rev.target_acc.std)
+        rows = finals([0.2, 0.5, 0.8])
+        fwd, rev = stats(rows)["target_acc"], stats(rows[::-1])["target_acc"]
+        assert fwd[0] == pytest.approx(rev[0]) and fwd[1] == pytest.approx(rev[1])
 
-    def test_absent_pl_accuracy_skipped(self):
-        series = [[report(pl=None)], [report(pl=0.8)]]
-        summary = met.aggregate([0, 1], series)
-        assert summary.pl_acc.mean == pytest.approx(0.8)
-        assert ("pl_acc", 0.8, 0.0, 1) in summary.rows()
+    def test_in_names_order(self):
+        rows = finals([0.5], gaps=[0.3])
+        assert [row[0] for row in met.column_stats(NAMES, rows)] == list(NAMES)
 
-    def test_inconsistent_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            met.aggregate([0, 1], [[report()], [report(), report(epoch=2)]])
+    def test_absent_values_skipped(self):
+        rows = finals([0.5] * 4, pls=[0.6, None, 0.9, 0.7],
+                      gaps=[0.226, 0.399, 0.3, 0.25])
+        got = stats(rows)
+        assert got["pl_acc"] == (pytest.approx(np.mean([0.6, 0.9, 0.7])),
+                                 pytest.approx(np.std([0.6, 0.9, 0.7])), 3)
+        assert got["modulator_gap"][1:] == (
+            pytest.approx(np.std([0.226, 0.399, 0.3, 0.25])), 4
+        )
+        assert got["target_acc"][2] == 4
 
-    def test_rows_for_csv(self):
-        summary = met.aggregate([0], [[report()]], modulator_gaps=[0.3])
-        names = [row[0] for row in summary.rows()]
-        assert names == ["target_acc", "keep_rate", "pl_acc", "modulator_gap"]
+    def test_column_with_no_values_has_no_entry(self):
+        rows = finals([0.5, 0.6], pls=[None, None])
+        assert list(stats(rows)) == ["target_acc", "keep_rate"]
 
-    def test_rows_report_std_and_count_of_the_values_averaged(self):
-        series = [[report(pl=pl)] for pl in (0.6, None, 0.9, 0.7)]
-        gaps = [0.226, 0.399, 0.3, 0.25]
-        rows = {
-            name: (mean, std, n)
-            for name, mean, std, n in met.aggregate(range(4), series, gaps).rows()
-        }
-        assert rows["pl_acc"][0] == pytest.approx(np.mean([0.6, 0.9, 0.7]))
-        assert rows["pl_acc"][1:] == (pytest.approx(np.std([0.6, 0.9, 0.7])), 3)
-        assert rows["modulator_gap"][1:] == (pytest.approx(np.std(gaps)), 4)
-        assert rows["target_acc"][2] == 4
 
-    def test_no_kept_labels_at_any_seed_has_no_pl_row(self):
-        summary = met.aggregate([0, 1], [[report(pl=None)], [report(pl=None)]])
-        assert summary.pl_acc is None
-        assert [row[0] for row in summary.rows()] == ["target_acc", "keep_rate"]
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        met.write_csv(tmp_path / "t.csv", [("a", "b", "c"), (1, None, 0.1 + 0.2)])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n1,,0.30000000000000004\n"
+
+    def test_float_cells_read_back(self, rng):
+        values = rng.normal(size=5).tolist()
+        assert [float(met.cell(v)) for v in values] == values
