@@ -6,12 +6,14 @@ SHA-256 over what the run produced: every epoch's metrics row
 (``EpochReport.csv_row()``), the modulation weights, and each
 parameter's name and bytes. The runs go through ``cli.run_seeds``, the
 seed loop ``modfeat train`` uses, so data, split and training settings
-come from the config file as they do there. Two source trees that print
-the same lines train bit for bit alike.
+come from the config file as they do there, and any config key can be
+overridden as ``modfeat train`` takes it: ``--section.key=value``, or
+``--key=value`` when the bare key is unambiguous. Two source trees that
+print the same lines train bit for bit alike.
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 0,1,2,3,4
     PYTHONPATH=src python scripts/fingerprint.py --modes fm --seeds 0,1 \\
-        --epochs 5 --hidden-dims 64
+        --epochs=5 --hidden_dims=64
 """
 
 from __future__ import annotations
@@ -35,22 +37,15 @@ def fingerprint(result: trainer.TrainResult) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False
+    )
     parser.add_argument("--config", default="configs/synthetic.ini")
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
     parser.add_argument("--modes", default=",".join(trainer.MODES))
-    parser.add_argument("--epochs", type=int, help="override train.epochs")
-    parser.add_argument(
-        "--hidden-dims", help="override model.hidden_dims, e.g. 64 or 64,64"
-    )
-    args = parser.parse_args(argv)
-
-    overrides = {"train.seeds": args.seeds}
-    if args.epochs is not None:
-        overrides["train.epochs"] = str(args.epochs)
-    if args.hidden_dims is not None:
-        overrides["model.hidden_dims"] = args.hidden_dims
+    args, extras = parser.parse_known_args(argv)
     try:
+        overrides = {**cli._split_overrides(extras), "train.seeds": args.seeds}
         configs = [
             config.load_config(args.config, {**overrides, "train.mode": mode})
             for mode in args.modes.split(",")

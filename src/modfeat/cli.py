@@ -158,7 +158,13 @@ def cmd_train(args, extras) -> int:
         csv_data = None
         if config.data.kind == "csv":
             csv_data = dat.load_csv(config.data.path)
-            check_data_fit(config, csv_data.input_dim, csv_data.cell_counts())
+            try:
+                check_data_fit(
+                    config, csv_data.input_dim, csv_data.num_domains,
+                    csv_data.smallest_cell(config.data.target_domain),
+                )
+            except ConfigError as err:
+                raise ConfigError(f"{config.data.path}: {err}") from None
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

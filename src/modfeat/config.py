@@ -10,8 +10,6 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .data import check_synthetic
 from .network import ExtractorConfig
 from .trainer import TrainConfig
@@ -165,44 +163,43 @@ def _build(values: dict) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"[data] {err}") from None
         check_data_fit(
-            config,
-            data.signal_dim + data.noise_dim,
-            np.full((data.num_domains, data.num_classes), data.samples_per_class_per_domain),
+            config, data.signal_dim + data.noise_dim, data.num_domains,
+            data.samples_per_class_per_domain,
         )
     return config
 
 
-def check_data_fit(config: RunConfig, input_dim: int, cell_counts) -> None:
-    """Cross-field checks against the data's width and cell sizes.
+def check_data_fit(
+    config: RunConfig, input_dim: int, num_domains: int, smallest_source_cell: int
+) -> None:
+    """Cross-field checks against the data's width, domains and cells.
 
-    ``cell_counts`` is the (num_domains x num_classes) sample count of
-    each cell. The held-out domain must exist and leave a source domain,
-    every source cell must hold ``labels_per_class`` samples (and fm's
-    variance initialization two labels per class), and the model must
-    fit the input (an identity extractor needs feature_dim == input
-    width). Synthetic data is checked when the config is built; CSV data
-    once it is loaded.
+    ``smallest_source_cell`` is the fewest samples in a (domain, class)
+    cell outside the held-out domain. The held-out domain must exist and
+    leave a source domain, every source cell must hold
+    ``labels_per_class`` samples (and fm's variance initialization two
+    labels per class), and the model must fit the input (an identity
+    extractor needs feature_dim == input width). Synthetic data, whose
+    every cell holds samples_per_class_per_domain rows, is checked when
+    the config is built; CSV data once it is loaded.
     """
-    cell_counts = np.asarray(cell_counts)
-    num_domains = cell_counts.shape[0]
     if not 0 <= config.data.target_domain < num_domains:
         raise ConfigError(
             f"[data] target_domain must be in [0, {num_domains}), "
             f"got {config.data.target_domain}"
         )
-    source = np.delete(cell_counts, config.data.target_domain, axis=0)
-    if source.size == 0:
+    if num_domains < 2:
         raise ConfigError("[data] needs a source domain besides target_domain")
     labels = config.data.labels_per_class
-    if labels > source.min():
+    if labels > smallest_source_cell:
         raise ConfigError(
             f"[data] labels_per_class = {labels} exceeds the smallest "
-            f"(domain, class) cell, {source.min()} samples"
+            f"(domain, class) cell, {smallest_source_cell} samples"
         )
-    if config.train.mode == "fm" and labels * len(source) < 2:
+    if config.train.mode == "fm" and labels * (num_domains - 1) < 2:
         raise ConfigError(
             "[data] fm mode needs at least 2 labels per class across the "
-            f"source domains, got {labels * len(source)}"
+            f"source domains, got {labels * (num_domains - 1)}"
         )
     try:
         ExtractorConfig(

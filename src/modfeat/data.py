@@ -64,12 +64,18 @@ class DomainDataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def cell_counts(self) -> np.ndarray:
-        """(num_domains x num_classes) sample count of each cell."""
-        cells = self.domain_ids * self.num_classes + self.class_ids
-        return np.bincount(
-            cells, minlength=self.num_domains * self.num_classes
-        ).reshape(self.num_domains, self.num_classes)
+    def smallest_cell(self, skip_domain: int) -> int:
+        """Fewest samples in a (domain, class) cell of a domain other than
+        ``skip_domain``, 0 if one is empty. Cells that outnumber their rows
+        leave one empty, so no count is kept for more cells than rows."""
+        rows = self.domain_ids != skip_domain
+        domains = self.domain_ids[rows]
+        cells = (self.num_domains - (0 <= skip_domain < self.num_domains)) * self.num_classes
+        if not 0 < cells <= len(domains):
+            return 0
+        domains -= (domains > skip_domain) & (skip_domain >= 0)  # number them 0, 1, ...
+        cell_of_row = domains * self.num_classes + self.class_ids[rows]
+        return int(np.bincount(cell_of_row, minlength=cells).min())
 
 
 @dataclass(frozen=True)
@@ -351,53 +357,52 @@ def split(dataset: DomainDataset, plan: SplitPlan) -> Split:
 BLOCK_BUDGET_BYTES = 2**20
 
 
+# Augmentation scales, in units of the per-dimension training std, and
+# the fraction of coordinates the strong view zeroes in each row.
+WEAK_SCALE = 0.05
+STRONG_SCALE = 0.25
+MASK_FRACTION = 0.15
+
+
 @dataclass
 class Augmenter:
     """Feature-space weak/strong augmentation.
 
-    Weak adds Gaussian noise at ``weak_scale`` times the per-dimension
-    training std; strong uses ``strong_scale`` and then zeroes a fixed
-    fraction (``mask_count``) of coordinates per sample. Neither reads
-    labels. Both take their draws as arrays of ``x``'s shape, overwrite
-    the noise with the view and return it: the caller draws them (see
-    ``BatchIterator.epoch``). Any leading axes are rows.
+    Weak adds Gaussian noise at ``WEAK_SCALE`` times the per-dimension
+    training std; strong at ``STRONG_SCALE``, then zeroes ``mask_count``
+    coordinates per sample. Neither reads labels. Both take their draws
+    as arrays of ``x``'s shape, overwrite the noise with the view and
+    return it: the caller draws them (see ``BatchIterator.epoch``). Any
+    leading axes are rows.
     """
 
     feature_std: np.ndarray
-    weak_scale: float = 0.05
-    strong_scale: float = 0.25
-    mask_fraction: float = 0.15
 
     @classmethod
-    def fit(cls, train_features: np.ndarray, **kwargs) -> "Augmenter":
-        return cls(feature_std=train_features.std(axis=0), **kwargs)
+    def fit(cls, train_features: np.ndarray) -> "Augmenter":
+        return cls(feature_std=train_features.std(axis=0))
 
-    def mask_count(self, dim: int) -> int:
+    @staticmethod
+    def mask_count(dim: int) -> int:
         """Coordinates that ``strong`` zeroes in each row of width ``dim``."""
-        return int(self.mask_fraction * dim)
+        return int(MASK_FRACTION * dim)
 
-    def weak(self, x: np.ndarray, noise: Optional[np.ndarray]) -> np.ndarray:
-        """``x + noise * (weak_scale * std)``, in ``noise``'s memory.
-
-        At a zero ``weak_scale`` nothing is drawn: ``noise`` is None and
-        ``x`` itself is returned.
-        """
-        if noise is None:
-            return x
-        noise *= self.weak_scale * self.feature_std
+    def weak(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """``x + noise * (WEAK_SCALE * std)``, in ``noise``'s memory."""
+        noise *= WEAK_SCALE * self.feature_std
         noise += x
         return noise
 
     def strong(
         self, x: np.ndarray, noise: np.ndarray, keys: Optional[np.ndarray]
     ) -> np.ndarray:
-        """``x + noise * (strong_scale * std)`` in ``noise``'s memory, with
+        """``x + noise * (STRONG_SCALE * std)`` in ``noise``'s memory, with
         each row's ``mask_count`` coordinates of smallest key set to 0.
 
         ``keys`` are uniform draws of ``x``'s shape, None when no
-        coordinate is masked.
+        coordinate is masked (below 7 features).
         """
-        noise *= self.strong_scale * self.feature_std
+        noise *= STRONG_SCALE * self.feature_std
         noise += x
         if keys is not None:
             cols = np.argsort(keys, axis=-1)[..., : self.mask_count(x.shape[-1])]
@@ -524,15 +529,12 @@ class BatchIterator:
             self.unlabeled_per_batch * steps
         ).reshape(steps, -1)
         x_l, x_u = s.labeled_x[lab], s.unlabeled_x[unl]
-        weak_draws = augmenter.weak_scale != 0.0
-        noise_l = np.empty_like(x_l) if weak_draws else None
-        noise_u = np.empty_like(x_u) if weak_draws else None
+        noise_l, noise_u = np.empty_like(x_l), np.empty_like(x_u)
         noise_s = np.empty_like(x_u)
         keys = np.empty_like(x_u) if augmenter.mask_count(x_u.shape[-1]) > 0 else None
         for t in range(steps):
-            if weak_draws:
-                rng.standard_normal(out=noise_l[t])
-                rng.standard_normal(out=noise_u[t])
+            rng.standard_normal(out=noise_l[t])
+            rng.standard_normal(out=noise_u[t])
             rng.standard_normal(out=noise_s[t])
             if keys is not None:
                 rng.random(out=keys[t])

@@ -1,8 +1,10 @@
 """Run metrics: keep rate, pseudo-label accuracy, modulation diagnostics
 and per-column statistics across seeds, as pure functions over immutable
-inputs; and ``write_csv``, the one writer of every run CSV. This is the
-only module (besides data generation) allowed to look at hidden ground
-truth."""
+inputs; and ``write_csv``, the one writer of every run CSV. Hidden
+ground truth reaches these functions only as an argument: the trainer
+reads ``Split.unlabeled_truth`` once per epoch, at the pool positions
+its batches drew, for ``pl_accuracy`` and the pseudo-label log, and no
+training step reads it."""
 
 from __future__ import annotations
 

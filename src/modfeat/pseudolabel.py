@@ -19,16 +19,16 @@ the step's one fused head (``Model.fm_head``), the head its loss forward
 reads too.
 
 A pass yields n*C rows of C logits, and numpy's row reductions pay a
-per-row overhead on rows that narrow. So below
-``autodiff.PAIRWISE_SUM_WIDTH`` (8) classes ``predict_matrices`` takes
-the modulated softmax on one class-major (C x n*C) copy of the logits:
-the row maxima and sums are column reductions of it, the shift and exp
-run in place in it, and the returned diagonal is read from it. These
-are the reductions ``autodiff.row_max`` and ``row_sum`` run on a
-transposed copy, so the bits are theirs, from one copy instead of one
-per reduction. Wider rows take the row-major path the unmodulated
-softmax takes: numpy sums them pairwise, which a column sum does not
-repeat.
+per-row overhead on rows that narrow. So ``predict_matrices`` takes the
+modulated softmax on one class-major (C x n*C) copy of the logits, at
+any class count: the row maxima and sums are column reductions of it,
+the shift and exp run in place in it, and the returned diagonal is read
+from it. Numpy sums pairwise only along a contiguous axis, so a column
+reduction of the copy adds the C classes left to right at any C (its
+columns are contiguous only when n*C = 1, a single entry). Below 8
+classes that is the order ``autodiff.row_sum`` adds in too, so the bits
+are the row softmax's; from 8 on the row sum is pairwise and the two can
+differ in the last bit.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import PAIRWISE_SUM_WIDTH, ParameterError, no_grad, row_max, row_sum
+from .autodiff import ParameterError, no_grad, row_max, row_sum
 from .modulator import FusedHead
 from .network import Model
 
@@ -103,28 +103,25 @@ def predict_matrices(
     which it then needs. Every row is normalized; only the returned
     entries are divided. No gradients are recorded. The logits are a
     fresh array, so the shift and the exp are taken in place; ``u`` is
-    only read. Below 8 classes the modulated softmax runs on one
-    class-major copy (see the module docstring).
+    only read. The modulated softmax runs on one class-major copy (see
+    the module docstring).
     """
     if dropout and rng is None:
         raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
     with no_grad():
         logits = net.score_graph(model, head, u, rng if dropout else None).value
-    c = logits.shape[1]
-    if head is not None and c < PAIRWISE_SUM_WIDTH:
-        # Rebinding frees the row-major logits once the copy is made.
-        logits = np.ascontiguousarray(logits.T)
-        logits -= logits.max(axis=0)
-        np.exp(logits, out=logits)
-        diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-        return diagonal / logits.sum(axis=0).reshape(-1, c)
-    logits -= row_max(logits)
-    e = np.exp(logits, out=logits)
-    total = row_sum(e)
     if head is None:
-        return e / total
-    return e.reshape(-1, c * c)[:, :: c + 1] / total.reshape(-1, c)
+        logits -= row_max(logits)
+        e = np.exp(logits, out=logits)
+        return e / row_sum(e)
+    c = logits.shape[1]
+    # Rebinding frees the row-major logits once the copy is made.
+    logits = np.ascontiguousarray(logits.T)
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+    return diagonal / logits.sum(axis=0).reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -132,10 +129,9 @@ def _pass_bytes(model: Model, n: int) -> int:
 
     Per row: its input; 25 bytes per unit of every extractor layer, for a
     layer's input, output and dropout factor and the dropout mask (only
-    one layer's are live at a time); the C x C logits and one transposed
-    copy of them (the class-major copy below 8 classes, ``row_max``'s
-    from 8 on), both live while the copy is made; and C row maxima, C
-    row sums and the C confidences returned.
+    one layer's are live at a time); the C x C logits and their
+    class-major copy, both live while the copy is made; and C row
+    maxima, C row sums and the C confidences returned.
     """
     cfg = model.extractor.config
     c = model.num_classes
@@ -147,12 +143,13 @@ def pseudo_label_batch(
     u: np.ndarray,
     model: Model,
     head: FusedHead,
-    mc_samples: int = 5,
-    tau: float = 0.75,
-    rng: Optional[np.random.Generator] = None,
+    mc_samples: int,
+    tau: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Monte Carlo pseudo-labels for a batch of weakly augmented samples,
-    scored through ``head`` (``Model.fm_head``)."""
+    scored through ``head`` (``Model.fm_head``), the K = ``mc_samples``
+    passes drawing their dropout masks from ``rng``."""
     if mc_samples < 2:
         raise ParameterError(f"mc_samples must be >= 2, got {mc_samples}")
     if not 0.0 < tau < 1.0:

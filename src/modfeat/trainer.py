@@ -12,10 +12,13 @@ loss forward ``drop_rng``, and evaluation and the bank refresh none.
 
 Reported numbers always come from the final epoch; the best-epoch
 checkpoint is written as a diagnostic only (selecting on target accuracy
-would leak the target domain into model selection). Ground truth of the
-unlabeled pool never enters a step: each epoch reads it once, at the
-pool positions its batches drew, for pseudo-label accuracy and the
-pseudo-label log. Every run CSV goes through ``metrics.write_csv``.
+would leak the target domain into model selection). An epoch keeps one
+record of its pseudo-labels: its steps' ``PSEUDO_LABELS`` arrays and
+pool positions, concatenated once when it ends, which the keep rate,
+the pseudo-label accuracy and the pseudo-label log all read. Ground
+truth of the unlabeled pool never enters a step: each epoch reads it
+once, at those pool positions. Every run CSV goes through
+``metrics.write_csv``.
 """
 
 from __future__ import annotations
@@ -303,9 +306,7 @@ def train(
         best_acc = -1.0
         for epoch in range(1, config.epochs + 1):
             sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
-            # Each step's keep and label columns and pool positions, and
-            # its pseudo-label arrays when they are logged.
-            epoch_keep, epoch_labels, epoch_idx, epoch_pseudo = [], [], [], []
+            epoch_pseudo, epoch_idx = [], []  # each step's labels and positions
             for batch in iterator.epoch(augmenter, aug_rng):
                 # One head per step: the MC passes and the loss read it.
                 head = model.fm_head(modulation, bank)
@@ -350,11 +351,8 @@ def train(
                 step += 1
                 for key in sums:
                     sums[key] += values[key]
-                epoch_keep.append(pseudo["keep"])
-                epoch_labels.append(pseudo["label"])
+                epoch_pseudo.append(pseudo)
                 epoch_idx.append(batch.unlabeled_idx)
-                if dump_pseudo_labels:
-                    epoch_pseudo.append(pseudo)
 
             if not baseline:
                 bank = build_bank(
@@ -382,30 +380,27 @@ def train(
                 mode=config.mode,
             )
             n_batches = iterator.batches_per_epoch
-            keep = np.concatenate(epoch_keep)
+            # The epoch's one pseudo-label record, read by its metrics and log.
+            # Naming the dtype skips numpy's per-input structured promotion.
+            pseudo_labels = np.concatenate(epoch_pseudo, dtype=pseudolabel.PSEUDO_LABELS)
+            keep = pseudo_labels["keep"]
             idx = np.concatenate(epoch_idx)
             # Ground truth is read here, for metrics, and nowhere in the steps.
             truth = split_data.unlabeled_truth[idx]
             reports.append(
                 EpochReport(
                     epoch=epoch,
-                    l_s=sums["l_s"] / n_batches,
-                    l_u=sums["l_u"] / n_batches,
-                    l_d=sums["l_d"] / n_batches,
-                    l_ud=sums["l_ud"] / n_batches,
-                    total=sums["total"] / n_batches,
+                    **{key: value / n_batches for key, value in sums.items()},
                     keep_rate=met.keep_rate(keep),
-                    pl_accuracy=met.pl_accuracy(
-                        np.concatenate(epoch_labels), keep, truth
-                    ),
+                    pl_accuracy=met.pl_accuracy(pseudo_labels["label"], keep, truth),
                     target_accuracy=target_acc,
                     lr=lr_now,
                 )
             )
             if dump_pseudo_labels:
-                pl_log.append((epoch, idx, np.concatenate(epoch_pseudo), truth))
+                pl_log.append((epoch, idx, pseudo_labels, truth))
             # Carry no pool-sized array through the next epoch's steps.
-            del keep, idx, truth
+            del pseudo_labels, keep, idx, truth
             if run_dir is not None:
                 if target_acc > best_acc:
                     best_acc = target_acc

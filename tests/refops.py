@@ -5,8 +5,10 @@ The graph ops follow the engine's conventions: a fresh ``Node`` per
 call, the graph recorded only when an operand requires a gradient, and
 no adjoint computed for an operand that does not. ``row_softmax`` is
 the full softmax whose read entries ``pseudolabel.predict_matrices``
-computes. ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s
-views drawn one call at a time, in their ``rng.normal(size=...)`` form,
+computes unmodulated; ``left_to_right_softmax`` is the one whose
+diagonal it computes modulated, at any class count.
+``weak_augment``/``strong_augment`` are ``data.Augmenter``'s views
+drawn one call at a time, in their ``rng.normal(size=...)`` form,
 and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a
 time: the block path must repeat both bit for bit. ``save_csv`` is
 ``data.save_csv`` in its ``csv.writer`` form, which the bulk writer must
@@ -20,6 +22,7 @@ import csv
 
 import numpy as np
 
+from modfeat import data
 from modfeat.autodiff import DimensionError, Node, row_max
 from modfeat.data import _ShuffledCycler
 
@@ -69,18 +72,27 @@ def row_softmax(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def left_to_right_softmax(a: np.ndarray) -> np.ndarray:
+    """``row_softmax`` with each row's sum taken one column at a time,
+    left to right: the order of numpy's column sums of a class-major
+    copy, at any width."""
+    e = np.exp(a - row_max(a))
+    total = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        total += e[:, j]
+    return e / total[:, None]
+
+
 def weak_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if aug.weak_scale == 0.0:
-        return x.copy()
-    return x + rng.normal(size=x.shape) * (aug.weak_scale * aug.feature_std)
+    return x + rng.normal(size=x.shape) * (data.WEAK_SCALE * aug.feature_std)
 
 
 def strong_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = x + rng.normal(size=x.shape) * (aug.strong_scale * aug.feature_std)
+    out = x + rng.normal(size=x.shape) * (data.STRONG_SCALE * aug.feature_std)
     n, dim = out.shape
-    n_mask = int(aug.mask_fraction * dim)
+    n_mask = int(data.MASK_FRACTION * dim)
     if n_mask > 0:
         cols = np.argsort(rng.random((n, dim)), axis=1)[:, :n_mask]
         out[np.arange(n)[:, None], cols] = 0.0

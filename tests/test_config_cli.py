@@ -314,42 +314,46 @@ class TestCli:
         assert message in dump["message"]
 
     # Each asks for petabytes, which no allocator grants, so it fails at once.
+    # The domain count passes validation, which allocates nothing per cell,
+    # and fails at the data's first per-domain array.
     @pytest.mark.parametrize(
         "override", ["--hidden_dims=1000000000000000",
-                     "--samples_per_class_per_domain=1000000000000000"],
+                     "--samples_per_class_per_domain=1000000000000000",
+                     "--num_domains=100000000000000000"],
     )
     def test_out_of_memory_aborts_the_seed(self, tmp_path, capsys, override):
         err, dump = self._abort(tmp_path, capsys, override)
         assert len(err.splitlines()) == 1
         assert "Unable to allocate" in dump["message"]
 
-    def test_gen_data_then_eval(self, mini_config, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gen_data_then_eval(self, mini_config, tmp_path, capsys, seed):
+        # gen-data --seed s writes the data that training seed s draws, so
+        # eval of seed s's checkpoint at the held-out domain repeats its
+        # summary's target accuracy.
         csv_path = tmp_path / "ds.csv"
-        assert (
-            cli.main(
-                [
-                    "gen-data",
-                    str(csv_path),
-                    "--num-classes", "3",
-                    "--num-domains", "3",
-                    "--signal-dim", "4",
-                    "--noise-dim", "4",
-                    "--samples-per-class", "24",
-                    "--class-sep", "3.0",
-                ]
-            )
-            == 0
-        )
+        assert cli.main([
+            "gen-data", str(csv_path), "--num-classes", "3", "--num-domains", "3",
+            "--signal-dim", "4", "--noise-dim", "4", "--samples-per-class", "24",
+            "--class-sep", "3.0", "--domain-shift", "4.0", "--bias-jitter", "0.5",
+            "--seed", str(seed),
+        ]) == 0
         loaded = dat.load_csv(csv_path)
         assert loaded.num_classes == 3 and len(loaded) == 3 * 3 * 24
 
         out = tmp_path / "out"
-        assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds", str(seed)]) == 0
+        summary = (out / "summary.csv").read_text().splitlines()
+        target_acc = float(summary[1].split(",")[1])
+        capsys.readouterr()
         code = cli.main(
-            ["eval", str(out / "seed_0" / "checkpoint.npz"), str(csv_path),
+            ["eval", str(out / f"seed_{seed}" / "checkpoint.npz"), str(csv_path),
              "--target-domain", "0"]
         )
         assert code == 0
+        assert capsys.readouterr().out == (
+            f"accuracy {target_acc:.6f} on {3 * 24} samples (fm inference)\n"
+        )
 
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
@@ -509,6 +513,18 @@ class TestCrossFieldValidation:
     def test_csv_data_trains(self, csv_config, tmp_path):
         assert cli.main(["train", str(csv_config), "--epochs=1"]) == 0
         assert (tmp_path / "out" / "seed_1" / "metrics.csv").is_file()
+
+    def test_csv_domain_id_past_its_rows_exits_2(self, csv_config, tmp_path, capsys):
+        # 10**17 domains of 3 classes outnumber the rows, so a source cell
+        # is empty; a count per cell would take exabytes.
+        data = tmp_path / "ds.csv"
+        row = data.read_text().splitlines()[1].split(",")
+        with open(data, "a") as fh:
+            fh.write(",".join(["100000000000000000", *row[1:]]) + "\n")
+        err = _fails_cleanly(["train", csv_config], capsys, 2)
+        assert err.startswith(f"error: {data}: [data] labels_per_class = 4 exceeds")
+        assert "cell, 0 samples" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "override,key",

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ class TestGenerateSynthetic:
         assert set(ds.signal_dims) == {0, 1, 2, 3}
         assert set(ds.noise_dims) == {4, 5, 6, 7}
 
-    def test_cell_counts(self, small_dataset):
-        counts = small_dataset.cell_counts()
-        assert counts.shape == (3, 3)
-        assert (counts == 30).all()
+    def test_smallest_cell(self, small_dataset):
+        # Three domains of three classes, 30 rows a cell.
+        assert [small_dataset.smallest_cell(d) for d in (-1, 0, 2, 3)] == [30] * 4
 
     def test_uniform_class_distribution(self, small_dataset):
         for d in range(small_dataset.num_domains):
@@ -197,6 +197,49 @@ class TestCsvRoundTrip:
             dat.load_csv(path)
 
 
+def _dense_smallest_cell(ds, skip_domain):
+    counts = np.zeros((ds.num_domains, ds.num_classes), dtype=np.int64)
+    np.add.at(counts, (ds.domain_ids, ds.class_ids), 1)
+    if 0 <= skip_domain < ds.num_domains:
+        counts = np.delete(counts, skip_domain, axis=0)
+    return int(counts.min()) if counts.size else 0
+
+
+def _ids_dataset(domain_ids, class_ids):
+    domain_ids, class_ids = np.asarray(domain_ids), np.asarray(class_ids)
+    return dat.DomainDataset(
+        np.zeros((len(domain_ids), 1)), class_ids, domain_ids,
+        int(class_ids.max()) + 1, int(domain_ids.max()) + 1,
+    )
+
+
+class TestSmallestCell:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_counts(self, seed):
+        g = np.random.default_rng(seed)
+        n, domains, classes = g.integers(1, 40), g.integers(1, 6), g.integers(1, 5)
+        ds = _ids_dataset(g.integers(0, domains, n), g.integers(0, classes, n))
+        for skip in range(-1, ds.num_domains + 1):
+            assert ds.smallest_cell(skip) == _dense_smallest_cell(ds, skip)
+
+    def test_empty_cell_of_the_skipped_domain_is_not_counted(self):
+        # Domain 1 has no class 1 row; domain 0 has two of each class.
+        ds = _ids_dataset([0, 0, 0, 0, 1], [0, 1, 0, 1, 0])
+        assert ds.smallest_cell(1) == 2
+        assert ds.smallest_cell(0) == 0
+
+    def test_domain_id_far_past_the_rows_allocates_no_cell_array(self):
+        # A count per cell would take 8 * 2 * 10**17 bytes.
+        ds = _ids_dataset([0, 0, 10**17, 10**17], [0, 1, 0, 1])
+        tracemalloc.start()
+        try:
+            assert ds.smallest_cell(0) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
 class TestSplit:
     def test_labeled_count(self):
         ds = dat.generate_synthetic(7, 4, 4, 4, 20, class_sep=4.0, domain_shift=1.0, seed=0)
@@ -246,11 +289,6 @@ def _strong(aug, x, rng):
 
 
 class TestAugmenter:
-    def test_weak_zero_scale_is_identity(self, rng):
-        aug = dat.Augmenter(feature_std=np.ones(4), weak_scale=0.0)
-        x = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(aug.weak(x, None), x)
-
     def test_weak_is_unbiased(self, rng):
         aug = dat.Augmenter(feature_std=np.full(3, 2.0))
         x = np.array([[1.0, -2.0, 0.5]])
@@ -260,7 +298,7 @@ class TestAugmenter:
 
     def test_strong_masks_exact_count(self, rng):
         dim = 20
-        aug = dat.Augmenter(feature_std=np.zeros(dim), strong_scale=0.0)
+        aug = dat.Augmenter(feature_std=np.zeros(dim))
         x = rng.normal(size=(7, dim)) + 10.0
         out = _strong(aug, x, rng)
         zero_counts = (out == 0.0).sum(axis=1)
@@ -269,7 +307,7 @@ class TestAugmenter:
     def test_strong_masks_each_row_of_a_block(self, rng):
         # Leading axes are rows: a (steps, rows, dim) block masks per row.
         dim = 20
-        aug = dat.Augmenter(feature_std=np.zeros(dim), strong_scale=0.0)
+        aug = dat.Augmenter(feature_std=np.zeros(dim))
         x = rng.normal(size=(3, 7, dim)) + 10.0
         out = _strong(aug, x, rng)
         assert np.all((out == 0.0).sum(axis=-1) == aug.mask_count(dim))
@@ -281,14 +319,16 @@ class TestAugmenter:
         strong_spread = np.std(_strong(aug, x, rng) - 0.0)
         assert strong_spread > weak_spread
 
+    @pytest.mark.parametrize("strong_scale", [dat.STRONG_SCALE, 0.3])
     @pytest.mark.parametrize("shape", [(1, 1), (42, 32), (48, 32), (7, 5)])
-    def test_draws_match_normal_form_bitwise(self, shape):
+    def test_draws_match_normal_form_bitwise(self, monkeypatch, shape, strong_scale):
+        # 0.3, unlike 0.25, is no power of two: a regrouped product of the
+        # scales would round differently.
+        monkeypatch.setattr(dat, "STRONG_SCALE", strong_scale)
         for seed in range(50):
             g = np.random.default_rng(seed)
             x = g.normal(size=shape) * 3.0
-            # 0.3, unlike the default 0.25, is no power of two: a regrouped
-            # product of the scales would round differently.
-            aug = dat.Augmenter.fit(g.normal(size=(20, shape[1])), strong_scale=0.3)
+            aug = dat.Augmenter.fit(g.normal(size=(20, shape[1])))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for got, want in [
                 (_weak(aug, x, got_rng), ref.weak_augment(aug, x, want_rng)),
@@ -311,8 +351,8 @@ class TestAugmenter:
         np.testing.assert_allclose(aug.feature_std, feats.std(axis=0))
 
 
-# Leaves every row as it is and draws nothing for its weak views.
-IDENTITY = dat.Augmenter(feature_std=np.zeros(8), weak_scale=0.0, mask_fraction=0.0)
+# Its weak views are the rows as they are.
+IDENTITY = dat.Augmenter(feature_std=np.zeros(8))
 
 
 def _epoch(it, aug=IDENTITY, seed=0):
@@ -443,7 +483,8 @@ class TestBlockViewsMatchPerStep:
     @pytest.mark.parametrize("steps_per_block,blocks", [(1, 15), (7, 3), (15, 1), (100, 1)])
     def test_block_sizes(self, small_split, monkeypatch, steps_per_block, blocks):
         # 180 pool rows at 12 a step: 15 steps an epoch, which 7 does not divide.
-        aug = dat.Augmenter.fit(small_split.unlabeled_x, strong_scale=0.3)
+        monkeypatch.setattr(dat, "STRONG_SCALE", 0.3)
+        aug = dat.Augmenter.fit(small_split.unlabeled_x)
         step_bytes = (2 * 8 + 4 * 12) * small_split.unlabeled_x.shape[1] * 8
         sizes = self._run(small_split, 4, 6, 3, aug, 1,
                           steps_per_block * step_bytes, monkeypatch)
@@ -470,14 +511,16 @@ class TestBlockViewsMatchPerStep:
             small_dataset.num_classes, 2,
         )
         one_source = dat.split(two, dat.SplitPlan(target_domain=1, labels_per_class=2, seed=1))
-        aug = dat.Augmenter.fit(one_source.unlabeled_x, strong_scale=0.3)
+        monkeypatch.setattr(dat, "STRONG_SCALE", 0.3)
+        aug = dat.Augmenter.fit(one_source.unlabeled_x)
         self._run(one_source, 1, 1, 4, aug, 2, 5000, monkeypatch)
 
-    @pytest.mark.parametrize(
-        "settings",
-        [{"weak_scale": 0.0}, {"mask_fraction": 0.0}, {"mask_fraction": -0.5},
-         {"weak_scale": 0.0, "mask_fraction": 0.0}],
-    )
-    def test_augmenters_that_skip_draws(self, small_split, monkeypatch, settings):
-        aug = dat.Augmenter.fit(small_split.unlabeled_x, **settings)
-        self._run(small_split, 4, 6, 5, aug, 2, 40_000, monkeypatch)
+    @pytest.mark.parametrize("dim", [1, 6, 7])
+    def test_rows_too_narrow_to_mask(self, monkeypatch, dim):
+        # Below 7 features no coordinate is masked and no key is drawn.
+        ds = dat.generate_synthetic(3, 3, 1, dim - 1, 30, class_sep=1.0,
+                                    domain_shift=1.0, seed=dim)
+        narrow = dat.split(ds, dat.SplitPlan(target_domain=0, labels_per_class=2, seed=0))
+        aug = dat.Augmenter.fit(narrow.unlabeled_x)
+        assert (aug.mask_count(dim) > 0) == (dim == 7)
+        self._run(narrow, 4, 6, 5, aug, 2, 40_000, monkeypatch)

@@ -155,11 +155,23 @@ class TestPredictMatrix:
         with no_grad():
             logits = net.score_graph(model, head, u, want_rng if dropout else None).value
         probs = ref.row_softmax(logits)
-        if modulated:
-            probs = np.diagonal(probs.reshape(n, c, c), axis1=1, axis2=2)
         assert got.shape == (n, c)
-        assert got.tobytes() == np.ascontiguousarray(probs).tobytes()
         assert got_rng.random() == want_rng.random()
+        if not modulated:
+            assert got.tobytes() == probs.tobytes()
+            return
+        # The modulated confidences add each row's classes left to right,
+        # which is the row softmax's order only below 8 classes.
+        class_major = _diagonals(ref.left_to_right_softmax(logits), c)
+        assert got.tobytes() == class_major.tobytes()
+        if num_classes < 8:
+            assert got.tobytes() == _diagonals(probs, c).tobytes()
+        np.testing.assert_allclose(got, _diagonals(probs, c), rtol=0, atol=1e-15)
+
+
+def _diagonals(probs, c):
+    """Each sample's C x C block's diagonal, from (n*C x C) rows."""
+    return np.diagonal(probs.reshape(-1, c, c), axis1=1, axis2=2).copy()
 
 
 class TestPseudoLabel:
@@ -209,12 +221,18 @@ class TestPseudoLabel:
     def test_requires_two_mc_samples(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label_batch(x[:1], model, model.fm_head(modulation, bank), mc_samples=1)
+            pl.pseudo_label_batch(
+                x[:1], model, model.fm_head(modulation, bank), 1, 0.75,
+                np.random.default_rng(0),
+            )
 
     def test_tau_range_checked(self):
         model, modulation, bank, x, _ = make_tiny_setup()
         with pytest.raises(ParameterError):
-            pl.pseudo_label_batch(x[:1], model, model.fm_head(modulation, bank), tau=1.5)
+            pl.pseudo_label_batch(
+                x[:1], model, model.fm_head(modulation, bank), 5, 1.5,
+                np.random.default_rng(0),
+            )
 
 
 def _loop_oracle(u, model, modulation, bank, k, rng):

@@ -43,7 +43,7 @@ def _fingerprint(*args):
 def test_fingerprint_repeats_exactly(tmp_path):
     config = tmp_path / "tiny.ini"
     config.write_text(TINY_CONFIG)
-    args = ("--config", str(config), "--seeds", "0,1", "--epochs", "1")
+    args = ("--config", str(config), "--seeds", "0,1", "--epochs=1")
     first, second = _fingerprint(*args), _fingerprint(*args)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
@@ -58,19 +58,34 @@ def test_fingerprint_repeats_exactly(tmp_path):
     assert len({line.split()[3] for line in lines}) == 4
 
 
-def test_fingerprint_rejects_bad_config(tmp_path):
+@pytest.mark.parametrize(
+    "bad", [["--hidden_dims=x"], ["--epochs", "1"], ["--no_such_key=1"]]
+)
+def test_fingerprint_rejects_bad_config(tmp_path, bad):
     config = tmp_path / "tiny.ini"
     config.write_text(TINY_CONFIG)
-    result = _fingerprint("--config", str(config), "--hidden-dims", "x")
+    result = _fingerprint("--config", str(config), *bad)
     assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
+    assert result.stderr.startswith("error: ") and result.stdout == ""
+
+
+def test_fingerprint_overrides_are_modfeat_train_overrides(tmp_path):
+    """A bare key and its section.key form override the same value."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY_CONFIG)
+    base = ("--config", str(config), "--modes", "fm", "--epochs=1")
+    bare = _fingerprint(*base, "--num_classes=4", "--hidden_dims=6")
+    full = _fingerprint(*base, "--data.num_classes=4", "--model.hidden_dims=6")
+    plain = _fingerprint(*base)
+    assert bare.returncode == 0, bare.stderr
+    assert bare.stdout == full.stdout != plain.stdout
 
 
 def test_fingerprint_accuracy_matches_modfeat_train(tmp_path):
     """Both entry points go through one seed loop: same final accuracy."""
     config = tmp_path / "tiny.ini"
     config.write_text(TINY_CONFIG)
-    printed = _fingerprint("--config", str(config), "--seeds", "0", "--epochs", "2")
+    printed = _fingerprint("--config", str(config), "--seeds", "0", "--epochs=2")
     assert printed.returncode == 0, printed.stderr
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for line in printed.stdout.splitlines():
