@@ -11,10 +11,11 @@ from ``constant`` or a plain ``Node``) keeps no parents and no vjp.
 Inside a ``no_grad()`` block no op records a graph at all, even on
 parameters, so passes that only read values (scoring, evaluation) keep
 neither parents nor vjp closures alive. Vjps skip the adjoints of
-no-grad operands where that saves work, and ``backward`` stores adjoints
-only for nodes that require a gradient. It writes ``.grad`` only on
-leaves: an interior node's adjoint lives in a per-call map only until it
-has been passed to the node's parents.
+no-grad operands where that saves work, and ``backward`` visits only
+nodes that require a gradient: it runs their vjps, and no other, and
+stores adjoints for them alone. It writes ``.grad`` only on leaves: an
+interior node's adjoint lives in a per-call map only until it has been
+passed to the node's parents.
 
 The engine holds only the generic ops; the training loss is a node of
 its own with a hand-written vjp (``objective``). ``dropout`` is the only
@@ -33,7 +34,6 @@ That width is private to ``row_sum``: ``pseudolabel`` sums class-major.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -65,7 +65,7 @@ def as_matrix(values) -> np.ndarray:
     a = np.ascontiguousarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ParameterError("matrix contains non-finite entries")
     return a
 
@@ -75,19 +75,22 @@ def as_matrix(values) -> np.ndarray:
 _recording = True
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Build no graph inside the block: op nodes keep no parents or vjp.
 
     ``leaf`` still makes gradient-requiring leaves. The previous state
     comes back on exit, also after an exception, so blocks nest.
     """
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> None:
+        global _recording
+        self._previous, _recording = _recording, False
+
+    def __exit__(self, *exc) -> None:
+        global _recording
+        _recording = self._previous
 
 
 class Node:
@@ -250,7 +253,7 @@ def row_max(a: np.ndarray) -> np.ndarray:
     a tie means two entries of exp 1, so log_z is never 0. ``row_sum``
     is the same trick for sums, where it is exact only on narrow rows.
     """
-    return np.ascontiguousarray(a.T).max(axis=0)[:, None]
+    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
@@ -258,7 +261,7 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     ``a.sum(axis=1, keepdims=True)``: a transposed reduction below 8
     columns, ``a.sum`` itself from 8 on (see the module docstring)."""
     if a.shape[1] < _PAIRWISE_SUM_WIDTH:
-        return np.ascontiguousarray(a.T).sum(axis=0)[:, None]
+        return np.add.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
     return a.sum(axis=1, keepdims=True)
 
 
@@ -297,34 +300,17 @@ def dropout(a: Node, p: float, rng: Optional[np.random.Generator]) -> Node:
     return Node(a.value * factor, (a,), vjp)
 
 
-def _topo_order(root: Node) -> list:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Node) -> None:
     """Reverse sweep from a 1x1 loss node, accumulating into leaf ``.grad``.
 
-    Adjoints are collected in a per-call map; an interior node's entry
-    is dropped once it has been passed to its parents. At the end each
-    reached leaf's adjoint is added to its grad, so repeated calls
-    accumulate (callers reset grads between optimizer steps); interior
-    nodes get no grad. Adjoints of no-grad parents are skipped, so
-    constants get no grad either, and a no-grad loss is a no-op.
+    It visits only nodes that require a gradient, in the reverse of a
+    depth-first post-order that pushes each node's parents in order, and
+    adds each node's adjoint contributions in that order. Adjoints live
+    in a per-call map keyed by node until passed on to the parents; a
+    leaf's is complete when the sweep reaches it and is added to its
+    grad, so repeated calls accumulate (callers reset grads between
+    optimizer steps). Interior nodes and constants get no grad, and a
+    no-grad loss is a no-op.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(
@@ -332,28 +318,31 @@ def backward(loss: Node) -> None:
         )
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for parent in node.parents:
+                if parent.requires_grad and parent not in seen:
+                    stack.append((parent, False))
+    adjoint = {loss: np.ones((1, 1))}
     for node in reversed(order):
-        if not node.parents:
-            continue
-        g = adjoint.pop(id(node), None)
+        g = adjoint.pop(node, None)
         if g is None:
             continue
-        for parent, contrib in zip(node.parents, node._vjp(g)):
-            if not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + contrib
-            else:
-                adjoint[key] = contrib
-    for node in order:
-        g = adjoint.get(id(node))
-        if g is not None:
+        if not node.parents:
             # A first adjoint is stored as g + 0.0: the bits of
             # zeros + g (-0.0 becomes +0.0) without allocating the zeros.
             node.grad = g + 0.0 if node._grad is None else node._grad + g
+            continue
+        for parent, contrib in zip(node.parents, node._vjp(g)):
+            if parent.requires_grad:
+                prev = adjoint.get(parent)
+                adjoint[parent] = contrib if prev is None else prev + contrib
 
 
 @dataclass

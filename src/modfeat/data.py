@@ -245,12 +245,13 @@ def save_csv(dataset: DomainDataset, path) -> None:
 def load_csv(path) -> DomainDataset:
     """Parse the CSV schema; class/domain counts are inferred from the ids.
 
-    Blank lines are skipped. The data lines are parsed in one
+    One leading UTF-8 byte-order mark, which spreadsheet exports write, is
+    skipped. Blank lines are skipped. The data lines are parsed in one
     ``np.loadtxt`` call (ids as integers, features as float64); only when
     that fails are they parsed again one at a time, to name the line at
     fault. Every feature must be finite.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if not text:
         raise SchemaError(f"{path}: empty file")

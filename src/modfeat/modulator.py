@@ -111,19 +111,18 @@ class FusedHead:
     ):
         """``weights`` and ``anchors`` are (C x F), ``head_weight`` (F x K)
         and ``head_bias`` (1 x K)."""
-        num_classes, feat = weights.shape
-        cols = head_weight.shape[1]
+        w, hw, hb = weights.value, head_weight.value, head_bias.value
+        (num_classes, feat), cols = w.shape, hw.shape[1]
         if (
             np.shape(anchors) != (num_classes, feat)
-            or head_weight.shape[0] != feat
-            or head_bias.shape != (1, cols)
+            or hw.shape[0] != feat
+            or hb.shape != (1, cols)
         ):
             raise ad.DimensionError(
-                f"fused head: weights {weights.shape}, anchors {np.shape(anchors)}, "
-                f"head {head_weight.shape} + {head_bias.shape} are inconsistent"
+                f"fused head: weights {w.shape}, anchors {np.shape(anchors)}, "
+                f"head {hw.shape} + {hb.shape} are inconsistent"
             )
         a = ad.as_matrix(anchors)
-        w, hw = weights.value, head_weight.value
         shift = (1.0 - w) * a
 
         def mix_vjp(gm):
@@ -139,7 +138,7 @@ class FusedHead:
             (weights, head_weight),
             mix_vjp,
         )
-        self.k = (shift @ hw + head_bias.value).reshape(1, num_classes * cols)
+        self.k = (shift @ hw + hb).reshape(1, num_classes * cols)
 
 
 def modulate(features: Node, head: FusedHead) -> Node:
@@ -161,25 +160,24 @@ def modulate(features: Node, head: FusedHead) -> Node:
     nodes turn ``gM`` and the column sums of G into the adjoints of
     weights, W and b.
     """
-    n, feat = features.shape
     weights, head_weight, head_bias = head.weights, head.head_weight, head.head_bias
-    num_classes, cols = weights.shape[0], head_weight.shape[1]
-    if feat != weights.shape[1]:
-        raise ad.DimensionError(
-            f"modulate: features {features.shape} do not fit a head over "
-            f"{weights.shape[1]} features"
-        )
     a, shift, hw = head.anchors, head.shift, head_weight.value
+    (n, feat), (num_classes, width), cols = features.value.shape, a.shape, hw.shape[1]
+    if feat != width:
+        raise ad.DimensionError(
+            f"modulate: features {features.value.shape} do not fit a head over "
+            f"{width} features"
+        )
     prod = ad.matmul(features, head.mix)
     out = prod.value
     out += head.k
 
     def head_vjp(g):
         g2 = g.reshape(n, num_classes * cols)
-        gk = g2.sum(axis=0).reshape(num_classes, cols)
+        gk = np.add.reduce(g2, axis=0).reshape(num_classes, cols)
         gw = (gk @ hw.T) * -a if weights.requires_grad else None
         ghw = shift.T @ gk if head_weight.requires_grad else None
-        gb = gk.sum(axis=0, keepdims=True) if head_bias.requires_grad else None
+        gb = np.add.reduce(gk, 0, keepdims=True) if head_bias.requires_grad else None
         return g2, gw, ghw, gb
 
     parents = (prod, weights, head_weight, head_bias)

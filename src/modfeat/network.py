@@ -87,9 +87,9 @@ class Extractor:
     def forward(self, x, rng: Optional[np.random.Generator] = None) -> Node:
         """Feature graph for a batch; units drop iff ``rng`` is given."""
         h = x if isinstance(x, Node) else ad.constant(x)
-        if h.shape[1] != self.config.input_dim:
+        if h.value.shape[1] != self.config.input_dim:
             raise ad.DimensionError(
-                f"expected {self.config.input_dim} input columns, got {h.shape[1]}"
+                f"expected {self.config.input_dim} input columns, got {h.value.shape[1]}"
             )
         if not self.weights:
             return ad.dropout(h, self.config.dropout_p, rng)

@@ -83,7 +83,7 @@ def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarra
     (C, n, C) copy reduced along its outer axis, like ``autodiff.row_max``.
     """
     cube = slog_value.reshape(n, num_classes, num_classes).transpose(1, 0, 2)
-    return np.ascontiguousarray(cube).max(axis=0)
+    return np.maximum.reduce(np.ascontiguousarray(cube), axis=0)
 
 
 def _loss_node(slog, n_l, picks, weights, n_u, beta, gamma, target):
@@ -110,20 +110,21 @@ def _loss_node(slog, n_l, picks, weights, n_u, beta, gamma, target):
     inv = (1.0 / n_l, 1.0 / max(n_u, 1))
     inv_row = np.empty((n, 1))
     inv_row[:n_l], inv_row[n_l:] = inv
-    w = np.ones((n, 1))
+    w = np.empty((n, 1))
+    w[:n_l] = 1.0
     w[n_l:, 0] = weights
     lw = w / r
     at = (np.arange(n), slice(None), np.asarray(picks, dtype=np.int64))
     label = slog.value.reshape(n, r, c)[at] * lw
     terms = {"l_d": 0.0, "l_ud": 0.0}
     for key, v, s in zip(("l_s", "l_u"), views, inv):
-        terms[key] = float(label[v].sum() * -s)
+        terms[key] = float(np.add.reduce(label[v], axis=None) * -s)
     if target is not None:
         diag = (slice(None), slice(None, None, c + 1))  # of the (n, C*C) reshape
         d = slog.value.reshape(n, c * c)[diag] - target
         gap = w * (d * d)
         for key, v, s in zip(("l_d", "l_ud"), views, inv):
-            terms[key] = float(gap[v].sum() * (1.0 / c) * s)
+            terms[key] = float(np.add.reduce(gap[v], axis=None) * (1.0 / c) * s)
         gain_row = np.empty((n, 1))
         gain_row[:n_l], gain_row[n_l:] = beta, gamma
 
@@ -171,9 +172,8 @@ def total_loss(
     target = frozen_targets
     if head is not None and target is None:
         target = _diag_targets(slog.value, x.shape[0], slog.value.shape[1])
-    kept = pseudo[keep]
-    picks = np.concatenate([labeled_y, kept["label"]])
+    picks = np.concatenate([labeled_y, pseudo["label"][keep]])
     total, terms = _loss_node(
-        slog, n_l, picks, kept["weight"], len(pseudo), beta, gamma, target
+        slog, n_l, picks, pseudo["weight"][keep], len(pseudo), beta, gamma, target
     )
     return LossBreakdown(total, **terms, diag_targets=target)

@@ -74,16 +74,24 @@ def confidence_scale(p: float) -> float:
     return math.exp(p**3 - 1.0)
 
 
-def gate_batch(labels, p_max, sigma, tau: float, scale=confidence_scale) -> np.ndarray:
+def gate_batch(labels, p_max, sigma, tau: float, unit_weight=False) -> np.ndarray:
     """The uncertainty gate over a batch, as a ``PSEUDO_LABELS`` array:
-    keep iff p_max - sigma strictly clears tau; kept rows weigh
-    ``scale(p_max)``, one call on a Python float per kept row, and
-    discarded rows weigh 0."""
+    keep iff p_max - sigma strictly clears tau (never on a NaN); kept rows
+    weigh ``confidence_scale(p_max)``, or 1 with ``unit_weight``, and
+    discarded rows weigh 0. Kept p_max outside [0, 1] raise
+    ``ParameterError``. The weights are computed as ``confidence_scale``
+    does, with ``math.exp`` and ``**`` on Python floats: numpy's ``exp``
+    and ``power`` do not always give their bits."""
     out = np.zeros(len(p_max), PSEUDO_LABELS)
     out["label"], out["p_max"], out["sigma"] = labels, p_max, sigma
-    keep = out["p_max"] - out["sigma"] > tau
+    p = out["p_max"]
+    keep = p - out["sigma"] > tau
     out["keep"] = keep
-    out["weight"][keep] = [scale(p) for p in out["p_max"][keep].tolist()]
+    kept = p[keep].tolist()
+    if kept and not (0.0 <= min(kept) and max(kept) <= 1.0):
+        bad = next(q for q in kept if not 0.0 <= q <= 1.0)
+        raise ParameterError(f"confidence must be in [0, 1], got {bad}")
+    out["weight"][keep] = 1.0 if unit_weight else [math.exp(q**3 - 1.0) for q in kept]
     return out
 
 
@@ -118,10 +126,10 @@ def predict_matrices(
     c = logits.shape[1]
     # Rebinding frees the row-major logits once the copy is made.
     logits = np.ascontiguousarray(logits.T)
-    logits -= logits.max(axis=0)
+    logits -= np.maximum.reduce(logits, axis=0)
     np.exp(logits, out=logits)
     diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-    return diagonal / logits.sum(axis=0).reshape(-1, c)
+    return diagonal / np.add.reduce(logits, axis=0).reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -155,7 +163,7 @@ def pseudo_label_batch(
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
     u = np.atleast_2d(u)
-    (n, d), c = u.shape, model.num_classes
+    n, c = u.shape[0], model.num_classes
     conf = np.empty((mc_samples, n, c))
     # A one-row forward goes through BLAS's vector routine, which rounds
     # differently from the matrix routine a stack of passes takes; one
@@ -164,7 +172,7 @@ def pseudo_label_batch(
     per_chunk = 1 if n == 1 else max(1, room // _pass_bytes(model, n))
     for k0 in range(0, mc_samples, per_chunk):
         k = min(per_chunk, mc_samples - k0)
-        stack = np.broadcast_to(u, (k, n, d)).reshape(k * n, d)
+        stack = np.concatenate([u] * k)
         chunk = predict_matrices(stack, model, head, dropout=True, rng=rng)
         conf[k0 : k0 + k] = chunk.reshape(k, n, c)
     mean_conf = _pass_mean(conf)
@@ -197,4 +205,4 @@ def baseline_pseudo_label_batch(
     probs = predict_matrices(u, model, None)
     labels = probs.argmax(axis=1)
     p_max = probs[np.arange(len(labels)), labels]
-    return gate_batch(labels, p_max, 0.0, tau_fixed, scale=lambda p: 1.0)
+    return gate_batch(labels, p_max, 0.0, tau_fixed, unit_weight=True)

@@ -305,7 +305,7 @@ def train(
         pl_log: list[tuple] = []
         best_acc = -1.0
         for epoch in range(1, config.epochs + 1):
-            sums = dict.fromkeys(("l_s", "l_u", "l_d", "l_ud", "total"), 0.0)
+            sums = [0.0] * 5  # l_s, l_u, l_d, l_ud and total, summed over steps
             epoch_pseudo, epoch_idx = [], []  # each step's labels and positions
             for batch in iterator.epoch(augmenter, aug_rng):
                 # One head per step: the MC passes and the loss read it.
@@ -334,11 +334,13 @@ def train(
                     gamma=config.gamma,
                     rng=drop_rng,
                 )
-                values = breakdown.values()
-                if not all(math.isfinite(v) for v in values.values()):
+                total = float(breakdown.total.value[0, 0])
+                # Finite iff every term is: beta and gamma are finite, and a
+                # non-finite term times 0 is nan.
+                if not math.isfinite(total):
                     raise TrainingAborted(
                         f"non-finite loss at epoch {epoch} step {step}",
-                        {"epoch": epoch, "step": step, **values},
+                        {"epoch": epoch, "step": step, **breakdown.values()},
                     )
                 opt_main.zero_grads()
                 if opt_mod is not None:
@@ -349,8 +351,8 @@ def train(
                 if opt_mod is not None:
                     opt_mod.step(cosine_lr(config.lr_modulator, step, total_steps))
                 step += 1
-                for key in sums:
-                    sums[key] += values[key]
+                terms = breakdown.l_s, breakdown.l_u, breakdown.l_d, breakdown.l_ud
+                sums = [s + t for s, t in zip(sums, (*terms, total))]
                 epoch_pseudo.append(pseudo)
                 epoch_idx.append(batch.unlabeled_idx)
 
@@ -389,8 +391,8 @@ def train(
             truth = split_data.unlabeled_truth[idx]
             reports.append(
                 EpochReport(
-                    epoch=epoch,
-                    **{key: value / n_batches for key, value in sums.items()},
+                    epoch,
+                    *[s / n_batches for s in sums],
                     keep_rate=met.keep_rate(keep),
                     pl_accuracy=met.pl_accuracy(pseudo_labels["label"], keep, truth),
                     target_accuracy=target_acc,

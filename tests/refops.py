@@ -3,7 +3,11 @@
 Training never runs them, so they live here rather than in the engine.
 The graph ops follow the engine's conventions: a fresh ``Node`` per
 call, the graph recorded only when an operand requires a gradient, and
-no adjoint computed for an operand that does not. ``row_softmax`` is
+no adjoint computed for an operand that does not. ``topo_backward`` is
+``autodiff.backward`` in its earlier form: a sweep over the full
+depth-first order of ``topo_order``, constants included, with adjoints
+keyed by ``id``; the engine's sweep must add adjoints in its order, bit
+for bit. ``row_softmax`` is
 the full softmax whose read entries ``pseudolabel.predict_matrices``
 computes unmodulated; ``left_to_right_softmax`` is the one whose
 diagonal it computes modulated, at any class count.
@@ -63,6 +67,52 @@ def scale(a: Node, c: float) -> Node:
         return (g * c,)
 
     return Node(a.value * c, (a,), vjp)
+
+
+def topo_order(root: Node) -> list:
+    """Every node reachable from ``root``, each after its parents."""
+    order: list[Node] = []
+    seen: set[int] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def topo_backward(loss: Node) -> None:
+    """``autodiff.backward`` as a reverse sweep over ``topo_order``."""
+    if not loss.requires_grad:
+        return
+    order = topo_order(loss)
+    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    for node in reversed(order):
+        if not node.parents:
+            continue
+        g = adjoint.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, contrib in zip(node.parents, node._vjp(g)):
+            if not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in adjoint:
+                adjoint[key] = adjoint[key] + contrib
+            else:
+                adjoint[key] = contrib
+    for node in order:
+        g = adjoint.get(id(node))
+        if g is not None:
+            node.grad = g + 0.0 if node._grad is None else node._grad + g
 
 
 def row_softmax(a: np.ndarray) -> np.ndarray:

@@ -350,7 +350,7 @@ class TestBackward:
         hidden = ref.mul(ad.add_row(ad.matmul(p.node, c), row), p.node)
         loss = ad.sum_all(ad.relu(hidden))
         ad.backward(loss)
-        interior = [n for n in ad._topo_order(loss) if n.parents]
+        interior = [n for n in ref.topo_order(loss) if n.parents]
         assert len(interior) == 5
         assert all(n._grad is None for n in interior)
         assert p.node._grad is not None
@@ -390,6 +390,53 @@ class TestBackward:
         right = ref.mul(p.node, p.node)
         ad.backward(ad.sum_all(ref.add(left, right)))
         np.testing.assert_allclose(p.grad, 3.0 + 2 * p.value, atol=1e-14)
+
+
+class TestSweepOrder:
+    """``backward`` adds each node's adjoint contributions in the order of
+    the earlier full depth-first sweep (``refops.topo_backward``), and runs
+    the vjp of no node that needs no gradient."""
+
+    @staticmethod
+    def _graph(rng):
+        p = ad.leaf(rng.normal(size=(3, 4)))
+        q = ad.leaf(rng.normal(size=(3, 4)) * 1e3)
+        c = ad.constant(rng.normal(size=(3, 4)) * 1e-3)
+        w = ad.leaf(rng.normal(size=(4, 4)))
+        shared = ref.mul(p, q)  # used three times below
+        left = ref.scale(shared, 3.7)
+        middle = ref.mul(shared, c)  # a constant parent in the middle
+        right = ref.mul(ad.matmul(shared, w), p)
+        diamond = ref.add(ref.add(left, middle), right)
+        # p and the shared node each get three or more contributions.
+        out = ref.add(diamond, ref.mul(ref.scale(p, 1e5), p))
+        return ad.sum_all(ref.mul(out, out)), (p, q, w), (c,), shared
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grads_match_full_sweep_bitwise(self, seed):
+        loss, leaves, constants, shared = self._graph(np.random.default_rng(seed))
+        users = [n for n in ref.topo_order(loss) if any(p is shared for p in n.parents)]
+        assert len(users) == 3
+        ad.backward(loss)
+        got = [p.grad.copy() for p in leaves]
+        for p in leaves:
+            p.zero_grad()
+        ref.topo_backward(loss)
+        for g, p in zip(got, leaves):
+            assert g.tobytes() == p.grad.tobytes()
+        assert all(c._grad is None for c in constants)
+
+    def test_runs_the_vjp_of_each_gradient_node_once(self, rng):
+        loss, _, constants, _ = self._graph(rng)
+        ran = []
+        for node in ref.topo_order(loss):
+            if node._vjp is not None:
+                node._vjp = (lambda f, n: lambda g: ran.append(n) or f(g))(node._vjp, node)
+        ad.backward(loss)
+        interior = [n for n in ref.topo_order(loss) if n.parents]
+        assert sorted(map(id, ran)) == sorted(map(id, interior))
+        assert all(n.requires_grad for n in ran)
+        assert all(not c.requires_grad and c._vjp is None for c in constants)
 
 
 class TestGradCheck:

@@ -355,6 +355,26 @@ class TestCli:
             f"accuracy {target_acc:.6f} on {3 * 24} samples (fm inference)\n"
         )
 
+    def test_eval_reads_a_csv_with_a_byte_order_mark(self, mini_config, tmp_path, capsys):
+        # Spreadsheet "CSV UTF-8" exports start the file with a U+FEFF mark.
+        plain, marked = tmp_path / "ds.csv", tmp_path / "ds_bom.csv"
+        assert cli.main([
+            "gen-data", str(plain), "--num-classes", "3", "--num-domains", "3",
+            "--signal-dim", "4", "--noise-dim", "4", "--samples-per-class", "24",
+            "--class-sep", "3.0", "--domain-shift", "4.0", "--bias-jitter", "0.5",
+            "--seed", "0",
+        ]) == 0
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
+        checkpoint = str(tmp_path / "out" / "seed_0" / "checkpoint.npz")
+        lines = []
+        for path in (plain, marked):
+            capsys.readouterr()
+            assert cli.main(["eval", checkpoint, str(path), "--target-domain", "0"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and lines[0].startswith("accuracy ")
+
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out

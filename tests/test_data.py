@@ -190,6 +190,21 @@ class TestCsvRoundTrip:
         with pytest.raises(dat.SchemaError):
             dat.load_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, small_dataset, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        dat.save_csv(small_dataset, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = dat.load_csv(plain), dat.load_csv(marked)
+        for field in ("features", "class_ids", "domain_ids"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.num_classes, a.num_domains) == (b.num_classes, b.num_domains)
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + b"domain_id,class_id,f0\n0,0,1.0\n")
+        with pytest.raises(dat.SchemaError, match="header must start"):
+            dat.load_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("class_id,domain_id,f0\n0,0,1.0\n")

@@ -85,7 +85,7 @@ class TestGate:
         assert kept_lo >= kept_hi
 
     def test_baseline_gate(self):
-        above, tie = pl.gate_batch([0, 0], [0.96, 0.95], 0.0, 0.95, scale=_unit)
+        above, tie = pl.gate_batch([0, 0], [0.96, 0.95], 0.0, 0.95, unit_weight=True)
         assert above.keep
         assert above.weight == 1.0
         assert not tie.keep
@@ -417,10 +417,6 @@ def _old_baseline_gate_record(label, p_max, tau_fixed):
     return int(label), float(p_max), 0.0, keep, 1.0 if keep else 0.0
 
 
-def _unit(p):
-    return 1.0
-
-
 def _same_records(got, want):
     """A plain ndarray of ``PSEUDO_LABELS`` rows equal to the oracle's
     tuples field by field, including types and float bits (repr
@@ -467,7 +463,7 @@ class TestBatchGate:
             for label, p in zip(labels.tolist(), p_max.tolist())
         ]
         # The baseline's call: sigma 0 and a unit weight.
-        _same_records(pl.gate_batch(labels, p_max, 0.0, tau_fixed, scale=_unit), want)
+        _same_records(pl.gate_batch(labels, p_max, 0.0, tau_fixed, unit_weight=True), want)
 
     def test_kept_confidence_above_one_rejected(self):
         with pytest.raises(ParameterError):
@@ -475,6 +471,57 @@ class TestBatchGate:
         # Dropped rows get no weight, so their confidence is not checked.
         (record,) = pl.gate_batch(np.array([0]), np.array([1.5]), np.array([1.0]), 0.75)
         assert not record.keep and record.weight == 0.0
+
+
+class TestGateWeights:
+    """The batch gate's weights are ``confidence_scale``'s, bit for bit, and
+    its one range check rejects what ``confidence_scale`` rejects."""
+
+    def test_weights_equal_confidence_scale_bitwise(self):
+        g = np.random.default_rng(7)
+        p_max = np.concatenate([[0.0, 1.0, 0.5], g.random(2000), 1.0 - g.random(500) ** 8])
+        out = pl.gate_batch(np.zeros(len(p_max), np.int64), p_max, 0.0, -0.5)
+        assert out["keep"].all()
+        want = np.array([pl.confidence_scale(p) for p in p_max.tolist()])
+        assert out["weight"].tobytes() == want.tobytes()
+
+    def test_only_kept_rows_weigh(self):
+        g = np.random.default_rng(8)
+        p_max, sigma = g.random(500), g.random(500) * 0.3
+        out = pl.gate_batch(np.zeros(500, np.int64), p_max, sigma, 0.6)
+        keep = out["keep"]
+        assert 0 < np.count_nonzero(keep) < 500
+        want = [pl.confidence_scale(p) if k else 0.0 for p, k in zip(p_max, keep)]
+        assert out["weight"].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0 + 2**-52, 1.5, np.inf, -2**-1074, -0.25])
+    def test_kept_confidence_out_of_range_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            pl.confidence_scale(bad)
+        p_max = np.array([0.5, bad, 0.75])
+        with pytest.raises(ParameterError):
+            pl.gate_batch(np.zeros(3, np.int64), p_max, 0.0, -0.5)
+        with pytest.raises(ParameterError):
+            pl.gate_batch(np.zeros(3, np.int64), p_max, 0.0, -0.5, unit_weight=True)
+
+    def test_nan_confidence(self):
+        with pytest.raises(ParameterError):
+            pl.confidence_scale(math.nan)
+        # NaN fails the strict comparison at any tau: discarded, never weighed.
+        for tau in (-math.inf, -0.5, 0.5):
+            (row,) = pl.gate_batch([0], np.array([math.nan]), 0.0, tau)
+            assert not row.keep and row.weight == 0.0
+
+    def test_unit_weight_is_exactly_one_or_zero(self):
+        g = np.random.default_rng(9)
+        p_max = np.concatenate([[0.95, 0.9500000000000001, 1.0], g.random(300)])
+        out = pl.gate_batch(np.zeros(len(p_max), np.int64), p_max, 0.0, 0.95,
+                            unit_weight=True)
+        keep = out["keep"]
+        assert keep.tolist() == (p_max > 0.95).tolist()
+        assert (out["weight"][keep] == 1.0).all()
+        assert (out["weight"][~keep] == 0.0).all()
+        assert not np.signbit(out["weight"]).any()
 
 
 class TestTracerContract:

@@ -102,6 +102,45 @@ def test_fingerprint_accuracy_matches_modfeat_train(tmp_path):
         assert row["target_acc"] == acc
 
 
+def _reference_fingerprints() -> tuple:
+    """``FINGERPRINTS.txt``: its numpy version and machine, and its lines
+    by section: the overrides they were printed with."""
+    header, sections, lines = {}, {}, None
+    for line in (ROOT / "FINGERPRINTS.txt").read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            lines = sections.setdefault(line.strip("[]"), [])
+        elif lines is None:
+            key, value = line.split()
+            header[key] = value
+        else:
+            lines.append(line)
+    return header, sections
+
+
+def test_fingerprints_match_the_checked_in_reference():
+    """Training repeats ``FINGERPRINTS.txt`` bit for bit: seeds 0 and 1 in
+    both modes, and seed 0 with a hidden layer."""
+    import platform
+
+    import numpy
+
+    header, sections = _reference_fingerprints()
+    assert [len(lines) for lines in sections.values()] == [40, 40]
+    built_on = (header["numpy"], header["machine"])
+    if built_on != (numpy.__version__, platform.machine()):
+        pytest.skip(f"FINGERPRINTS.txt holds the bits of numpy {built_on[0]} "
+                    f"on {built_on[1]}")
+    config = ("--config", str(ROOT / "configs" / "synthetic.ini"))
+    for section, seeds in (("defaults", ("0", "1")), ("--hidden_dims=64", ("0",))):
+        overrides = [] if section == "defaults" else [section]
+        printed = _fingerprint(*config, "--seeds", ",".join(seeds), *overrides)
+        assert printed.returncode == 0, printed.stderr
+        want = [line for line in sections[section] if line.split()[1] in seeds]
+        assert printed.stdout.splitlines() == want
+
+
 def _ab_pairs():
     import importlib.util
 
