@@ -44,19 +44,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
     parser.add_argument("--modes", default=",".join(trainer.MODES))
     args, extras = parser.parse_known_args(argv)
+    # A config or CSV that is invalid, unreadable or does not fit exits 2,
+    # as it does in ``modfeat train``.
     try:
         overrides = {**cli._split_overrides(extras), "train.seeds": args.seeds}
         configs = [
             config.load_config(args.config, {**overrides, "train.mode": mode})
             for mode in args.modes.split(",")
         ]
-    except config.ConfigError as err:
+        for cfg in configs:
+            for seed, result, _ in cli.run_seeds(cfg):
+                final = result.reports[-1].target_accuracy
+                print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}",
+                      flush=True)
+    except cli.USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    for cfg in configs:
-        for seed, result, _ in cli.run_seeds(cfg):
-            final = result.reports[-1].target_accuracy
-            print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}", flush=True)
     return 0
 
 

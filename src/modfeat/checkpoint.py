@@ -68,6 +68,10 @@ def load_checkpoint(path) -> Checkpoint:
         archive = np.load(path)
     except (EOFError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"{path}: not a checkpoint archive ({err})") from None
+    except ValueError:  # neither zip nor .npy: np.load refuses to unpickle it
+        raise CheckpointError(f"{path}: not a checkpoint archive (not a zip file)") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path}: not a checkpoint archive (an .npy array)")
     with archive:
 
         def data(key: str, shape=None) -> np.ndarray:

@@ -2,8 +2,17 @@
 
 Subcommands: train, eval, gradcheck, gen-data. Any config key can be
 overridden on the command line as --section.key=value (or --key=value
-when the bare key is unambiguous). Exit codes: 0 success, 1 aborted
-training, 2 invalid configuration or usage.
+when the bare key is unambiguous).
+
+The commands raise; ``main`` alone maps an error to one ``error: ...``
+line on stderr and an exit code. Exit 2, invalid configuration or usage,
+is any ``OSError`` or ``ValueError``: a bad config value or flag
+(``ConfigError``), a CSV that does not parse (``ParseError``,
+``SchemaError``) or does not fit the config, whatever the entry point, a
+file that is not a sound checkpoint (``CheckpointError``), a split that
+cannot be drawn (``SplitError``), or a file or output directory that
+cannot be read or made. Exit 1 is an aborted run (``TrainingAborted``,
+``GenerationError``, ``MemoryError``) or a failed ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -44,9 +53,20 @@ def _split_overrides(extras) -> dict:
 
 
 def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
+    """The data a run of ``config`` trains seed ``seed`` on: a loaded CSV,
+    checked against the config (``check_data_fit``), or a synthetic draw,
+    checked when the config was built."""
     spec = config.data
     if spec.kind == "csv":
-        return dat.load_csv(spec.path)
+        dataset = dat.load_csv(spec.path)
+        try:
+            check_data_fit(
+                config, dataset.input_dim, dataset.num_domains,
+                dataset.smallest_cell(spec.target_domain),
+            )
+        except ConfigError as err:
+            raise ConfigError(f"{spec.path}: {err}") from None
+        return dataset
     data_seed = spec.data_seed if spec.data_seed is not None else seed
     return dat.generate_synthetic(
         spec.num_classes,
@@ -138,45 +158,30 @@ def run_seeds(
 
 
 def cmd_train(args, extras) -> int:
-    try:
-        overrides = _split_overrides(extras)
-        if args.mode:
-            overrides["train.mode"] = args.mode
-        if args.seeds:
-            overrides["train.seeds"] = args.seeds
-        if args.out:
-            overrides["output.dir"] = args.out
-        if args.dump_sar:
-            overrides["output.dump_sar"] = "true"
-        if args.dump_modulator:
-            overrides["output.dump_modulator"] = "true"
-        if args.dump_pseudo_labels:
-            overrides["output.dump_pseudo_labels"] = "true"
-        config = load_config(args.config, overrides)
-        # CSV data is the same for every seed: load and check it before
-        # anything is written.
-        csv_data = None
-        if config.data.kind == "csv":
-            csv_data = dat.load_csv(config.data.path)
-            try:
-                check_data_fit(
-                    config, csv_data.input_dim, csv_data.num_domains,
-                    csv_data.smallest_cell(config.data.target_domain),
-                )
-            except ConfigError as err:
-                raise ConfigError(f"{config.data.path}: {err}") from None
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    overrides = _split_overrides(extras)
+    if args.mode:
+        overrides["train.mode"] = args.mode
+    if args.seeds:
+        overrides["train.seeds"] = args.seeds
+    if args.out:
+        overrides["output.dir"] = args.out
+    if args.dump_sar:
+        overrides["output.dump_sar"] = "true"
+    if args.dump_modulator:
+        overrides["output.dump_modulator"] = "true"
+    if args.dump_pseudo_labels:
+        overrides["output.dump_pseudo_labels"] = "true"
+    config = load_config(args.config, overrides)
+    # CSV data is the same for every seed: load and check it before
+    # anything is written.
+    csv_data = None
+    if config.data.kind == "csv":
+        csv_data = _build_dataset(config, config.seeds[0])
 
     out_dir = Path(config.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(config, out_dir / "config.resolved.ini")
-    try:
-        runs = run_seeds(config, csv_data, out_dir)
-    except trn.TrainingAborted as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    runs = run_seeds(config, csv_data, out_dir)
 
     # summary.csv, aggregate.csv and the printed table all read this table.
     table = [run.row() for run in runs]
@@ -192,32 +197,28 @@ def cmd_train(args, extras) -> int:
 
 
 def cmd_eval(args, extras) -> int:
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-        dataset = dat.load_csv(args.data)
-        width = ckpt.model.extractor.config.input_dim
-        if dataset.input_dim != width:
-            raise ValueError(
-                f"{args.data} has {dataset.input_dim} feature columns, "
-                f"the checkpoint expects {width}"
-            )
-        if dataset.num_classes > ckpt.model.num_classes:
-            raise ValueError(
-                f"{args.data} has {dataset.num_classes} classes (ids 0.."
-                f"{dataset.num_classes - 1}), the checkpoint predicts "
-                f"{ckpt.model.num_classes}"
-            )
-        x, y = dataset.features, dataset.class_ids
-        if args.target_domain is not None:
-            mask = dataset.domain_ids == args.target_domain
-            x, y = x[mask], y[mask]
-        if len(x) == 0:
-            raise ValueError(
-                f"--target-domain {args.target_domain} selects no rows of {args.data}"
-            )
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    ckpt = load_checkpoint(args.checkpoint)
+    dataset = dat.load_csv(args.data)
+    width = ckpt.model.extractor.config.input_dim
+    if dataset.input_dim != width:
+        raise ValueError(
+            f"{args.data} has {dataset.input_dim} feature columns, "
+            f"the checkpoint expects {width}"
+        )
+    if dataset.num_classes > ckpt.model.num_classes:
+        raise ValueError(
+            f"{args.data} has {dataset.num_classes} classes (ids 0.."
+            f"{dataset.num_classes - 1}), the checkpoint predicts "
+            f"{ckpt.model.num_classes}"
+        )
+    x, y = dataset.features, dataset.class_ids
+    if args.target_domain is not None:
+        mask = dataset.domain_ids == args.target_domain
+        x, y = x[mask], y[mask]
+    if len(x) == 0:
+        raise ValueError(
+            f"--target-domain {args.target_domain} selects no rows of {args.data}"
+        )
     # Checkpoints do not record their mode; only an fm run saves a bank.
     mode = "fm" if ckpt.bank is not None else "fixmatch-baseline"
     acc = trn.evaluate(ckpt.model, ckpt.modulation, ckpt.bank, x, y, mode=mode)
@@ -227,12 +228,10 @@ def cmd_eval(args, extras) -> int:
 
 def cmd_gradcheck(args, extras) -> int:
     if args.seed < 0 or not 0.0 < args.tolerance < math.inf:
-        print(
-            "error: gradcheck needs --seed >= 0 and a finite --tolerance > 0, "
-            f"got {args.seed} and {args.tolerance}",
-            file=sys.stderr,
+        raise ConfigError(
+            "gradcheck needs --seed >= 0 and a finite --tolerance > 0, "
+            f"got {args.seed} and {args.tolerance}"
         )
-        return 2
     report = full_loss_grad_check(seed=args.seed, tolerance=args.tolerance)
     for name, err in sorted(report.per_param.items()):
         print(f"{name:<24} max rel error {err:.3e}")
@@ -246,27 +245,19 @@ def cmd_gradcheck(args, extras) -> int:
 
 def cmd_gen_data(args, extras) -> int:
     if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    try:
-        dataset = dat.generate_synthetic(
-            args.num_classes,
-            args.num_domains,
-            args.signal_dim,
-            args.noise_dim,
-            args.samples_per_class,
-            args.class_sep,
-            args.domain_shift,
-            args.seed,
-            bias_jitter=args.bias_jitter,
-        )
-        dat.save_csv(dataset, args.out)
-    except (dat.GenerationError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    dataset = dat.generate_synthetic(
+        args.num_classes,
+        args.num_domains,
+        args.signal_dim,
+        args.noise_dim,
+        args.samples_per_class,
+        args.class_sep,
+        args.domain_shift,
+        args.seed,
+        bias_jitter=args.bias_jitter,
+    )
+    dat.save_csv(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -320,18 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit-code table (see the module docstring): exit 2, then exit 1.
+USAGE_ERRORS = (OSError, ValueError)
+ABORTS = (trn.TrainingAborted, dat.GenerationError, MemoryError)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    # Only train takes --key=value overrides.
-    if extras and args.func is not cmd_train:
-        print(f"error: unexpected arguments {extras}", file=sys.stderr)
-        return 2
+    args, extras = build_parser().parse_known_args(argv)
     try:
+        # Only train takes --key=value overrides.
+        if extras and args.func is not cmd_train:
+            raise ConfigError(f"unexpected arguments {extras}")
         return args.func(args, extras)
-    except ConfigError as err:
+    except USAGE_ERRORS + ABORTS as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -18,17 +18,18 @@ loss weight exp(p^3 - 1). The K passes of a training step score through
 the step's one fused head (``Model.fm_head``), the head its loss forward
 reads too.
 
-A pass yields n*C rows of C logits, and numpy's row reductions pay a
-per-row overhead on rows that narrow. So ``predict_matrices`` takes the
-modulated softmax on one class-major (C x n*C) copy of the logits, at
-any class count: the row maxima and sums are column reductions of it,
-the shift and exp run in place in it, and the returned diagonal is read
-from it. Numpy sums pairwise only along a contiguous axis, so a column
-reduction of the copy adds the C classes left to right at any C (its
-columns are contiguous only when n*C = 1, a single entry). Below 8
-classes that is the order ``autodiff.row_sum`` adds in too, so the bits
-are the row softmax's; from 8 on the row sum is pairwise and the two can
-differ in the last bit.
+A pass yields n*C rows of C logits (n rows unmodulated), and numpy's row
+reductions pay a per-row overhead on rows that narrow. So
+``predict_matrices`` takes the softmax on one class-major (C x rows) copy
+of the logits, in both modes and at any class count: the row maxima and
+sums are column reductions of it, the shift and exp run in place in it,
+and the returned entries are read from it. Numpy sums pairwise only
+along a contiguous axis, so a column reduction of the copy adds the C
+classes left to right at any C, unless the copy has one row: its column
+is contiguous and summed pairwise. Below 8 classes that is the order
+``autodiff.row_sum`` adds in too, so the bits are the row softmax's;
+from 8 on the row sum is pairwise and the two can differ in the last
+bit.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,
@@ -48,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, no_grad, row_max, row_sum
+from .autodiff import ParameterError, no_grad
 from .modulator import FusedHead
 from .network import Model
 
@@ -109,27 +110,26 @@ def predict_matrices(
     C x C block of row softmaxes; without one, the unmodulated
     probability. Units drop iff ``dropout`` is set, drawn from ``rng``,
     which it then needs. Every row is normalized; only the returned
-    entries are divided. No gradients are recorded. The logits are a
-    fresh array, so the shift and the exp are taken in place; ``u`` is
-    only read. The modulated softmax runs on one class-major copy (see
-    the module docstring).
+    entries are divided. No gradients are recorded. The softmax runs on
+    one class-major copy of the logits (see the module docstring); ``u``
+    is only read.
     """
     if dropout and rng is None:
         raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
     with no_grad():
         logits = net.score_graph(model, head, u, rng if dropout else None).value
-    if head is None:
-        logits -= row_max(logits)
-        e = np.exp(logits, out=logits)
-        return e / row_sum(e)
     c = logits.shape[1]
     # Rebinding frees the row-major logits once the copy is made.
     logits = np.ascontiguousarray(logits.T)
     logits -= np.maximum.reduce(logits, axis=0)
     np.exp(logits, out=logits)
+    total = np.add.reduce(logits, axis=0)
+    if head is None:
+        logits /= total
+        return np.ascontiguousarray(logits.T)
     diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-    return diagonal / np.add.reduce(logits, axis=0).reshape(-1, c)
+    return diagonal / total.reshape(-1, c)
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -167,9 +167,10 @@ def pseudo_label_batch(
     conf = np.empty((mc_samples, n, c))
     # A one-row forward goes through BLAS's vector routine, which rounds
     # differently from the matrix routine a stack of passes takes; one
-    # pass per forward keeps a single sample's scores bit-identical.
+    # pass per forward keeps a single sample's scores bit-identical. An
+    # empty batch takes its passes one at a time too: they hold nothing.
     room = MC_BUDGET_BYTES - conf.nbytes
-    per_chunk = 1 if n == 1 else max(1, room // _pass_bytes(model, n))
+    per_chunk = 1 if n <= 1 else max(1, room // _pass_bytes(model, n))
     for k0 in range(0, mc_samples, per_chunk):
         k = min(per_chunk, mc_samples - k0)
         stack = np.concatenate([u] * k)

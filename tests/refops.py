@@ -9,8 +9,8 @@ depth-first order of ``topo_order``, constants included, with adjoints
 keyed by ``id``; the engine's sweep must add adjoints in its order, bit
 for bit. ``row_softmax`` is
 the full softmax whose read entries ``pseudolabel.predict_matrices``
-computes unmodulated; ``left_to_right_softmax`` is the one whose
-diagonal it computes modulated, at any class count.
+computes below 8 classes; ``left_to_right_softmax`` is the one whose
+entries it computes, in both modes, at any class count.
 ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s views
 drawn one call at a time, in their ``rng.normal(size=...)`` form,
 and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a

@@ -562,6 +562,12 @@ class TestCrossFieldValidation:
         assert not (tmp_path / "out").exists()
 
 
+def _npy_bytes(a: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, a)
+    return buffer.getvalue()
+
+
 def _fails_cleanly(argv, capsys, code):
     """``modfeat argv`` exits ``code`` with one ``error:`` line, no traceback."""
     capsys.readouterr()
@@ -589,9 +595,21 @@ class TestUsageErrors:
         if flags[0] == "--seed":
             assert err == "error: --seed must be >= 0, got -1\n"
 
-    def test_gen_data_missing_directory_exits_2(self, tmp_path, capsys):
-        target = tmp_path / "no" / "such" / "dir" / "g.csv"
-        assert "g.csv" in _fails_cleanly(["gen-data", target], capsys, 2)
+    @pytest.mark.parametrize(
+        "argv,target",
+        [(["gen-data", "{target}"], "no/such/dir/g.csv"),
+         (["train", "{config}", "--seeds", "0", "--epochs=1", "--out", "{target}"],
+          "file/out")],
+        ids=["gen-data-missing-directory", "train-out-under-a-file"],
+    )
+    def test_output_that_cannot_be_made_exits_2(
+        self, mini_config, tmp_path, capsys, argv, target
+    ):
+        (tmp_path / "file").write_text("a regular file\n")
+        target = tmp_path / target
+        argv = [a.format(config=mini_config, target=target) for a in argv]
+        assert str(target) in _fails_cleanly(argv, capsys, 2)
+        assert not target.exists()
 
     def test_gen_data_generation_failure_exits_1(self, tmp_path, capsys):
         flags = ["--num-classes", "40", "--class-sep", "50", "--signal-dim", "1"]
@@ -709,15 +727,22 @@ class TestCheckpointErrors:
                          "--noise-dim", "4", "--samples-per-class", "4"]) == 0
         self._eval_fails([broken, csv_path], capsys, str(broken), key, "shape")
 
-    @pytest.mark.parametrize("keep", [0.0, 0.5])
-    def test_empty_or_truncated_file(self, mini_config, tmp_path, capsys, keep):
+    @pytest.mark.parametrize(
+        "name,make",
+        [("broken.npz", lambda whole: b""),
+         ("broken.npz", lambda whole: whole[: len(whole) // 2]),
+         ("array.npy", lambda whole: _npy_bytes(np.zeros((2, 3)))),
+         ("text.npz", lambda whole: b"seed,target_acc\n0,0.5\n")],
+        ids=["empty", "truncated", "npy-array", "text"],
+    )
+    def test_not_an_archive(self, mini_config, tmp_path, capsys, name, make):
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
         assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
         whole = (tmp_path / "out" / "seed_0" / "checkpoint.npz").read_bytes()
-        broken = tmp_path / "broken.npz"
-        broken.write_bytes(whole[: int(len(whole) * keep)])
-        with pytest.raises(CheckpointError, match=str(broken)):
+        broken = tmp_path / name
+        broken.write_bytes(make(whole))
+        with pytest.raises(CheckpointError, match=f"{broken}: not a checkpoint archive"):
             load_checkpoint(broken)
         csv_path = tmp_path / "ds.csv"
         assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",

@@ -157,16 +157,19 @@ class TestPredictMatrix:
         probs = ref.row_softmax(logits)
         assert got.shape == (n, c)
         assert got_rng.random() == want_rng.random()
-        if not modulated:
-            assert got.tobytes() == probs.tobytes()
-            return
-        # The modulated confidences add each row's classes left to right,
-        # which is the row softmax's order only below 8 classes.
-        class_major = _diagonals(ref.left_to_right_softmax(logits), c)
+        # Both modes add each row's classes left to right, which is the
+        # row softmax's order only below 8 classes. A one-row class-major
+        # copy is the exception: its column is contiguous, and numpy sums
+        # it pairwise, as the row softmax does.
+        one_row = len(logits) == 1
+        class_major = probs if one_row else ref.left_to_right_softmax(logits)
+        if modulated:
+            class_major, probs = _diagonals(class_major, c), _diagonals(probs, c)
+        assert got.flags.c_contiguous
         assert got.tobytes() == class_major.tobytes()
         if num_classes < 8:
-            assert got.tobytes() == _diagonals(probs, c).tobytes()
-        np.testing.assert_allclose(got, _diagonals(probs, c), rtol=0, atol=1e-15)
+            assert got.tobytes() == probs.tobytes()
+        np.testing.assert_allclose(got, probs, rtol=0, atol=1e-15)
 
 
 def _diagonals(probs, c):
@@ -217,6 +220,15 @@ class TestPseudoLabel:
             assert rec.sigma == pytest.approx(
                 diags[:, idx, label].std(), abs=1e-15
             )
+
+    def test_empty_batch_gives_no_labels(self):
+        model, modulation, bank, x, _ = make_tiny_setup()
+        head = model.fm_head(modulation, bank)
+        rng = np.random.default_rng(0)
+        fm = pl.pseudo_label_batch(x[:0], model, head, 5, 0.75, rng)
+        baseline = pl.baseline_pseudo_label_batch(x[:0], model)
+        for out in (fm, baseline):
+            assert out.dtype == pl.PSEUDO_LABELS and out.shape == (0,)
 
     def test_requires_two_mc_samples(self):
         model, modulation, bank, x, _ = make_tiny_setup()

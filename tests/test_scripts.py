@@ -59,14 +59,26 @@ def test_fingerprint_repeats_exactly(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--hidden_dims=x"], ["--epochs", "1"], ["--no_such_key=1"]]
+    "bad,needle",
+    [(["--hidden_dims=x"], "hidden_dims"), (["--epochs", "1"], "unrecognized"),
+     (["--no_such_key=1"], "no_such_key"),
+     # Its cells hold 2 samples, fewer than labels_per_class = 4.
+     (["--data.kind=csv", "--data.path={csv}"], "{csv}: [data] labels_per_class = 4"),
+     (["--data.kind=csv", "--data.path={csv}.missing"], "{csv}.missing")],
+    ids=["bad-value", "bare-flag", "unknown-key", "csv-that-does-not-fit", "missing-csv"],
 )
-def test_fingerprint_rejects_bad_config(tmp_path, bad):
+def test_fingerprint_rejects_bad_config(tmp_path, bad, needle):
+    from modfeat import data
+
     config = tmp_path / "tiny.ini"
     config.write_text(TINY_CONFIG)
-    result = _fingerprint("--config", str(config), *bad)
+    csv_path = tmp_path / "small.csv"
+    data.save_csv(data.generate_synthetic(3, 3, 4, 4, 2, 3.0, 4.0, seed=0), csv_path)
+    result = _fingerprint("--config", str(config), *(b.format(csv=csv_path) for b in bad))
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert needle.format(csv=csv_path) in result.stderr
 
 
 def test_fingerprint_overrides_are_modfeat_train_overrides(tmp_path):
@@ -121,19 +133,21 @@ def _reference_fingerprints() -> tuple:
 
 def test_fingerprints_match_the_checked_in_reference():
     """Training repeats ``FINGERPRINTS.txt`` bit for bit: seeds 0 and 1 in
-    both modes, and seed 0 with a hidden layer."""
+    both modes, and seed 0 with a hidden layer and with 8 classes, where
+    ``autodiff.row_sum`` adds pairwise and the confidences left to right."""
     import platform
 
     import numpy
 
     header, sections = _reference_fingerprints()
-    assert [len(lines) for lines in sections.values()] == [40, 40]
+    assert [len(lines) for lines in sections.values()] == [40, 40, 40]
     built_on = (header["numpy"], header["machine"])
     if built_on != (numpy.__version__, platform.machine()):
         pytest.skip(f"FINGERPRINTS.txt holds the bits of numpy {built_on[0]} "
                     f"on {built_on[1]}")
     config = ("--config", str(ROOT / "configs" / "synthetic.ini"))
-    for section, seeds in (("defaults", ("0", "1")), ("--hidden_dims=64", ("0",))):
+    for section, seeds in (("defaults", ("0", "1")), ("--hidden_dims=64", ("0",)),
+                           ("--num_classes=8", ("0",))):
         overrides = [] if section == "defaults" else [section]
         printed = _fingerprint(*config, "--seeds", ",".join(seeds), *overrides)
         assert printed.returncode == 0, printed.stderr
