@@ -44,8 +44,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
     parser.add_argument("--modes", default=",".join(trainer.MODES))
     args, extras = parser.parse_known_args(argv)
-    # A config or CSV that is invalid, unreadable or does not fit exits 2,
-    # as it does in ``modfeat train``.
+    # Errors exit as they do in ``modfeat train`` (``cli.main``): a config
+    # or CSV that is invalid, unreadable or does not fit exits 2, and an
+    # aborted run 1, each with one ``error:`` line.
     try:
         overrides = {**cli._split_overrides(extras), "train.seeds": args.seeds}
         configs = [
@@ -57,9 +58,9 @@ def main(argv=None) -> int:
                 final = result.reports[-1].target_accuracy
                 print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}",
                       flush=True)
-    except cli.USAGE_ERRORS as err:
+    except cli.USAGE_ERRORS + cli.ABORTS as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, cli.USAGE_ERRORS) else 1
     return 0
 
 

@@ -21,15 +21,6 @@ The engine holds only the generic ops; the training loss is a node of
 its own with a hand-written vjp (``objective``). ``dropout`` is the only
 random op, and it is random only when given a generator: a pass drops
 units iff its caller hands it one.
-
-Score rows are narrow (C = 7 classes), and numpy's row reductions pay a
-per-row overhead there. ``row_max`` and ``row_sum`` reduce a transposed
-copy along its outer axis instead, and give the same bits as
-``a.max(axis=1)`` and ``a.sum(axis=1)``. For sums this rests on how
-numpy adds: a row of fewer than 8 entries left to right, which the
-transposed reduction repeats, and from 8 columns on in pairwise blocks,
-which it does not, so ``row_sum`` hands rows of 8 or more to ``a.sum``.
-That width is private to ``row_sum``: ``pseudolabel`` sums class-major.
 """
 
 from __future__ import annotations
@@ -38,10 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-
-# Rows at least this wide numpy sums pairwise; narrower ones left to right.
-_PAIRWISE_SUM_WIDTH = 8
 
 
 class DimensionError(ValueError):
@@ -240,39 +227,24 @@ def sum_all(a: Node) -> Node:
     return Node(np.array([[a.value.sum()]]), (a,), vjp)
 
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """(n x 1) row maxima of an (n x m) array.
-
-    Reduces a transposed copy along its outer axis: for narrow rows this
-    is several times faster than ``a.max(axis=1)``, which pays a per-row
-    overhead. Max involves no rounding, so every value is the same as
-    ``a.max(axis=1, keepdims=True)`` (nan included); the one exception is
-    a row whose maximum is a tie between +0.0 and -0.0, where the sign
-    of the zero returned depends on the order of comparison. Softmaxes
-    built on it give the same bits either way: exp(+0) == exp(-0), and
-    a tie means two entries of exp 1, so log_z is never 0. ``row_sum``
-    is the same trick for sums, where it is exact only on narrow rows.
-    """
-    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
-
-
-def row_sum(a: np.ndarray) -> np.ndarray:
-    """(n x 1) row sums of an (n x m) array, bitwise
-    ``a.sum(axis=1, keepdims=True)``: a transposed reduction below 8
-    columns, ``a.sum`` itself from 8 on (see the module docstring)."""
-    if a.shape[1] < _PAIRWISE_SUM_WIDTH:
-        return np.add.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
-    return a.sum(axis=1, keepdims=True)
-
-
 def row_log_softmax(a: Node) -> Node:
-    """Per-row log-softmax, stabilized by subtracting the row max."""
-    out = a.value - row_max(a.value)
-    out -= np.log(row_sum(np.exp(out)))
+    """Per-row log-softmax, stabilized by subtracting the row max.
+
+    Rows are narrow (one entry per class), and numpy's row reductions pay
+    a per-row overhead there. So the row maxima and both row sums, the
+    normalizer and the vjp's, reduce class-major copies along their outer
+    axis, which adds each row's classes left to right at any class count:
+    the order of ``pseudolabel``'s confidences. A one-row input is the
+    exception: its copy is one contiguous column, which numpy sums as it
+    does ``a.sum(axis=1)``, in blocks from 8 classes on.
+    """
+    v = a.value
+    out = v - np.maximum.reduce(np.ascontiguousarray(v.T), axis=0)[:, None]
+    out -= np.log(np.add.reduce(np.ascontiguousarray(np.exp(out).T), axis=0)[:, None])
     probs = np.exp(out)
 
     def vjp(g):
-        return (g - probs * row_sum(g),)
+        return (g - probs * np.add.reduce(np.ascontiguousarray(g.T), axis=0)[:, None],)
 
     return Node(out, (a,), vjp)
 

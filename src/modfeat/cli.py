@@ -102,15 +102,18 @@ def run_seeds(
 ) -> list:
     """Train ``config`` once per seed in ``config.seeds``; one SeedRun each.
 
-    Each seed builds its data (or reuses ``dataset``, a loaded CSV) and
-    its split, trains into ``out_dir/seed_<seed>`` when ``out_dir`` is
-    given, and measures the modulator gap where it is defined: an
-    identity extractor on data with known, non-empty signal and noise
+    A CSV config's data is loaded once, unless ``dataset`` already holds
+    it; synthetic data is drawn per seed. Each seed draws its split,
+    trains into ``out_dir/seed_<seed>`` when ``out_dir`` is given, and
+    measures the modulator gap where it is defined: an identity
+    extractor on data with known, non-empty signal and noise
     dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError``,
     ``DegeneratePrototypeError`` or ``MemoryError``), its diagnostics are
     written to its run directory and ``TrainingAborted`` is raised, naming
     the seed.
     """
+    if dataset is None and config.data.kind == "csv":
+        dataset = _build_dataset(config, config.seeds[0])
     runs = []
     for seed in config.seeds:
         run_dir = None if out_dir is None else Path(out_dir) / f"seed_{seed}"

@@ -146,7 +146,7 @@ def generate_synthetic(
     """Gaussian multi-domain classification data with known dimension roles.
 
     Class means live on the first ``signal_dim`` coordinates, drawn once
-    with pairwise distance >= ``class_sep`` enforced by rejection. Each
+    with every two at distance >= ``class_sep``, enforced by rejection. Each
     domain adds a bias of norm ``domain_shift`` on the noise coordinates,
     jittered at scale ``bias_jitter * domain_shift`` both per
     (domain, class) cell and per sample: the cell offsets make the noise
@@ -161,7 +161,7 @@ def generate_synthetic(
     )
     rng = np.random.default_rng(seed)
 
-    # Mean scale keeps typical pairwise distances near 1.5 * class_sep so
+    # Mean scale keeps typical distances between means near 1.5 * class_sep so
     # the rejection bound stays binding rather than vacuous.
     mean_scale = 1.5 * class_sep / np.sqrt(2.0 * signal_dim)
     for _ in range(max_attempts):
@@ -173,7 +173,7 @@ def generate_synthetic(
             break
     else:
         raise GenerationError(
-            f"could not draw {num_classes} class means with pairwise "
+            f"could not draw {num_classes} class means at mutual "
             f"distance >= {class_sep} in {max_attempts} attempts"
         )
 

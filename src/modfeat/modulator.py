@@ -94,7 +94,7 @@ class ModulationMatrix:
 class FusedHead:
     """The part of the fused head that does not depend on the features.
 
-    Holds the checked anchors, the shift ``(1 - weights) * anchors``, the
+    Holds the anchors, the shift ``(1 - weights) * anchors``, the
     (F x C*K) mixing node M with M[f, c*K + j] = weights[c, f] * W[f, j],
     and the row k, with k[c*K + j] = (shift[c] @ W)[j] + b[j]. Its values
     are taken from the parameters when it is built, so one head serves
@@ -110,7 +110,9 @@ class FusedHead:
         self, anchors: np.ndarray, weights: Node, head_weight: Node, head_bias: Node
     ):
         """``weights`` and ``anchors`` are (C x F), ``head_weight`` (F x K)
-        and ``head_bias`` (1 x K)."""
+        and ``head_bias`` (1 x K). The anchors are a bank's blended
+        prototypes, which ``prototypes.build_bank`` and checkpoint loading
+        have checked to be finite."""
         w, hw, hb = weights.value, head_weight.value, head_bias.value
         (num_classes, feat), cols = w.shape, hw.shape[1]
         if (
@@ -122,8 +124,7 @@ class FusedHead:
                 f"fused head: weights {w.shape}, anchors {np.shape(anchors)}, "
                 f"head {hw.shape} + {hb.shape} are inconsistent"
             )
-        a = ad.as_matrix(anchors)
-        shift = (1.0 - w) * a
+        shift = (1.0 - w) * anchors
 
         def mix_vjp(gm):
             g3 = gm.reshape(feat, num_classes, cols)
@@ -132,7 +133,7 @@ class FusedHead:
             return gw, ghw
 
         self.weights, self.head_weight, self.head_bias = weights, head_weight, head_bias
-        self.anchors, self.shift = a, shift
+        self.anchors, self.shift = anchors, shift
         self.mix = Node(
             (w.T[:, :, None] * hw[:, None, :]).reshape(feat, num_classes * cols),
             (weights, head_weight),

@@ -80,7 +80,7 @@ def _diag_targets(slog_value: np.ndarray, n: int, num_classes: int) -> np.ndarra
 
     Taken from the current values and held as a constant, so no gradient
     flows through the target side of the gap. The maxima come from a
-    (C, n, C) copy reduced along its outer axis, like ``autodiff.row_max``.
+    (C, n, C) copy reduced along its outer axis.
     """
     cube = slog_value.reshape(n, num_classes, num_classes).transpose(1, 0, 2)
     return np.maximum.reduce(np.ascontiguousarray(cube), axis=0)

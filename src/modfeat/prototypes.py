@@ -82,7 +82,13 @@ def blend_prototypes(prototypes: np.ndarray, similarity: np.ndarray) -> np.ndarr
 def build_bank(
     features: np.ndarray, class_ids: np.ndarray, num_classes: int, epoch: int = 0
 ) -> PrototypeBank:
+    """The bank of ``features``; its blended anchors must be finite, since
+    every modulated pass reads them until the next bank."""
     prototypes = compute_prototypes(features, class_ids, num_classes)
     similarity = cosine_similarity(prototypes)
     blended = blend_prototypes(prototypes, similarity)
+    if not np.isfinite(blended).all():
+        raise DegeneratePrototypeError(
+            f"epoch {epoch}: blended prototypes are not finite"
+        )
     return PrototypeBank(prototypes, similarity, blended, epoch)

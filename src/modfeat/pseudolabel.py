@@ -23,13 +23,10 @@ reductions pay a per-row overhead on rows that narrow. So
 ``predict_matrices`` takes the softmax on one class-major (C x rows) copy
 of the logits, in both modes and at any class count: the row maxima and
 sums are column reductions of it, the shift and exp run in place in it,
-and the returned entries are read from it. Numpy sums pairwise only
-along a contiguous axis, so a column reduction of the copy adds the C
-classes left to right at any C, unless the copy has one row: its column
-is contiguous and summed pairwise. Below 8 classes that is the order
-``autodiff.row_sum`` adds in too, so the bits are the row softmax's;
-from 8 on the row sum is pairwise and the two can differ in the last
-bit.
+and the returned entries are read from it. A column reduction of the
+copy adds the C classes left to right, the order of the loss's
+``autodiff.row_log_softmax``, except in a one-row copy, whose one
+column numpy sums as it does a row.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,

@@ -10,10 +10,10 @@ between its Monte Carlo passes and its loss forward, and a pass drops
 units iff it gets a dropout generator: the MC passes get ``mc_rng``, the
 loss forward ``drop_rng``, and evaluation and the bank refresh none.
 
-Reported numbers always come from the final epoch; the best-epoch
-checkpoint is written as a diagnostic only (selecting on target accuracy
-would leak the target domain into model selection). An epoch keeps one
-record of its pseudo-labels: its steps' ``PSEUDO_LABELS`` arrays and
+Reported numbers and the checkpoint always come from the final epoch:
+selecting an epoch on target accuracy would leak the target domain into
+model selection (``metrics.csv`` records every epoch's). An epoch keeps
+one record of its pseudo-labels: its steps' ``PSEUDO_LABELS`` arrays and
 pool positions, concatenated once when it ends, which the keep rate,
 the pseudo-label accuracy and the pseudo-label log all read. Ground
 truth of the unlabeled pool never enters a step: each epoch reads it
@@ -303,7 +303,6 @@ def train(
         reports: list[EpochReport] = []
         # Per epoch: its number, pool positions, pseudo-labels and truths.
         pl_log: list[tuple] = []
-        best_acc = -1.0
         for epoch in range(1, config.epochs + 1):
             sums = [0.0] * 5  # l_s, l_u, l_d, l_ud and total, summed over steps
             epoch_pseudo, epoch_idx = [], []  # each step's labels and positions
@@ -356,22 +355,20 @@ def train(
                 epoch_pseudo.append(pseudo)
                 epoch_idx.append(batch.unlabeled_idx)
 
+            # A last step can leave weights that are not finite and that no
+            # loss has seen yet. The bank checks its own anchors.
+            arrays = [p.value for p in model.params()] + [modulation.values]
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise TrainingAborted(
+                    f"non-finite parameters after epoch {epoch}",
+                    {"epoch": epoch, "step": step},
+                )
             if not baseline:
                 bank = build_bank(
                     _eval_features(model, split_data.labeled_x),
                     split_data.labeled_y,
                     dataset.num_classes,
                     epoch=epoch,
-                )
-            # A last step can leave weights, or prototypes, that are not finite
-            # and that no loss has seen yet.
-            arrays = [p.value for p in model.params()] + [modulation.values]
-            if bank is not None:
-                arrays.append(bank.blended)
-            if not all(np.isfinite(a).all() for a in arrays):
-                raise TrainingAborted(
-                    f"non-finite parameters or prototypes after epoch {epoch}",
-                    {"epoch": epoch, "step": step},
                 )
             target_acc = evaluate(
                 model,
@@ -404,11 +401,6 @@ def train(
             # Carry no pool-sized array through the next epoch's steps.
             del pseudo_labels, keep, idx, truth
             if run_dir is not None:
-                if target_acc > best_acc:
-                    best_acc = target_acc
-                    save_checkpoint(
-                        run_dir / "checkpoint_best.npz", model, modulation, bank
-                    )
                 dumps = {}
                 if dump_sar and bank is not None:
                     dumps.update(prototypes=bank.prototypes,

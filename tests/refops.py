@@ -7,10 +7,11 @@ no adjoint computed for an operand that does not. ``topo_backward`` is
 ``autodiff.backward`` in its earlier form: a sweep over the full
 depth-first order of ``topo_order``, constants included, with adjoints
 keyed by ``id``; the engine's sweep must add adjoints in its order, bit
-for bit. ``row_softmax`` is
-the full softmax whose read entries ``pseudolabel.predict_matrices``
-computes below 8 classes; ``left_to_right_softmax`` is the one whose
-entries it computes, in both modes, at any class count.
+for bit. ``row_softmax`` is the full softmax whose read entries
+``pseudolabel.predict_matrices`` computes below 8 classes;
+``left_to_right_softmax`` is the one whose entries it computes, in both
+modes, at any class count, and ``left_to_right_log_softmax`` is
+``autodiff.row_log_softmax``'s value and vjp in the same order.
 ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s views
 drawn one call at a time, in their ``rng.normal(size=...)`` form,
 and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a
@@ -27,7 +28,7 @@ import csv
 import numpy as np
 
 from modfeat import data
-from modfeat.autodiff import DimensionError, Node, row_max
+from modfeat.autodiff import DimensionError, Node
 from modfeat.data import _ShuffledCycler
 
 
@@ -115,6 +116,21 @@ def topo_backward(loss: Node) -> None:
             node.grad = g + 0.0 if node._grad is None else node._grad + g
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """(n x 1) row maxima."""
+    return a.max(axis=1, keepdims=True)
+
+
+def left_to_right_sum(a: np.ndarray) -> np.ndarray:
+    """(n x 1) row sums, each taken one column at a time, left to right
+    from +0.0 (so a row of -0.0 sums to +0.0): the order of numpy's column
+    sums of a class-major copy of two or more rows, at any width."""
+    total = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        total += a[:, j]
+    return total[:, None]
+
+
 def row_softmax(a: np.ndarray) -> np.ndarray:
     """No-gradient per-row softmax on a 2-D float array, stabilized."""
     shifted = a - row_max(a)
@@ -123,14 +139,17 @@ def row_softmax(a: np.ndarray) -> np.ndarray:
 
 
 def left_to_right_softmax(a: np.ndarray) -> np.ndarray:
-    """``row_softmax`` with each row's sum taken one column at a time,
-    left to right: the order of numpy's column sums of a class-major
-    copy, at any width."""
+    """``row_softmax`` with ``left_to_right_sum`` row sums."""
     e = np.exp(a - row_max(a))
-    total = e[:, 0].copy()
-    for j in range(1, e.shape[1]):
-        total += e[:, j]
-    return e / total[:, None]
+    return e / left_to_right_sum(e)
+
+
+def left_to_right_log_softmax(a: np.ndarray, g: np.ndarray) -> tuple:
+    """The log-softmax of ``a`` and its vjp of the adjoint ``g``, with
+    ``left_to_right_sum`` row sums."""
+    out = a - row_max(a)
+    out = out - np.log(left_to_right_sum(np.exp(out)))
+    return out, g - np.exp(out) * left_to_right_sum(g)
 
 
 def weak_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -163,23 +163,27 @@ class TestRowSoftmax:
         assert report.passed, report
 
 
-def _signed_zero_tie(row) -> bool:
-    """Row whose maximum is zero, reached by both +0.0 and -0.0."""
-    zeros = row[row == 0.0]
-    return (
-        not np.isnan(row).any()
-        and row.max() == 0.0
-        and np.signbit(zeros).any()
-        and not np.signbit(zeros).all()
+def _input_and_adjoint(max_width):
+    """A (2, rows, width) stack: an input and an adjoint of its shape,
+    with signed zeros among their entries."""
+    return arrays(
+        np.float64,
+        st.tuples(st.just(2), st.integers(1, 12), st.integers(1, max_width)),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0, allow_nan=False)
+        ),
     )
 
 
 class TestRowMax:
+    """The row maxima that stabilize the softmaxes, and the row sums
+    that normalize them."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         arrays(
             np.float64,
-            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            st.tuples(st.integers(2, 40), st.integers(1, 12)),
             elements=st.one_of(
                 st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
                 st.floats(-1e6, 1e6, allow_nan=False),
@@ -187,80 +191,55 @@ class TestRowMax:
         )
     )
     def test_matches_axis_max_bitwise(self, a):
-        got = ad.row_max(a)
-        want = a.max(axis=1, keepdims=True)
-        assert got.shape == want.shape
-        for i, row in enumerate(a):
-            if _signed_zero_tie(row):
-                assert got[i, 0] == 0.0
-            else:
-                assert got[i].tobytes() == want[i].tobytes(), row
+        # The class-major maxima are a.max(axis=1)'s, infinities and nan
+        # included. The sign of a +0.0/-0.0 tie cannot reach the output: a
+        # tie means two entries of exp 1, so log_z >= log 2. The input is
+        # built unvalidated, as an op's output would be.
+        with np.errstate(invalid="ignore"):
+            got = ad.row_log_softmax(ad.Node(a)).value
+            want, _ = ref.left_to_right_log_softmax(a, np.zeros_like(a))
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 12), st.integers(1, 8)),
-            elements=st.one_of(
-                st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0, allow_nan=False)
-            ),
-        )
-    )
-    @example(np.array([[0.0, 0.0, -40.0, -1.0, -0.0, -1.0]]))
-    def test_softmaxes_match_axis_max_formulation_bitwise(self, a):
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_input_and_adjoint(8), _input_and_adjoint(12)))
+    @example(np.array([[[0.0, 0.0, -40.0, -1.0, -0.0, -1.0]]] * 2))
+    def test_softmaxes_match_axis_max_formulation_bitwise(self, pair):
+        a, g = pair
         # A signed-zero tie needs two zero entries, so log_z >= log 2 and
         # the sign of the subtracted zero cannot reach either output.
         shifted = a - a.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         log_z = np.log(e.sum(axis=1, keepdims=True))
         assert ref.row_softmax(a).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
-        got = ad.row_log_softmax(ad.constant(a)).value
-        assert got.tobytes() == (shifted - log_z).tobytes()
-
-
-@st.composite
-def _sum_rows(draw):
-    """(rows x width) floats with signed zeros, tiny and huge magnitudes,
-    and in some rows one inf (one sign per row: mixed infs make nan)."""
-    shape = (draw(st.integers(1, 3000)), draw(st.integers(1, 12)))
-    a = draw(
-        arrays(
-            np.float64,
-            shape,
-            elements=st.one_of(
-                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
-                st.floats(-1e300, 1e300, allow_nan=False),
-            ),
-        )
-    )
-    inf = draw(arrays(np.float64, shape[0], elements=st.sampled_from([0.0, np.inf, -np.inf])))
-    col = draw(arrays(np.int64, shape[0], elements=st.integers(0, shape[1] - 1)))
-    rows = np.flatnonzero(inf)
-    a[rows, col[rows]] = inf[rows]
-    return a
-
-
-class TestRowSum:
-    @settings(max_examples=200, deadline=None)
-    @given(_sum_rows())
-    def test_matches_axis_sum_bitwise(self, a):
-        got = ad.row_sum(a)
-        assert got.shape == (a.shape[0], 1)
-        assert got.tobytes() == a.sum(axis=1, keepdims=True).tobytes()
+        out = ad.row_log_softmax(ad.leaf(a))
+        (got_g,) = out._vjp(g)
+        # numpy's own row sums add left to right below 8 columns. A
+        # one-row input's class-major copy is one column, summed as a row.
+        axis_order = shifted - log_z, g - np.exp(shifted - log_z) * g.sum(axis=1, keepdims=True)
+        if len(a) > 1:
+            want, want_g = ref.left_to_right_log_softmax(a, g)
+            assert out.value.tobytes() == want.tobytes()
+            assert got_g.tobytes() == want_g.tobytes()
+        if len(a) == 1 or a.shape[1] < 8:
+            assert out.value.tobytes() == axis_order[0].tobytes()
+            assert got_g.tobytes() == axis_order[1].tobytes()
 
     @pytest.mark.parametrize("width", range(1, 13))
-    def test_random_rows_match_axis_sum_bitwise(self, width):
+    def test_random_rows_sum_left_to_right_bitwise(self, width):
+        # Adjoints spanning e^-30..e^30 round differently in every order.
         g = np.random.default_rng(width)
-        a = g.normal(size=(2000, width)) * np.exp(g.uniform(-30, 30, (2000, width)))
-        assert ad.row_sum(a).tobytes() == a.sum(axis=1, keepdims=True).tobytes()
-
-    def test_wide_rows_are_not_summed_left_to_right(self):
-        # Why row_sum defers to a.sum from 8 columns on: numpy's pairwise
-        # blocks round differently from a left-to-right transposed sum.
-        g = np.random.default_rng(0)
-        a = g.normal(size=(2000, 8)) * np.exp(g.uniform(-30, 30, (2000, 8)))
-        transposed = np.ascontiguousarray(a.T).sum(axis=0)[:, None]
-        assert transposed.tobytes() != a.sum(axis=1, keepdims=True).tobytes()
+        a = g.normal(size=(2000, width)) * 5.0
+        adj = g.normal(size=(2000, width)) * np.exp(g.uniform(-30, 30, (2000, width)))
+        out = ad.row_log_softmax(ad.leaf(a))
+        (got_g,) = out._vjp(adj)
+        want, want_g = ref.left_to_right_log_softmax(a, adj)
+        assert out.value.tobytes() == want.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+        # numpy's own row sums: the same below 8 columns, not from 8 on.
+        axis_g = adj - np.exp(out.value) * adj.sum(axis=1, keepdims=True)
+        assert (got_g.tobytes() == axis_g.tobytes()) == (width < 8)
 
 
 class TestDropout:

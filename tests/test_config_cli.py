@@ -160,6 +160,23 @@ class TestCli:
         hidden = {"epochs": "1", "seeds": "0", "hidden_dims": "6"}
         assert cli.run_seeds(load_config(mini_config, hidden))[0].modulator_gap is None
 
+    def test_run_seeds_loads_a_csv_once(self, mini_config, tmp_path, monkeypatch):
+        csv_path = tmp_path / "ds.csv"
+        dat.save_csv(dat.generate_synthetic(3, 3, 4, 4, 24, 3.0, 4.0, seed=0), csv_path)
+        calls = []
+
+        def counting_load_csv(path):
+            calls.append(path)
+            return load_csv(path)
+
+        load_csv = dat.load_csv
+        monkeypatch.setattr(dat, "load_csv", counting_load_csv)
+        overrides = {"epochs": "1", "seeds": "0,1,2", "data.kind": "csv",
+                     "data.path": str(csv_path)}
+        runs = cli.run_seeds(load_config(mini_config, overrides))
+        assert [run.seed for run in runs] == [0, 1, 2]
+        assert len(calls) == 1
+
     def test_no_gap_without_noise_dims(self, mini_config):
         # No noise columns to compare: the gap is undefined, not a nan mean.
         overrides = {"epochs": "1", "seeds": "0", "noise_dim": "0", "feature_dim": "4"}

@@ -125,3 +125,9 @@ class TestBuildBank:
         assert bank.feature_dim == 6
         assert bank.similarity.shape == (3, 3)
         assert np.all(bank.similarity >= 0.0)
+
+    def test_non_finite_anchors_rejected(self):
+        feats = np.eye(3).repeat(2, axis=0)
+        feats[5, 2] = np.nan
+        with pytest.raises(proto.DegeneratePrototypeError, match="epoch 4: blended"):
+            proto.build_bank(feats, np.arange(3).repeat(2), 3, epoch=4)

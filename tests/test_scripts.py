@@ -59,15 +59,18 @@ def test_fingerprint_repeats_exactly(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad,needle",
-    [(["--hidden_dims=x"], "hidden_dims"), (["--epochs", "1"], "unrecognized"),
-     (["--no_such_key=1"], "no_such_key"),
+    "bad,needle,code",
+    [(["--hidden_dims=x"], "hidden_dims", 2), (["--epochs", "1"], "unrecognized", 2),
+     (["--no_such_key=1"], "no_such_key", 2),
      # Its cells hold 2 samples, fewer than labels_per_class = 4.
-     (["--data.kind=csv", "--data.path={csv}"], "{csv}: [data] labels_per_class = 4"),
-     (["--data.kind=csv", "--data.path={csv}.missing"], "{csv}.missing")],
-    ids=["bad-value", "bare-flag", "unknown-key", "csv-that-does-not-fit", "missing-csv"],
+     (["--data.kind=csv", "--data.path={csv}"], "{csv}: [data] labels_per_class = 4", 2),
+     (["--data.kind=csv", "--data.path={csv}.missing"], "{csv}.missing", 2),
+     # Means this far apart overflow the logits within the first epoch.
+     (["--class_sep=100", "--epochs=1", "--modes", "fm"], "seed 0: non-finite value", 1)],
+    ids=["bad-value", "bare-flag", "unknown-key", "csv-that-does-not-fit", "missing-csv",
+         "aborted-run"],
 )
-def test_fingerprint_rejects_bad_config(tmp_path, bad, needle):
+def test_fingerprint_rejects_bad_config(tmp_path, bad, needle, code):
     from modfeat import data
 
     config = tmp_path / "tiny.ini"
@@ -75,7 +78,7 @@ def test_fingerprint_rejects_bad_config(tmp_path, bad, needle):
     csv_path = tmp_path / "small.csv"
     data.save_csv(data.generate_synthetic(3, 3, 4, 4, 2, 3.0, 4.0, seed=0), csv_path)
     result = _fingerprint("--config", str(config), *(b.format(csv=csv_path) for b in bad))
-    assert result.returncode == 2
+    assert result.returncode == code
     assert result.stderr.startswith("error: ") and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert needle.format(csv=csv_path) in result.stderr
@@ -134,7 +137,8 @@ def _reference_fingerprints() -> tuple:
 def test_fingerprints_match_the_checked_in_reference():
     """Training repeats ``FINGERPRINTS.txt`` bit for bit: seeds 0 and 1 in
     both modes, and seed 0 with a hidden layer and with 8 classes, where
-    ``autodiff.row_sum`` adds pairwise and the confidences left to right."""
+    the loss and the confidences add each row's classes left to right and
+    numpy's own row sums would not."""
     import platform
 
     import numpy

@@ -150,7 +150,8 @@ class TestTrain:
         )
         assert (tmp_path / "metrics.csv").is_file()
         assert (tmp_path / "checkpoint.npz").is_file()
-        assert (tmp_path / "checkpoint_best.npz").is_file()
+        # Only the final epoch is kept: no epoch is chosen on target accuracy.
+        assert not (tmp_path / "checkpoint_best.npz").exists()
         assert (tmp_path / "modulator_epoch1.csv").is_file()
         assert (tmp_path / "prototypes_epoch1.csv").is_file()
         assert (tmp_path / "pseudo_labels.csv").is_file()
