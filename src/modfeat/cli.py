@@ -1,15 +1,21 @@
 """Command-line entry point.
 
-Subcommands: train, eval, gradcheck, gen-data. Any config key can be
-overridden on the command line as --section.key=value (or --key=value
-when the bare key is unambiguous).
+Subcommands: train, eval, gradcheck, gen-data. ``train`` and
+``gen-data`` read a config file; any of its keys is set on the command
+line as --section.key=value (or --key=value when the bare key is
+unambiguous), and that is the only spelling of a setting:
+
+    modfeat train CONFIG [--key=value ...]
+    modfeat gen-data CONFIG OUT [--seed S] [--key=value ...]
+    modfeat eval CHECKPOINT CSV [--target-domain D]
+    modfeat gradcheck [--seed S] [--tolerance T]
 
 The commands raise; ``main`` alone maps an error to one ``error: ...``
 line on stderr and an exit code. Exit 2, invalid configuration or usage,
 is any ``OSError`` or ``ValueError``: a bad config value or flag
 (``ConfigError``), a CSV that does not parse (``ParseError``,
-``SchemaError``) or does not fit the config, whatever the entry point, a
-file that is not a sound checkpoint (``CheckpointError``), a split that
+``SchemaError``), does not fit a checkpoint (``SchemaError``) or does
+not fit the config, whatever the entry point, a file that is not a sound checkpoint (``CheckpointError``), a split that
 cannot be drawn (``SplitError``), or a file or output directory that
 cannot be read or made. Exit 1 is an aborted run (``TrainingAborted``,
 ``GenerationError``, ``MemoryError``) or a failed ``gradcheck``.
@@ -28,14 +34,7 @@ from . import data as dat
 from . import metrics as met
 from . import trainer as trn
 from .checkpoint import load_checkpoint
-from .config import (
-    ConfigError,
-    DataSpec,
-    RunConfig,
-    check_data_fit,
-    load_config,
-    write_resolved,
-)
+from .config import ConfigError, RunConfig, check_data_fit, load_config, write_resolved
 from .gradcheck import full_loss_grad_check
 from .prototypes import DegeneratePrototypeError
 
@@ -105,8 +104,9 @@ def run_seeds(
     A CSV config's data is loaded once, unless ``dataset`` already holds
     it; synthetic data is drawn per seed. Each seed draws its split,
     trains into ``out_dir/seed_<seed>`` when ``out_dir`` is given, and
-    measures the modulator gap where it is defined: an identity
-    extractor on data with known, non-empty signal and noise
+    measures the modulator gap where it is defined: a run with a
+    prototype bank (fm, not the baseline's all-ones placeholder) and an
+    identity extractor, on data with known, non-empty signal and noise
     dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError``,
     ``DegeneratePrototypeError`` or ``MemoryError``), its diagnostics are
     written to its run directory and ``TrainingAborted`` is raised, naming
@@ -152,7 +152,8 @@ def run_seeds(
                 f"seed {seed}: {err}{where}", diagnostics
             ) from None
         gap = None
-        if not config.model.hidden_dims and data.signal_dims and data.noise_dims:
+        if (result.bank is not None and not config.model.hidden_dims
+                and data.signal_dims and data.noise_dims):
             gap = met.modulator_gap(
                 result.modulation.values, data.signal_dims, data.noise_dims
             )
@@ -160,20 +161,7 @@ def run_seeds(
     return runs
 
 
-def cmd_train(args, extras) -> int:
-    overrides = _split_overrides(extras)
-    if args.mode:
-        overrides["train.mode"] = args.mode
-    if args.seeds:
-        overrides["train.seeds"] = args.seeds
-    if args.out:
-        overrides["output.dir"] = args.out
-    if args.dump_sar:
-        overrides["output.dump_sar"] = "true"
-    if args.dump_modulator:
-        overrides["output.dump_modulator"] = "true"
-    if args.dump_pseudo_labels:
-        overrides["output.dump_pseudo_labels"] = "true"
+def cmd_train(args, overrides) -> int:
     config = load_config(args.config, overrides)
     # CSV data is the same for every seed: load and check it before
     # anything is written.
@@ -199,17 +187,17 @@ def cmd_train(args, extras) -> int:
     return 0
 
 
-def cmd_eval(args, extras) -> int:
+def cmd_eval(args, overrides) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = dat.load_csv(args.data)
     width = ckpt.model.extractor.config.input_dim
     if dataset.input_dim != width:
-        raise ValueError(
+        raise dat.SchemaError(
             f"{args.data} has {dataset.input_dim} feature columns, "
             f"the checkpoint expects {width}"
         )
     if dataset.num_classes > ckpt.model.num_classes:
-        raise ValueError(
+        raise dat.SchemaError(
             f"{args.data} has {dataset.num_classes} classes (ids 0.."
             f"{dataset.num_classes - 1}), the checkpoint predicts "
             f"{ckpt.model.num_classes}"
@@ -219,7 +207,7 @@ def cmd_eval(args, extras) -> int:
         mask = dataset.domain_ids == args.target_domain
         x, y = x[mask], y[mask]
     if len(x) == 0:
-        raise ValueError(
+        raise ConfigError(
             f"--target-domain {args.target_domain} selects no rows of {args.data}"
         )
     # Checkpoints do not record their mode; only an fm run saves a bank.
@@ -229,7 +217,7 @@ def cmd_eval(args, extras) -> int:
     return 0
 
 
-def cmd_gradcheck(args, extras) -> int:
+def cmd_gradcheck(args, overrides) -> int:
     if args.seed < 0 or not 0.0 < args.tolerance < math.inf:
         raise ConfigError(
             "gradcheck needs --seed >= 0 and a finite --tolerance > 0, "
@@ -246,20 +234,10 @@ def cmd_gradcheck(args, extras) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_gen_data(args, extras) -> int:
+def cmd_gen_data(args, overrides) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    dataset = dat.generate_synthetic(
-        args.num_classes,
-        args.num_domains,
-        args.signal_dim,
-        args.noise_dim,
-        args.samples_per_class,
-        args.class_sep,
-        args.domain_shift,
-        args.seed,
-        bias_jitter=args.bias_jitter,
-    )
+    dataset = _build_dataset(load_config(args.config, overrides), args.seed)
     dat.save_csv(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
@@ -275,12 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train across seeds from a config file")
     p_train.add_argument("config", help="INI config with [data] [model] [train] [output]")
-    p_train.add_argument("--mode", choices=trn.MODES, help="override train.mode")
-    p_train.add_argument("--seeds", help="override train.seeds, e.g. 0,1,2")
-    p_train.add_argument("--out", help="override output.dir")
-    p_train.add_argument("--dump-sar", action="store_true")
-    p_train.add_argument("--dump-modulator", action="store_true")
-    p_train.add_argument("--dump-pseudo-labels", action="store_true")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV dataset")
@@ -296,19 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--tolerance", type=float, default=1e-4)
     p_gc.set_defaults(func=cmd_gradcheck)
 
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
-    p_gen.add_argument("out")
-    spec = DataSpec()
-    p_gen.add_argument("--num-classes", type=int, default=spec.num_classes)
-    p_gen.add_argument("--num-domains", type=int, default=spec.num_domains)
-    p_gen.add_argument("--signal-dim", type=int, default=spec.signal_dim)
-    p_gen.add_argument("--noise-dim", type=int, default=spec.noise_dim)
-    p_gen.add_argument(
-        "--samples-per-class", type=int, default=spec.samples_per_class_per_domain
+    p_gen = sub.add_parser(
+        "gen-data", help="write the dataset a config trains a seed on, as CSV"
     )
-    p_gen.add_argument("--class-sep", type=float, default=spec.class_sep)
-    p_gen.add_argument("--domain-shift", type=float, default=spec.domain_shift)
-    p_gen.add_argument("--bias-jitter", type=float, default=spec.bias_jitter)
+    p_gen.add_argument("config", help="INI config with [data] [model] [train] [output]")
+    p_gen.add_argument("out")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
@@ -322,10 +286,10 @@ ABORTS = (trn.TrainingAborted, dat.GenerationError, MemoryError)
 def main(argv=None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     try:
-        # Only train takes --key=value overrides.
-        if extras and args.func is not cmd_train:
+        # Only the commands that read a config take --key=value overrides.
+        if extras and args.func not in (cmd_train, cmd_gen_data):
             raise ConfigError(f"unexpected arguments {extras}")
-        return args.func(args, extras)
+        return args.func(args, _split_overrides(extras))
     except USAGE_ERRORS + ABORTS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, USAGE_ERRORS) else 1

@@ -140,7 +140,7 @@ def generate_synthetic(
     class_sep: float,
     domain_shift: float,
     seed: int,
-    bias_jitter: float = 0.2,
+    bias_jitter: float,
     max_attempts: int = 10_000,
 ) -> DomainDataset:
     """Gaussian multi-domain classification data with known dimension roles.

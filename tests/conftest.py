@@ -52,6 +52,7 @@ def small_dataset():
         class_sep=3.0,
         domain_shift=4.0,
         seed=11,
+        bias_jitter=0.2,
     )
 
 

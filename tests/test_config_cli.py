@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from modfeat import pseudolabel
 from modfeat import trainer as trn
 from modfeat.config import _SCHEMA, ConfigError, DataSpec, load_config
 from tests import refops as ref
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "synthetic.ini"
 
 MINI_CONFIG = """
 [data]
@@ -119,7 +123,7 @@ class TestConfig:
             load_config(mini_config, {"train.epochs": "many"})
 
     def test_unset_seeds_default_to_zero(self, tmp_path, monkeypatch):
-        # Seeds come from --seeds or the file only; the environment is not read.
+        # Seeds come from the seeds key only; the environment is not read.
         path = tmp_path / "c.ini"
         path.write_text("[train]\nepochs = 1\n")
         monkeypatch.setenv("MODFEAT_SEED", "42")
@@ -135,7 +139,7 @@ class TestConfig:
 class TestCli:
     def test_train_end_to_end(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
-        assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0"]) == 0
         assert (out / "config.resolved.ini").is_file()
         assert (out / "summary.csv").is_file()
         assert (out / "aggregate.csv").is_file()
@@ -159,10 +163,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()  # no out_dir, no files
         hidden = {"epochs": "1", "seeds": "0", "hidden_dims": "6"}
         assert cli.run_seeds(load_config(mini_config, hidden))[0].modulator_gap is None
+        # The baseline has no modulator, only an all-ones placeholder.
+        baseline = {"epochs": "1", "seeds": "0", "mode": "fixmatch-baseline"}
+        assert cli.run_seeds(load_config(mini_config, baseline))[0].modulator_gap is None
 
     def test_run_seeds_loads_a_csv_once(self, mini_config, tmp_path, monkeypatch):
         csv_path = tmp_path / "ds.csv"
-        dat.save_csv(dat.generate_synthetic(3, 3, 4, 4, 24, 3.0, 4.0, seed=0), csv_path)
+        dat.save_csv(dat.generate_synthetic(3, 3, 4, 4, 24, 3.0, 4.0, 0, 0.2), csv_path)
         calls = []
 
         def counting_load_csv(path):
@@ -184,7 +191,7 @@ class TestCli:
 
     def test_resolved_config_reproduces_run(self, mini_config, tmp_path):
         out = tmp_path / "out"
-        assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0"]) == 0
         clone_out = tmp_path / "clone"
         assert (
             cli.main(
@@ -217,7 +224,7 @@ class TestCli:
     def test_out_of_range_training_value_exits_2(
         self, mini_config, tmp_path, capsys, override
     ):
-        assert cli.main(["train", str(mini_config), "--seeds", "0", override]) == 2
+        assert cli.main(["train", str(mini_config), "--seeds=0", override]) == 2
         err = capsys.readouterr().err
         key = override[2:].split("=")[0]
         assert err.startswith("error: ") and key in err
@@ -227,39 +234,40 @@ class TestCli:
     def test_repeated_seed_exits_2(self, mini_config, tmp_path, capsys):
         with pytest.raises(ConfigError, match="seed 1 twice"):
             load_config(mini_config, {"seeds": "1,0,1"})
-        err = _fails_cleanly(["train", mini_config, "--seeds", "0,0"], capsys, 2)
+        err = _fails_cleanly(["train", mini_config, "--seeds=0,0"], capsys, 2)
         assert "seed 0" in err
         assert not (tmp_path / "out").exists()
 
-    def test_mode_override_runs_baseline(self, mini_config, tmp_path):
+    def test_mode_override_runs_baseline(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
-        assert (
-            cli.main(
-                ["train", str(mini_config), "--seeds", "0", "--mode", "fixmatch-baseline"]
-            )
-            == 0
-        )
+        argv = ["train", str(mini_config), "--seeds=0", "--mode=fixmatch-baseline"]
+        assert cli.main(argv) == 0
         resolved = (out / "config.resolved.ini").read_text()
         assert "mode = fixmatch-baseline" in resolved
         # baseline checkpoints carry no prototype bank
         data = np.load(out / "seed_0" / "checkpoint.npz")
         assert "bank.prototypes" not in data
+        # ... and no modulator: its gap cell is empty and has no aggregate row.
+        assert (out / "summary.csv").read_text().splitlines()[1].endswith(",")
+        assert "modulator_gap" not in (out / "aggregate.csv").read_text()
+        assert "modulator_gap" not in capsys.readouterr().out
 
     def test_eval_names_the_baseline_mode(self, mini_config, tmp_path, capsys):
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        csv_path = _gen_data(mini_config, tmp_path)
         for mode in ("fm", "fixmatch-baseline"):
-            args = ["train", str(mini_config), "--seeds", "0", "--epochs=1", "--mode", mode]
-            assert cli.main(args) == 0
+            assert cli.main(["train", str(mini_config), "--seeds=0", "--epochs=1",
+                             f"--mode={mode}"]) == 0
             capsys.readouterr()
             checkpoint = tmp_path / "out" / "seed_0" / "checkpoint.npz"
             assert cli.main(["eval", str(checkpoint), str(csv_path)]) == 0
             assert f"({mode} inference)" in capsys.readouterr().out
 
-    def test_gen_data_defaults_are_the_data_spec(self, tmp_path):
-        assert cli.main(["gen-data", str(tmp_path / "cli.csv")]) == 0
+    @pytest.mark.parametrize("config", ["", CONFIG], ids=["empty", "synthetic.ini"])
+    def test_gen_data_defaults_are_the_data_spec(self, tmp_path, config):
+        if not config:
+            config = tmp_path / "empty.ini"
+            config.write_text("")
+        assert cli.main(["gen-data", str(config), str(tmp_path / "cli.csv")]) == 0
         spec = DataSpec()
         # The csv.writer form: the bulk writer repeats it byte for byte.
         ref.save_csv(
@@ -272,20 +280,28 @@ class TestCli:
         )
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
 
+    # Each sets the keys that make the config fit its data: an identity
+    # extractor as wide as the input, a held-out domain that exists, and
+    # labels_per_class within a cell.
     @pytest.mark.parametrize(
-        "flags,generate",
+        "args,generate",
         [
-            (["--num-classes", "3", "--num-domains", "2", "--noise-dim", "0",
-              "--samples-per-class", "40", "--seed", "7"],
+            (["--num_classes=3", "--num_domains=2", "--noise_dim=0",
+              "--samples_per_class_per_domain=40", "--seed", "7",
+              "--target_domain=1", "--feature_dim=16"],
              (3, 2, 16, 0, 40, 2.0, 6.0, 7, 1.0)),
-            (["--num-classes", "12", "--num-domains", "11", "--signal-dim", "8",
-              "--noise-dim", "5", "--samples-per-class", "3", "--class-sep", "0.5",
-              "--domain-shift", "1e6", "--bias-jitter", "3", "--seed", "3"],
+            (["--num_classes=12", "--num_domains=11", "--signal_dim=8",
+              "--noise_dim=5", "--samples_per_class_per_domain=3", "--class_sep=0.5",
+              "--domain_shift=1e6", "--bias_jitter=3", "--seed", "3",
+              "--labels_per_class=3", "--feature_dim=13"],
              (12, 11, 8, 5, 3, 0.5, 1e6, 3, 3.0)),
+            # data_seed, where set, draws the data instead of --seed.
+            (["--seed", "3", "--data_seed=5"], (7, 4, 16, 16, 150, 2.0, 6.0, 5, 1.0)),
         ],
+        ids=["no-noise", "many-domains", "data-seed"],
     )
-    def test_gen_data_writes_the_csv_writer_bytes(self, tmp_path, flags, generate):
-        assert cli.main(["gen-data", str(tmp_path / "cli.csv"), *flags]) == 0
+    def test_gen_data_writes_the_csv_writer_bytes(self, tmp_path, args, generate):
+        assert cli.main(["gen-data", str(CONFIG), str(tmp_path / "cli.csv"), *args]) == 0
         *head, seed, jitter = generate
         ref.save_csv(
             dat.generate_synthetic(*head, seed, bias_jitter=jitter), tmp_path / "ref.csv"
@@ -295,7 +311,7 @@ class TestCli:
     def _abort(self, tmp_path, capsys, *overrides):
         config = tmp_path / "tiny.ini"
         config.write_text(TINY_CONFIG)
-        args = ["train", str(config), *overrides, "--out", str(tmp_path / "out")]
+        args = ["train", str(config), *overrides, f"--output.dir={tmp_path / 'out'}"]
         assert cli.main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: seed 0: ") and "Traceback" not in err
@@ -348,18 +364,12 @@ class TestCli:
         # gen-data --seed s writes the data that training seed s draws, so
         # eval of seed s's checkpoint at the held-out domain repeats its
         # summary's target accuracy.
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main([
-            "gen-data", str(csv_path), "--num-classes", "3", "--num-domains", "3",
-            "--signal-dim", "4", "--noise-dim", "4", "--samples-per-class", "24",
-            "--class-sep", "3.0", "--domain-shift", "4.0", "--bias-jitter", "0.5",
-            "--seed", str(seed),
-        ]) == 0
+        csv_path = _gen_data(mini_config, tmp_path, "--seed", str(seed))
         loaded = dat.load_csv(csv_path)
         assert loaded.num_classes == 3 and len(loaded) == 3 * 3 * 24
 
         out = tmp_path / "out"
-        assert cli.main(["train", str(mini_config), "--seeds", str(seed)]) == 0
+        assert cli.main(["train", str(mini_config), f"--seeds={seed}"]) == 0
         summary = (out / "summary.csv").read_text().splitlines()
         target_acc = float(summary[1].split(",")[1])
         capsys.readouterr()
@@ -374,16 +384,10 @@ class TestCli:
 
     def test_eval_reads_a_csv_with_a_byte_order_mark(self, mini_config, tmp_path, capsys):
         # Spreadsheet "CSV UTF-8" exports start the file with a U+FEFF mark.
-        plain, marked = tmp_path / "ds.csv", tmp_path / "ds_bom.csv"
-        assert cli.main([
-            "gen-data", str(plain), "--num-classes", "3", "--num-domains", "3",
-            "--signal-dim", "4", "--noise-dim", "4", "--samples-per-class", "24",
-            "--class-sep", "3.0", "--domain-shift", "4.0", "--bias-jitter", "0.5",
-            "--seed", "0",
-        ]) == 0
+        plain, marked = _gen_data(mini_config, tmp_path), tmp_path / "ds_bom.csv"
         marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        assert cli.main(["train", str(mini_config), "--seeds", "0"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0"]) == 0
         checkpoint = str(tmp_path / "out" / "seed_0" / "checkpoint.npz")
         lines = []
         for path in (plain, marked):
@@ -396,12 +400,12 @@ class TestCli:
         assert cli.main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_dump_flags(self, mini_config, tmp_path):
+    def test_dump_keys(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert (
             cli.main(
-                ["train", str(mini_config), "--seeds", "0", "--dump-sar",
-                 "--dump-modulator", "--dump-pseudo-labels"]
+                ["train", str(mini_config), "--seeds=0", "--dump_sar=true",
+                 "--dump_modulator=true", "--dump_pseudo_labels=true"]
             )
             == 0
         )
@@ -410,7 +414,29 @@ class TestCli:
         assert (out / "seed_0" / "pseudo_labels.csv").is_file()
 
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.ini"
+def _readme_commands() -> list:
+    """Every ``modfeat ...`` line of README's bash blocks, as argv lists."""
+    commands, in_bash = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and line.startswith("modfeat "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse(monkeypatch):
+    """README's command lines parse, and their configs load with their
+    overrides from the repo root; eval and gradcheck take none."""
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"train", "gen-data", "eval", "gradcheck"}
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        args, extras = cli.build_parser().parse_known_args(argv)
+        if args.func in (cli.cmd_train, cli.cmd_gen_data):
+            load_config(args.config, cli._split_overrides(extras))
+        else:
+            assert extras == [], argv
 
 
 class TestRunFilesMatchTheOracles:
@@ -449,8 +475,8 @@ class TestRunFilesMatchTheOracles:
         monkeypatch.setattr(dat.BatchIterator, "epoch", epoch)
         out = tmp_path / "out"
         assert cli.main([
-            "train", str(CONFIG), "--mode", mode, "--seeds", "2,3", "--out", str(out),
-            "--dump-sar", "--dump-modulator", "--dump-pseudo-labels",
+            "train", str(CONFIG), f"--mode={mode}", "--seeds=2,3", f"--output.dir={out}",
+            "--dump_sar=true", "--dump_modulator=true", "--dump_pseudo_labels=true",
             f"--epochs={epochs}", "--samples_per_class_per_domain=6",
             "--labels_per_class=2", "--tau=0.9",
         ]) == 0
@@ -502,7 +528,7 @@ class TestCrossFieldValidation:
          "--per_domain_labeled=0", "--per_domain_unlabeled=0"],
     )
     def test_synthetic_mismatch_exits_2(self, mini_config, tmp_path, capsys, override):
-        assert cli.main(["train", str(mini_config), "--seeds", "0", override]) == 2
+        assert cli.main(["train", str(mini_config), "--seeds=0", override]) == 2
         err = capsys.readouterr().err
         key = override[2:].split("=")[0]
         assert err.startswith("error: ") and key in err
@@ -517,7 +543,7 @@ class TestCrossFieldValidation:
     def test_labels_must_fit_the_source_cells(
         self, mini_config, tmp_path, capsys, overrides
     ):
-        assert cli.main(["train", str(mini_config), "--seeds", "0", *overrides]) == 2
+        assert cli.main(["train", str(mini_config), "--seeds=0", *overrides]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [data] ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -538,6 +564,7 @@ class TestCrossFieldValidation:
         dataset = dat.generate_synthetic(
             num_classes=3, num_domains=3, signal_dim=4, noise_dim=4,
             samples_per_class_per_domain=24, class_sep=3.0, domain_shift=4.0, seed=0,
+            bias_jitter=0.2,
         )
         dat.save_csv(dataset, tmp_path / "ds.csv")
         text = MINI_CONFIG.format(out=tmp_path / "out").replace(
@@ -585,6 +612,13 @@ def _npy_bytes(a: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
+def _gen_data(config, tmp_path, *args):
+    """Run ``modfeat gen-data config tmp_path/ds.csv *args``; the CSV's path."""
+    csv_path = tmp_path / "ds.csv"
+    assert cli.main(["gen-data", str(config), str(csv_path), *args]) == 0
+    return csv_path
+
+
 def _fails_cleanly(argv, capsys, code):
     """``modfeat argv`` exits ``code`` with one ``error:`` line, no traceback."""
     capsys.readouterr()
@@ -596,26 +630,55 @@ def _fails_cleanly(argv, capsys, code):
 
 
 class TestUsageErrors:
+    # gen-data checks its values as train does: config._build, exit 2.
     @pytest.mark.parametrize(
-        "flags",
+        "args",
         [
-            ["--num-classes", "0"],
-            ["--class-sep", "0"],
-            ["--samples-per-class", "0"],
+            ["--num_classes=0"],
+            ["--class_sep=0"],
+            ["--samples_per_class_per_domain=0"],
             ["--seed", "-1"],
-            ["--bias-jitter", "nan"],
+            ["--bias_jitter=nan"],
+            ["--feature_dim=9"],
+            ["--no_such_key=1"],
         ],
     )
-    def test_gen_data_bad_settings_exit_2(self, tmp_path, capsys, flags):
-        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 2)
+    def test_gen_data_bad_settings_exit_2(self, mini_config, tmp_path, capsys, args):
+        argv = ["gen-data", mini_config, tmp_path / "g.csv", *args]
+        err = _fails_cleanly(argv, capsys, 2)
         assert not (tmp_path / "g.csv").exists()
-        if flags[0] == "--seed":
+        if args[0] == "--seed":
             assert err == "error: --seed must be >= 0, got -1\n"
+        else:
+            assert args[0][2:].split("=")[0] in err
+
+    # Flags that once spelled a config key: the key is its one spelling now.
+    @pytest.mark.parametrize(
+        "command,flag",
+        [*(("train", flag) for flag in ("--mode", "--seeds", "--out", "--dump-sar",
+                                        "--dump-modulator", "--dump-pseudo-labels")),
+         *(("gen-data", flag) for flag in (
+             "--num-classes", "--num-domains", "--signal-dim", "--noise-dim",
+             "--samples-per-class", "--class-sep", "--domain-shift", "--bias-jitter"))],
+    )
+    def test_removed_flags_exit_2(self, mini_config, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        outputs = [out] if command == "gen-data" else []
+        err = _fails_cleanly([command, mini_config, *outputs, flag, "3"], capsys, 2)
+        assert err == (f"error: unrecognized argument {flag!r} "
+                       "(overrides look like --key=value)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args", [["eval", "c.npz", "d.csv", "--mode=fm"], ["gradcheck", "--epochs=1"]]
+    )
+    def test_overrides_only_for_commands_that_read_a_config(self, capsys, args):
+        assert "unexpected arguments" in _fails_cleanly(args, capsys, 2)
 
     @pytest.mark.parametrize(
         "argv,target",
-        [(["gen-data", "{target}"], "no/such/dir/g.csv"),
-         (["train", "{config}", "--seeds", "0", "--epochs=1", "--out", "{target}"],
+        [(["gen-data", "{config}", "{target}"], "no/such/dir/g.csv"),
+         (["train", "{config}", "--seeds=0", "--epochs=1", "--output.dir={target}"],
           "file/out")],
         ids=["gen-data-missing-directory", "train-out-under-a-file"],
     )
@@ -628,15 +691,17 @@ class TestUsageErrors:
         assert str(target) in _fails_cleanly(argv, capsys, 2)
         assert not target.exists()
 
-    def test_gen_data_generation_failure_exits_1(self, tmp_path, capsys):
-        flags = ["--num-classes", "40", "--class-sep", "50", "--signal-dim", "1"]
-        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 1)
+    def test_gen_data_generation_failure_exits_1(self, mini_config, tmp_path, capsys):
+        args = ["--num_classes=40", "--class_sep=50", "--signal_dim=1", "--feature_dim=5"]
+        argv = ["gen-data", mini_config, tmp_path / "g.csv", *args]
+        err = _fails_cleanly(argv, capsys, 1)
         assert "class means" in err
 
-    def test_gen_data_out_of_memory_exits_1(self, tmp_path, capsys):
+    def test_gen_data_out_of_memory_exits_1(self, mini_config, tmp_path, capsys):
         # Petabytes of features: the allocation fails at once.
-        flags = ["--samples-per-class", "1000000000000"]
-        err = _fails_cleanly(["gen-data", tmp_path / "g.csv", *flags], capsys, 1)
+        args = ["--samples_per_class_per_domain=1000000000000"]
+        argv = ["gen-data", mini_config, tmp_path / "g.csv", *args]
+        err = _fails_cleanly(argv, capsys, 1)
         assert "Unable to allocate" in err
         assert not (tmp_path / "g.csv").exists()
 
@@ -657,7 +722,7 @@ class TestCheckpointErrors:
     def test_missing_key(self, mini_config, tmp_path, capsys, key):
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
-        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0", "--epochs=1"]) == 0
         path = tmp_path / "out" / "seed_0" / "checkpoint.npz"
         arrays = dict(np.load(path))
         del arrays[key]
@@ -665,10 +730,7 @@ class TestCheckpointErrors:
         np.savez(broken, **arrays)
         with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
             load_checkpoint(broken)
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        csv_path = _gen_data(mini_config, tmp_path)
         capsys.readouterr()
         assert cli.main(["eval", str(broken), str(csv_path)]) == 2
         err = capsys.readouterr().err
@@ -699,7 +761,7 @@ class TestCheckpointErrors:
         """``edit`` None deletes the key."""
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
-        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", *flags]
+        argv = ["train", mini_config, "--seeds=0", "--epochs=1", *flags]
         assert cli.main([*map(str, argv)]) == 0
         arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
         if edit is None:
@@ -710,10 +772,7 @@ class TestCheckpointErrors:
         np.savez(broken, **arrays)
         with pytest.raises(CheckpointError, match=f"{broken}.*{key}"):
             load_checkpoint(broken)
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        csv_path = _gen_data(mini_config, tmp_path)
         self._eval_fails([broken, csv_path], capsys, str(broken), key, needle)
 
     def test_metadata_naming_huge_layers(self, mini_config, tmp_path, capsys):
@@ -723,7 +782,7 @@ class TestCheckpointErrors:
 
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
-        argv = ["train", mini_config, "--seeds", "0", "--epochs=1", "--model.hidden_dims=6"]
+        argv = ["train", mini_config, "--seeds=0", "--epochs=1", "--model.hidden_dims=6"]
         assert cli.main([*map(str, argv)]) == 0
         arrays = dict(np.load(tmp_path / "out" / "seed_0" / "checkpoint.npz"))
         arrays["meta.hidden_dims"] = np.array([10**6, 10**6])
@@ -738,10 +797,7 @@ class TestCheckpointErrors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        csv_path = _gen_data(mini_config, tmp_path)
         self._eval_fails([broken, csv_path], capsys, str(broken), key, "shape")
 
     @pytest.mark.parametrize(
@@ -755,37 +811,36 @@ class TestCheckpointErrors:
     def test_not_an_archive(self, mini_config, tmp_path, capsys, name, make):
         from modfeat.checkpoint import CheckpointError, load_checkpoint
 
-        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0", "--epochs=1"]) == 0
         whole = (tmp_path / "out" / "seed_0" / "checkpoint.npz").read_bytes()
         broken = tmp_path / name
         broken.write_bytes(make(whole))
         with pytest.raises(CheckpointError, match=f"{broken}: not a checkpoint archive"):
             load_checkpoint(broken)
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4"]) == 0
+        csv_path = _gen_data(mini_config, tmp_path)
         self._eval_fails([broken, csv_path], capsys, str(broken))
 
     @pytest.mark.parametrize(
-        "flags,extra,needles",
+        "overrides,extra,error,needles",
         [
-            (["--signal-dim", "2"], [], ["6 feature columns"]),
-            ([], ["--target-domain", "5"], ["selects no rows"]),
-            (["--num-classes", "5"], [], ["5 classes", "predicts 3"]),
+            (["--signal_dim=2", "--feature_dim=6"], [], dat.SchemaError,
+             ["6 feature columns"]),
+            ([], ["--target-domain", "5"], ConfigError, ["selects no rows"]),
+            (["--num_classes=5"], [], dat.SchemaError, ["5 classes", "predicts 3"]),
         ],
     )
     def test_data_that_does_not_fit(
-        self, mini_config, tmp_path, capsys, flags, extra, needles
+        self, mini_config, tmp_path, capsys, overrides, extra, error, needles
     ):
         # The checkpoint reads 8 columns and predicts 3 classes; by default
         # the CSV has 8 columns, 3 classes and domains 0-2.
-        assert cli.main(["train", str(mini_config), "--seeds", "0", "--epochs=1"]) == 0
+        assert cli.main(["train", str(mini_config), "--seeds=0", "--epochs=1"]) == 0
         checkpoint = tmp_path / "out" / "seed_0" / "checkpoint.npz"
-        csv_path = tmp_path / "ds.csv"
-        assert cli.main(["gen-data", str(csv_path), "--num-classes", "3",
-                         "--num-domains", "3", "--signal-dim", "4",
-                         "--noise-dim", "4", "--samples-per-class", "4", *flags]) == 0
+        csv_path = _gen_data(mini_config, tmp_path, *overrides)
+        args = cli.build_parser().parse_args(["eval", str(checkpoint), str(csv_path),
+                                              *extra])
+        with pytest.raises(error):
+            cli.cmd_eval(args, {})
         self._eval_fails([checkpoint, csv_path, *extra], capsys, str(csv_path), *needles)
 
 
@@ -857,7 +912,7 @@ def _train_tiny(overrides) -> int:
         config = Path(tmp) / "tiny.ini"
         config.write_text(TINY_CONFIG)
         out = Path(tmp) / "out"
-        argv = ["train", str(config), "--out", str(out)]
+        argv = ["train", str(config), f"--output.dir={out}"]
         argv += [f"--{key}={value}" for key, value in overrides]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -10,7 +10,8 @@ from tests import refops as ref
 
 class TestGenerateSynthetic:
     def test_counts(self):
-        ds = dat.generate_synthetic(3, 4, 4, 4, 100, class_sep=3.0, domain_shift=1.0, seed=0)
+        ds = dat.generate_synthetic(3, 4, 4, 4, 100, class_sep=3.0, domain_shift=1.0, seed=0,
+                                    bias_jitter=0.2)
         assert len(ds) == 1200
         assert ds.input_dim == 8
         assert set(ds.signal_dims) == {0, 1, 2, 3}
@@ -29,7 +30,8 @@ class TestGenerateSynthetic:
             assert len(set(counts)) == 1
 
     def test_zero_shift_means_identical_domains(self):
-        ds = dat.generate_synthetic(2, 3, 4, 4, 400, class_sep=4.0, domain_shift=0.0, seed=1)
+        ds = dat.generate_synthetic(2, 3, 4, 4, 400, class_sep=4.0, domain_shift=0.0, seed=1,
+                                    bias_jitter=0.2)
         noise = ds.features[:, list(ds.noise_dims)]
         per_domain_means = [
             noise[ds.domain_ids == d].mean(axis=0) for d in range(3)
@@ -40,7 +42,8 @@ class TestGenerateSynthetic:
                 np.testing.assert_allclose(a, b, atol=0.2)
 
     def test_high_separation_nearest_mean_oracle(self):
-        ds = dat.generate_synthetic(4, 3, 6, 6, 80, class_sep=10.0, domain_shift=2.0, seed=2)
+        ds = dat.generate_synthetic(4, 3, 6, 6, 80, class_sep=10.0, domain_shift=2.0, seed=2,
+                                    bias_jitter=0.2)
         sig = list(ds.signal_dims)
         means = np.stack(
             [ds.features[ds.class_ids == c][:, sig].mean(axis=0) for c in range(4)]
@@ -60,14 +63,14 @@ class TestGenerateSynthetic:
         with pytest.raises(dat.GenerationError):
             dat.generate_synthetic(
                 50, 2, 1, 0, 1, class_sep=10.0, domain_shift=0.0, seed=0,
-                max_attempts=50,
+                bias_jitter=0.2, max_attempts=50,
             )
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            dat.generate_synthetic(0, 2, 2, 2, 10, 1.0, 1.0, 0)
+            dat.generate_synthetic(0, 2, 2, 2, 10, 1.0, 1.0, 0, 0.2)
         with pytest.raises(ValueError):
-            dat.generate_synthetic(2, 2, 2, 2, 10, -1.0, 1.0, 0)
+            dat.generate_synthetic(2, 2, 2, 2, 10, -1.0, 1.0, 0, 0.2)
 
     @pytest.mark.parametrize(
         "settings",
@@ -134,7 +137,8 @@ class TestCsvRoundTrip:
         assert loaded.features.tobytes() == features.tobytes()
 
     def test_bytes_match_csv_writer_without_noise_dims(self, tmp_path):
-        ds = dat.generate_synthetic(3, 2, 4, 0, 5, class_sep=2.0, domain_shift=1.0, seed=4)
+        ds = dat.generate_synthetic(3, 2, 4, 0, 5, class_sep=2.0, domain_shift=1.0, seed=4,
+                                    bias_jitter=0.2)
         assert ds.input_dim == 4
         self._both_writers(ds, tmp_path)
 
@@ -257,7 +261,8 @@ class TestSmallestCell:
 
 class TestSplit:
     def test_labeled_count(self):
-        ds = dat.generate_synthetic(7, 4, 4, 4, 20, class_sep=4.0, domain_shift=1.0, seed=0)
+        ds = dat.generate_synthetic(7, 4, 4, 4, 20, class_sep=4.0, domain_shift=1.0, seed=0,
+                                    bias_jitter=0.2)
         result = dat.split(ds, dat.SplitPlan(target_domain=0, labels_per_class=5, seed=0))
         assert len(result.labeled_x) == 5 * 7 * 3
 
@@ -534,7 +539,7 @@ class TestBlockViewsMatchPerStep:
     def test_rows_too_narrow_to_mask(self, monkeypatch, dim):
         # Below 7 features no coordinate is masked and no key is drawn.
         ds = dat.generate_synthetic(3, 3, 1, dim - 1, 30, class_sep=1.0,
-                                    domain_shift=1.0, seed=dim)
+                                    domain_shift=1.0, seed=dim, bias_jitter=0.2)
         narrow = dat.split(ds, dat.SplitPlan(target_domain=0, labels_per_class=2, seed=0))
         aug = dat.Augmenter.fit(narrow.unlabeled_x)
         assert (aug.mask_count(dim) > 0) == (dim == 7)

@@ -76,7 +76,7 @@ class TestModulatorGap:
         from modfeat.modulator import variance_init
 
         ds = dat.generate_synthetic(3, 3, 4, 4, 60, class_sep=3.0,
-                                    domain_shift=8.0, seed=4)
+                                    domain_shift=8.0, seed=4, bias_jitter=0.2)
         weights = variance_init(ds.features, ds.class_ids, 3)
         assert met.modulator_gap(weights, ds.signal_dims, ds.noise_dims) > 0.0
 

@@ -76,7 +76,7 @@ def test_fingerprint_rejects_bad_config(tmp_path, bad, needle, code):
     config = tmp_path / "tiny.ini"
     config.write_text(TINY_CONFIG)
     csv_path = tmp_path / "small.csv"
-    data.save_csv(data.generate_synthetic(3, 3, 4, 4, 2, 3.0, 4.0, seed=0), csv_path)
+    data.save_csv(data.generate_synthetic(3, 3, 4, 4, 2, 3.0, 4.0, 0, 0.2), csv_path)
     result = _fingerprint("--config", str(config), *(b.format(csv=csv_path) for b in bad))
     assert result.returncode == code
     assert result.stderr.startswith("error: ") and result.stdout == ""
@@ -107,8 +107,8 @@ def test_fingerprint_accuracy_matches_modfeat_train(tmp_path):
         mode, seed, acc, _ = line.split()
         out = tmp_path / mode
         trained = subprocess.run(
-            [sys.executable, "-m", "modfeat", "train", str(config), "--mode", mode,
-             "--seeds", seed, "--epochs=2", "--out", str(out)],
+            [sys.executable, "-m", "modfeat", "train", str(config), f"--mode={mode}",
+             f"--seeds={seed}", "--epochs=2", f"--output.dir={out}"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert trained.returncode == 0, trained.stderr
