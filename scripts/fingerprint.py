@@ -18,7 +18,6 @@ print the same lines train bit for bit alike.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 
@@ -36,31 +35,29 @@ def fingerprint(result: trainer.TrainResult) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0], allow_abbrev=False
-    )
+def load_configs(argv) -> list:
+    """The run config of each mode that ``argv`` names."""
+    parser = cli.Parser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--config", default="configs/synthetic.ini")
     parser.add_argument("--seeds", default="0", help="comma-separated, e.g. 0,1,2")
     parser.add_argument("--modes", default=",".join(trainer.MODES))
     args, extras = parser.parse_known_args(argv)
-    # Errors exit as they do in ``modfeat train`` (``cli.main``): a config
-    # or CSV that is invalid, unreadable or does not fit exits 2, and an
-    # aborted run 1, each with one ``error:`` line.
-    try:
-        overrides = {**cli._split_overrides(extras), "train.seeds": args.seeds}
-        configs = [
-            config.load_config(args.config, {**overrides, "train.mode": mode})
-            for mode in args.modes.split(",")
-        ]
-        for cfg in configs:
-            for seed, result, _ in cli.run_seeds(cfg):
-                final = result.reports[-1].target_accuracy
-                print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}",
-                      flush=True)
-    except cli.USAGE_ERRORS + cli.ABORTS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, cli.USAGE_ERRORS) else 1
+    overrides = {**cli._split_overrides(extras), "train.seeds": args.seeds}
+    return [
+        config.load_config(args.config, {**overrides, "train.mode": mode})
+        for mode in args.modes.split(",")
+    ]
+
+
+# Errors exit as they do in ``modfeat train``: a bad flag, or a config or
+# CSV that is invalid, unreadable or does not fit, exits 2, and an aborted
+# run 1, each with one ``error:`` line.
+@cli.guarded
+def main(argv=None) -> int:
+    for cfg in load_configs(argv):
+        for seed, result, _ in cli.run_seeds(cfg):
+            final = result.reports[-1].target_accuracy
+            print(f"{cfg.train.mode} {seed} {final!r} {fingerprint(result)}", flush=True)
     return 0
 
 

@@ -6,18 +6,19 @@ line as --section.key=value (or --key=value when the bare key is
 unambiguous), and that is the only spelling of a setting:
 
     modfeat train CONFIG [--key=value ...]
-    modfeat gen-data CONFIG OUT [--seed S] [--key=value ...]
+    modfeat gen-data CONFIG OUT [--key=value ...]
     modfeat eval CHECKPOINT CSV [--target-domain D]
     modfeat gradcheck [--seed S] [--tolerance T]
 
-The commands raise; ``main`` alone maps an error to one ``error: ...``
+A config trains on the CSV at ``data.path`` where it is set, else on
+synthetic data; ``gen-data`` writes the data that ``train`` gives the
+config's first seed. The commands raise; ``guarded`` (on ``main`` and
+``scripts/fingerprint.py``'s) alone maps an error to one ``error: ...``
 line on stderr and an exit code. Exit 2, invalid configuration or usage,
-is any ``OSError`` or ``ValueError``: a bad config value or flag
-(``ConfigError``), a CSV that does not parse (``ParseError``,
-``SchemaError``), does not fit a checkpoint (``SchemaError``) or does
-not fit the config, whatever the entry point, a file that is not a sound checkpoint (``CheckpointError``), a split that
-cannot be drawn (``SplitError``), or a file or output directory that
-cannot be read or made. Exit 1 is an aborted run (``TrainingAborted``,
+is any ``OSError`` or ``ValueError``: a bad config value, flag or
+argument (``ConfigError``), or a CSV, checkpoint, split, file or output
+directory that cannot be read, does not fit or cannot be made (README
+lists them). Exit 1 is an aborted run (``TrainingAborted``,
 ``GenerationError``, ``MemoryError``) or a failed ``gradcheck``.
 """
 
@@ -56,7 +57,7 @@ def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
     checked against the config (``check_data_fit``), or a synthetic draw,
     checked when the config was built."""
     spec = config.data
-    if spec.kind == "csv":
+    if spec.path:
         dataset = dat.load_csv(spec.path)
         try:
             check_data_fit(
@@ -68,15 +69,9 @@ def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
         return dataset
     data_seed = spec.data_seed if spec.data_seed is not None else seed
     return dat.generate_synthetic(
-        spec.num_classes,
-        spec.num_domains,
-        spec.signal_dim,
-        spec.noise_dim,
-        spec.samples_per_class_per_domain,
-        spec.class_sep,
-        spec.domain_shift,
-        data_seed,
-        bias_jitter=spec.bias_jitter,
+        spec.num_classes, spec.num_domains, spec.signal_dim, spec.noise_dim,
+        spec.samples_per_class_per_domain, spec.class_sep, spec.domain_shift,
+        data_seed, bias_jitter=spec.bias_jitter,
     )
 
 
@@ -112,7 +107,7 @@ def run_seeds(
     written to its run directory and ``TrainingAborted`` is raised, naming
     the seed.
     """
-    if dataset is None and config.data.kind == "csv":
+    if dataset is None and config.data.path:
         dataset = _build_dataset(config, config.seeds[0])
     runs = []
     for seed in config.seeds:
@@ -165,9 +160,7 @@ def cmd_train(args, overrides) -> int:
     config = load_config(args.config, overrides)
     # CSV data is the same for every seed: load and check it before
     # anything is written.
-    csv_data = None
-    if config.data.kind == "csv":
-        csv_data = _build_dataset(config, config.seeds[0])
+    csv_data = _build_dataset(config, config.seeds[0]) if config.data.path else None
 
     out_dir = Path(config.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,16 +228,22 @@ def cmd_gradcheck(args, overrides) -> int:
 
 
 def cmd_gen_data(args, overrides) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    dataset = _build_dataset(load_config(args.config, overrides), args.seed)
+    config = load_config(args.config, overrides)
+    dataset = _build_dataset(config, config.seeds[0])
     dat.save_csv(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class Parser(argparse.ArgumentParser):
+    """Raises its usage errors as ``ConfigError``; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def build_parser() -> Parser:
+    parser = Parser(
         prog="modfeat",
         description="Prototype-anchored feature modulation for "
         "semi-supervised domain generalization",
@@ -269,11 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_gen = sub.add_parser(
-        "gen-data", help="write the dataset a config trains a seed on, as CSV"
+        "gen-data", help="write the data a config trains its first seed on, as CSV"
     )
     p_gen.add_argument("config", help="INI config with [data] [model] [train] [output]")
     p_gen.add_argument("out")
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen_data)
     return parser
 
@@ -283,16 +281,27 @@ USAGE_ERRORS = (OSError, ValueError)
 ABORTS = (trn.TrainingAborted, dat.GenerationError, MemoryError)
 
 
+def guarded(command):
+    """``command`` under the exit-code table: an error of the table prints
+    as one ``error: ...`` line on stderr and returns its exit code."""
+
+    def run(*args):
+        try:
+            return command(*args)
+        except USAGE_ERRORS + ABORTS as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2 if isinstance(err, USAGE_ERRORS) else 1
+
+    return run
+
+
+@guarded
 def main(argv=None) -> int:
     args, extras = build_parser().parse_known_args(argv)
-    try:
-        # Only the commands that read a config take --key=value overrides.
-        if extras and args.func not in (cmd_train, cmd_gen_data):
-            raise ConfigError(f"unexpected arguments {extras}")
-        return args.func(args, _split_overrides(extras))
-    except USAGE_ERRORS + ABORTS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, USAGE_ERRORS) else 1
+    # Only the commands that read a config take --key=value overrides.
+    if extras and args.func not in (cmd_train, cmd_gen_data):
+        raise ConfigError(f"unexpected arguments {extras}")
+    return args.func(args, _split_overrides(extras))
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataSpec:
-    kind: str = "synthetic"  # synthetic | csv
-    path: str = ""
+    path: str = ""  # a CSV file to train on; empty: synthetic data
     num_classes: int = 7
     num_domains: int = 4
     signal_dim: int = 16
@@ -148,12 +147,8 @@ def _build(values: dict) -> RunConfig:
         )
     if min(seeds) < 0 or (data.data_seed or 0) < 0:
         raise ConfigError("[train] seeds and [data] data_seed must be >= 0")
-    if data.kind not in ("synthetic", "csv"):
-        raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {data.kind!r}")
-    if data.kind == "csv" and not data.path:
-        raise ConfigError("data.kind = csv requires data.path")
     config = RunConfig(data=data, model=model, train=train, output=output, seeds=seeds)
-    if data.kind == "synthetic":
+    if not data.path:
         try:
             check_synthetic(
                 data.num_classes, data.num_domains, data.signal_dim, data.noise_dim,

@@ -1,5 +1,5 @@
 """Training orchestration: per-epoch prototype refresh, batch loop with
-pseudo-labeling, SGD with cosine-annealed learning rates, evaluation and
+pseudo-labeling, SGD with a cosine-annealed learning rate, evaluation and
 checkpointing. Also runs the fixed-threshold baseline mode: the same
 pipeline's unmodulated R = 1 view (``network.score_graph``), so the
 modulator and the diagonal losses drop out, and pseudo-labels come from
@@ -71,7 +71,6 @@ class TrainingAborted(RuntimeError):
 class TrainConfig:
     epochs: int = 20
     lr_main: float = 0.03
-    lr_modulator: float = 0.03
     momentum: float = 0.9
     tau: float = 0.75
     mc_samples: int = 5
@@ -87,11 +86,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # Written so that nan fails every bound.
-        if not (0 < self.lr_main < math.inf and 0 < self.lr_modulator < math.inf):
-            raise ValueError(
-                "lr_main and lr_modulator must be finite and > 0, "
-                f"got {self.lr_main} and {self.lr_modulator}"
-            )
+        if not 0 < self.lr_main < math.inf:
+            raise ValueError(f"lr_main must be finite and > 0, got {self.lr_main}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
         if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
@@ -249,12 +245,12 @@ def train(
     Each epoch: (1) the prototype bank from the previous epoch boundary
     is used unchanged for every batch; (2) per batch, unlabeled weak
     views are pseudo-labeled from the current model, the four-term loss
-    is built on weak labeled plus strong unlabeled views, and SGD steps
-    with cosine-annealed rates; (3) the bank is refreshed from the
-    updated model, and target accuracy and the pseudo-labels' keep rate
-    and accuracy (against the truth at the epoch's pool positions) are
-    recorded. Any numpy overflow, invalid or divide error on the way
-    aborts the run (``TrainingAborted``).
+    is built on weak labeled plus strong unlabeled views, and one SGD
+    steps every trained weight at a cosine-annealed rate; (3) the bank is
+    refreshed from the updated model, and target accuracy and the
+    pseudo-labels' keep rate and accuracy (against the truth at the
+    epoch's pool positions) are recorded. Any numpy overflow, invalid or
+    divide error on the way aborts the run (``TrainingAborted``).
     """
     baseline = config.mode == "fixmatch-baseline"
     run_dir = Path(run_dir) if run_dir is not None else None
@@ -278,6 +274,9 @@ def train(
         )
         model = Model.init(extractor_cfg, dataset.num_classes, init_rng)
 
+        # One optimizer steps every trained weight: the baseline's all-ones
+        # placeholder gets no gradient, so only fm adds the modulator.
+        params = model.params()
         if baseline:
             modulation = ModulationMatrix.ones(dataset.num_classes, feature_dim)
             bank = None
@@ -289,6 +288,7 @@ def train(
             bank = build_bank(
                 labeled_feats, split_data.labeled_y, dataset.num_classes, epoch=0
             )
+            params.append(modulation.param)
 
         iterator = BatchIterator(
             split_data,
@@ -297,8 +297,7 @@ def train(
             seed=int(batch_seed_rng.integers(2**63)),
         )
         total_steps = config.epochs * iterator.batches_per_epoch
-        opt_main = SGD(model.params(), config.momentum)
-        opt_mod = None if baseline else SGD([modulation.param], config.momentum)
+        opt = SGD(params, config.momentum)
 
         reports: list[EpochReport] = []
         # Per epoch: its number, pool positions, pseudo-labels and truths.
@@ -341,14 +340,10 @@ def train(
                         f"non-finite loss at epoch {epoch} step {step}",
                         {"epoch": epoch, "step": step, **breakdown.values()},
                     )
-                opt_main.zero_grads()
-                if opt_mod is not None:
-                    opt_mod.zero_grads()
+                opt.zero_grads()
                 ad.backward(breakdown.total)
                 lr_now = cosine_lr(config.lr_main, step, total_steps)
-                opt_main.step(lr_now)
-                if opt_mod is not None:
-                    opt_mod.step(cosine_lr(config.lr_modulator, step, total_steps))
+                opt.step(lr_now)
                 step += 1
                 terms = breakdown.l_s, breakdown.l_u, breakdown.l_d, breakdown.l_ud
                 sums = [s + t for s, t in zip(sums, (*terms, total))]
@@ -357,8 +352,7 @@ def train(
 
             # A last step can leave weights that are not finite and that no
             # loss has seen yet. The bank checks its own anchors.
-            arrays = [p.value for p in model.params()] + [modulation.values]
-            if not all(np.isfinite(a).all() for a in arrays):
+            if not all(np.isfinite(p.value).all() for p in params):
                 raise TrainingAborted(
                     f"non-finite parameters after epoch {epoch}",
                     {"epoch": epoch, "step": step},

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -24,7 +25,6 @@ CONFIG = ROOT / "configs" / "synthetic.ini"
 
 MINI_CONFIG = """
 [data]
-kind = synthetic
 num_classes = 3
 num_domains = 3
 signal_dim = 4
@@ -129,11 +129,23 @@ class TestConfig:
         monkeypatch.setenv("MODFEAT_SEED", "42")
         assert load_config(path).seeds == (0,)
 
-    def test_csv_kind_requires_path(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[data]\nkind = csv\n")
-        with pytest.raises(ConfigError, match="path"):
-            load_config(path)
+    # Deleted keys: one optimizer steps every weight at lr_main, and a
+    # config reads a CSV iff it sets data.path.
+    @pytest.mark.parametrize("section,key,value", [("data", "kind", "csv"),
+                                                   ("train", "lr_modulator", "0.03")])
+    @pytest.mark.parametrize("where", ["file", "override", "bare-override"])
+    def test_deleted_keys_exit_2(self, mini_config, tmp_path, capsys, section, key,
+                                 value, where):
+        argv = ["train", mini_config, "--seeds=0", "--epochs=1"]
+        if where == "file":
+            text = mini_config.read_text()
+            mini_config.write_text(text.replace(f"[{section}]\n",
+                                                f"[{section}]\n{key} = {value}\n"))
+        else:
+            argv.append(f"--{section + '.' if where == 'override' else ''}{key}={value}")
+        err = _fails_cleanly(argv, capsys, 2)
+        assert f"key {key!r}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -178,8 +190,7 @@ class TestCli:
 
         load_csv = dat.load_csv
         monkeypatch.setattr(dat, "load_csv", counting_load_csv)
-        overrides = {"epochs": "1", "seeds": "0,1,2", "data.kind": "csv",
-                     "data.path": str(csv_path)}
+        overrides = {"epochs": "1", "seeds": "0,1,2", "data.path": str(csv_path)}
         runs = cli.run_seeds(load_config(mini_config, overrides))
         assert [run.seed for run in runs] == [0, 1, 2]
         assert len(calls) == 1
@@ -218,8 +229,8 @@ class TestCli:
         ["--mc_samples=1", "--mc_samples=100000000", "--dropout_p=1.5", "--dropout_p=-0.1", "--momentum=-3",
          "--momentum=1", "--labels_per_class=0", "--hidden_dims=0", "--hidden_dims=6,-1",
          "--beta=-1", "--gamma=-1", "--bias_jitter=-0.5", "--data_seed=-1",
-         "--seeds=-1", "--lr_main=nan", "--lr_main=inf", "--lr_modulator=nan",
-         "--lr_modulator=inf", "--beta=nan", "--beta=inf", "--gamma=nan", "--gamma=inf"],
+         "--seeds=-1", "--lr_main=nan", "--lr_main=inf", "--beta=nan", "--beta=inf",
+         "--gamma=nan", "--gamma=inf"],
     )
     def test_out_of_range_training_value_exits_2(
         self, mini_config, tmp_path, capsys, override
@@ -287,18 +298,20 @@ class TestCli:
         "args,generate",
         [
             (["--num_classes=3", "--num_domains=2", "--noise_dim=0",
-              "--samples_per_class_per_domain=40", "--seed", "7",
+              "--samples_per_class_per_domain=40", "--seeds=7",
               "--target_domain=1", "--feature_dim=16"],
              (3, 2, 16, 0, 40, 2.0, 6.0, 7, 1.0)),
             (["--num_classes=12", "--num_domains=11", "--signal_dim=8",
               "--noise_dim=5", "--samples_per_class_per_domain=3", "--class_sep=0.5",
-              "--domain_shift=1e6", "--bias_jitter=3", "--seed", "3",
+              "--domain_shift=1e6", "--bias_jitter=3", "--seeds=3,1",
               "--labels_per_class=3", "--feature_dim=13"],
              (12, 11, 8, 5, 3, 0.5, 1e6, 3, 3.0)),
-            # data_seed, where set, draws the data instead of --seed.
-            (["--seed", "3", "--data_seed=5"], (7, 4, 16, 16, 150, 2.0, 6.0, 5, 1.0)),
+            # The first seed draws the data, as in modfeat train; data_seed,
+            # where set, draws it instead.
+            (["--seeds=3"], (7, 4, 16, 16, 150, 2.0, 6.0, 3, 1.0)),
+            (["--seeds=3", "--data_seed=5"], (7, 4, 16, 16, 150, 2.0, 6.0, 5, 1.0)),
         ],
-        ids=["no-noise", "many-domains", "data-seed"],
+        ids=["no-noise", "many-domains", "first-seed", "data-seed"],
     )
     def test_gen_data_writes_the_csv_writer_bytes(self, tmp_path, args, generate):
         assert cli.main(["gen-data", str(CONFIG), str(tmp_path / "cli.csv"), *args]) == 0
@@ -361,10 +374,10 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gen_data_then_eval(self, mini_config, tmp_path, capsys, seed):
-        # gen-data --seed s writes the data that training seed s draws, so
+        # gen-data --seeds=s writes the data that training seed s draws, so
         # eval of seed s's checkpoint at the held-out domain repeats its
         # summary's target accuracy.
-        csv_path = _gen_data(mini_config, tmp_path, "--seed", str(seed))
+        csv_path = _gen_data(mini_config, tmp_path, f"--seeds={seed}")
         loaded = dat.load_csv(csv_path)
         assert loaded.num_classes == 3 and len(loaded) == 3 * 3 * 24
 
@@ -414,20 +427,52 @@ class TestCli:
         assert (out / "seed_0" / "pseudo_labels.csv").is_file()
 
 
-def _readme_commands() -> list:
-    """Every ``modfeat ...`` line of README's bash blocks, as argv lists."""
-    commands, in_bash = [], False
+def _bash_lines() -> list:
+    """The lines of README's bash blocks."""
+    lines, in_bash = [], False
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("```"):
             in_bash = line == "```bash"
-        elif in_bash and line.startswith("modfeat "):
-            commands.append(shlex.split(line, comments=True)[1:])
+        elif in_bash:
+            lines.append(line)
+    return lines
+
+
+def _readme_commands() -> list:
+    """Every ``modfeat ...`` line of README's bash blocks, as argv lists."""
+    return [shlex.split(line, comments=True)[1:]
+            for line in _bash_lines() if line.startswith("modfeat ")]
+
+
+def _fingerprint_commands() -> list:
+    """The arguments of every ``scripts/fingerprint.py`` line of README's
+    bash blocks and of FINGERPRINTS.txt's header, where ``$S`` is the
+    header's seed list."""
+    header = [line.lstrip("# ") for line in
+              (ROOT / "FINGERPRINTS.txt").read_text().splitlines() if line.startswith("#")]
+    (seeds,) = [line[2:] for line in header if line.startswith("S=")]
+    commands = []
+    for line in _bash_lines() + header:
+        if "scripts/fingerprint.py " in line:
+            words = shlex.split(line.replace("$S", seeds), comments=True)
+            commands.append(words[words.index("scripts/fingerprint.py") + 1:])
     return commands
+
+
+def _fingerprint_script():
+    spec = importlib.util.spec_from_file_location(
+        "fingerprint", ROOT / "scripts" / "fingerprint.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_readme_commands_parse(monkeypatch):
     """README's command lines parse, and their configs load with their
-    overrides from the repo root; eval and gradcheck take none."""
+    overrides from the repo root; eval and gradcheck take none. So do the
+    fingerprint lines of README and FINGERPRINTS.txt, whose configs are
+    configs/synthetic.ini: no doc keeps a deleted key."""
     commands = _readme_commands()
     assert {argv[0] for argv in commands} == {"train", "gen-data", "eval", "gradcheck"}
     monkeypatch.chdir(ROOT)
@@ -437,6 +482,12 @@ def test_readme_commands_parse(monkeypatch):
             load_config(args.config, cli._split_overrides(extras))
         else:
             assert extras == [], argv
+    fingerprint = _fingerprint_script()
+    commands = _fingerprint_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert "--config" not in argv, argv  # the default, configs/synthetic.ini
+        assert fingerprint.load_configs(argv), argv
 
 
 class TestRunFilesMatchTheOracles:
@@ -568,15 +619,30 @@ class TestCrossFieldValidation:
         )
         dat.save_csv(dataset, tmp_path / "ds.csv")
         text = MINI_CONFIG.format(out=tmp_path / "out").replace(
-            "kind = synthetic", f"kind = csv\npath = {tmp_path / 'ds.csv'}"
+            "[data]\n", f"[data]\npath = {tmp_path / 'ds.csv'}\n"
         )
         path = tmp_path / "csv.ini"
         path.write_text(text)
         return path
 
-    def test_csv_data_trains(self, csv_config, tmp_path):
+    def test_csv_data_trains(self, csv_config, mini_config, tmp_path):
+        # data.path alone selects the CSV: each seed trains as a synthetic
+        # run on the draw the CSV holds does, bit for bit.
         assert cli.main(["train", str(csv_config), "--epochs=1"]) == 0
-        assert (tmp_path / "out" / "seed_1" / "metrics.csv").is_file()
+        drawn = tmp_path / "drawn"
+        argv = ["train", str(mini_config), "--epochs=1", "--bias_jitter=0.2",
+                "--data_seed=0", f"--output.dir={drawn}"]
+        assert cli.main(argv) == 0
+        for seed in (0, 1):
+            metrics = f"seed_{seed}/metrics.csv"
+            assert (tmp_path / "out" / metrics).read_bytes() == (
+                drawn / metrics).read_bytes()
+
+    def test_path_alone_selects_a_csv(self, mini_config, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        err = _fails_cleanly(["train", mini_config, f"--data.path={missing}"], capsys, 2)
+        assert str(missing) in err
+        assert not (tmp_path / "out").exists()
 
     def test_csv_domain_id_past_its_rows_exits_2(self, csv_config, tmp_path, capsys):
         # 10**17 domains of 3 classes outnumber the rows, so a source cell
@@ -637,7 +703,7 @@ class TestUsageErrors:
             ["--num_classes=0"],
             ["--class_sep=0"],
             ["--samples_per_class_per_domain=0"],
-            ["--seed", "-1"],
+            ["--seeds=-1"],
             ["--bias_jitter=nan"],
             ["--feature_dim=9"],
             ["--no_such_key=1"],
@@ -647,10 +713,7 @@ class TestUsageErrors:
         argv = ["gen-data", mini_config, tmp_path / "g.csv", *args]
         err = _fails_cleanly(argv, capsys, 2)
         assert not (tmp_path / "g.csv").exists()
-        if args[0] == "--seed":
-            assert err == "error: --seed must be >= 0, got -1\n"
-        else:
-            assert args[0][2:].split("=")[0] in err
+        assert args[0][2:].split("=")[0] in err
 
     # Flags that once spelled a config key: the key is its one spelling now.
     @pytest.mark.parametrize(
@@ -659,7 +722,8 @@ class TestUsageErrors:
                                         "--dump-modulator", "--dump-pseudo-labels")),
          *(("gen-data", flag) for flag in (
              "--num-classes", "--num-domains", "--signal-dim", "--noise-dim",
-             "--samples-per-class", "--class-sep", "--domain-shift", "--bias-jitter"))],
+             "--samples-per-class", "--class-sep", "--domain-shift", "--bias-jitter",
+             "--seed"))],
     )
     def test_removed_flags_exit_2(self, mini_config, tmp_path, capsys, command, flag):
         out = tmp_path / "out"
@@ -668,6 +732,29 @@ class TestUsageErrors:
         assert err == (f"error: unrecognized argument {flag!r} "
                        "(overrides look like --key=value)\n")
         assert not out.exists()
+
+    # argparse's own usage errors leave through the same one-line boundary.
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [(["eval", "a.npz"], "modfeat eval: the following arguments are required: data"),
+         (["gradcheck", "--seed", "x"], "modfeat gradcheck: argument --seed: invalid int"),
+         (["gen-data", "x.csv"], "modfeat gen-data: the following arguments are required"),
+         ([], "modfeat: the following arguments are required: command"),
+         (["fit"], "modfeat: argument command: invalid choice: 'fit'")],
+        ids=["eval-without-data", "gradcheck-bad-seed", "gen-data-without-out",
+             "no-command", "unknown-command"],
+    )
+    def test_argparse_errors_exit_2(self, tmp_path, capsys, monkeypatch, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        assert needle in _fails_cleanly(argv, capsys, 2)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: modfeat")
 
     @pytest.mark.parametrize(
         "args", [["eval", "c.npz", "d.csv", "--mode=fm"], ["gradcheck", "--epochs=1"]]
@@ -855,7 +942,6 @@ _INT_RANGES = {
     "per_domain_labeled": (-1, 8), "per_domain_unlabeled": (-1, 8),
 }
 _CHOICES = {
-    "kind": ["synthetic", "csv", "other"],
     "path": ["", "missing.csv"],
     "mode": ["fm", "fixmatch-baseline", "baseline"],
     "seeds": ["0", "1,0", "-1", "x", "0,0"],
@@ -890,7 +976,6 @@ _overrides = st.lists(
 @example([("data.bias_jitter", "-0.0")])
 @example([("data.bias_jitter", "nan")])
 @example([("train.lr_main", "nan")])
-@example([("train.lr_modulator", "inf")])
 @example([("train.beta", "nan")])
 @example([("train.gamma", "inf")])
 @example([("train.seeds", "0,0")])

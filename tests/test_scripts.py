@@ -63,12 +63,14 @@ def test_fingerprint_repeats_exactly(tmp_path):
     [(["--hidden_dims=x"], "hidden_dims", 2), (["--epochs", "1"], "unrecognized", 2),
      (["--no_such_key=1"], "no_such_key", 2),
      # Its cells hold 2 samples, fewer than labels_per_class = 4.
-     (["--data.kind=csv", "--data.path={csv}"], "{csv}: [data] labels_per_class = 4", 2),
-     (["--data.kind=csv", "--data.path={csv}.missing"], "{csv}.missing", 2),
+     (["--data.path={csv}"], "{csv}: [data] labels_per_class = 4", 2),
+     (["--data.path={csv}.missing"], "{csv}.missing", 2),
+     # argparse's own usage error, through modfeat's one-line boundary.
+     (["--seeds"], "argument --seeds: expected one argument", 2),
      # Means this far apart overflow the logits within the first epoch.
      (["--class_sep=100", "--epochs=1", "--modes", "fm"], "seed 0: non-finite value", 1)],
     ids=["bad-value", "bare-flag", "unknown-key", "csv-that-does-not-fit", "missing-csv",
-         "aborted-run"],
+         "flag-without-value", "aborted-run"],
 )
 def test_fingerprint_rejects_bad_config(tmp_path, bad, needle, code):
     from modfeat import data

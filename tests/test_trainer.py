@@ -166,7 +166,7 @@ class TestTrain:
             ("fm", {}),
             ("fixmatch-baseline", {}),
             # Slow learning under a high tau: epoch 3 keeps nothing.
-            ("fm", {"tau": 0.95, "lr_main": 0.003, "lr_modulator": 0.003}),
+            ("fm", {"tau": 0.95, "lr_main": 0.003}),
         ],
     )
     def test_pseudo_label_dump_matches_epoch_metrics(
