@@ -12,22 +12,33 @@ for 2 epochs at seed 0, three times on the same data:
   as a total and per step;
 - under ``tracemalloc``: the peak of traced memory.
 
+Then, under ``tracemalloc``, it runs ``modfeat eval`` in-process once on
+the fm run's checkpoint and the seed-0 data's CSV, every row of it, and
+prints its peak: the CSV parse and one scoring pass.
+
 Per-step figures divide a run's totals, its per-epoch evaluations and
 bank refreshes included, by its SGD steps. Everything printed, the
-tracemalloc peak included, repeats exactly from run to run on one Python
+tracemalloc peaks included, repeats exactly from run to run on one Python
 and numpy build, so two source trees can be compared line by line: a
 change in what a step does shows up here even where a timing cannot
-resolve it.
+resolve it. The one exception is the ``[eval]`` peak, which moves by a
+few hundred bytes from process to process: ``modfeat eval`` builds its
+argument parser, whose conflict-handler names (71 bytes each) stay
+alive while CPython's attribute cache holds them, and that cache is
+indexed by their addresses.
 
     python scripts/ledger.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
+import io
 import os
 import re
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -37,7 +48,7 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from modfeat import cli, config, trainer  # noqa: E402
+from modfeat import cli, config, data, trainer  # noqa: E402
 from perfbench import spans  # noqa: E402
 
 EPOCHS = 2
@@ -48,8 +59,8 @@ TOP = 15  # functions listed per mode
 _ADDRESS = re.compile(r" at 0x[0-9a-f]+")
 
 
-def _train(cfg, dataset):
-    ((_, result, _),) = cli.run_seeds(cfg, dataset)
+def _train(cfg, dataset, out_dir=None):
+    ((_, result, _),) = cli.run_seeds(cfg, dataset, out_dir)
     return result
 
 
@@ -90,11 +101,15 @@ def traced_peak(cfg, dataset) -> int:
         tracemalloc.stop()
 
 
-def ledger(mode: str) -> list:
-    cfg = config.load_config(
+def _config(mode: str):
+    return config.load_config(
         ROOT / "configs" / "synthetic.ini",
         {"train.mode": mode, "train.epochs": str(EPOCHS), "train.seeds": str(SEED)},
     )
+
+
+def ledger(mode: str) -> list:
+    cfg = _config(mode)
     dataset = cli._build_dataset(cfg, SEED)
     counts = exact_counts(cfg, dataset)
     steps = counts["autodiff.backward_calls"]
@@ -116,10 +131,37 @@ def ledger(mode: str) -> list:
     return lines
 
 
+def eval_ledger() -> list:
+    """The traced peak of one ``modfeat eval`` of the fm checkpoint over
+    every row of the seed-0 data, after one untraced call."""
+    cfg = _config("fm")
+    dataset = cli._build_dataset(cfg, SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "data.csv"
+        data.save_csv(dataset, csv)
+        _train(cfg, dataset, tmp)
+        argv = ["eval", str(Path(tmp) / f"seed_{SEED}" / "checkpoint.npz"), str(csv)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    if code != 0:
+        raise RuntimeError(f"modfeat eval exited with {code}")
+    return [
+        f"[eval] fm checkpoint, {len(dataset)} rows",
+        f"  tracemalloc peak {peak} B",
+    ]
+
+
 def main() -> int:
     print(f"# cost ledger: configs/synthetic.ini, {EPOCHS} epochs, seed {SEED}")
     for mode in trainer.MODES:
         print("\n".join(ledger(mode)), flush=True)
+    print("\n".join(eval_ledger()), flush=True)
     return 0
 
 

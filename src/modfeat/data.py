@@ -13,13 +13,16 @@ outputs: training consumes the unlabeled pool without domain identity.
 The data layer works in bulk: ``save_csv`` writes a row per call, and
 ``BatchIterator.epoch`` gathers the rows and draws the augmented views
 of a block of whole steps at once, with the draws and bits that one
-step at a time would give.
+step at a time would give. ``load_csv`` streams the file into its one
+parse, so a load holds the parsed rows and the arrays it returns, not the
+text.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -246,37 +249,40 @@ def load_csv(path) -> DomainDataset:
     """Parse the CSV schema; class/domain counts are inferred from the ids.
 
     One leading UTF-8 byte-order mark, which spreadsheet exports write, is
-    skipped. Blank lines are skipped. The data lines are parsed in one
-    ``np.loadtxt`` call (ids as integers, features as float64); only when
-    that fails are they parsed again one at a time, to name the line at
-    fault. Every feature must be finite.
+    skipped. Blank lines are skipped. The header is read alone, and the
+    open file then goes to one ``np.loadtxt`` call (ids as integers,
+    features as float64), which reads it line by line: the text is never
+    held whole. Every feature must be finite. Only when the parse fails or
+    a feature is not finite is the file read again, to name the line at
+    fault.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if not text:
-        raise SchemaError(f"{path}: empty file")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    if len(header) < 3 or tuple(header[:2]) != CSV_HEADER_PREFIX:
-        raise SchemaError(
-            f"{path}: header must start with 'domain_id,class_id,f0,...'"
-        )
-    width = len(header)
-    numbered = [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
-    if not numbered:
+        first = fh.readline()
+        if not first:
+            raise SchemaError(f"{path}: empty file")
+        header = first.removesuffix("\n").split(",")
+        if len(header) < 3 or tuple(header[:2]) != CSV_HEADER_PREFIX:
+            raise SchemaError(
+                f"{path}: header must start with 'domain_id,class_id,f0,...'"
+            )
+        width = len(header)
+        row_type = np.dtype([
+            ("domain", np.int64), ("class", np.int64), ("features", np.float64, (width - 2,)),
+        ])
+        try:
+            with warnings.catch_warnings():
+                # Blank lines alone parse to no rows, reported below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = _parse_rows(fh, row_type)
+        except ValueError as err:  # a UnicodeDecodeError too
+            _raise_at_bad_line(path, width, row_type)
+            raise ParseError(f"{path}: {err}") from None
+    if not len(rows):
         raise SchemaError(f"{path}: no data rows")
-    row_type = np.dtype(
-        [("domain", np.int64), ("class", np.int64), ("features", np.float64, (width - 2,))]
-    )
-    try:
-        rows = _parse_rows([line for _, line in numbered], row_type)
-    except ValueError as err:
-        _raise_at_bad_line(path, numbered, width, row_type)
-        raise ParseError(f"{path}: {err}") from None
     features = np.ascontiguousarray(rows["features"])
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        lineno = numbered[int(np.argmin(finite))][0]
+        lineno = _numbered_lines(path)[int(np.argmin(finite))][0]
         raise ParseError(f"{path}:{lineno}: features must be finite")
     class_ids, domain_ids = rows["class"].copy(), rows["domain"].copy()
     if class_ids.min() < 0 or domain_ids.min() < 0:
@@ -290,13 +296,22 @@ def load_csv(path) -> DomainDataset:
     )
 
 
-def _parse_rows(lines: list, row_type: np.dtype) -> np.ndarray:
+def _parse_rows(lines, row_type: np.dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=row_type, delimiter=",", comments=None, ndmin=1)
 
 
-def _raise_at_bad_line(path, numbered: list, width: int, row_type: np.dtype) -> None:
+def _numbered_lines(path) -> list:
+    """The non-blank lines after the header, each with its line number:
+    the rows ``load_csv``'s parse reads, in its order. Reads the whole
+    text, so an undecodable byte raises here with its offset in the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    return [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
+
+
+def _raise_at_bad_line(path, width: int, row_type: np.dtype) -> None:
     """Raise the error of the first data line that does not parse alone."""
-    for lineno, line in numbered:
+    for lineno, line in _numbered_lines(path):
         fields = line.count(",") + 1
         if fields != width:
             raise SchemaError(

@@ -20,13 +20,17 @@ reads too.
 
 A pass yields n*C rows of C logits (n rows unmodulated), and numpy's row
 reductions pay a per-row overhead on rows that narrow. So
-``predict_matrices`` takes the softmax on one class-major (C x rows) copy
+``predict_matrices`` takes the softmax on class-major (C x rows) copies
 of the logits, in both modes and at any class count: the row maxima and
-sums are column reductions of it, the shift and exp run in place in it,
-and the returned entries are read from it. A column reduction of the
-copy adds the C classes left to right, the order of the loss's
-``autodiff.row_log_softmax``, except in a one-row copy, whose one
-column numpy sums as it does a row.
+sums are column reductions of a copy, the shift and exp run in place in
+it, and the returned entries are read from it. The copies are taken
+block by block, each of whole samples within ``SOFTMAX_BLOCK_BYTES``, so
+a pass holds its row-major logits and at most one block's copy, not a
+second copy of all its logits. A column reduction of a copy adds the C
+classes left to right, the order of the loss's
+``autodiff.row_log_softmax``, except in a one-row copy, whose one column
+numpy sums as it does a row; so no block holds a single sample unless
+the pass scores only one.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,
@@ -54,6 +58,10 @@ BASELINE_THRESHOLD = 0.95
 # Bytes the K Monte Carlo passes over one batch may hold at once: the
 # (K, n, C) confidence table plus one chunk of stacked passes.
 MC_BUDGET_BYTES = 64 * 2**20
+# Bytes of the class-major copy of the logits that ``predict_matrices``
+# holds at once: a block of whole samples within it, or of three samples,
+# which exceed it only at over 200 classes.
+SOFTMAX_BLOCK_BYTES = 2**20
 
 
 # A batch's pseudo-labels, one row per sample: the gate's inputs, its
@@ -108,25 +116,46 @@ def predict_matrices(
     probability. Units drop iff ``dropout`` is set, drawn from ``rng``,
     which it then needs. Every row is normalized; only the returned
     entries are divided. No gradients are recorded. The softmax runs on
-    one class-major copy of the logits (see the module docstring); ``u``
-    is only read.
+    class-major copies of blocks of the logits (see the module
+    docstring), each written into the one returned array; ``u`` is only
+    read.
     """
     if dropout and rng is None:
         raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
     with no_grad():
         logits = net.score_graph(model, head, u, rng if dropout else None).value
-    c = logits.shape[1]
-    # Rebinding frees the row-major logits once the copy is made.
-    logits = np.ascontiguousarray(logits.T)
-    logits -= np.maximum.reduce(logits, axis=0)
-    np.exp(logits, out=logits)
-    total = np.add.reduce(logits, axis=0)
-    if head is None:
-        logits /= total
-        return np.ascontiguousarray(logits.T)
-    diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-    return diagonal / total.reshape(-1, c)
+    n, c = len(u), logits.shape[1]
+    rows = 1 if head is None else c  # score rows per sample
+    blocks = _block_count(n, 8 * rows * c)
+    out = np.empty((n, c))
+    # Every block's class-major copy is made in this one buffer.
+    buffer = np.empty(c * rows * -(-n // blocks))
+    for i in range(blocks):
+        start, stop = n * i // blocks, n * (i + 1) // blocks
+        block = buffer[: c * rows * (stop - start)].reshape(c, rows * (stop - start))
+        np.copyto(block, logits[start * rows : stop * rows].T)
+        block -= np.maximum.reduce(block, axis=0)
+        np.exp(block, out=block)
+        total = np.add.reduce(block, axis=0)
+        if head is None:
+            block /= total
+            out[start:stop] = block.T
+        else:
+            diagonal = block.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+            np.divide(diagonal, total.reshape(-1, c), out=out[start:stop])
+    return out
+
+
+def _block_count(n: int, sample_bytes: int) -> int:
+    """The fewest near-equal blocks of ``n`` samples, block i holding
+    samples ``n*i//blocks`` up to ``n*(i+1)//blocks``, that fit
+    ``SOFTMAX_BLOCK_BYTES`` at ``sample_bytes`` a sample, or of at most
+    three samples where it fits fewer. A block may take three samples, so
+    none holds one when ``n`` >= 2.
+    """
+    per_block = max(3, SOFTMAX_BLOCK_BYTES // sample_bytes)
+    return max(1, -(-n // per_block))
 
 
 def _pass_bytes(model: Model, n: int) -> int:
@@ -135,8 +164,9 @@ def _pass_bytes(model: Model, n: int) -> int:
     Per row: its input; 25 bytes per unit of every extractor layer, for a
     layer's input, output and dropout factor and the dropout mask (only
     one layer's are live at a time); the C x C logits and their
-    class-major copy, both live while the copy is made; and C row
-    maxima, C row sums and the C confidences returned.
+    class-major copy; and C row maxima, C row sums and the C confidences
+    returned. ``predict_matrices`` copies at most one block of the logits
+    at a time, so counting a whole copy keeps this an upper bound.
     """
     cfg = model.extractor.config
     c = model.num_classes

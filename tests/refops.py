@@ -12,6 +12,9 @@ for bit. ``row_softmax`` is the full softmax whose read entries
 ``left_to_right_softmax`` is the one whose entries it computes, in both
 modes, at any class count, and ``left_to_right_log_softmax`` is
 ``autodiff.row_log_softmax``'s value and vjp in the same order.
+``one_copy_confidences`` is ``predict_matrices``'s softmax in its earlier
+form, on one class-major copy of all the logits; its blocks must repeat
+it bit for bit.
 ``weak_augment``/``strong_augment`` are ``data.Augmenter``'s views
 drawn one call at a time, in their ``rng.normal(size=...)`` form,
 and ``per_step_batches`` is ``data.BatchIterator.epoch`` one step at a
@@ -150,6 +153,22 @@ def left_to_right_log_softmax(a: np.ndarray, g: np.ndarray) -> tuple:
     out = a - row_max(a)
     out = out - np.log(left_to_right_sum(np.exp(out)))
     return out, g - np.exp(out) * left_to_right_sum(g)
+
+
+def one_copy_confidences(logits: np.ndarray, modulated: bool) -> np.ndarray:
+    """(n x C) confidences from a pass's (n*C x C) logits when
+    ``modulated``, else its (n x C) ones, with the softmax on one
+    class-major copy of them all."""
+    c = logits.shape[1]
+    logits = np.ascontiguousarray(logits.T)
+    logits -= np.maximum.reduce(logits, axis=0)
+    np.exp(logits, out=logits)
+    total = np.add.reduce(logits, axis=0)
+    if not modulated:
+        logits /= total
+        return np.ascontiguousarray(logits.T)
+    diagonal = logits.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+    return diagonal / total.reshape(-1, c)
 
 
 def weak_augment(aug, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

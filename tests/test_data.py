@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,130 @@ class TestCsvRoundTrip:
         path.write_text("class_id,domain_id,f0\n0,0,1.0\n")
         with pytest.raises(dat.SchemaError):
             dat.load_csv(path)
+
+
+@pytest.fixture(scope="module")
+def bench_csv(tmp_path_factory):
+    """The benchmark's 4,200-row CSV (configs/synthetic.ini, data seed 0)
+    and its lines, header first, without their line ends."""
+    ds = dat.generate_synthetic(7, 4, 16, 16, 150, class_sep=2.0, domain_shift=6.0,
+                                seed=0, bias_jitter=1.0)
+    path = tmp_path_factory.mktemp("bench") / "bench.csv"
+    dat.save_csv(ds, path)
+    return ds, path.read_bytes().split(b"\n")[:-1]
+
+
+def _same_arrays(got, want):
+    for field in ("features", "class_ids", "domain_ids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.features.flags.c_contiguous
+    assert (got.num_classes, got.num_domains) == (want.num_classes, want.num_domains)
+
+
+class TestStreamingLoad:
+    """``load_csv`` parses from the open file; the line of a fault is found
+    by reading the file again. Each case gives what reading the whole text
+    first gave."""
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "case.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    def test_bad_field_past_the_first_read_names_its_line(self, bench_csv, tmp_path):
+        _, lines = bench_csv
+        lines = list(lines)
+        lines[2999] = b"0,1," + b",".join([b"1.0"] * 31 + [b"oops"])  # line 3000
+        path = self._write(tmp_path, lines)
+        with pytest.raises(dat.ParseError) as err:
+            dat.load_csv(path)
+        assert str(err.value) == (
+            f"{path}:3000: could not convert string 'oops' to float64 (field 34)"
+        )
+
+    def test_short_line_past_the_first_read_names_its_line(self, bench_csv, tmp_path):
+        _, lines = bench_csv
+        lines = list(lines)
+        lines[3999] = b"0,1,1.0"
+        path = self._write(tmp_path, lines)
+        with pytest.raises(dat.SchemaError) as err:
+            dat.load_csv(path)
+        assert str(err.value) == f"{path}:4000: expected 34 fields, got 3"
+
+    @pytest.mark.parametrize("value", [b"nan", b"-inf"])
+    def test_non_finite_feature_names_its_line(self, bench_csv, tmp_path, value):
+        _, lines = bench_csv
+        lines = list(lines)
+        lines[3499] = b"0,1," + b",".join([value] + [b"1.0"] * 31)  # line 3500
+        lines.insert(10, b"")  # a blank line above it moves it to 3501
+        path = self._write(tmp_path, lines)
+        with pytest.raises(dat.ParseError) as err:
+            dat.load_csv(path)
+        assert str(err.value) == f"{path}:3501: features must be finite"
+
+    def test_whole_file(self, bench_csv, tmp_path):
+        ds, lines = bench_csv
+        _same_arrays(dat.load_csv(self._write(tmp_path, lines)), ds)
+
+    def test_byte_order_mark_and_crlf(self, bench_csv, tmp_path):
+        ds, lines = bench_csv
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines) + b"\r\n")
+        _same_arrays(dat.load_csv(path), ds)
+
+    def test_blank_lines_in_the_middle_and_at_the_end(self, bench_csv, tmp_path):
+        ds, lines = bench_csv
+        lines = lines[:2] + [b""] + lines[2:2100] + [b"", b""] + lines[2100:] + [b"", b""]
+        _same_arrays(dat.load_csv(self._write(tmp_path, lines)), ds)
+
+    @pytest.mark.parametrize("blank", [b" ", b"\t", b"   "])
+    def test_whitespace_only_line_is_a_row(self, bench_csv, tmp_path, blank):
+        _, lines = bench_csv
+        lines = lines[:50] + [blank] + lines[50:]  # line 51
+        path = self._write(tmp_path, lines)
+        with pytest.raises(dat.SchemaError) as err:
+            dat.load_csv(path)
+        assert str(err.value) == f"{path}:51: expected 34 fields, got 1"
+
+    @pytest.mark.parametrize("line", [3, 3000])
+    def test_invalid_utf8_reports_its_offset_in_the_file(self, bench_csv, tmp_path, line):
+        _, lines = bench_csv
+        lines = list(lines)
+        lines[line - 1] = lines[line - 1][:-1] + b"\xff"
+        path = self._write(tmp_path, lines)
+        offset = path.read_bytes().index(b"\xff")
+        with pytest.raises(UnicodeDecodeError) as err:
+            dat.load_csv(path)
+        assert str(err.value) == (
+            f"'utf-8' codec can't decode byte 0xff in position {offset}: "
+            "invalid start byte"
+        )
+
+    @pytest.mark.parametrize("body", [b"", b"\n", b"\n\n\n"])
+    def test_no_data_rows_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"domain_id,class_id,f0" + b"\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dat.SchemaError) as err:
+                dat.load_csv(path)
+        assert str(err.value) == f"{path}: no data rows"
+
+    def test_peak_is_within_three_times_the_arrays(self, bench_csv, tmp_path):
+        """The text, its lines and a numbered copy of them are never held:
+        reading them whole first peaked at 7.2x the returned arrays."""
+        _, lines = bench_csv
+        path = self._write(tmp_path, lines)
+        dat.load_csv(path)
+        tracemalloc.start()
+        try:
+            ds = dat.load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = ds.features.nbytes + ds.class_ids.nbytes + ds.domain_ids.nbytes
+        assert peak <= 3 * returned
 
 
 def _dense_smallest_cell(ds, skip_domain):

@@ -365,6 +365,75 @@ class TestChunkedMonteCarlo:
             assert estimate <= 2 * peak
 
 
+def _block_samples(num_classes, modulated):
+    """Samples in a full softmax block: B, at ``SOFTMAX_BLOCK_BYTES``."""
+    rows = num_classes if modulated else 1
+    return pl.SOFTMAX_BLOCK_BYTES // (8 * rows * num_classes)
+
+
+class TestSoftmaxBlocks:
+    @pytest.mark.parametrize("size", ["1", "2", "B-1", "B", "B+1", "2B+1"])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("modulated", [True, False])
+    @pytest.mark.parametrize("num_classes", [7, 8])
+    def test_matches_one_copy_softmax_bitwise(self, size, dropout, modulated, num_classes):
+        b = _block_samples(num_classes, modulated)
+        n = {"1": 1, "2": 2, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[size]
+        model, modulation, bank, u = _mc_setup((), n, num_classes)
+        head = model.fm_head(modulation, bank) if modulated else None
+        got_rng = np.random.default_rng(9)
+        got = pl.predict_matrices(u, model, head, dropout, got_rng)
+        want_rng = np.random.default_rng(9)
+        with no_grad():
+            logits = net.score_graph(model, head, u, want_rng if dropout else None).value
+        want = ref.one_copy_confidences(logits, modulated)
+        assert got_rng.random() == want_rng.random()
+        assert got.shape == (n, num_classes) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("modulated", [True, False])
+    def test_blocks_below_three_samples_keep_the_bits(self, monkeypatch, n, modulated):
+        # A budget of one byte fits no sample: every block holds 2 or 3.
+        monkeypatch.setattr(pl, "SOFTMAX_BLOCK_BYTES", 1)
+        model, modulation, bank, u = _mc_setup((), n, num_classes=8)
+        head = model.fm_head(modulation, bank) if modulated else None
+        with no_grad():
+            logits = net.score_graph(model, head, u).value
+        got = pl.predict_matrices(u, model, head)
+        assert got.tobytes() == ref.one_copy_confidences(logits, modulated).tobytes()
+
+    @pytest.mark.parametrize("sample_bytes", [8, 392, 2**19, 2**19 + 1, 2**20, 2**30])
+    def test_blocks_are_near_equal_and_never_one_sample(self, sample_bytes):
+        # Samples a block may take: as many as fit the budget, or three.
+        cap = max(3, pl.SOFTMAX_BLOCK_BYTES // sample_bytes)
+        for n in [0, 1, 2, 3, 4, 5, 7, 2675, 5349, 40_000]:
+            blocks = pl._block_count(n, sample_bytes)
+            sizes = [n * (i + 1) // blocks - n * i // blocks for i in range(blocks)]
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+            if n >= 2:
+                assert min(sizes) >= 2
+            if blocks > 1:  # one block fewer would overfill one
+                assert -(-n // (blocks - 1)) > cap
+
+    def test_peak_holds_logits_and_one_block(self):
+        """An fm pass over 4,200 rows holds its logits and one block's
+        class-major copy, not a second copy of all its logits."""
+        n, c = 4200, 7
+        model, modulation, bank, u = _mc_setup((), n, c)
+        head = model.fm_head(modulation, bank)
+        logits_bytes = 8 * n * c * c
+        assert logits_bytes > pl.SOFTMAX_BLOCK_BYTES  # more than one block
+        pl.predict_matrices(u, model, head)
+        tracemalloc.start()
+        try:
+            pl.predict_matrices(u, model, head)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= logits_bytes + 1.5 * pl.SOFTMAX_BLOCK_BYTES
+
+
 class TestPassStatistics:
     @pytest.mark.parametrize("k", [2, 5, 1000])
     def test_mean_and_std_match_numpy_bitwise(self, k):

@@ -242,13 +242,28 @@ def _ledger():
     )
 
 
+def _eval_peak(stdout: str) -> tuple:
+    """The ledger without its ``[eval]`` peak line, and that peak."""
+    head, peak = re.fullmatch(
+        r"(.*\[eval\] fm checkpoint, 4200 rows\n)  tracemalloc peak (\d+) B\n",
+        stdout, re.S,
+    ).groups()
+    return head, int(peak)
+
+
 def test_ledger_repeats_exactly():
     first, second = _ledger(), _ledger()
     assert first.returncode == 0, first.stderr
-    assert first.stdout == second.stdout
+    (head, peak), (head2, peak2) = _eval_peak(first.stdout), _eval_peak(second.stdout)
+    assert head == head2
+    # argparse's conflict-handler names ("_handle_conflict_error", 71 B
+    # each) stay alive while CPython's attribute cache, indexed by their
+    # addresses, holds them: a few of them more or less from process to
+    # process.
+    assert abs(peak - peak2) <= 1024
     assert re.findall(r"^\[(\S+)\] (\d+) steps$", first.stdout, re.M) == [
         ("fm", "132"), ("fixmatch-baseline", "132")
     ]
-    assert first.stdout.count("tracemalloc peak") == 2
+    assert first.stdout.count("tracemalloc peak") == 3
     for name in ("autodiff.as_matrix_bytes", "modulator.modulate_calls"):
         assert first.stdout.count(name) == 2
