@@ -6,16 +6,16 @@ and a vector-Jacobian closure. Leaf nodes (parameters, constants) persist
 across steps; interior nodes are rebuilt each step.
 
 Only nodes that lead back to a gradient-requiring leaf (``leaf``, which
-parameters use) record a graph: an op on no-grad operands alone (built
+parameters are) record a graph: an op on no-grad operands alone (built
 from ``constant`` or a plain ``Node``) keeps no parents and no vjp.
 Inside a ``no_grad()`` block no op records a graph at all, even on
 parameters, so passes that only read values (scoring, evaluation) keep
 neither parents nor vjp closures alive. Vjps skip the adjoints of
 no-grad operands where that saves work, and ``backward`` visits only
-nodes that require a gradient: it runs their vjps, and no other, and
-stores adjoints for them alone. It writes ``.grad`` only on leaves: an
-interior node's adjoint lives in a per-call map only until it has been
-passed to the node's parents.
+nodes that require a gradient: it runs their vjps, and no other. It
+returns the gradients of the leaves it reaches, and nodes store none:
+an interior node's adjoint lives in a per-call map only until it has
+been passed to the node's parents.
 
 The engine holds only the generic ops; the training loss is a node of
 its own with a hand-written vjp (``objective``). ``dropout`` is the only
@@ -89,14 +89,13 @@ class Node:
     no parents and no vjp, whatever it was built from, so the graph
     behind it is not kept and ``backward`` never reaches it.
 
-    ``grad`` is allocated lazily so no-gradient evaluation passes pay
-    nothing for it. ``backward`` accumulates into it on gradient-requiring
-    leaves only; interior and no-grad nodes keep ``grad`` unset.
+    A node holds no gradient: ``backward`` returns them. ``name`` labels
+    a parameter (a leaf made by ``leaf``); it is None elsewhere.
     ``_vjp(g)`` returns one entry per parent: an adjoint array, or None
     for a parent that does not require a gradient.
     """
 
-    __slots__ = ("value", "parents", "_vjp", "_grad", "requires_grad")
+    __slots__ = ("value", "parents", "_vjp", "name", "requires_grad")
 
     def __init__(
         self,
@@ -104,9 +103,10 @@ class Node:
         parents: Sequence["Node"] = (),
         vjp: Optional[Callable[[np.ndarray], tuple]] = None,
         requires_grad: bool = False,
+        name: Optional[str] = None,
     ):
         self.value = value
-        self._grad: Optional[np.ndarray] = None
+        self.name = name
         if _recording and not requires_grad:
             for parent in parents:
                 if parent.requires_grad:
@@ -121,56 +121,22 @@ class Node:
             self._vjp = None
 
     @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        return self._grad
-
-    @grad.setter
-    def grad(self, g: np.ndarray) -> None:
-        if g.shape != self.value.shape:
-            raise DimensionError("grad shape must match value shape")
-        self._grad = g
-
-    @property
     def shape(self) -> tuple:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self._grad = None
 
     def __repr__(self) -> str:
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
 
 
 def constant(values) -> Node:
-    """Validated no-grad leaf: ops on it record no graph and it gets no grad."""
+    """Validated no-grad leaf: ops on it record no graph and it gets no gradient."""
     return Node(as_matrix(values))
 
 
-def leaf(values) -> Node:
-    """Validated gradient-requiring leaf; ``backward`` accumulates its grad."""
-    return Node(as_matrix(values), requires_grad=True)
-
-
-@dataclass
-class DualParam:
-    """A named learnable parameter: persistent value plus accumulated grad."""
-
-    name: str
-    node: Node
-
-    @classmethod
-    def create(cls, name: str, values) -> "DualParam":
-        return cls(name=name, node=leaf(values))
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.node.value
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.node.grad
+def leaf(values, name: Optional[str] = None) -> Node:
+    """Validated gradient-requiring leaf: ``backward`` returns its gradient.
+    A parameter carries its ``name``."""
+    return Node(as_matrix(values), requires_grad=True, name=name)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -272,24 +238,25 @@ def dropout(a: Node, p: float, rng: Optional[np.random.Generator]) -> Node:
     return Node(a.value * factor, (a,), vjp)
 
 
-def backward(loss: Node) -> None:
-    """Reverse sweep from a 1x1 loss node, accumulating into leaf ``.grad``.
+def backward(loss: Node) -> dict:
+    """Reverse sweep from a 1x1 loss node: each leaf it reaches -> its gradient.
 
     It visits only nodes that require a gradient, in the reverse of a
     depth-first post-order that pushes each node's parents in order, and
     adds each node's adjoint contributions in that order. Adjoints live
     in a per-call map keyed by node until passed on to the parents; a
-    leaf's is complete when the sweep reaches it and is added to its
-    grad, so repeated calls accumulate (callers reset grads between
-    optimizer steps). Interior nodes and constants get no grad, and a
-    no-grad loss is a no-op.
+    leaf's is complete when the sweep reaches it and goes into the
+    returned map. Each call returns fresh arrays and keeps nothing, so
+    calls are independent. Constants and interior nodes get no entry,
+    and a no-grad loss gives an empty map.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(
             f"backward requires a 1x1 loss node, got shape {loss.value.shape}"
         )
+    grads: dict = {}
     if not loss.requires_grad:
-        return
+        return grads
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -307,14 +274,15 @@ def backward(loss: Node) -> None:
         if g is None:
             continue
         if not node.parents:
-            # A first adjoint is stored as g + 0.0: the bits of
-            # zeros + g (-0.0 becomes +0.0) without allocating the zeros.
-            node.grad = g + 0.0 if node._grad is None else node._grad + g
+            # Returned as g + 0.0: the bits of zeros + g (-0.0 becomes
+            # +0.0) without allocating the zeros, in an array of its own.
+            grads[node] = g + 0.0
             continue
         for parent, contrib in zip(node.parents, node._vjp(g)):
             if parent.requires_grad:
                 prev = adjoint.get(parent)
                 adjoint[parent] = contrib if prev is None else prev + contrib
+    return grads
 
 
 @dataclass
@@ -330,7 +298,7 @@ class GradCheckReport:
 
 def grad_check(
     build_fn: Callable[[], Node],
-    params: Sequence[DualParam],
+    params: Sequence[Node],
     step: float = 1e-5,
     tolerance: float = 1e-4,
     rel_floor: float = 1e-6,
@@ -351,15 +319,13 @@ def grad_check(
     if not params:
         return GradCheckReport(0.0, "", {}, True, tolerance)
 
-    for p in params:
-        p.node.zero_grad()
-    backward(build_fn())
-    analytic = {p.name: p.node.grad.copy() for p in params}
+    grads = backward(build_fn())
 
     per_param: dict[str, float] = {}
     worst = (0.0, params[0].name)
     for p in params:
-        theta = p.node.value
+        theta = p.value
+        analytic = grads.get(p, np.zeros_like(theta))
         worst_here = 0.0
         it = np.nditer(theta, flags=["multi_index"])
         for _ in it:
@@ -371,7 +337,7 @@ def grad_check(
             f_minus = build_fn().value[0, 0]
             theta[idx] = saved
             numeric = (f_plus - f_minus) / (2.0 * step)
-            a = analytic[p.name][idx]
+            a = analytic[idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), rel_floor)
             if rel > worst_here:
                 worst_here = rel

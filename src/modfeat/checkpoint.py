@@ -9,13 +9,16 @@ matrix and the prototype bank ride along when present.
 
 from __future__ import annotations
 
+import io
+import lzma
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import DualParam
+from . import autodiff as ad
 from .modulator import ModulationMatrix
 from .network import ExtractorConfig, Model
 from .prototypes import PrototypeBank
@@ -58,28 +61,50 @@ def save_checkpoint(
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is not an archive, lacks a required key, has an
-    unsupported version, or holds an array whose shape does not match its
-    metadata or whose values are not finite."""
+    """A checkpoint file is not an archive, has a member that cannot be
+    read, lacks a required key or holds one the loader does not read, has
+    an unsupported version, or holds an array whose shape does not match
+    its metadata or whose values are not finite."""
+
+
+# What reading a damaged member raises: a CRC-32 or local-header
+# mismatch, a truncated member, an encryption flag or a compression
+# method that np.savez does not write, or an npy header that does not
+# parse or that claims more entries than memory holds (numpy allocates
+# them before it reads any).
+_READ_ERRORS = (
+    zipfile.BadZipFile, EOFError, OSError, ValueError, NotImplementedError,
+    RuntimeError, MemoryError, zlib.error, lzma.LZMAError,
+)
 
 
 def load_checkpoint(path) -> Checkpoint:
     try:
-        archive = np.load(path)
-    except (EOFError, zipfile.BadZipFile) as err:
+        archive = zipfile.ZipFile(path)
+    except (EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"{path}: not a checkpoint archive ({err})") from None
-    except ValueError:  # neither zip nor .npy: np.load refuses to unpickle it
-        raise CheckpointError(f"{path}: not a checkpoint archive (not a zip file)") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise CheckpointError(f"{path}: not a checkpoint archive (an .npy array)")
     with archive:
+        members = set(archive.namelist())
+        read = set()
 
         def data(key: str, shape=None) -> np.ndarray:
             """The array under ``key``: of ``shape`` and finite when a shape
-            is given, as parameters and bank arrays are."""
-            if key not in archive:
+            is given, as parameters and bank arrays are. The member is read
+            whole, so its CRC-32 is checked."""
+            name = f"{key}.npy"
+            if name not in members:
                 raise CheckpointError(f"{path}: missing key {key!r}")
-            a = archive[key]
+            read.add(name)
+            try:
+                a = np.lib.format.read_array(io.BytesIO(archive.read(name)))
+            except _READ_ERRORS as err:
+                raise CheckpointError(
+                    f"{path}: cannot read {key!r} ({err or type(err).__name__})"
+                ) from None
+            if a.dtype.kind not in "iuf":
+                raise CheckpointError(
+                    f"{path}: {key!r} holds {a.dtype}, not integers or floats"
+                )
             if shape is None:
                 return a
             if a.shape != shape:
@@ -108,16 +133,16 @@ def load_checkpoint(path) -> Checkpoint:
                 feature_dim=int(meta["feature_dim"]),
                 dropout_p=float(meta["dropout_p"]),
             )
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: invalid metadata ({err})") from None
         f = cfg.feature_dim
         # The network names and shapes each parameter, and each array is
         # checked before the next is read: the metadata allocates nothing.
         model = Model.build(
-            cfg, c, lambda name, shape, _: DualParam.create(name, data(f"param.{name}", shape))
+            cfg, c, lambda name, shape, _: ad.leaf(data(f"param.{name}", shape), name)
         )
         bank = None
-        if "bank.prototypes" in archive:
+        if "bank.prototypes.npy" in members:
             bank = PrototypeBank(
                 prototypes=data("bank.prototypes", (c, f)),
                 similarity=data("bank.similarity", (c, c)),
@@ -126,8 +151,14 @@ def load_checkpoint(path) -> Checkpoint:
             )
         modulation = None
         # A bank is only read through the modulation weights.
-        if bank is not None or "param.modulator.weights" in archive:
+        if bank is not None or "param.modulator.weights.npy" in members:
             modulation = ModulationMatrix.from_values(
                 data("param.modulator.weights", (c, f))
+            )
+        # A member no key above names (a renamed bank array, say) would
+        # otherwise be skipped, and the file read as something else.
+        if members - read:
+            raise CheckpointError(
+                f"{path}: unexpected member(s) {', '.join(sorted(members - read))}"
             )
     return Checkpoint(model=model, modulation=modulation, bank=bank)

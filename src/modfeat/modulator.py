@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DualParam, Node
+from .autodiff import Node
 
 
 class VarianceUndefinedError(ValueError):
@@ -70,21 +70,18 @@ def variance_init(
 
 @dataclass
 class ModulationMatrix:
-    """The learnable modulation weights as an optimizer-visible parameter."""
+    """The learnable modulation weights: ``param``, a named leaf node the
+    optimizer steps."""
 
-    param: DualParam
+    param: Node
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "ModulationMatrix":
-        return cls(DualParam.create("modulator.weights", values))
+        return cls(ad.leaf(values, "modulator.weights"))
 
     @classmethod
     def ones(cls, num_classes: int, feature_dim: int) -> "ModulationMatrix":
-        return cls(DualParam.create("modulator.weights", np.ones((num_classes, feature_dim))))
-
-    @property
-    def node(self) -> Node:
-        return self.param.node
+        return cls.from_values(np.ones((num_classes, feature_dim)))
 
     @property
     def values(self) -> np.ndarray:

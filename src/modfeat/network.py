@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import modulator
-from .autodiff import DualParam, Node
+from .autodiff import Node
 from .prototypes import PrototypeBank
 
 
@@ -62,7 +62,7 @@ class ExtractorConfig:
 @dataclass
 class Extractor:
     config: ExtractorConfig
-    weights: list = field(default_factory=list)  # DualParam per affine layer
+    weights: list = field(default_factory=list)  # a parameter node per affine layer
     biases: list = field(default_factory=list)
 
     @classmethod
@@ -95,7 +95,7 @@ class Extractor:
             return ad.dropout(h, self.config.dropout_p, rng)
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add_row(ad.matmul(h, w.node), b.node)
+            h = ad.add_row(ad.matmul(h, w), b)
             if i < n_layers - 1:
                 h = ad.relu(h)
                 if i == n_layers - 2:
@@ -107,8 +107,8 @@ class Extractor:
 class Classifier:
     """Single linear head shared by all modulation rows and domains."""
 
-    weight: DualParam  # (feature_dim, num_classes)
-    bias: DualParam  # (1, num_classes)
+    weight: Node  # (feature_dim, num_classes)
+    bias: Node  # (1, num_classes)
 
     @classmethod
     def build(cls, feature_dim: int, num_classes: int, make) -> "Classifier":
@@ -126,7 +126,7 @@ class Classifier:
         return [self.weight, self.bias]
 
     def forward(self, z: Node) -> Node:
-        return ad.add_row(ad.matmul(z, self.weight.node), self.bias.node)
+        return ad.add_row(ad.matmul(z, self.weight), self.bias)
 
 
 @dataclass
@@ -141,14 +141,14 @@ class Model:
         """Weights drawn from N(0, std^2) in layer order; zero biases."""
         def draw(name, shape, std):
             value = rng.normal(0.0, std, size=shape) if std else np.zeros(shape)
-            return DualParam.create(name, value)
+            return ad.leaf(value, name)
 
         return cls.build(config, num_classes, draw)
 
     @classmethod
     def build(cls, config: ExtractorConfig, num_classes: int, make) -> "Model":
         """The model of ``config``; ``make(name, shape, std)`` returns each
-        parameter, a ``DualParam`` (``std``: initial scale, 0 for a bias)."""
+        parameter, a named leaf node (``std``: initial scale, 0 for a bias)."""
         return cls(
             extractor=Extractor.build(config, make),
             classifier=Classifier.build(config.feature_dim, num_classes, make),
@@ -170,8 +170,8 @@ class Model:
         if bank is None:
             return None
         return modulator.FusedHead(
-            bank.blended, modulation.node, self.classifier.weight.node,
-            self.classifier.bias.node,
+            bank.blended, modulation.param, self.classifier.weight,
+            self.classifier.bias,
         )
 
 

@@ -145,26 +145,26 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 
 class SGD:
-    """SGD with momentum: v <- momentum * v + g; theta <- theta - lr * v."""
+    """SGD with momentum: v <- momentum * v + g; theta <- theta - lr * v.
+
+    ``params`` are named leaf nodes; ``step`` takes the gradients that
+    ``autodiff.backward`` returns for them, and a parameter the loss does
+    not reach steps with gradient zero.
+    """
 
     def __init__(self, params: Sequence, momentum: float = 0.9):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate parameter names: {sorted(names)}")
+            raise ValueError(f"duplicate parameter names: {sorted(names, key=str)}")
         self.params = list(params)
         self.momentum = momentum
-        self._velocity = {p.name: np.zeros_like(p.value) for p in self.params}
+        self._velocity = [np.zeros_like(p.value) for p in self.params]
 
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.node.zero_grad()
-
-    def step(self, lr: float) -> None:
-        for p in self.params:
-            v = self._velocity[p.name]
+    def step(self, grads: dict, lr: float) -> None:
+        for p, v in zip(self.params, self._velocity):
             v *= self.momentum
-            v += p.node.grad
-            p.node.value -= lr * v
+            v += grads[p] if p in grads else 0.0
+            p.value -= lr * v
 
 
 def _eval_features(model: Model, x: np.ndarray) -> np.ndarray:
@@ -340,10 +340,8 @@ def train(
                         f"non-finite loss at epoch {epoch} step {step}",
                         {"epoch": epoch, "step": step, **breakdown.values()},
                     )
-                opt.zero_grads()
-                ad.backward(breakdown.total)
                 lr_now = cosine_lr(config.lr_main, step, total_steps)
-                opt.step(lr_now)
+                opt.step(ad.backward(breakdown.total), lr_now)
                 step += 1
                 terms = breakdown.l_s, breakdown.l_u, breakdown.l_d, breakdown.l_ud
                 sums = [s + t for s, t in zip(sums, (*terms, total))]

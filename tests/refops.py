@@ -93,10 +93,11 @@ def topo_order(root: Node) -> list:
     return order
 
 
-def topo_backward(loss: Node) -> None:
-    """``autodiff.backward`` as a reverse sweep over ``topo_order``."""
+def topo_backward(loss: Node) -> dict:
+    """``autodiff.backward`` as a reverse sweep over ``topo_order``: the
+    same map from each reached leaf to its gradient."""
     if not loss.requires_grad:
-        return
+        return {}
     order = topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
@@ -113,10 +114,7 @@ def topo_backward(loss: Node) -> None:
                 adjoint[key] = adjoint[key] + contrib
             else:
                 adjoint[key] = contrib
-    for node in order:
-        g = adjoint.get(id(node))
-        if g is not None:
-            node.grad = g + 0.0 if node._grad is None else node._grad + g
+    return {node: adjoint[id(node)] + 0.0 for node in order if id(node) in adjoint}
 
 
 def row_max(a: np.ndarray) -> np.ndarray:

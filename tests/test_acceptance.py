@@ -179,16 +179,16 @@ def test_criterion_5_loss_scaling():
 
 def test_criterion_6_oracle_equivalence():
     model, modulation, bank, x, y = no_dropout_setup(seed=33)
-    model.extractor.weights[0].node.value[:] = np.array(
+    model.extractor.weights[0].value[:] = np.array(
         [[0.4, -0.2, 0.1, 0.3, -0.5],
          [0.0, 0.6, -0.1, 0.2, 0.1],
          [-0.3, 0.1, 0.5, -0.4, 0.2]]
     )
-    model.extractor.biases[0].node.value[:] = np.array([[0.1, -0.1, 0.0, 0.05, 0.2]])
-    model.classifier.weight.node.value[:] = np.array(
+    model.extractor.biases[0].value[:] = np.array([[0.1, -0.1, 0.0, 0.05, 0.2]])
+    model.classifier.weight.value[:] = np.array(
         [[0.7, -0.3], [-0.2, 0.5], [0.1, 0.1], [0.4, -0.6]]
     )
-    model.classifier.bias.node.value[:] = np.array([[0.05, -0.05]])
+    model.classifier.bias.value[:] = np.array([[0.05, -0.05]])
     records = gate_batch([1, 0], [0.94, 0.88], [0.01, 0.02], 0.75)
     lx, ly, ux = x[:2], y[:2], x[2:4]
     breakdown = objective.total_loss(

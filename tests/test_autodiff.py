@@ -38,10 +38,10 @@ class TestMatmul:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
     def test_gradients(self, rng):
-        a = ad.DualParam.create("a", rng.normal(size=(2, 3)))
-        b = ad.DualParam.create("b", rng.normal(size=(3, 2)))
+        a = ad.leaf(rng.normal(size=(2, 3)), "a")
+        b = ad.leaf(rng.normal(size=(3, 2)), "b")
         report = ad.grad_check(
-            lambda: ad.sum_all(ad.matmul(a.node, b.node)), [a, b], step=1e-6
+            lambda: ad.sum_all(ad.matmul(a, b)), [a, b], step=1e-6
         )
         assert report.max_rel_error < 1e-6
 
@@ -59,10 +59,10 @@ class TestElementwise:
     @settings(max_examples=25, deadline=None)
     @given(finite_matrices(2, 3, -2.0, 2.0))
     def test_composed_gradient_matches_fd(self, values):
-        p = ad.DualParam.create("p", values)
+        p = ad.leaf(values, "p")
 
         def loss():
-            h = ad.relu(ref.add(p.node, ad.constant(np.full((2, 3), 0.3))))
+            h = ad.relu(ref.add(p, ad.constant(np.full((2, 3), 0.3))))
             return ad.sum_all(ref.mul(ad.row_log_softmax(ref.scale(h, 0.5)), h))
 
         # Entries near the ReLU kink make the difference quotient invalid.
@@ -74,16 +74,14 @@ class TestElementwise:
 
 class TestAddRow:
     def _run(self, build, a, b, g):
-        for p in (a, b):
-            p.node.zero_grad()
-        out = build(a.node, b.node)
-        ad.backward(ad.sum_all(ref.mul(out, ad.constant(g))))
-        return out.value, a.grad.copy(), b.grad.copy()
+        out = build(a, b)
+        grads = ad.backward(ad.sum_all(ref.mul(out, ad.constant(g))))
+        return out.value, grads[a], grads[b]
 
     @pytest.mark.parametrize("n", [1, 48])
     def test_matches_ones_column_matmul_bitwise(self, rng, n):
-        a = ad.DualParam.create("a", rng.normal(size=(n, 7)))
-        b = ad.DualParam.create("b", rng.normal(size=(1, 7)))
+        a = ad.leaf(rng.normal(size=(n, 7)), "a")
+        b = ad.leaf(rng.normal(size=(1, 7)), "b")
         g = rng.normal(size=(n, 7))
 
         def ones_column(an, bn):
@@ -95,12 +93,12 @@ class TestAddRow:
             np.testing.assert_array_equal(got, want)
 
     def test_gradients(self, rng):
-        a = ad.DualParam.create("a", rng.normal(size=(4, 3)))
-        b = ad.DualParam.create("b", rng.normal(size=(1, 3)))
+        a = ad.leaf(rng.normal(size=(4, 3)), "a")
+        b = ad.leaf(rng.normal(size=(1, 3)), "b")
         g = ad.constant(rng.normal(size=(4, 3)))
 
         def loss():
-            out = ad.add_row(a.node, b.node)
+            out = ad.add_row(a, b)
             return ad.sum_all(ref.mul(ref.mul(out, out), g))
 
         report = ad.grad_check(loss, [a, b], step=1e-6, tolerance=1e-7)
@@ -152,10 +150,10 @@ class TestRowSoftmax:
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
     def test_log_softmax_gradient(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(3, 4)))
+        p = ad.leaf(rng.normal(size=(3, 4)), "p")
         mask = ad.constant(rng.random((3, 4)))
         report = ad.grad_check(
-            lambda: ad.sum_all(ref.mul(ad.row_log_softmax(p.node), mask)),
+            lambda: ad.sum_all(ref.mul(ad.row_log_softmax(p), mask)),
             [p],
             step=1e-6,
             tolerance=1e-6,
@@ -280,10 +278,10 @@ class TestDropout:
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_gradient_flows_through_mask(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(4, 4)))
+        p = ad.leaf(rng.normal(size=(4, 4)), "p")
 
         def loss():
-            dropped = ad.dropout(p.node, 0.4, np.random.default_rng(99))
+            dropped = ad.dropout(p, 0.4, np.random.default_rng(99))
             return ad.sum_all(ref.mul(dropped, dropped))
 
         report = ad.grad_check(loss, [p], step=1e-6, tolerance=1e-6)
@@ -292,83 +290,101 @@ class TestDropout:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(2, 3)))
-        ad.backward(ad.sum_all(p.node))
-        np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+        p = ad.leaf(rng.normal(size=(2, 3)), "p")
+        grads = ad.backward(ad.sum_all(p))
+        assert list(grads) == [p]
+        np.testing.assert_array_equal(grads[p], np.ones((2, 3)))
 
     def test_quadratic_gradient(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(2, 2)))
-        ad.backward(ad.sum_all(ref.mul(p.node, p.node)))
-        np.testing.assert_allclose(p.grad, 2 * p.value, atol=1e-14)
+        p = ad.leaf(rng.normal(size=(2, 2)), "p")
+        grads = ad.backward(ad.sum_all(ref.mul(p, p)))
+        np.testing.assert_allclose(grads[p], 2 * p.value, atol=1e-14)
 
-    def test_repeated_backward_accumulates(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(2, 2)))
-        loss = ad.sum_all(p.node)
-        ad.backward(loss)
-        ad.backward(loss)
-        np.testing.assert_array_equal(p.grad, 2 * np.ones((2, 2)))
+    def test_repeated_calls_return_equal_independent_maps(self, rng):
+        p = ad.leaf(rng.normal(size=(2, 2)), "p")
+        q = ad.leaf(rng.normal(size=(2, 2)), "q")
+        loss = ad.sum_all(ref.mul(ref.add(p, q), p))
+        first = ad.backward(loss)
+        second = ad.backward(loss)
+        assert list(first) == list(second) and set(first) == {p, q}
+        for leaf in (p, q):
+            assert first[leaf].tobytes() == second[leaf].tobytes()
+            assert not np.shares_memory(first[leaf], second[leaf])
+            assert not np.shares_memory(first[leaf], leaf.value)
+        # Nothing accumulates: the second call gives the gradient once.
+        np.testing.assert_allclose(second[p], 2 * p.value + q.value, atol=1e-14)
+        np.testing.assert_array_equal(second[q], p.value)
+        first[p][:] = 7.0
+        np.testing.assert_allclose(second[p], 2 * p.value + q.value, atol=1e-14)
+        assert not any(hasattr(n, "grad") for n in ref.topo_order(loss))
 
     def test_first_adjoint_is_added_to_zeros_bitwise(self):
-        # relu passes -1 * False = -0.0 to the entries it cuts; a grad
+        # relu passes -1 * False = -0.0 to the entries it cuts; a gradient
         # added to zeros turns those into +0.0.
         x = np.array([[1.5, -2.0, 0.0, -0.0]])
-        p = ad.DualParam.create("p", x)
-        ad.backward(ad.sum_all(ref.scale(ad.relu(p.node), -1.0)))
+        p = ad.leaf(x, "p")
+        grad = ad.backward(ad.sum_all(ref.scale(ad.relu(p), -1.0)))[p]
         want = np.zeros_like(x) + np.where(x > 0.0, -1.0, -0.0)
-        assert p.grad.tobytes() == want.tobytes()
-        assert not np.signbit(p.grad[0, 1:]).any()
+        assert grad.tobytes() == want.tobytes()
+        assert not np.signbit(grad[0, 1:]).any()
 
     def test_non_scalar_loss_rejected(self, rng):
         with pytest.raises(ad.ContractError):
             ad.backward(ad.constant(np.ones((2, 2))))
 
-    def test_only_leaves_keep_grad(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(2, 2)))
+    def test_only_leaves_get_a_gradient(self, rng):
+        p = ad.leaf(rng.normal(size=(2, 2)), "p")
         c = ad.constant(rng.normal(size=(2, 2)))
         row = ad.constant(rng.normal(size=(1, 2)))
-        hidden = ref.mul(ad.add_row(ad.matmul(p.node, c), row), p.node)
+        hidden = ref.mul(ad.add_row(ad.matmul(p, c), row), p)
         loss = ad.sum_all(ad.relu(hidden))
-        ad.backward(loss)
+        grads = ad.backward(loss)
         interior = [n for n in ref.topo_order(loss) if n.parents]
         assert len(interior) == 5
-        assert all(n._grad is None for n in interior)
-        assert p.node._grad is not None
-        assert c._grad is None and row._grad is None
+        assert list(grads) == [p]
 
     def test_ops_on_constants_record_no_graph(self, rng):
         c = ad.constant(rng.normal(size=(2, 2)))
         out = ad.sum_all(ad.relu(ad.matmul(ref.mul(c, c), c)))
         assert not out.requires_grad
         assert out.parents == () and out._vjp is None
-        ad.backward(out)
-        assert c._grad is None and out._grad is None
+        assert ad.backward(out) == {}
 
     def test_constants_get_no_grad_and_params_match_gradcheck(self, rng):
-        p = ad.DualParam.create("p", rng.normal(size=(3, 2)))
-        q = ad.DualParam.create("q", rng.normal(size=(1, 2)))
+        p = ad.leaf(rng.normal(size=(3, 2)), "p")
+        q = ad.leaf(rng.normal(size=(1, 2)), "q")
         x = ad.constant(rng.normal(size=(4, 3)))
         mask = ad.constant(rng.random((4, 2)))
         target = ad.constant(rng.normal(size=(4, 2)))
 
         def loss():
-            h = ref.add(ad.add_row(ad.matmul(x, p.node), q.node), ref.scale(target, -1.0))
+            h = ref.add(ad.add_row(ad.matmul(x, p), q), ref.scale(target, -1.0))
             return ad.sum_all(ref.mul(ref.mul(h, h), mask))
 
-        ad.backward(loss())
-        assert all(n._grad is None for n in (x, mask, target))
-        grads = [p.grad.copy(), q.grad.copy()]
+        grads = ad.backward(loss())
+        assert set(grads) == {p, q}
+        kept = {n: g.copy() for n, g in grads.items()}
         report = ad.grad_check(loss, [p, q], step=1e-6, tolerance=1e-7)
         assert report.passed, report
-        for param, g in zip((p, q), grads):
-            np.testing.assert_array_equal(param.grad, g)
+        # The check restores the values and leaves returned maps alone.
+        again = ad.backward(loss())
+        for param in (p, q):
+            np.testing.assert_array_equal(grads[param], kept[param])
+            np.testing.assert_array_equal(again[param], kept[param])
 
     def test_diamond_graph(self, rng):
         # p feeds two paths that rejoin; adjoints must add once per path.
-        p = ad.DualParam.create("p", rng.normal(size=(2, 2)))
-        left = ref.scale(p.node, 3.0)
-        right = ref.mul(p.node, p.node)
-        ad.backward(ad.sum_all(ref.add(left, right)))
-        np.testing.assert_allclose(p.grad, 3.0 + 2 * p.value, atol=1e-14)
+        p = ad.leaf(rng.normal(size=(2, 2)), "p")
+        left = ref.scale(p, 3.0)
+        right = ref.mul(p, p)
+        grads = ad.backward(ad.sum_all(ref.add(left, right)))
+        np.testing.assert_allclose(grads[p], 3.0 + 2 * p.value, atol=1e-14)
+
+    def test_loss_leaf_gets_its_own_gradient(self):
+        p = ad.leaf([[2.5]], "p")
+        grads = ad.backward(p)
+        assert list(grads) == [p]
+        assert grads[p].tobytes() == np.ones((1, 1)).tobytes()
 
 
 class TestSweepOrder:
@@ -396,14 +412,12 @@ class TestSweepOrder:
         loss, leaves, constants, shared = self._graph(np.random.default_rng(seed))
         users = [n for n in ref.topo_order(loss) if any(p is shared for p in n.parents)]
         assert len(users) == 3
-        ad.backward(loss)
-        got = [p.grad.copy() for p in leaves]
+        got = ad.backward(loss)
+        want = ref.topo_backward(loss)
+        assert set(got) == set(want) == set(leaves)
         for p in leaves:
-            p.zero_grad()
-        ref.topo_backward(loss)
-        for g, p in zip(got, leaves):
-            assert g.tobytes() == p.grad.tobytes()
-        assert all(c._grad is None for c in constants)
+            assert got[p].tobytes() == want[p].tobytes()
+        assert not any(c in got for c in constants)
 
     def test_runs_the_vjp_of_each_gradient_node_once(self, rng):
         loss, _, constants, _ = self._graph(rng)
@@ -420,22 +434,28 @@ class TestSweepOrder:
 
 class TestGradCheck:
     def test_quadratic_tight_tolerance(self, rng):
-        p = ad.DualParam.create("p", rng.uniform(0.5, 2.0, size=(3, 3)))
+        p = ad.leaf(rng.uniform(0.5, 2.0, size=(3, 3)), "p")
         report = ad.grad_check(
-            lambda: ad.sum_all(ref.mul(p.node, p.node)), [p], step=1e-3
+            lambda: ad.sum_all(ref.mul(p, p)), [p], step=1e-3
         )
         assert report.max_rel_error < 1e-8
+
+    def test_unreached_parameter_has_zero_error(self, rng):
+        p = ad.leaf(rng.uniform(0.5, 2.0, size=(2, 2)), "p")
+        q = ad.leaf(rng.normal(size=(1, 3)), "q")
+        report = ad.grad_check(lambda: ad.sum_all(ref.mul(p, p)), [p, q], step=1e-3)
+        assert report.passed and report.per_param["q"] == 0.0
 
     def test_zero_parameter_model(self):
         report = ad.grad_check(lambda: ad.constant([[2.0]]), [], step=1e-5)
         assert report.passed and report.max_rel_error == 0.0
 
     def test_nondeterministic_builder_detected(self, rng):
-        p = ad.DualParam.create("p", np.ones((1, 1)))
+        p = ad.leaf(np.ones((1, 1)), "p")
         state = np.random.default_rng(0)
 
         def noisy():
-            return ref.scale(p.node, 1.0 + state.random())
+            return ref.scale(p, 1.0 + state.random())
 
         with pytest.raises(ad.DeterminismError):
             ad.grad_check(noisy, [p])
@@ -459,9 +479,18 @@ class TestInvariants:
         with pytest.raises(ad.DimensionError):
             ad.constant([1.0, 2.0])
 
-    def test_grad_shape_matches_value(self, rng):
-        node = ad.constant(rng.normal(size=(3, 5)))
-        assert node.grad.shape == node.value.shape
+    def test_gradients_have_their_leaves_shapes(self, rng):
+        p = ad.leaf(rng.normal(size=(3, 5)))
+        w = ad.leaf(rng.normal(size=(5, 2)))
+        grads = ad.backward(ad.sum_all(ad.matmul(p, w)))
+        assert set(grads) == {p, w}
+        assert all(g.shape == n.value.shape for n, g in grads.items())
+
+    def test_a_parameter_leaf_carries_its_name(self, rng):
+        values = rng.normal(size=(2, 2))
+        assert ad.leaf(values, "w").name == "w"
+        assert ad.leaf(values).name is None and ad.constant(values).name is None
+        assert ad.matmul(ad.leaf(values, "w"), ad.leaf(values, "v")).name is None
 
 
 class TestNoGrad:
@@ -477,11 +506,11 @@ class TestNoGrad:
         ],
     )
     def test_ops_on_leaves_record_no_graph(self, rng, op):
-        p = ad.DualParam.create("p", rng.normal(size=(3, 3)))
-        q = ad.DualParam.create("q", rng.normal(size=(3, 3)))
-        recorded = op(p.node, q.node)
+        p = ad.leaf(rng.normal(size=(3, 3)), "p")
+        q = ad.leaf(rng.normal(size=(3, 3)), "q")
+        recorded = op(p, q)
         with ad.no_grad():
-            out = op(p.node, q.node)
+            out = op(p, q)
         assert out.parents == () and out._vjp is None
         assert not out.requires_grad
         assert recorded.parents and recorded.requires_grad
@@ -491,8 +520,8 @@ class TestNoGrad:
         with ad.no_grad():
             p = ad.leaf(rng.normal(size=(2, 2)))
         assert p.requires_grad
-        ad.backward(ad.sum_all(p))
-        np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
+        grads = ad.backward(ad.sum_all(p))
+        np.testing.assert_array_equal(grads[p], np.ones((2, 2)))
 
     def test_flag_restored_after_exception(self, rng):
         p = ad.leaf(rng.normal(size=(2, 2)))

@@ -835,12 +835,13 @@ class TestCheckpointErrors:
             ([], "bank.blended", lambda a: a[:, :4], "shape"),
             ([], "param.modulator.weights", lambda a: a[:2], "shape"),
             ([], "bank.blended", lambda a: np.where(np.eye(*a.shape), np.nan, a), "finite"),
+            ([], "param.classifier.bias", lambda a: a.astype("U8"), "not integers"),
             (["--model.hidden_dims=6"], "param.extractor.1.bias", None, "missing key"),
             (["--model.hidden_dims=6"], "param.extractor.0.weight", lambda a: a[:, :5],
              "shape"),
         ],
         ids=["classifier-rows", "blended-columns", "modulator-rows", "blended-nan",
-             "hidden-missing-bias", "hidden-weight-columns"],
+             "text-bias", "hidden-missing-bias", "hidden-weight-columns"],
     )
     def test_inconsistent_arrays(
         self, mini_config, tmp_path, capsys, flags, key, edit, needle
@@ -906,6 +907,58 @@ class TestCheckpointErrors:
             load_checkpoint(broken)
         csv_path = _gen_data(mini_config, tmp_path)
         self._eval_fails([broken, csv_path], capsys, str(broken))
+
+    @pytest.mark.parametrize(
+        "key", ["param.classifier.weight", "meta.hidden_dims", "bank.similarity"]
+    )
+    def test_corrupt_member(self, mini_config, tmp_path, capsys, key):
+        """A member whose stored bytes changed fails its CRC-32 when read."""
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        assert cli.main(["train", str(mini_config), "--seeds=0", "--epochs=1"]) == 0
+        path = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        whole = bytearray(path.read_bytes())
+        raw = _npy_bytes(np.load(path)[key])
+        assert whole.count(raw) == 1
+        at = whole.find(raw) + len(raw) - 3  # the array's last bytes, or its header's
+        whole[at] ^= 0x5A
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(bytes(whole))
+        with pytest.raises(CheckpointError, match=f"{broken}: cannot read '{key}'.*CRC"):
+            load_checkpoint(broken)
+        csv_path = _gen_data(mini_config, tmp_path)
+        self._eval_fails([broken, csv_path], capsys, str(broken), key, "CRC")
+
+    @pytest.mark.parametrize(
+        "mode,old,new",
+        [("fm", "bank.prototypes.npy", "bank.prototypes.n\u0393y"),
+         ("fm", "bank.epoch.npy", "bank.epoch"),
+         ("fixmatch-baseline", "param.modulator.weights.npy", "param.modulator.weight.npy")],
+        ids=["renamed-bank-member", "bank-member-without-suffix", "renamed-modulator"],
+    )
+    def test_member_the_loader_does_not_read(
+        self, mini_config, tmp_path, capsys, mode, old, new
+    ):
+        """A renamed member is rejected, not skipped: a renamed bank array
+        would otherwise evaluate the fm checkpoint as the baseline."""
+        import zipfile
+
+        from modfeat.checkpoint import CheckpointError, load_checkpoint
+
+        argv = ["train", mini_config, "--seeds=0", "--epochs=1", f"--mode={mode}"]
+        assert cli.main([*map(str, argv)]) == 0
+        path = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        broken = tmp_path / "broken.npz"
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(broken, "w") as dst:
+            for info in src.infolist():
+                name = new if info.filename == old else info.filename
+                dst.writestr(name, src.read(info))
+        assert new in zipfile.ZipFile(broken).namelist()
+        with pytest.raises(CheckpointError, match=f"{broken}: .*"):
+            load_checkpoint(broken)
+        csv_path = _gen_data(mini_config, tmp_path)
+        err = _fails_cleanly(["eval", broken, csv_path], capsys, 2)
+        assert str(broken) in err and new in err
 
     @pytest.mark.parametrize(
         "overrides,extra,error,needles",

@@ -27,9 +27,9 @@ class TestExtractor:
     def test_zero_weight_network_outputs_bias(self, rng):
         model = make_tiny_model()
         for w in model.extractor.weights:
-            w.node.value[:] = 0.0
+            w.value[:] = 0.0
         for b in model.extractor.biases:
-            b.node.value[:] = 0.0
+            b.value[:] = 0.0
         out = model.extractor.forward(rng.normal(size=(3, 3))).value
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
@@ -64,25 +64,25 @@ class TestClassifier:
 
     def test_zero_classifier_uniform(self, rng):
         model = make_tiny_model()
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         z = ad.constant(rng.normal(size=(2, 4)))
         probs = ref.row_softmax(model.classifier.forward(z).value)
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
     def test_hand_computed_logits(self):
         model = make_tiny_model()
-        model.classifier.weight.node.value[:] = np.array(
+        model.classifier.weight.value[:] = np.array(
             [[1.0, 0.0], [0.0, 1.0], [2.0, -1.0], [0.0, 0.0]]
         )
-        model.classifier.bias.node.value[:] = np.array([[0.5, -0.5]])
+        model.classifier.bias.value[:] = np.array([[0.5, -0.5]])
         z = ad.constant([[1.0, 2.0, 3.0, 4.0]])
         out = model.classifier.forward(z).value
         np.testing.assert_allclose(out, [[1 + 6 + 0.5, 2 - 3 - 0.5]])
 
     def test_linear_in_input_with_zero_bias(self, rng):
         model = make_tiny_model()
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         z1 = rng.normal(size=(3, 4))
         z2 = rng.normal(size=(3, 4))
         a, b = 0.7, -1.3
@@ -142,6 +142,39 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             ckpt.load_checkpoint(path)
 
+    def test_member_claiming_more_than_memory_rejected(self, tmp_path):
+        import io
+        import zipfile
+
+        model = make_tiny_model()
+        path = tmp_path / "model.npz"
+        ckpt.save_checkpoint(path, model)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)}
+        )
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("param.modulator.weights.npy", header.getvalue() + bytes(8))
+        with pytest.raises(ckpt.CheckpointError, match="'param.modulator.weights'"):
+            ckpt.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,edit,needle",
+        [("meta.version", lambda a: a.astype(bool), "holds bool"),
+         ("meta.feature_dim", lambda a: a.astype(str), "holds <U"),
+         ("bank.blended", lambda a: a.astype(complex), "holds complex128"),
+         ("meta.hidden_dims", lambda a: np.array([a, a]), "invalid metadata")],
+    )
+    def test_ill_typed_member_rejected(self, tmp_path, key, edit, needle):
+        model, modulation, bank, _, _ = make_tiny_setup()
+        path = tmp_path / "model.npz"
+        ckpt.save_checkpoint(path, model, modulation, bank)
+        data = dict(np.load(path))
+        data[key] = edit(data[key])
+        np.savez(path, **data)
+        with pytest.raises(ckpt.CheckpointError, match=f"{path}: .*{needle}"):
+            ckpt.load_checkpoint(path)
+
 
 class TestScoreGraph:
     def test_without_a_head_one_unmodulated_row(self, monkeypatch):
@@ -177,6 +210,6 @@ class TestScoreGraph:
         assert len(calls) == 1 and logits.shape == (len(x) * 2, 2)
         assert calls[0][1] is head
         classifier = model.classifier
-        assert head.head_weight is classifier.weight.node
-        assert head.head_bias is classifier.bias.node
-        assert head.weights is modulation.node
+        assert head.head_weight is classifier.weight
+        assert head.head_bias is classifier.bias
+        assert head.weights is modulation.param

@@ -89,8 +89,8 @@ class TestSupervisedLoss:
     def test_uniform_classifier_gives_log_c(self):
         for c in (2, 5):
             model, modulation, bank, x, _ = make_tiny_setup(num_classes=c)
-            model.classifier.weight.node.value[:] = 0.0
-            model.classifier.bias.node.value[:] = 0.0
+            model.classifier.weight.value[:] = 0.0
+            model.classifier.bias.value[:] = 0.0
             loss = obj.total_loss(
                 x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, model.fm_head(modulation, bank),
                 rng=np.random.default_rng(0),
@@ -99,8 +99,8 @@ class TestSupervisedLoss:
 
     def test_saturated_prediction_drives_loss_to_zero(self):
         model, modulation, bank, x, _ = no_dropout_setup()
-        model.classifier.bias.node.value[:] = np.array([[500.0, -500.0]])
-        model.classifier.weight.node.value[:] = 0.0
+        model.classifier.bias.value[:] = np.array([[500.0, -500.0]])
+        model.classifier.weight.value[:] = 0.0
         head = model.fm_head(modulation, bank)
         loss = obj.total_loss(x[:1], [0], np.empty((0, 3)), NO_PSEUDO, model, head, None).l_s
         assert loss == pytest.approx(0.0, abs=1e-12)
@@ -132,12 +132,10 @@ class TestDiagMaxLoss:
         assert a == b
 
     def test_target_is_gradient_stopped(self):
-        p = ad.DualParam.create("p", np.array([[-2.0, -1.0], [-1.0, -1.0]]))
+        p = ad.leaf(np.array([[-2.0, -1.0], [-1.0, -1.0]]), "p")
         grads = []
         for beta in (1.0, 0.0):  # the label term's share cancels in the difference
-            p.node.zero_grad()
-            ad.backward(_gap_loss(p.node, beta)[0])
-            grads.append(p.grad.copy())
+            grads.append(ad.backward(_gap_loss(p, beta)[0])[p])
         # d/ds00 of ((s00 - colmax0)^2 + 0)/2 with colmax frozen at -1
         np.testing.assert_allclose(
             grads[0] - grads[1], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14
@@ -238,13 +236,11 @@ class TestTotalLoss:
         params = model.params() + [modulation.param]
 
         def grads(unlabeled, pseudo):
-            for p in params:
-                p.node.zero_grad()
             breakdown = obj.total_loss(
                 x[:2], y[:2], unlabeled, pseudo, model, model.fm_head(modulation, bank), None
             )
-            ad.backward(breakdown.total)
-            return [p.node.grad.copy() for p in params]
+            got = ad.backward(breakdown.total)
+            return [got[p] for p in params]
 
         dropped = self._records([False, False, False, False])
         for a, b in zip(grads(x[2:6], dropped), grads(np.empty((0, 3)), NO_PSEUDO)):
@@ -298,8 +294,8 @@ class TestTotalLoss:
 
     def test_baseline_uniform_classifier(self):
         model, _, _, x, y = no_dropout_setup()
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         breakdown = obj.total_loss(
             x[:2], y[:2], np.empty((0, 3)), NO_PSEUDO, model, None, None
         )
@@ -334,9 +330,9 @@ class TestLabelMask:
         denom = np.repeat([n_l, n_u], [n_l * r, n_k * r])[:, None]
         slog = ad.leaf(rng.normal(size=(n * r, c)))
         node, terms = obj._loss_node(slog, n_l, picks, weights, n_u, 1.0, 0.5, None)
-        ad.backward(ref.scale(node, 0.7))
+        grad = ad.backward(ref.scale(node, 0.7))[slog]
         # Equal up to the sign of zeros: the dense product has -0.0 off the picks.
-        np.testing.assert_array_equal(slog.grad, (0.7 * (-1.0 / denom)) * mask)
+        np.testing.assert_array_equal(grad, (0.7 * (-1.0 / denom)) * mask)
         per_row = -(slog.value * mask / denom).sum(axis=1)
         assert terms["l_s"] == pytest.approx(per_row[: n_l * r].sum())
         assert terms["l_u"] == pytest.approx(per_row[n_l * r:].sum())
@@ -418,7 +414,7 @@ class TestViewNodes:
             slog, n, picks, np.ones(n_k) if weights is None else weights,
             n_u, beta, gamma, target,
         )
-        ad.backward(node)
+        fused = ad.backward(node)
 
         views = [(slice(0, n), None, n)] + [(slice(n, n + n_k), weights, n_u)] * kept
         leaves, parts = [], []
@@ -435,10 +431,10 @@ class TestViewNodes:
             parts.append((ad.Node(np.zeros((1, 1))), ad.Node(np.zeros((1, 1)))))
         (l_s, l_d), (l_u, l_ud) = parts
         total = ref.add(ref.add(l_s, l_u), ref.add(ref.scale(l_d, beta), ref.scale(l_ud, gamma)))
-        ad.backward(total)
+        dense = ad.backward(total)
 
-        want = np.concatenate([leaf.grad for leaf in leaves])
-        assert stacked.grad.tobytes() == want.tobytes()
+        want = np.concatenate([dense[leaf] for leaf in leaves])
+        assert fused[stacked].tobytes() == want.tobytes()
         for key, term in zip(("l_s", "l_u", "l_d", "l_ud"), (l_s, l_u, l_d, l_ud)):
             assert terms[key] == pytest.approx(term.value[0, 0], rel=1e-14)
         assert node.value[0, 0] == pytest.approx(total.value[0, 0], rel=1e-14)

@@ -95,8 +95,8 @@ class TestGate:
 class TestPredictMatrix:
     def test_zero_classifier_uniform(self, rng):
         model, modulation, bank, x, _ = make_tiny_setup()
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         s = pl.predict_matrices(x[:1], model, model.fm_head(modulation, bank))[0]
         np.testing.assert_allclose(s, 0.5, atol=1e-15)
 
@@ -452,8 +452,8 @@ class TestPassStatistics:
 class TestBaselinePseudoLabel:
     def test_uniform_prediction_discarded(self):
         model, _, _, x, _ = make_tiny_setup()
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         (rec,) = pl.baseline_pseudo_label_batch(x[:1], model)
         assert not rec.keep and rec.weight == 0.0
 
@@ -466,14 +466,14 @@ class TestBaselinePseudoLabel:
 
     def test_weight_is_binary(self):
         model, _, _, x, _ = make_tiny_setup()
-        model.classifier.weight.node.value[:] *= 50.0  # force saturation
+        model.classifier.weight.value[:] *= 50.0  # force saturation
         recs = pl.baseline_pseudo_label_batch(x, model)
         assert set(recs["weight"].tolist()) <= {0.0, 1.0}
         assert recs["keep"].any()
 
     def test_matches_per_record_gate(self):
         model, _, _, x, _ = make_tiny_setup(n_per_class=20)
-        model.classifier.weight.node.value[:] *= 20.0  # keep some, drop some
+        model.classifier.weight.value[:] *= 20.0  # keep some, drop some
         got = pl.baseline_pseudo_label_batch(x, model)
         probs = pl.predict_matrices(x, model, None)
         labels = probs.argmax(axis=1)
@@ -627,7 +627,7 @@ class TestTracerContract:
 
     def test_baseline_labeler(self):
         model, _, _, x, _ = make_tiny_setup(n_per_class=20)
-        model.classifier.weight.node.value[:] *= 20.0
+        model.classifier.weight.value[:] *= 20.0
         out = pl.baseline_pseudo_label_batch(x, model)
         assert 0 < np.count_nonzero(out["keep"]) < len(x)
         self._check(out, len(x))

@@ -4,9 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modfeat import autodiff as ad
 from modfeat import data as dat
 from modfeat import modulator, objective, pseudolabel, trainer
-from modfeat.autodiff import DualParam
 from modfeat.modulator import ModulationMatrix
 from modfeat.trainer import SGD, TrainConfig, cosine_lr
 from tests import refops as ref
@@ -32,42 +32,53 @@ class TestCosineLr:
 
 class TestSGD:
     def test_zero_momentum_is_plain_descent(self):
-        p = DualParam.create("w", np.array([[2.0, -1.0]]))
+        p = ad.leaf(np.array([[2.0, -1.0]]), "w")
         opt = SGD([p], momentum=0.0)
-        p.node.grad[:] = np.array([[1.0, 4.0]])
-        opt.step(0.5)
+        opt.step({p: np.array([[1.0, 4.0]])}, 0.5)
         np.testing.assert_allclose(p.value, [[1.5, -3.0]])
 
     def test_zero_gradient_keeps_parameters(self):
-        p = DualParam.create("w", np.array([[2.0]]))
+        p = ad.leaf(np.array([[2.0]]), "w")
         opt = SGD([p], momentum=0.9)
         for _ in range(5):
-            opt.zero_grads()
-            opt.step(0.1)
+            opt.step({}, 0.1)
         np.testing.assert_allclose(p.value, [[2.0]])
 
+    def test_unreached_parameter_steps_as_with_zero_gradient_bitwise(self):
+        stepped = []
+        for zeros in (False, True):
+            p = ad.leaf(np.array([[-0.0, 1.5, -2.0]]), "w")
+            opt = SGD([p], momentum=0.9)
+            opt.step({p: np.array([[-0.0, 0.25, -1e-300]])}, 0.1)
+            for _ in range(3):
+                opt.step({p: np.zeros((1, 3))} if zeros else {}, 0.1)
+            stepped.append(p.value.tobytes())
+        assert stepped[0] == stepped[1]
+
+    def test_steps_each_parameter_with_its_own_gradient(self):
+        a = ad.leaf(np.array([[1.0]]), "a")
+        b = ad.leaf(np.array([[1.0, 2.0]]), "b")
+        opt = SGD([a, b], momentum=0.5)
+        opt.step({b: np.array([[1.0, -1.0]])}, 0.1)
+        opt.step({a: np.array([[2.0]]), b: np.array([[1.0, -1.0]])}, 0.1)
+        np.testing.assert_allclose(a.value, [[0.8]])  # v_a = 0, then 2
+        np.testing.assert_allclose(b.value, [[0.75, 2.25]])  # v_b = 1, then 1.5
+
     def test_momentum_update_rule(self):
-        p = DualParam.create("w", np.array([[1.0]]))
+        p = ad.leaf(np.array([[1.0]]), "w")
         opt = SGD([p], momentum=0.5)
-        p.node.grad[:] = 2.0
-        opt.step(0.1)  # v=2, w=1-0.2=0.8
-        opt.zero_grads()
-        p.node.grad[:] = 1.0
-        opt.step(0.1)  # v=0.5*2+1=2, w=0.8-0.2=0.6
+        opt.step({p: np.array([[2.0]])}, 0.1)  # v=2, w=1-0.2=0.8
+        opt.step({p: np.array([[1.0]])}, 0.1)  # v=0.5*2+1=2, w=0.8-0.2=0.6
         np.testing.assert_allclose(p.value, [[0.6]])
 
     def test_quadratic_bowl_descends(self):
-        import modfeat.autodiff as ad
-
-        p = DualParam.create("w", np.array([[5.0, -3.0]]))
+        p = ad.leaf(np.array([[5.0, -3.0]]), "w")
         opt = SGD([p], momentum=0.9)
         losses = []
         for _ in range(100):
-            opt.zero_grads()
-            loss = ad.sum_all(ref.mul(p.node, p.node))
+            loss = ad.sum_all(ref.mul(p, p))
             losses.append(loss.value[0, 0])
-            ad.backward(loss)
-            opt.step(0.02)
+            opt.step(ad.backward(loss), 0.02)
         oracle = [losses[0]]
         w, v = np.array([5.0, -3.0]), np.zeros(2)
         for _ in range(99):
@@ -78,10 +89,11 @@ class TestSGD:
         np.testing.assert_allclose(losses[1:], oracle[1:], rtol=1e-12)
         assert losses[-1] < 1e-3 * losses[0]
 
-    def test_duplicate_names_rejected(self):
-        a = DualParam.create("w", np.ones((1, 1)))
-        b = DualParam.create("w", np.ones((1, 1)))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("name", ["w", None])
+    def test_duplicate_names_rejected(self, name):
+        a = ad.leaf(np.ones((1, 1)), name)
+        b = ad.leaf(np.ones((1, 1)), name)
+        with pytest.raises(ValueError, match="duplicate parameter names"):
             SGD([a, b])
 
 
@@ -306,8 +318,8 @@ class TestInferEvaluate:
 
     def test_uniform_model_breaks_ties_to_class_zero(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2)
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0
         assert trainer.predict(model, modulation, bank, x[:1], mode="fm")[0] == 0
         assert trainer.predict(model, None, None, x[:1], mode="fixmatch-baseline")[0] == 0
 
@@ -349,8 +361,8 @@ class TestInferEvaluate:
 
     def test_constant_prediction_scores_one_over_c(self):
         model, modulation, bank, x, _ = make_tiny_setup(num_classes=2, n_per_class=6)
-        model.classifier.weight.node.value[:] = 0.0
-        model.classifier.bias.node.value[:] = 0.0  # always predicts class 0
+        model.classifier.weight.value[:] = 0.0
+        model.classifier.bias.value[:] = 0.0  # always predicts class 0
         balanced_y = np.array([0, 1] * 6)
         acc = trainer.evaluate(model, modulation, bank, x, balanced_y, mode="fm")
         assert acc == pytest.approx(0.5)
