@@ -62,6 +62,7 @@ def _build_dataset(config: RunConfig, seed: int) -> dat.DomainDataset:
         try:
             check_data_fit(
                 config, dataset.input_dim, dataset.num_domains,
+                int((dataset.domain_ids == spec.target_domain).sum()),
                 dataset.smallest_cell(spec.target_domain),
             )
         except ConfigError as err:
@@ -99,13 +100,13 @@ def run_seeds(
     A CSV config's data is loaded once, unless ``dataset`` already holds
     it; synthetic data is drawn per seed. Each seed draws its split,
     trains into ``out_dir/seed_<seed>`` when ``out_dir`` is given, and
-    measures the modulator gap where it is defined: a run with a
+    measures the modulator gap where the config defines it: a run with a
     prototype bank (fm, not the baseline's all-ones placeholder) and an
-    identity extractor, on data with known, non-empty signal and noise
-    dimensions. If a seed aborts (``TrainingAborted``, ``GenerationError``,
-    ``DegeneratePrototypeError`` or ``MemoryError``), its diagnostics are
-    written to its run directory and ``TrainingAborted`` is raised, naming
-    the seed.
+    identity extractor, on synthetic data with noise columns after its
+    ``signal_dim`` signal columns. If a seed aborts (``TrainingAborted``,
+    ``GenerationError``, ``DegeneratePrototypeError`` or ``MemoryError``),
+    its diagnostics are written to its run directory and
+    ``TrainingAborted`` is raised, naming the seed.
     """
     if dataset is None and config.data.path:
         dataset = _build_dataset(config, config.seeds[0])
@@ -148,10 +149,8 @@ def run_seeds(
             ) from None
         gap = None
         if (result.bank is not None and not config.model.hidden_dims
-                and data.signal_dims and data.noise_dims):
-            gap = met.modulator_gap(
-                result.modulation.values, data.signal_dims, data.noise_dims
-            )
+                and not config.data.path and config.data.noise_dim > 0):
+            gap = met.modulator_gap(result.modulation.values, config.data.signal_dim)
         runs.append(SeedRun(seed, result, gap))
     return runs
 

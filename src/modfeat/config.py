@@ -159,19 +159,25 @@ def _build(values: dict) -> RunConfig:
             raise ConfigError(f"[data] {err}") from None
         check_data_fit(
             config, data.signal_dim + data.noise_dim, data.num_domains,
+            data.num_classes * data.samples_per_class_per_domain,
             data.samples_per_class_per_domain,
         )
     return config
 
 
 def check_data_fit(
-    config: RunConfig, input_dim: int, num_domains: int, smallest_source_cell: int
+    config: RunConfig,
+    input_dim: int,
+    num_domains: int,
+    held_out_rows: int,
+    smallest_source_cell: int,
 ) -> None:
     """Cross-field checks against the data's width, domains and cells.
 
-    ``smallest_source_cell`` is the fewest samples in a (domain, class)
-    cell outside the held-out domain. The held-out domain must exist and
-    leave a source domain, every source cell must hold
+    ``held_out_rows`` is the number of samples in the held-out domain,
+    ``smallest_source_cell`` the fewest in a (domain, class) cell outside
+    it. The held-out domain must exist, hold rows and leave a source
+    domain, every source cell must hold
     ``labels_per_class`` samples (and fm's variance initialization two
     labels per class), and the model must fit the input (an identity
     extractor needs feature_dim == input width). Synthetic data, whose
@@ -185,6 +191,10 @@ def check_data_fit(
         )
     if num_domains < 2:
         raise ConfigError("[data] needs a source domain besides target_domain")
+    if held_out_rows < 1:
+        raise ConfigError(
+            f"[data] target_domain {config.data.target_domain} has no rows"
+        )
     labels = config.data.labels_per_class
     if labels > smallest_source_cell:
         raise ConfigError(

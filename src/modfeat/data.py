@@ -1,9 +1,12 @@
 """Multi-domain datasets: synthetic generation, CSV I/O, splits, batching
 and augmentation.
 
-Synthetic data places class means on dedicated signal coordinates and a
-per-domain bias (plus a small per-domain-per-class jitter) on dedicated
-noise coordinates, so the noise block carries domain information that is
+A dataset is its three arrays: features, class ids and domain ids. Its
+class and domain counts are read from the ids, and the roles of its
+feature columns, where known, from the config. Synthetic data places
+class means on the first ``signal_dim`` coordinates and a per-domain
+bias (plus a small per-domain-per-class jitter) on the ``noise_dim``
+after them, so the noise block carries domain information that is
 spuriously class-correlated inside each source domain but useless on an
 unseen domain.
 
@@ -47,18 +50,23 @@ class SplitError(ValueError):
 
 @dataclass
 class DomainDataset:
+    """Rows of features with their class and domain ids.
+
+    ``num_classes`` and ``num_domains`` are the largest class and domain
+    id + 1 (0 without rows), counted once when the dataset is built, so
+    every id is below its count. An id below the largest need not occur.
+    """
+
     features: np.ndarray  # (n, input_dim) float64
     class_ids: np.ndarray  # (n,) int
     domain_ids: np.ndarray  # (n,) int
-    num_classes: int
-    num_domains: int
-    signal_dims: Optional[tuple] = None  # known only for synthetic data
-    noise_dims: Optional[tuple] = None
 
     def __post_init__(self):
         n = len(self.features)
         if len(self.class_ids) != n or len(self.domain_ids) != n:
             raise SchemaError("features and id arrays must have equal length")
+        self.num_classes = int(self.class_ids.max(initial=-1)) + 1
+        self.num_domains = int(self.domain_ids.max(initial=-1)) + 1
 
     @property
     def input_dim(self) -> int:
@@ -214,15 +222,7 @@ def generate_synthetic(
             class_ids[block] = c
             domain_ids[block] = d
             row += per_cell
-    return DomainDataset(
-        features=features,
-        class_ids=class_ids,
-        domain_ids=domain_ids,
-        num_classes=num_classes,
-        num_domains=num_domains,
-        signal_dims=tuple(range(signal_dim)),
-        noise_dims=tuple(range(signal_dim, input_dim)),
-    )
+    return DomainDataset(features, class_ids, domain_ids)
 
 
 CSV_HEADER_PREFIX = ("domain_id", "class_id")
@@ -246,7 +246,7 @@ def save_csv(dataset: DomainDataset, path) -> None:
 
 
 def load_csv(path) -> DomainDataset:
-    """Parse the CSV schema; class/domain counts are inferred from the ids.
+    """Parse the CSV schema into a dataset (its counts are read from the ids).
 
     One leading UTF-8 byte-order mark, which spreadsheet exports write, is
     skipped. Blank lines are skipped. The header is read alone, and the
@@ -287,13 +287,7 @@ def load_csv(path) -> DomainDataset:
     class_ids, domain_ids = rows["class"].copy(), rows["domain"].copy()
     if class_ids.min() < 0 or domain_ids.min() < 0:
         raise SchemaError(f"{path}: ids must be non-negative")
-    return DomainDataset(
-        features=features,
-        class_ids=class_ids,
-        domain_ids=domain_ids,
-        num_classes=int(class_ids.max()) + 1,
-        num_domains=int(domain_ids.max()) + 1,
-    )
+    return DomainDataset(features, class_ids, domain_ids)
 
 
 def _parse_rows(lines, row_type: np.dtype) -> np.ndarray:
@@ -354,14 +348,15 @@ def split(dataset: DomainDataset, plan: SplitPlan) -> Split:
     source_mask = dataset.domain_ids != plan.target_domain
     source_idx = np.flatnonzero(source_mask)
     target_idx = np.flatnonzero(~source_mask)
+    # Fancy indexing copies: no array of the split shares the dataset's memory.
     return Split(
-        labeled_x=dataset.features[labeled_idx].copy(),
-        labeled_y=dataset.class_ids[labeled_idx].copy(),
-        labeled_domains=dataset.domain_ids[labeled_idx].copy(),
-        unlabeled_x=dataset.features[source_idx].copy(),
-        unlabeled_truth=dataset.class_ids[source_idx].copy(),
-        test_x=dataset.features[target_idx].copy(),
-        test_y=dataset.class_ids[target_idx].copy(),
+        labeled_x=dataset.features[labeled_idx],
+        labeled_y=dataset.class_ids[labeled_idx],
+        labeled_domains=dataset.domain_ids[labeled_idx],
+        unlabeled_x=dataset.features[source_idx],
+        unlabeled_truth=dataset.class_ids[source_idx],
+        test_x=dataset.features[target_idx],
+        test_y=dataset.class_ids[target_idx],
         source_domains=source_domains,
     )
 

@@ -1,20 +1,17 @@
-"""Run metrics: keep rate, pseudo-label accuracy, modulation diagnostics
-and per-column statistics across seeds, as pure functions over immutable
+"""Run metrics: keep rate, pseudo-label accuracy, the modulator gap and
+per-column statistics across seeds, as pure functions over immutable
 inputs; and ``write_csv``, the one writer of every run CSV. Hidden
 ground truth reaches these functions only as an argument: the trainer
 reads ``Split.unlabeled_truth`` once per epoch, at the pool positions
 its batches drew, for ``pl_accuracy`` and the pseudo-label log, and no
-training step reads it."""
+training step reads it. Which feature columns carry signal is the
+caller's to say: ``modulator_gap`` takes their count."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 import numpy as np
-
-
-class UnsupportedDiagnosticError(ValueError):
-    """The diagnostic needs dimension roles that this dataset lacks."""
 
 
 def keep_rate(keep) -> float:
@@ -42,23 +39,20 @@ def pl_accuracy(labels, keep, true_classes) -> Optional[float]:
     return int(np.count_nonzero(labels[keep] == truth[keep])) / kept
 
 
-def modulator_gap(
-    weights: np.ndarray, signal_dims, noise_dims
-) -> float:
-    """Mean modulation weight on signal columns minus noise columns.
+def modulator_gap(weights: np.ndarray, signal_dim: int) -> float:
+    """Mean modulation weight on the first ``signal_dim`` columns (signal)
+    minus the rest (noise).
 
     Positive means class-carrying coordinates pass through more than
-    domain-carrying ones. Only meaningful when the feature columns
-    correspond to known input roles (synthetic data, coordinate-
-    preserving extractor).
+    domain-carrying ones. Only meaningful when the feature columns are
+    the input's, signal first (synthetic data, identity extractor), and
+    both blocks are non-empty. The columns are taken by index arrays, not
+    slices: the means of their copies carry the bits of ``summary.csv``.
     """
-    if not signal_dims or not noise_dims:
-        raise UnsupportedDiagnosticError(
-            "dimension roles unknown or empty; the gap needs signal and noise dims"
-        )
     weights = np.asarray(weights)
+    cols = np.arange(weights.shape[1])
     return float(
-        weights[:, list(signal_dims)].mean() - weights[:, list(noise_dims)].mean()
+        weights[:, cols[:signal_dim]].mean() - weights[:, cols[signal_dim:]].mean()
     )
 
 

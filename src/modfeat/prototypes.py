@@ -34,14 +34,6 @@ class PrototypeBank:
     blended: np.ndarray  # (C, F), convex combinations of prototypes
     epoch: int = 0
 
-    @property
-    def num_classes(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.prototypes.shape[1]
-
 
 def compute_prototypes(
     features: np.ndarray, class_ids: np.ndarray, num_classes: int

@@ -84,20 +84,17 @@ def gate_batch(labels, p_max, sigma, tau: float, unit_weight=False) -> np.ndarra
     """The uncertainty gate over a batch, as a ``PSEUDO_LABELS`` array:
     keep iff p_max - sigma strictly clears tau (never on a NaN); kept rows
     weigh ``confidence_scale(p_max)``, or 1 with ``unit_weight``, and
-    discarded rows weigh 0. Kept p_max outside [0, 1] raise
-    ``ParameterError``. The weights are computed as ``confidence_scale``
-    does, with ``math.exp`` and ``**`` on Python floats: numpy's ``exp``
-    and ``power`` do not always give their bits."""
+    discarded rows weigh 0. Every kept p_max goes through
+    ``confidence_scale`` on a Python float, so the first outside [0, 1]
+    raises ``ParameterError`` in either case; numpy's ``exp`` and
+    ``power`` would not always give its bits."""
     out = np.zeros(len(p_max), PSEUDO_LABELS)
     out["label"], out["p_max"], out["sigma"] = labels, p_max, sigma
     p = out["p_max"]
     keep = p - out["sigma"] > tau
     out["keep"] = keep
-    kept = p[keep].tolist()
-    if kept and not (0.0 <= min(kept) and max(kept) <= 1.0):
-        bad = next(q for q in kept if not 0.0 <= q <= 1.0)
-        raise ParameterError(f"confidence must be in [0, 1], got {bad}")
-    out["weight"][keep] = 1.0 if unit_weight else [math.exp(q**3 - 1.0) for q in kept]
+    weights = [confidence_scale(q) for q in p[keep].tolist()]
+    out["weight"][keep] = 1.0 if unit_weight else weights
     return out
 
 

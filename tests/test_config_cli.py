@@ -194,6 +194,8 @@ class TestCli:
         runs = cli.run_seeds(load_config(mini_config, overrides))
         assert [run.seed for run in runs] == [0, 1, 2]
         assert len(calls) == 1
+        # The config gives no dimension roles to a CSV's columns.
+        assert all(run.modulator_gap is None for run in runs)
 
     def test_no_gap_without_noise_dims(self, mini_config):
         # No noise columns to compare: the gap is undefined, not a nan mean.
@@ -656,6 +658,26 @@ class TestCrossFieldValidation:
         assert "cell, 0 samples" in err
         assert not (tmp_path / "out").exists()
 
+    def test_csv_without_rows_in_the_held_out_domain_exits_2(self, tmp_path, capsys):
+        # 3 classes and 4 domains of 20 rows a cell, domain 1 dropped: the
+        # ids count 4 domains, and the held-out one has nothing to test on.
+        ds = dat.generate_synthetic(3, 4, 4, 4, 20, class_sep=3.0, domain_shift=4.0,
+                                    seed=0, bias_jitter=0.2)
+        kept = ds.domain_ids != 1
+        data = tmp_path / "gap.csv"
+        dat.save_csv(
+            dat.DomainDataset(ds.features[kept], ds.class_ids[kept], ds.domain_ids[kept]),
+            data,
+        )
+        config = tmp_path / "gap.ini"
+        config.write_text(MINI_CONFIG.format(out=tmp_path / "out").replace(
+            "[data]\n", f"[data]\npath = {data}\n"
+        ))
+        argv = ["train", config, "--target_domain=1", "--labels_per_class=2"]
+        err = _fails_cleanly(argv, capsys, 2)
+        assert err == f"error: {data}: [data] target_domain 1 has no rows\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "override,key",
         [("--feature_dim=9", "feature_dim"), ("--target_domain=3", "target_domain"),
@@ -835,7 +857,8 @@ class TestCheckpointErrors:
             ([], "bank.blended", lambda a: a[:, :4], "shape"),
             ([], "param.modulator.weights", lambda a: a[:2], "shape"),
             ([], "bank.blended", lambda a: np.where(np.eye(*a.shape), np.nan, a), "finite"),
-            ([], "param.classifier.bias", lambda a: a.astype("U8"), "not integers"),
+            ([], "param.classifier.bias", lambda a: a.astype("U8"),
+             "holds <U8, not floats"),
             (["--model.hidden_dims=6"], "param.extractor.1.bias", None, "missing key"),
             (["--model.hidden_dims=6"], "param.extractor.0.weight", lambda a: a[:, :5],
              "shape"),

@@ -9,14 +9,32 @@ from modfeat import data as dat
 from tests import refops as ref
 
 
+class TestDomainDataset:
+    def test_three_arrays_are_the_whole_dataset(self):
+        fields = [f.name for f in dataclasses.fields(dat.DomainDataset)]
+        assert fields == ["features", "class_ids", "domain_ids"]
+
+    def test_counts_are_the_largest_id_plus_one(self):
+        # Class 1 and domains 0-4 have no row: a count is not a tally.
+        ds = dat.DomainDataset(np.zeros((3, 2)), np.array([0, 2, 2]), np.array([5, 6, 5]))
+        assert (ds.num_classes, ds.num_domains) == (3, 7)
+        empty = dat.DomainDataset(
+            np.zeros((0, 2)), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        )
+        assert (empty.num_classes, empty.num_domains) == (0, 0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(dat.SchemaError, match="equal length"):
+            dat.DomainDataset(np.zeros((3, 2)), np.zeros(3, np.int64), np.zeros(2, np.int64))
+
+
 class TestGenerateSynthetic:
     def test_counts(self):
         ds = dat.generate_synthetic(3, 4, 4, 4, 100, class_sep=3.0, domain_shift=1.0, seed=0,
                                     bias_jitter=0.2)
         assert len(ds) == 1200
         assert ds.input_dim == 8
-        assert set(ds.signal_dims) == {0, 1, 2, 3}
-        assert set(ds.noise_dims) == {4, 5, 6, 7}
+        assert (ds.num_classes, ds.num_domains) == (3, 4)
 
     def test_smallest_cell(self, small_dataset):
         # Three domains of three classes, 30 rows a cell.
@@ -33,7 +51,7 @@ class TestGenerateSynthetic:
     def test_zero_shift_means_identical_domains(self):
         ds = dat.generate_synthetic(2, 3, 4, 4, 400, class_sep=4.0, domain_shift=0.0, seed=1,
                                     bias_jitter=0.2)
-        noise = ds.features[:, list(ds.noise_dims)]
+        noise = ds.features[:, 4:]
         per_domain_means = [
             noise[ds.domain_ids == d].mean(axis=0) for d in range(3)
         ]
@@ -45,11 +63,9 @@ class TestGenerateSynthetic:
     def test_high_separation_nearest_mean_oracle(self):
         ds = dat.generate_synthetic(4, 3, 6, 6, 80, class_sep=10.0, domain_shift=2.0, seed=2,
                                     bias_jitter=0.2)
-        sig = list(ds.signal_dims)
-        means = np.stack(
-            [ds.features[ds.class_ids == c][:, sig].mean(axis=0) for c in range(4)]
-        )
-        dists = ((ds.features[:, sig][:, None, :] - means[None]) ** 2).sum(axis=2)
+        sig = ds.features[:, :6]
+        means = np.stack([sig[ds.class_ids == c].mean(axis=0) for c in range(4)])
+        dists = ((sig[:, None, :] - means[None]) ** 2).sum(axis=2)
         predictions = dists.argmin(axis=1)
         assert (predictions == ds.class_ids).mean() > 0.99
 
@@ -57,7 +73,7 @@ class TestGenerateSynthetic:
         ds = dat.generate_synthetic(2, 4, 4, 8, 500, class_sep=4.0, domain_shift=5.0,
                                     seed=3, bias_jitter=0.0)
         for d in range(4):
-            bias = ds.features[ds.domain_ids == d][:, list(ds.noise_dims)].mean(axis=0)
+            bias = ds.features[ds.domain_ids == d][:, 4:].mean(axis=0)
             assert np.linalg.norm(bias) == pytest.approx(5.0, abs=0.3)
 
     def test_separation_infeasible(self):
@@ -128,9 +144,9 @@ class TestCsvRoundTrip:
             [1 / 3, -2.5, 0.0, 123456789.0],
         ])
         ds = dat.DomainDataset(
-            features, class_ids=np.array([0, 12, 3]), domain_ids=np.array([10, 0, 123]),
-            num_classes=13, num_domains=124,
+            features, class_ids=np.array([0, 12, 3]), domain_ids=np.array([10, 0, 123])
         )
+        assert (ds.num_classes, ds.num_domains) == (13, 124)
         text = self._both_writers(ds, tmp_path).decode()
         assert text.splitlines()[1] == "10,0,-0.0,5e-324,1e-05,0.1"
         assert text.splitlines()[2].startswith("0,12,1e+16,1.7976931348623157e+308,")
@@ -351,10 +367,7 @@ def _dense_smallest_cell(ds, skip_domain):
 
 def _ids_dataset(domain_ids, class_ids):
     domain_ids, class_ids = np.asarray(domain_ids), np.asarray(class_ids)
-    return dat.DomainDataset(
-        np.zeros((len(domain_ids), 1)), class_ids, domain_ids,
-        int(class_ids.max()) + 1, int(domain_ids.max()) + 1,
-    )
+    return dat.DomainDataset(np.zeros((len(domain_ids), 1)), class_ids, domain_ids)
 
 
 class TestSmallestCell:
@@ -409,6 +422,13 @@ class TestSplit:
             mask = small_split.labeled_domains == d
             counts = np.bincount(small_split.labeled_y[mask], minlength=3)
             assert np.all(counts == 4)
+
+    def test_arrays_are_contiguous_copies(self, small_dataset, small_split):
+        for name, a in vars(small_split).items():
+            if isinstance(a, np.ndarray):
+                assert a.flags.c_contiguous and a.flags.owndata, name
+                for source in ("features", "class_ids", "domain_ids"):
+                    assert not np.shares_memory(a, getattr(small_dataset, source))
 
     def test_no_unlabeled_domain_ids_exposed(self, small_split):
         exposed = {name for name in vars(small_split) if "unlabeled" in name}
@@ -653,7 +673,6 @@ class TestBlockViewsMatchPerStep:
             small_dataset.features[small_dataset.domain_ids < 2],
             small_dataset.class_ids[small_dataset.domain_ids < 2],
             small_dataset.domain_ids[small_dataset.domain_ids < 2],
-            small_dataset.num_classes, 2,
         )
         one_source = dat.split(two, dat.SplitPlan(target_domain=1, labels_per_class=2, seed=1))
         monkeypatch.setattr(dat, "STRONG_SCALE", 0.3)

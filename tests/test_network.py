@@ -163,7 +163,12 @@ class TestCheckpoint:
         [("meta.version", lambda a: a.astype(bool), "holds bool"),
          ("meta.feature_dim", lambda a: a.astype(str), "holds <U"),
          ("bank.blended", lambda a: a.astype(complex), "holds complex128"),
-         ("meta.hidden_dims", lambda a: np.array([a, a]), "invalid metadata")],
+         ("meta.hidden_dims", lambda a: np.array([a, a]), "invalid metadata"),
+         # Each member holds the kind that save_checkpoint writes, exactly.
+         ("meta.num_classes", lambda a: a + 5.9, "'meta.num_classes' holds float64"),
+         ("meta.version", lambda a: a.astype(float), "'meta.version' holds float64"),
+         ("param.classifier.bias", lambda a: a.astype(np.int64),
+          "'param.classifier.bias' holds int64, not floats")],
     )
     def test_ill_typed_member_rejected(self, tmp_path, key, edit, needle):
         model, modulation, bank, _, _ = make_tiny_setup()

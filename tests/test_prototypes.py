@@ -121,8 +121,7 @@ class TestBuildBank:
         classes[:3] = [0, 1, 2]
         bank = proto.build_bank(feats, classes, 3, epoch=7)
         assert bank.epoch == 7
-        assert bank.num_classes == 3
-        assert bank.feature_dim == 6
+        assert bank.prototypes.shape == bank.blended.shape == (3, 6)
         assert bank.similarity.shape == (3, 3)
         assert np.all(bank.similarity >= 0.0)
 
