@@ -12,16 +12,18 @@ for 2 epochs at seed 0, three times on the same data:
   as a total and per step;
 - under ``tracemalloc``: the peak of traced memory.
 
-Then, under ``tracemalloc``, it runs ``modfeat eval`` in-process once on
-the fm run's checkpoint and the seed-0 data's CSV, every row of it, and
-prints its peak: the CSV parse and one scoring pass.
+Then, under ``tracemalloc``, it runs ``modfeat eval`` in-process on the
+fm run's checkpoint, once over the CSV of the seed-0 data (4,200 rows)
+and once over a seed-0 draw ten times its size (42,000 rows, 1,500
+samples per class and domain), and prints each peak: the CSV parse and
+one scoring pass.
 
 Per-step figures divide a run's totals, its per-epoch evaluations and
 bank refreshes included, by its SGD steps. Everything printed, the
 tracemalloc peaks included, repeats exactly from run to run on one Python
 and numpy build, so two source trees can be compared line by line: a
 change in what a step does shows up here even where a timing cannot
-resolve it. The one exception is the ``[eval]`` peak, which moves by a
+resolve it. The one exception is the ``[eval]`` peaks, which move by a
 few hundred bytes from process to process: ``modfeat eval`` builds its
 argument parser, whose conflict-handler names (71 bytes each) stay
 alive while CPython's attribute cache holds them, and that cache is
@@ -54,6 +56,7 @@ from perfbench import spans  # noqa: E402
 EPOCHS = 2
 SEED = 0
 TOP = 15  # functions listed per mode
+EVAL_LARGE_CELL = 1500  # samples per class and domain of the large eval CSV
 # A built-in's profile name can hold an object address, which differs
 # from process to process.
 _ADDRESS = re.compile(r" at 0x[0-9a-f]+")
@@ -101,10 +104,11 @@ def traced_peak(cfg, dataset) -> int:
         tracemalloc.stop()
 
 
-def _config(mode: str):
+def _config(mode: str, **overrides):
     return config.load_config(
         ROOT / "configs" / "synthetic.ini",
-        {"train.mode": mode, "train.epochs": str(EPOCHS), "train.seeds": str(SEED)},
+        {"train.mode": mode, "train.epochs": str(EPOCHS), "train.seeds": str(SEED),
+         **overrides},
     )
 
 
@@ -131,30 +135,42 @@ def ledger(mode: str) -> list:
     return lines
 
 
-def eval_ledger() -> list:
-    """The traced peak of one ``modfeat eval`` of the fm checkpoint over
-    every row of the seed-0 data, after one untraced call."""
-    cfg = _config("fm")
-    dataset = cli._build_dataset(cfg, SEED)
-    with tempfile.TemporaryDirectory() as tmp:
-        csv = Path(tmp) / "data.csv"
-        data.save_csv(dataset, csv)
-        _train(cfg, dataset, tmp)
-        argv = ["eval", str(Path(tmp) / f"seed_{SEED}" / "checkpoint.npz"), str(csv)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
-            tracemalloc.start()
-            try:
-                code = cli.main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+def eval_peak(argv) -> int:
+    """The traced peak of ``modfeat eval`` with ``argv``, after one
+    untraced call."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     if code != 0:
         raise RuntimeError(f"modfeat eval exited with {code}")
-    return [
-        f"[eval] fm checkpoint, {len(dataset)} rows",
-        f"  tracemalloc peak {peak} B",
-    ]
+    return peak
+
+
+def eval_ledger() -> list:
+    """The traced peak of ``modfeat eval`` of the fm checkpoint over every
+    row of the seed-0 data, and over every row of a seed-0 draw of
+    ``EVAL_LARGE_CELL`` samples per class and domain."""
+    cfg = _config("fm")
+    dataset = cli._build_dataset(cfg, SEED)
+    large = cli._build_dataset(
+        _config("fm", **{"data.samples_per_class_per_domain": str(EVAL_LARGE_CELL)}),
+        SEED,
+    )
+    lines = ["[eval] fm checkpoint"]
+    with tempfile.TemporaryDirectory() as tmp:
+        _train(cfg, dataset, tmp)
+        ckpt = str(Path(tmp) / f"seed_{SEED}" / "checkpoint.npz")
+        for rows in (dataset, large):
+            csv = Path(tmp) / "data.csv"
+            data.save_csv(rows, csv)
+            peak = eval_peak(["eval", ckpt, str(csv)])
+            lines.append(f"  {len(rows)} rows: tracemalloc peak {peak} B")
+    return lines
 
 
 def main() -> int:

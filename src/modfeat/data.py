@@ -17,8 +17,8 @@ The data layer works in bulk: ``save_csv`` writes a row per call, and
 ``BatchIterator.epoch`` gathers the rows and draws the augmented views
 of a block of whole steps at once, with the draws and bits that one
 step at a time would give. ``load_csv`` streams the file into its one
-parse, so a load holds the parsed rows and the arrays it returns, not the
-text.
+parse and returns views of it, so a load holds the parsed rows once, not
+the text.
 """
 
 from __future__ import annotations
@@ -252,9 +252,11 @@ def load_csv(path) -> DomainDataset:
     skipped. Blank lines are skipped. The header is read alone, and the
     open file then goes to one ``np.loadtxt`` call (ids as integers,
     features as float64), which reads it line by line: the text is never
-    held whole. Every feature must be finite. Only when the parse fails or
-    a feature is not finite is the file read again, to name the line at
-    fault.
+    held whole. The dataset's three arrays are views of that one parse,
+    not copies: the features are not C-contiguous (a pass that scores
+    them copies the rows it reads). Every feature must be finite. Only
+    when the parse fails or a feature is not finite is the file read
+    again, to name the line at fault.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
@@ -279,12 +281,11 @@ def load_csv(path) -> DomainDataset:
             raise ParseError(f"{path}: {err}") from None
     if not len(rows):
         raise SchemaError(f"{path}: no data rows")
-    features = np.ascontiguousarray(rows["features"])
+    features, class_ids, domain_ids = rows["features"], rows["class"], rows["domain"]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         lineno = _numbered_lines(path)[int(np.argmin(finite))][0]
         raise ParseError(f"{path}:{lineno}: features must be finite")
-    class_ids, domain_ids = rows["class"].copy(), rows["domain"].copy()
     if class_ids.min() < 0 or domain_ids.min() < 0:
         raise SchemaError(f"{path}: ids must be non-negative")
     return DomainDataset(features, class_ids, domain_ids)
@@ -324,7 +325,8 @@ def split(dataset: DomainDataset, plan: SplitPlan) -> Split:
 
     Every source sample lands in the unlabeled pool (including the
     labeled ones, with labels hidden); target-domain samples form the
-    test set and never appear in any training pool.
+    test set and never appear in any training pool. The target domain
+    must exist and hold rows, and some row must lie outside it.
     """
     if not 0 <= plan.target_domain < dataset.num_domains:
         raise SplitError(f"target domain {plan.target_domain} does not exist")
@@ -348,6 +350,12 @@ def split(dataset: DomainDataset, plan: SplitPlan) -> Split:
     source_mask = dataset.domain_ids != plan.target_domain
     source_idx = np.flatnonzero(source_mask)
     target_idx = np.flatnonzero(~source_mask)
+    if not len(target_idx):
+        raise SplitError(f"target domain {plan.target_domain} has no rows")
+    if not len(source_idx):
+        raise SplitError(
+            f"no source domain: every row is in target domain {plan.target_domain}"
+        )
     # Fancy indexing copies: no array of the split shares the dataset's memory.
     return Split(
         labeled_x=dataset.features[labeled_idx],

@@ -23,14 +23,17 @@ reductions pay a per-row overhead on rows that narrow. So
 ``predict_matrices`` takes the softmax on class-major (C x rows) copies
 of the logits, in both modes and at any class count: the row maxima and
 sums are column reductions of a copy, the shift and exp run in place in
-it, and the returned entries are read from it. The copies are taken
-block by block, each of whole samples within ``SOFTMAX_BLOCK_BYTES``, so
-a pass holds its row-major logits and at most one block's copy, not a
-second copy of all its logits. A column reduction of a copy adds the C
-classes left to right, the order of the loss's
-``autodiff.row_log_softmax``, except in a one-row copy, whose one column
-numpy sums as it does a row; so no block holds a single sample unless
-the pass scores only one.
+it, and the returned entries are read from it. A pass scores its samples
+in blocks of whole samples whose logits fit ``SOFTMAX_BLOCK_BYTES``: it
+scores one block's rows, copies their logits class-major into one
+buffer, drops them and takes the block's softmax before it scores the
+next. So a pass holds its result and one block's input rows, logits and
+copy, not all its logits. Dropout draws each block's masks in stream
+order, so a pass that fits one block scores as one forward does. A
+column reduction of a copy adds the C classes left to right, the order
+of the loss's ``autodiff.row_log_softmax``, except in a one-row copy,
+whose one column numpy sums as it does a row; so no block holds a single
+sample unless the pass scores only one.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,
@@ -58,10 +61,12 @@ BASELINE_THRESHOLD = 0.95
 # Bytes the K Monte Carlo passes over one batch may hold at once: the
 # (K, n, C) confidence table plus one chunk of stacked passes.
 MC_BUDGET_BYTES = 64 * 2**20
-# Bytes of the class-major copy of the logits that ``predict_matrices``
-# holds at once: a block of whole samples within it, or of three samples,
-# which exceed it only at over 200 classes.
-SOFTMAX_BLOCK_BYTES = 2**20
+# Bytes of the logits of one block that ``predict_matrices`` scores and
+# normalizes before it scores the next: a block of whole samples within
+# it, or of three samples, which exceed it only at over 147 classes. At
+# 7 classes a block holds 1,337 modulated samples, so the 1,050-row
+# held-out evaluation of the shipped config is one block.
+SOFTMAX_BLOCK_BYTES = 2**19
 
 
 # A batch's pseudo-labels, one row per sample: the gate's inputs, its
@@ -112,35 +117,38 @@ def predict_matrices(
     C x C block of row softmaxes; without one, the unmodulated
     probability. Units drop iff ``dropout`` is set, drawn from ``rng``,
     which it then needs. Every row is normalized; only the returned
-    entries are divided. No gradients are recorded. The softmax runs on
-    class-major copies of blocks of the logits (see the module
-    docstring), each written into the one returned array; ``u`` is only
-    read.
+    entries are divided. No gradients are recorded. Blocks of whole
+    samples are scored one at a time, and each block's softmax runs on a
+    class-major copy of its logits (see the module docstring), written
+    into the one returned array; ``u`` is only read.
     """
     if dropout and rng is None:
         raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
-    with no_grad():
-        logits = net.score_graph(model, head, u, rng if dropout else None).value
-    n, c = len(u), logits.shape[1]
+    pass_rng = rng if dropout else None
+    n, c = len(u), model.classifier.weight.value.shape[1]
     rows = 1 if head is None else c  # score rows per sample
     blocks = _block_count(n, 8 * rows * c)
     out = np.empty((n, c))
     # Every block's class-major copy is made in this one buffer.
     buffer = np.empty(c * rows * -(-n // blocks))
-    for i in range(blocks):
-        start, stop = n * i // blocks, n * (i + 1) // blocks
-        block = buffer[: c * rows * (stop - start)].reshape(c, rows * (stop - start))
-        np.copyto(block, logits[start * rows : stop * rows].T)
-        block -= np.maximum.reduce(block, axis=0)
-        np.exp(block, out=block)
-        total = np.add.reduce(block, axis=0)
-        if head is None:
-            block /= total
-            out[start:stop] = block.T
-        else:
-            diagonal = block.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-            np.divide(diagonal, total.reshape(-1, c), out=out[start:stop])
+    with no_grad():
+        for i in range(blocks):
+            start, stop = n * i // blocks, n * (i + 1) // blocks
+            block = buffer[: c * rows * (stop - start)].reshape(c, rows * (stop - start))
+            # No name holds the block's logits: they go once copied.
+            np.copyto(
+                block, net.score_graph(model, head, u[start:stop], pass_rng).value.T
+            )
+            block -= np.maximum.reduce(block, axis=0)
+            np.exp(block, out=block)
+            total = np.add.reduce(block, axis=0)
+            if head is None:
+                block /= total
+                out[start:stop] = block.T
+            else:
+                diagonal = block.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
+                np.divide(diagonal, total.reshape(-1, c), out=out[start:stop])
     return out
 
 
@@ -162,8 +170,8 @@ def _pass_bytes(model: Model, n: int) -> int:
     layer's input, output and dropout factor and the dropout mask (only
     one layer's are live at a time); the C x C logits and their
     class-major copy; and C row maxima, C row sums and the C confidences
-    returned. ``predict_matrices`` copies at most one block of the logits
-    at a time, so counting a whole copy keeps this an upper bound.
+    returned. ``predict_matrices`` holds one block's logits and copy at a
+    time, so counting the whole pass's keeps this an upper bound.
     """
     cfg = model.extractor.config
     c = model.num_classes

@@ -244,11 +244,25 @@ def bench_csv(tmp_path_factory):
     return ds, path.read_bytes().split(b"\n")[:-1]
 
 
-def _same_arrays(got, want):
-    for field in ("features", "class_ids", "domain_ids"):
-        a, b = getattr(got, field), getattr(want, field)
+def _same_arrays(path, want):
+    """``load_csv(path)`` gives ``want``'s arrays as views of its one
+    parse, and peaks at little more than their bytes."""
+    dat.load_csv(path)  # the first call's one-time allocations are not the load's
+    tracemalloc.start()
+    try:
+        got = dat.load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [got.features, got.class_ids, got.domain_ids]
+    for a, b in zip(arrays, [want.features, want.class_ids, want.domain_ids]):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got.features.flags.c_contiguous
+    # The fields of a row interleave, so the views share the parse's
+    # buffer but no element: ``np.shares_memory`` is False between them.
+    parse, returned = got.features.base, sum(a.nbytes for a in arrays)
+    assert parse is not None and all(a.base is parse for a in arrays)
+    assert parse.nbytes == returned
+    assert peak <= 1.25 * returned
     assert (got.num_classes, got.num_domains) == (want.num_classes, want.num_domains)
 
 
@@ -295,18 +309,18 @@ class TestStreamingLoad:
 
     def test_whole_file(self, bench_csv, tmp_path):
         ds, lines = bench_csv
-        _same_arrays(dat.load_csv(self._write(tmp_path, lines)), ds)
+        _same_arrays(self._write(tmp_path, lines), ds)
 
     def test_byte_order_mark_and_crlf(self, bench_csv, tmp_path):
         ds, lines = bench_csv
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines) + b"\r\n")
-        _same_arrays(dat.load_csv(path), ds)
+        _same_arrays(path, ds)
 
     def test_blank_lines_in_the_middle_and_at_the_end(self, bench_csv, tmp_path):
         ds, lines = bench_csv
         lines = lines[:2] + [b""] + lines[2:2100] + [b"", b""] + lines[2100:] + [b"", b""]
-        _same_arrays(dat.load_csv(self._write(tmp_path, lines)), ds)
+        _same_arrays(self._write(tmp_path, lines), ds)
 
     @pytest.mark.parametrize("blank", [b" ", b"\t", b"   "])
     def test_whitespace_only_line_is_a_row(self, bench_csv, tmp_path, blank):

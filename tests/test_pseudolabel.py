@@ -383,13 +383,19 @@ class TestSoftmaxBlocks:
         head = model.fm_head(modulation, bank) if modulated else None
         got_rng = np.random.default_rng(9)
         got = pl.predict_matrices(u, model, head, dropout, got_rng)
+        # Each block's rows scored on their own, in order, drawing their
+        # masks from the one generator.
         want_rng = np.random.default_rng(9)
-        with no_grad():
-            logits = net.score_graph(model, head, u, want_rng if dropout else None).value
-        want = ref.one_copy_confidences(logits, modulated)
+        blocks = pl._block_count(n, 8 * (num_classes if modulated else 1) * num_classes)
+        want = []
+        for i in range(blocks):
+            rows = u[n * i // blocks : n * (i + 1) // blocks]
+            with no_grad():
+                logits = net.score_graph(model, head, rows, want_rng if dropout else None)
+            want.append(ref.one_copy_confidences(logits.value, modulated))
         assert got_rng.random() == want_rng.random()
         assert got.shape == (n, num_classes) and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     @pytest.mark.parametrize("modulated", [True, False])
@@ -416,22 +422,22 @@ class TestSoftmaxBlocks:
             if blocks > 1:  # one block fewer would overfill one
                 assert -(-n // (blocks - 1)) > cap
 
-    def test_peak_holds_logits_and_one_block(self):
-        """An fm pass over 4,200 rows holds its logits and one block's
-        class-major copy, not a second copy of all its logits."""
-        n, c = 4200, 7
+    @pytest.mark.parametrize("n", [4200, 42_000])
+    def test_peak_holds_logits_and_one_block(self, n):
+        """An fm pass holds its result and one block's logits and their
+        class-major copy, not all of its logits."""
+        c = 7
         model, modulation, bank, u = _mc_setup((), n, c)
         head = model.fm_head(modulation, bank)
-        logits_bytes = 8 * n * c * c
-        assert logits_bytes > pl.SOFTMAX_BLOCK_BYTES  # more than one block
-        pl.predict_matrices(u, model, head)
+        assert 8 * n * c * c > 3 * pl.SOFTMAX_BLOCK_BYTES  # more than three blocks
+        pl.predict_matrices(u[:3], model, head)
         tracemalloc.start()
         try:
-            pl.predict_matrices(u, model, head)
+            out = pl.predict_matrices(u, model, head)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= logits_bytes + 1.5 * pl.SOFTMAX_BLOCK_BYTES
+        assert peak <= out.nbytes + 2.5 * pl.SOFTMAX_BLOCK_BYTES
 
 
 class TestPassStatistics:

@@ -219,6 +219,34 @@ class TestTrain:
                 tmp_path / "b" / fname
             ).read_bytes()
 
+    def _rejected_before_any_step(self, monkeypatch, dataset, plan):
+        """The ``SplitError`` ``train`` raises, after no SGD step."""
+        steps = []
+        monkeypatch.setattr(trainer.SGD, "step", lambda *args: steps.append(args))
+        with pytest.raises(dat.SplitError) as err:
+            trainer.train(dataset, plan, quick_config(), hidden_dims=(), feature_dim=8)
+        assert not steps
+        return str(err.value)
+
+    def test_held_out_domain_without_rows_rejected(self, monkeypatch):
+        full = dat.generate_synthetic(3, 4, 4, 4, 20, 2.0, 6.0, seed=0, bias_jitter=1.0)
+        keep = full.domain_ids != 1
+        dataset = dat.DomainDataset(
+            full.features[keep], full.class_ids[keep], full.domain_ids[keep]
+        )
+        assert dataset.num_domains == 4
+        message = self._rejected_before_any_step(
+            monkeypatch, dataset, dat.SplitPlan(1, 2, 0)
+        )
+        assert message == "target domain 1 has no rows"
+
+    def test_dataset_without_source_domain_rejected(self, monkeypatch):
+        dataset = dat.generate_synthetic(3, 1, 4, 4, 20, 2.0, 6.0, seed=0, bias_jitter=1.0)
+        message = self._rejected_before_any_step(
+            monkeypatch, dataset, dat.SplitPlan(0, 2, 0)
+        )
+        assert message == "no source domain: every row is in target domain 0"
+
     def test_abort_on_non_finite_loss(self, small_dataset, monkeypatch):
         real = objective.total_loss
 
