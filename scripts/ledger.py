@@ -12,8 +12,11 @@ for 2 epochs at seed 0, three times on the same data:
   as a total and per step;
 - under ``tracemalloc``: the peak of traced memory.
 
-Then, under ``tracemalloc``, it runs ``modfeat eval`` in-process on the
-fm run's checkpoint, once over the CSV of the seed-0 data (4,200 rows)
+Then, under ``tracemalloc``, it labels one 48-row batch (one unlabeled
+batch of the benchmark config) with ``trainer.MAX_MC_SAMPLES`` Monte
+Carlo passes through an fm run's head, and prints the peak: the (K, n,
+C) confidences and one scoring block. And it runs ``modfeat eval``
+in-process on the fm run's checkpoint, once over the CSV of the seed-0 data (4,200 rows)
 and once over a seed-0 draw ten times its size (42,000 rows, 1,500
 samples per class and domain), and prints each peak: the CSV parse and
 one scoring pass.
@@ -50,12 +53,15 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from modfeat import cli, config, data, trainer  # noqa: E402
+import numpy as np  # noqa: E402
+
+from modfeat import cli, config, data, pseudolabel, trainer  # noqa: E402
 from perfbench import spans  # noqa: E402
 
 EPOCHS = 2
 SEED = 0
 TOP = 15  # functions listed per mode
+MC_ROWS = 48  # one unlabeled batch of the benchmark config
 EVAL_LARGE_CELL = 1500  # samples per class and domain of the large eval CSV
 # A built-in's profile name can hold an object address, which differs
 # from process to process.
@@ -135,6 +141,32 @@ def ledger(mode: str) -> list:
     return lines
 
 
+def mc_ledger() -> list:
+    """The traced peak of one ``pseudo_label_batch`` of
+    ``trainer.MAX_MC_SAMPLES`` passes over the first ``MC_ROWS`` rows of
+    the seed-0 data, through the head of the fm run, after one untraced
+    call."""
+    cfg = _config("fm")
+    dataset = cli._build_dataset(cfg, SEED)
+    result = _train(cfg, dataset)
+    model, k = result.model, trainer.MAX_MC_SAMPLES
+    head = model.fm_head(result.modulation, result.bank)
+    batch = dataset.features[:MC_ROWS]
+
+    def label():
+        rng = np.random.default_rng(SEED)
+        pseudolabel.pseudo_label_batch(batch, model, head, k, cfg.train.tau, rng)
+
+    label()
+    tracemalloc.start()
+    try:
+        label()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return [f"[mc] {k} passes over {MC_ROWS} rows: tracemalloc peak {peak} B"]
+
+
 def eval_peak(argv) -> int:
     """The traced peak of ``modfeat eval`` with ``argv``, after one
     untraced call."""
@@ -177,6 +209,7 @@ def main() -> int:
     print(f"# cost ledger: configs/synthetic.ini, {EPOCHS} epochs, seed {SEED}")
     for mode in trainer.MODES:
         print("\n".join(ledger(mode)), flush=True)
+    print("\n".join(mc_ledger()), flush=True)
     print("\n".join(eval_ledger()), flush=True)
     return 0
 

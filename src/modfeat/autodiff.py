@@ -193,6 +193,14 @@ def sum_all(a: Node) -> Node:
     return Node(np.array([[a.value.sum()]]), (a,), vjp)
 
 
+def one_column_sum(t: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.add.reduce(t, axis=0)`` of a one-column 2-D ``t``, in the order
+    numpy takes over two or more columns: top to bottom from +0.0. Numpy
+    adds a lone column as it adds a contiguous row, in blocks from 8
+    entries on; the + 0.0 turns a sum of -0.0 entries into +0.0."""
+    return np.add.accumulate(t, axis)[-1] + 0.0
+
+
 def row_log_softmax(a: Node) -> Node:
     """Per-row log-softmax, stabilized by subtracting the row max.
 
@@ -200,17 +208,17 @@ def row_log_softmax(a: Node) -> Node:
     a per-row overhead there. So the row maxima and both row sums, the
     normalizer and the vjp's, reduce class-major copies along their outer
     axis, which adds each row's classes left to right at any class count:
-    the order of ``pseudolabel``'s confidences. A one-row input is the
-    exception: its copy is one contiguous column, which numpy sums as it
-    does ``a.sum(axis=1)``, in blocks from 8 classes on.
+    the order of ``pseudolabel``'s confidences. A one-row input's copies
+    are one column each, which ``one_column_sum`` adds in that order.
     """
     v = a.value
+    add = np.add.reduce if v.shape[0] != 1 else one_column_sum
     out = v - np.maximum.reduce(np.ascontiguousarray(v.T), axis=0)[:, None]
-    out -= np.log(np.add.reduce(np.ascontiguousarray(np.exp(out).T), axis=0)[:, None])
+    out -= np.log(add(np.ascontiguousarray(np.exp(out).T), axis=0)[:, None])
     probs = np.exp(out)
 
     def vjp(g):
-        return (g - probs * np.add.reduce(np.ascontiguousarray(g.T), axis=0)[:, None],)
+        return (g - probs * add(np.ascontiguousarray(g.T), axis=0)[:, None],)
 
     return Node(out, (a,), vjp)
 

@@ -4,36 +4,33 @@ The gate reads one confidence per sample and class: the probability of
 class c once the features are modulated toward c (see
 ``network.score_graph``), which ``predict_matrices`` returns as an
 (n x C) array. It is evaluated K times, each pass given the Monte Carlo
-generator so that it drops units. The K passes over a batch run as
-stacked forwards of copies of the batch, in chunks of whole passes that
-fit ``MC_BUDGET_BYTES``, so any K runs in bounded memory. Dropout draws
-its masks from the generator's stream in order, so pass k sees the masks
-the k-th of K separate calls would have drawn, whatever the chunking
-(a one-sample batch runs its K passes one at a time: see
-``pseudo_label_batch``). The label is the argmax of the K-run mean
-confidence; sigma is the K-run population standard deviation of the
-predicted class's confidence. A label is kept when mean_confidence -
-sigma clears the threshold, and kept labels get a confidence-dependent
-loss weight exp(p^3 - 1). The K passes of a training step score through
-the step's one fused head (``Model.fm_head``), the head its loss forward
-reads too.
+generator so that it drops units: one ``predict_matrices`` call scores K
+pass-major copies of the batch, so any K holds the (K, n, C) confidences
+and one scoring block. Dropout draws each block's masks in stream order,
+so pass k sees the masks the k-th of K separate calls would have drawn.
+The label is the argmax of the K-run mean confidence; sigma is the K-run
+population standard deviation of the predicted class's confidence. A
+label is kept when mean_confidence - sigma clears the threshold, and
+kept labels get a confidence-dependent loss weight exp(p^3 - 1). The K
+passes of a training step score through the step's one fused head
+(``Model.fm_head``), the head its loss forward reads too.
 
 A pass yields n*C rows of C logits (n rows unmodulated), and numpy's row
 reductions pay a per-row overhead on rows that narrow. So
 ``predict_matrices`` takes the softmax on class-major (C x rows) copies
 of the logits, in both modes and at any class count: the row maxima and
 sums are column reductions of a copy, the shift and exp run in place in
-it, and the returned entries are read from it. A pass scores its samples
-in blocks of whole samples whose logits fit ``SOFTMAX_BLOCK_BYTES``: it
-scores one block's rows, copies their logits class-major into one
-buffer, drops them and takes the block's softmax before it scores the
-next. So a pass holds its result and one block's input rows, logits and
-copy, not all its logits. Dropout draws each block's masks in stream
-order, so a pass that fits one block scores as one forward does. A
-column reduction of a copy adds the C classes left to right, the order
-of the loss's ``autodiff.row_log_softmax``, except in a one-row copy,
-whose one column numpy sums as it does a row; so no block holds a single
-sample unless the pass scores only one.
+it, and the returned entries are read from it. It scores blocks of whole
+samples whose logits fit ``SOFTMAX_BLOCK_BYTES``, gathering each block's
+rows from its input, and copies their logits class-major into one
+buffer and takes their softmax before it scores the next block; so a
+call holds its result and one block's rows, logits and copy, and a call
+that fits one block scores as one forward does. A column reduction adds
+the C classes left to right, the order of ``autodiff.row_log_softmax``,
+a one-row copy's lone column too (``autodiff.one_column_sum``). A
+one-row forward goes through BLAS's vector routine, which rounds
+differently from the matrix routine, so no block holds a single sample
+unless the input has only one.
 
 The fixed-threshold baseline reads the same pipeline's unmodulated
 class probabilities in a single deterministic pass, given no generator,
@@ -53,14 +50,11 @@ from typing import Optional
 import numpy as np
 
 from . import network as net
-from .autodiff import ParameterError, no_grad
+from .autodiff import ParameterError, no_grad, one_column_sum
 from .modulator import FusedHead
 from .network import Model
 
 BASELINE_THRESHOLD = 0.95
-# Bytes the K Monte Carlo passes over one batch may hold at once: the
-# (K, n, C) confidence table plus one chunk of stacked passes.
-MC_BUDGET_BYTES = 64 * 2**20
 # Bytes of the logits of one block that ``predict_matrices`` scores and
 # normalizes before it scores the next: a block of whole samples within
 # it, or of three samples, which exceed it only at over 147 classes. At
@@ -109,8 +103,11 @@ def predict_matrices(
     head: Optional[FusedHead],
     dropout: bool = False,
     rng: Optional[np.random.Generator] = None,
+    passes: int = 1,
 ) -> np.ndarray:
-    """(n x C) confidence of each sample in each class.
+    """(n*passes x C) confidence of each sample in each class, for
+    ``passes`` pass-major copies of the n rows of ``u``: row r is that of
+    ``u[r % n]``.
 
     With a head (``Model.fm_head``), entry (i, c) is the probability of
     class c after modulating sample i toward class c, the diagonal of its
@@ -118,37 +115,41 @@ def predict_matrices(
     probability. Units drop iff ``dropout`` is set, drawn from ``rng``,
     which it then needs. Every row is normalized; only the returned
     entries are divided. No gradients are recorded. Blocks of whole
-    samples are scored one at a time, and each block's softmax runs on a
-    class-major copy of its logits (see the module docstring), written
-    into the one returned array; ``u`` is only read.
+    samples are scored one at a time, each gathering its rows from ``u``,
+    and each block's softmax runs on a class-major copy of its logits
+    (see the module docstring), written into the one returned array;
+    ``u`` is only read. A one-sample ``u`` scores each pass as its own
+    block, so its passes keep the bits of separate calls.
     """
     if dropout and rng is None:
         raise ParameterError("a Monte Carlo pass needs a dropout generator")
     u = np.atleast_2d(u)
     pass_rng = rng if dropout else None
     n, c = len(u), model.classifier.weight.value.shape[1]
+    total = n * passes
     rows = 1 if head is None else c  # score rows per sample
-    blocks = _block_count(n, 8 * rows * c)
-    out = np.empty((n, c))
+    blocks = passes if n == 1 else _block_count(total, 8 * rows * c)
+    # Only a one-sample unmodulated block's copy is one column.
+    add = one_column_sum if rows == n == 1 else np.add.reduce
+    out = np.empty((total, c))
     # Every block's class-major copy is made in this one buffer.
-    buffer = np.empty(c * rows * -(-n // blocks))
+    buffer = np.empty(c * rows * -(-total // blocks))
     with no_grad():
         for i in range(blocks):
-            start, stop = n * i // blocks, n * (i + 1) // blocks
+            start, stop = total * i // blocks, total * (i + 1) // blocks
+            x = u[start:stop] if stop <= n else u[np.arange(start, stop) % n]
             block = buffer[: c * rows * (stop - start)].reshape(c, rows * (stop - start))
             # No name holds the block's logits: they go once copied.
-            np.copyto(
-                block, net.score_graph(model, head, u[start:stop], pass_rng).value.T
-            )
+            np.copyto(block, net.score_graph(model, head, x, pass_rng).value.T)
             block -= np.maximum.reduce(block, axis=0)
             np.exp(block, out=block)
-            total = np.add.reduce(block, axis=0)
+            sums = add(block, axis=0)
             if head is None:
-                block /= total
+                block /= sums
                 out[start:stop] = block.T
             else:
                 diagonal = block.reshape(c, -1, c).diagonal(axis1=0, axis2=2)
-                np.divide(diagonal, total.reshape(-1, c), out=out[start:stop])
+                np.divide(diagonal, sums.reshape(-1, c), out=out[start:stop])
     return out
 
 
@@ -163,22 +164,6 @@ def _block_count(n: int, sample_bytes: int) -> int:
     return max(1, -(-n // per_block))
 
 
-def _pass_bytes(model: Model, n: int) -> int:
-    """Upper estimate of the bytes one MC pass over ``n`` rows holds at once.
-
-    Per row: its input; 25 bytes per unit of every extractor layer, for a
-    layer's input, output and dropout factor and the dropout mask (only
-    one layer's are live at a time); the C x C logits and their
-    class-major copy; and C row maxima, C row sums and the C confidences
-    returned. ``predict_matrices`` holds one block's logits and copy at a
-    time, so counting the whole pass's keeps this an upper bound.
-    """
-    cfg = model.extractor.config
-    c = model.num_classes
-    floats = cfg.input_dim + 2 * c * c + 3 * c
-    return n * (8 * floats + 25 * (sum(cfg.hidden_dims) + cfg.feature_dim))
-
-
 def pseudo_label_batch(
     u: np.ndarray,
     model: Model,
@@ -189,43 +174,29 @@ def pseudo_label_batch(
 ) -> np.ndarray:
     """Monte Carlo pseudo-labels for a batch of weakly augmented samples,
     scored through ``head`` (``Model.fm_head``), the K = ``mc_samples``
-    passes drawing their dropout masks from ``rng``."""
+    passes drawing their dropout masks from ``rng``.
+
+    The K-pass mean and sigma (divisor K) add the K passes in order, as
+    ``np.mean`` and ``np.std`` along the outer axis of C-ordered arrays do
+    for n >= 2, so sigma's mean is p_max itself.
+    """
     if mc_samples < 2:
         raise ParameterError(f"mc_samples must be >= 2, got {mc_samples}")
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
-    u = np.atleast_2d(u)
-    n, c = u.shape[0], model.num_classes
-    conf = np.empty((mc_samples, n, c))
-    # A one-row forward goes through BLAS's vector routine, which rounds
-    # differently from the matrix routine a stack of passes takes; one
-    # pass per forward keeps a single sample's scores bit-identical. An
-    # empty batch takes its passes one at a time too: they hold nothing.
-    room = MC_BUDGET_BYTES - conf.nbytes
-    per_chunk = 1 if n <= 1 else max(1, room // _pass_bytes(model, n))
-    for k0 in range(0, mc_samples, per_chunk):
-        k = min(per_chunk, mc_samples - k0)
-        stack = np.concatenate([u] * k)
-        chunk = predict_matrices(stack, model, head, dropout=True, rng=rng)
-        conf[k0 : k0 + k] = chunk.reshape(k, n, c)
-    mean_conf = _pass_mean(conf)
+    n = len(np.atleast_2d(u))
+    conf = predict_matrices(u, model, head, dropout=True, rng=rng, passes=mc_samples)
+    conf = conf.reshape(mc_samples, n, model.num_classes)
+    mean_conf = np.add.reduce(conf, axis=0) / mc_samples
     labels = mean_conf.argmax(axis=1)
     rows = np.arange(n)
-    sigma = _pass_std(conf[:, rows, labels])
-    return gate_batch(labels, mean_conf[rows, labels], sigma, tau)
-
-
-# The K-pass statistics, computed as ``np.mean(a, axis=0)`` and
-# ``np.std(a, axis=0)`` (population, divisor K) compute them, bit for bit,
-# without the Python layers around their reductions.
-def _pass_mean(a: np.ndarray) -> np.ndarray:
-    return np.add.reduce(a, axis=0) / a.shape[0]
-
-
-def _pass_std(a: np.ndarray) -> np.ndarray:
-    dev = a - _pass_mean(a)
+    p_max = mean_conf[rows, labels]
+    # Gathered in C order, so that its sum adds the K passes in order.
+    dev = np.subtract(conf[:, rows, labels], p_max, order="C")
     dev *= dev
-    return np.sqrt(np.add.reduce(dev, axis=0) / a.shape[0])
+    add = np.add.reduce if n != 1 else one_column_sum
+    sigma = np.sqrt(add(dev, axis=0) / mc_samples)
+    return gate_batch(labels, p_max, sigma, tau)
 
 
 def baseline_pseudo_label_batch(

@@ -44,8 +44,9 @@ from .prototypes import PrototypeBank, build_bank
 # Training modes: the modulated pipeline and the fixed-threshold baseline.
 MODES = ("fm", "fixmatch-baseline")
 
-# Sanity bound only: the K MC passes run in chunks under
-# ``pseudolabel.MC_BUDGET_BYTES``, so the stacked forwards stay bounded.
+# Sanity bound only: the K MC passes over a batch are scored one block at
+# a time, and the cap keeps their K*n*C confidences sane (2.7 MB for a
+# 48-row batch at 7 classes).
 MAX_MC_SAMPLES = 1000
 
 METRICS_HEADER = (

@@ -124,8 +124,9 @@ def row_max(a: np.ndarray) -> np.ndarray:
 
 def left_to_right_sum(a: np.ndarray) -> np.ndarray:
     """(n x 1) row sums, each taken one column at a time, left to right
-    from +0.0 (so a row of -0.0 sums to +0.0): the order of numpy's column
-    sums of a class-major copy of two or more rows, at any width."""
+    from +0.0 (so a row of -0.0 sums to +0.0): the order of
+    numpy's column sums of a class-major copy, and of
+    ``autodiff.one_column_sum`` of a one-row one, at any width."""
     total = np.zeros(len(a))
     for j in range(a.shape[1]):
         total += a[:, j]
@@ -156,12 +157,12 @@ def left_to_right_log_softmax(a: np.ndarray, g: np.ndarray) -> tuple:
 def one_copy_confidences(logits: np.ndarray, modulated: bool) -> np.ndarray:
     """(n x C) confidences from a pass's (n*C x C) logits when
     ``modulated``, else its (n x C) ones, with the softmax on one
-    class-major copy of them all."""
+    class-major copy of them all, each row's classes added left to right."""
     c = logits.shape[1]
     logits = np.ascontiguousarray(logits.T)
     logits -= np.maximum.reduce(logits, axis=0)
     np.exp(logits, out=logits)
-    total = np.add.reduce(logits, axis=0)
+    total = left_to_right_sum(logits.T)[:, 0]
     if not modulated:
         logits /= total
         return np.ascontiguousarray(logits.T)

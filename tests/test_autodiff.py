@@ -213,16 +213,30 @@ class TestRowMax:
         assert ref.row_softmax(a).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
         out = ad.row_log_softmax(ad.leaf(a))
         (got_g,) = out._vjp(g)
-        # numpy's own row sums add left to right below 8 columns. A
-        # one-row input's class-major copy is one column, summed as a row.
+        # numpy's own row sums add left to right below 8 columns.
         axis_order = shifted - log_z, g - np.exp(shifted - log_z) * g.sum(axis=1, keepdims=True)
-        if len(a) > 1:
-            want, want_g = ref.left_to_right_log_softmax(a, g)
-            assert out.value.tobytes() == want.tobytes()
-            assert got_g.tobytes() == want_g.tobytes()
-        if len(a) == 1 or a.shape[1] < 8:
+        want, want_g = ref.left_to_right_log_softmax(a, g)
+        assert out.value.tobytes() == want.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+        if a.shape[1] < 8:
             assert out.value.tobytes() == axis_order[0].tobytes()
             assert got_g.tobytes() == axis_order[1].tobytes()
+
+    @pytest.mark.parametrize("width", range(8, 13))
+    def test_one_row_sums_as_a_row_of_two(self, width):
+        """A one-row input adds its classes as each row of a larger one
+        does, where numpy would add its one-column copy in blocks."""
+        g = np.random.default_rng(width)
+        for _ in range(1000):
+            a = g.normal(size=(2, width)) * 5.0
+            adj = g.normal(size=(2, width)) * np.exp(g.uniform(-30, 30, (2, width)))
+            one, two = ad.row_log_softmax(ad.leaf(a[:1])), ad.row_log_softmax(ad.leaf(a))
+            assert one.value.tobytes() == two.value[:1].tobytes()
+            assert one._vjp(adj[:1])[0].tobytes() == two._vjp(adj)[0][:1].tobytes()
+
+    def test_one_column_sum_starts_from_positive_zero(self):
+        assert np.add.reduce(np.full((9, 2), -0.0), axis=0).tobytes() == bytes(16)
+        assert ad.one_column_sum(np.full((9, 1), -0.0)).tobytes() == bytes(8)
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_random_rows_sum_left_to_right_bitwise(self, width):

@@ -486,7 +486,7 @@ def test_readme_commands_parse(monkeypatch):
             assert extras == [], argv
     fingerprint = _fingerprint_script()
     commands = _fingerprint_commands()
-    assert len(commands) == 6
+    assert len(commands) == 7
     for argv in commands:
         assert "--config" not in argv, argv  # the default, configs/synthetic.ini
         assert fingerprint.load_configs(argv), argv

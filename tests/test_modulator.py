@@ -356,7 +356,7 @@ class TestFusedHead:
 
     @pytest.mark.parametrize("n", [1, 48, 240])
     def test_head_built_once_matches_head_built_per_call_bitwise(self, rng, n):
-        # A training step builds one head, scores its MC stack through it
+        # A training step builds one head, scores its MC passes through it
         # without a graph, then its loss forward with one: the loss
         # forward's logits and parameter gradients are those of a head
         # built for that call alone.

@@ -157,12 +157,9 @@ class TestPredictMatrix:
         probs = ref.row_softmax(logits)
         assert got.shape == (n, c)
         assert got_rng.random() == want_rng.random()
-        # Both modes add each row's classes left to right, which is the
-        # row softmax's order only below 8 classes. A one-row class-major
-        # copy is the exception: its column is contiguous, and numpy sums
-        # it pairwise, as the row softmax does.
-        one_row = len(logits) == 1
-        class_major = probs if one_row else ref.left_to_right_softmax(logits)
+        # Both modes add each row's classes left to right, one-row copies
+        # included, which is the row softmax's order only below 8 classes.
+        class_major = ref.left_to_right_softmax(logits)
         if modulated:
             class_major, probs = _diagonals(class_major, c), _diagonals(probs, c)
         assert got.flags.c_contiguous
@@ -170,6 +167,19 @@ class TestPredictMatrix:
         if num_classes < 8:
             assert got.tobytes() == probs.tobytes()
         np.testing.assert_allclose(got, probs, rtol=0, atol=1e-15)
+
+
+    @pytest.mark.parametrize("num_classes", range(8, 13))
+    def test_one_row_adds_classes_left_to_right(self, num_classes):
+        """An unmodulated one-sample call adds its classes in the order of
+        every row of a larger one, where numpy would add its one-column
+        copy in blocks."""
+        model, _, _, u = _mc_setup((), 300, num_classes)
+        for row in u:
+            got = pl.predict_matrices(row, model, None)
+            with no_grad():
+                logits = net.score_graph(model, None, row[None]).value
+            assert got.tobytes() == ref.left_to_right_softmax(logits).tobytes()
 
 
 def _diagonals(probs, c):
@@ -248,7 +258,7 @@ class TestPseudoLabel:
 
 
 def _loop_oracle(u, model, modulation, bank, k, rng):
-    """The K-call MC loop the stacked forward replaces."""
+    """The K-call MC loop that one call of K passes replaces."""
     n, c = len(u), model.num_classes
     diags = np.empty((k, n, c))
     head = model.fm_head(modulation, bank)
@@ -273,16 +283,22 @@ def _mc_setup(hidden, n, num_classes=7, dim=32):
     return model, modulation, bank, g.normal(size=(n, dim))
 
 
-def _counting_passes(monkeypatch):
-    """Record the row count of every ``predict_matrices`` call."""
-    real, rows = pl.predict_matrices, []
+def _counting(monkeypatch, owner, name, record):
+    """Patch ``owner.name`` to append ``record(*args, **kwargs)`` of each
+    call to the returned list."""
+    real, calls = getattr(owner, name), []
 
-    def counting(u, *args, **kwargs):
-        rows.append(len(u))
-        return real(u, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(pl, "predict_matrices", counting)
-    return rows
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _passes(u, *args, passes=1, **kwargs):
+    """A ``predict_matrices`` call's rows and passes."""
+    return len(u), passes
 
 
 class TestStackedMonteCarlo:
@@ -303,36 +319,50 @@ class TestStackedMonteCarlo:
         assert rng.random() == oracle_rng.random()
 
 
-class TestChunkedMonteCarlo:
+class TestMonteCarloBlocks:
     @pytest.mark.parametrize("hidden", [(), (64,)])
     @pytest.mark.parametrize("n", [2, 48])
-    def test_small_budget_matches_one_chunk_bitwise(self, monkeypatch, hidden, n):
+    def test_passes_across_blocks_match_k_call_loop_bitwise(self, monkeypatch, hidden, n):
         k = 5
         model, modulation, bank, u = _mc_setup(hidden, n)
-        head = model.fm_head(modulation, bank)
-        rows = _counting_passes(monkeypatch)
-        one_rng = np.random.default_rng(21)
-        one = pl.pseudo_label_batch(u, model, head, k, 0.5, one_rng)
-        assert rows == [k * n]
+        # Blocks of 7 samples: the K passes' blocks straddle pass bounds.
+        monkeypatch.setattr(pl, "SOFTMAX_BLOCK_BYTES", 7 * 8 * 7 * 7)
+        oracle_rng = np.random.default_rng(21)
+        labels, p_max, sigma = _loop_oracle(u, model, modulation, bank, k, oracle_rng)
 
-        rows.clear()
-        budget = np.empty((k, n, 7)).nbytes + 2 * pl._pass_bytes(model, n)
-        monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
-        small_rng = np.random.default_rng(21)
-        small = pl.pseudo_label_batch(u, model, head, k, 0.5, small_rng)
-        assert rows == [2 * n, 2 * n, n]
+        calls = _counting(monkeypatch, pl, "predict_matrices", _passes)
+        blocks = _counting(monkeypatch, net, "score_graph", lambda *args: len(args[2]))
+        rng = np.random.default_rng(21)
+        recs = pl.pseudo_label_batch(u, model, model.fm_head(modulation, bank), k, 0.5, rng)
+        assert calls == [(n, k)]
+        assert len(blocks) == -(-k * n // 7)
+        assert any(end % n for end in np.cumsum(blocks))  # one straddles two passes
 
-        assert small.tobytes() == one.tobytes()
-        assert small_rng.random() == one_rng.random()
+        assert recs["label"].tolist() == labels.tolist()
+        assert recs["p_max"].tobytes() == p_max.tobytes()
+        assert recs["sigma"].tobytes() == sigma.tobytes()
+        assert rng.random() == oracle_rng.random()
 
-    def test_large_k_peak_memory_stays_under_budget(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 48, 1050])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("modulated", [True, False])
+    def test_passes_score_pass_major_copies(self, n, dropout, modulated):
+        k = 3
+        model, modulation, bank, u = _mc_setup((), n)
+        head = model.fm_head(modulation, bank) if modulated else None
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = pl.predict_matrices(u, model, head, dropout, got_rng, passes=k)
+        want = pl.predict_matrices(np.concatenate([u] * k), model, head, dropout, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_large_k_is_one_call_under_budget(self, monkeypatch):
         n, k, budget = 16, 1000, 4 * 2**20
         model, modulation, bank, u = _mc_setup((), n)
         head = model.fm_head(modulation, bank)
-        monkeypatch.setattr(pl, "MC_BUDGET_BYTES", budget)
-        rows = _counting_passes(monkeypatch)
-        # One stacked forward of all K passes would hold ~25 MB.
-        assert k * pl._pass_bytes(model, n) > 6 * budget
+        calls = _counting(monkeypatch, pl, "predict_matrices", _passes)
+        # A stacked copy of all K passes' logits alone would hold 6.3 MB.
+        assert 8 * k * n * 7 * 7 > budget
         tracemalloc.start()
         try:
             recs = pl.pseudo_label_batch(u, model, head, k, 0.5, np.random.default_rng(0))
@@ -340,29 +370,8 @@ class TestChunkedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert len(recs) == n
-        assert sum(rows) == k * n and len(rows) > 1
+        assert calls == [(n, k)]
         assert peak < budget
-
-    @pytest.mark.parametrize("hidden", [(), (64,)])
-    @pytest.mark.parametrize("n", [48, 1050])
-    def test_pass_bytes_bounds_measured_peak(self, hidden, n):
-        """``_pass_bytes`` covers one pass's traced peak and its input, and
-        at a held-out-domain size overestimates it by at most 2x."""
-        model, modulation, bank, u = _mc_setup(hidden, n)
-        head = model.fm_head(modulation, bank)
-        rng = np.random.default_rng(0)
-        pl.predict_matrices(u, model, head, dropout=True, rng=rng)
-        tracemalloc.start()
-        try:
-            pl.predict_matrices(u, model, head, dropout=True, rng=rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peak += u.nbytes
-        estimate = pl._pass_bytes(model, n)
-        assert estimate >= peak
-        if n == 1050:
-            assert estimate <= 2 * peak
 
 
 def _block_samples(num_classes, modulated):
@@ -442,17 +451,23 @@ class TestSoftmaxBlocks:
 
 class TestPassStatistics:
     @pytest.mark.parametrize("k", [2, 5, 1000])
-    def test_mean_and_std_match_numpy_bitwise(self, k):
-        g = np.random.default_rng(k)
-        for _ in range(20):
-            a = g.uniform(size=(k, 48)) ** g.uniform(0.1, 10)
-            assert pl._pass_mean(a).tobytes() == np.mean(a, axis=0).tobytes()
-            std = pl._pass_std(a)
-            assert std.tobytes() == np.std(a, axis=0).tobytes()
-
-    def test_three_dimensional_mean_matches_numpy_bitwise(self):
-        a = np.random.default_rng(1).uniform(size=(5, 48, 7))
-        assert pl._pass_mean(a).tobytes() == a.mean(axis=0).tobytes()
+    @pytest.mark.parametrize("n", [1, 48])
+    def test_mean_and_sigma_match_numpy_bitwise(self, n, k):
+        model, modulation, bank, u = _mc_setup((64,), n)
+        head = model.fm_head(modulation, bank)
+        recs = pl.pseudo_label_batch(u, model, head, k, 0.5, np.random.default_rng(k))
+        conf = pl.predict_matrices(u, model, head, True, np.random.default_rng(k), k)
+        conf = conf.reshape(k, n, -1)
+        mean = np.mean(conf, axis=0)
+        labels = mean.argmax(axis=1)
+        rows = np.arange(n)
+        # Two copies side by side: numpy adds each of their columns in
+        # order, a lone one too.
+        picked = np.tile(conf[:, rows, labels], 2)
+        assert recs["label"].tolist() == labels.tolist()
+        assert recs["p_max"].tobytes() == mean[rows, labels].tobytes()
+        assert recs["sigma"].tobytes() == np.std(picked, axis=0)[:n].tobytes()
+        assert (recs["sigma"] > 0).all()
 
 
 class TestBaselinePseudoLabel:

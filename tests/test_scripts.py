@@ -140,22 +140,25 @@ def test_fingerprints_match_the_checked_in_reference():
     """Training repeats ``FINGERPRINTS.txt`` bit for bit: seeds 0 and 1 in
     both modes, and seed 0 with a hidden layer and with 8 classes, where
     the loss and the confidences add each row's classes left to right and
-    numpy's own row sums would not."""
+    numpy's own row sums would not, and in fm with 30 Monte Carlo passes,
+    which span two scoring blocks."""
     import platform
 
     import numpy
 
     header, sections = _reference_fingerprints()
-    assert [len(lines) for lines in sections.values()] == [40, 40, 40]
+    assert [len(lines) for lines in sections.values()] == [40, 40, 40, 20]
     built_on = (header["numpy"], header["machine"])
     if built_on != (numpy.__version__, platform.machine()):
         pytest.skip(f"FINGERPRINTS.txt holds the bits of numpy {built_on[0]} "
                     f"on {built_on[1]}")
     config = ("--config", str(ROOT / "configs" / "synthetic.ini"))
-    for section, seeds in (("defaults", ("0", "1")), ("--hidden_dims=64", ("0",)),
-                           ("--num_classes=8", ("0",))):
+    for section, seeds, modes in (
+        ("defaults", ("0", "1"), ()), ("--hidden_dims=64", ("0",), ()),
+        ("--num_classes=8", ("0",), ()), ("--mc_samples=30", ("0",), ("--modes", "fm")),
+    ):
         overrides = [] if section == "defaults" else [section]
-        printed = _fingerprint(*config, "--seeds", ",".join(seeds), *overrides)
+        printed = _fingerprint(*config, "--seeds", ",".join(seeds), *modes, *overrides)
         assert printed.returncode == 0, printed.stderr
         want = [line for line in sections[section] if line.split()[1] in seeds]
         assert printed.stdout.splitlines() == want
@@ -245,7 +248,8 @@ def _ledger():
 def _eval_peaks(stdout: str) -> tuple:
     """The ledger without its ``[eval]`` peak lines, and those peaks."""
     head, small, large = re.fullmatch(
-        r"(.*\[eval\] fm checkpoint\n)"
+        r"(.*\n\[mc\] 1000 passes over 48 rows: tracemalloc peak \d+ B\n"
+        r"\[eval\] fm checkpoint\n)"
         r"  4200 rows: tracemalloc peak (\d+) B\n"
         r"  42000 rows: tracemalloc peak (\d+) B\n",
         stdout, re.S,
@@ -267,6 +271,6 @@ def test_ledger_repeats_exactly():
     assert re.findall(r"^\[(\S+)\] (\d+) steps$", first.stdout, re.M) == [
         ("fm", "132"), ("fixmatch-baseline", "132")
     ]
-    assert first.stdout.count("tracemalloc peak") == 4
+    assert first.stdout.count("tracemalloc peak") == 5
     for name in ("autodiff.as_matrix_bytes", "modulator.modulate_calls"):
         assert first.stdout.count(name) == 2
